@@ -303,88 +303,21 @@ impl BobChannel {
     }
 }
 
-fn put_channel_msg(msg: &ChannelMsg, w: &mut doram_sim::snapshot::SnapshotWriter) {
-    match msg {
-        ChannelMsg::Request(r) => {
-            w.put_u8(0);
-            doram_dram::request::put_mem_request(w, r);
-        }
-        ChannelMsg::Response(c) => {
-            w.put_u8(1);
-            doram_dram::request::put_completion(w, c);
-        }
+doram_sim::impl_codec!(
+    enum ChannelMsg {
+        Request(req) = 0,
+        Response(c) = 1,
     }
-}
+);
 
-fn get_channel_msg(
-    r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-) -> Result<ChannelMsg, doram_sim::snapshot::SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(ChannelMsg::Request(doram_dram::request::get_mem_request(r)?)),
-        1 => Ok(ChannelMsg::Response(doram_dram::request::get_completion(r)?)),
-        tag => Err(doram_sim::snapshot::SnapshotError::new(format!(
-            "unknown ChannelMsg tag {tag}"
-        ))),
-    }
-}
-
-impl doram_sim::snapshot::Snapshot for BobChannel {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let BobChannel {
-            link,
-            subs,
-            mc_pending,
-            resp_pending,
-            scratch: _,
-            fault,
-            obs: _,          // re-wired by the host after restore
-            mc_blame_res: _, // ditto
-        } = self;
-        link.save_state_with(w, put_channel_msg);
-        w.put_usize(subs.len());
-        for s in subs {
-            s.save_state(w);
-        }
-        w.put_usize(mc_pending.len());
-        for req in mc_pending {
-            doram_dram::request::put_mem_request(w, req);
-        }
-        w.put_usize(resp_pending.len());
-        for c in resp_pending {
-            doram_dram::request::put_completion(w, c);
-        }
-        doram_sim::snapshot::put_opt_sim_error(w, fault);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.link.load_state_with(r, get_channel_msg)?;
-        let subs = r.get_usize()?;
-        if subs != self.subs.len() {
-            return Err(doram_sim::snapshot::SnapshotError::new(format!(
-                "sub-channel count mismatch: snapshot {subs}, target {}",
-                self.subs.len()
-            )));
-        }
-        for s in &mut self.subs {
-            s.load_state(r)?;
-        }
-        self.mc_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.mc_pending
-                .push_back(doram_dram::request::get_mem_request(r)?);
-        }
-        self.resp_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.resp_pending
-                .push_back(doram_dram::request::get_completion(r)?);
-        }
-        self.fault = doram_sim::snapshot::get_opt_sim_error(r)?;
-        Ok(())
-    }
-}
+// The recorder wiring is redone by the host after restore.
+doram_sim::impl_snapshot!(BobChannel {
+    link: state,
+    subs: state,
+    mc_pending,
+    resp_pending,
+    fault,
+} skip { scratch, obs, mc_blame_res });
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,7 @@ use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRates};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState};
 use doram_sim::rng::Xoshiro256;
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{MemCycle, SimError};
 use std::collections::VecDeque;
 
@@ -145,40 +146,15 @@ impl LinkStats {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for LinkStats {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let LinkStats {
-            retransmissions,
-            crc_errors,
-            timeouts,
-            delayed_frames,
-            exhausted_retries,
-            stale_drops,
-            recovery_cycles,
-        } = self;
-        w.put_u64(*retransmissions);
-        w.put_u64(*crc_errors);
-        w.put_u64(*timeouts);
-        w.put_u64(*delayed_frames);
-        w.put_u64(*exhausted_retries);
-        w.put_u64(*stale_drops);
-        w.put_u64(*recovery_cycles);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.retransmissions = r.get_u64()?;
-        self.crc_errors = r.get_u64()?;
-        self.timeouts = r.get_u64()?;
-        self.delayed_frames = r.get_u64()?;
-        self.exhausted_retries = r.get_u64()?;
-        self.stale_drops = r.get_u64()?;
-        self.recovery_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(struct LinkStats {
+    retransmissions,
+    crc_errors,
+    timeouts,
+    delayed_frames,
+    exhausted_retries,
+    stale_drops,
+    recovery_cycles,
+});
 
 /// One queued frame waiting for the serializer.
 #[derive(Debug, Clone)]
@@ -442,110 +418,40 @@ impl<M> Direction<M> {
     fn pending(&self) -> usize {
         self.tx.len() + self.flying.len()
     }
-
-    /// Appends this direction's dynamic state; messages are encoded by
-    /// `enc` (the message type lives in the consumer crate).
-    fn save_state_with(
-        &self,
-        w: &mut doram_sim::snapshot::SnapshotWriter,
-        enc: &impl Fn(&M, &mut doram_sim::snapshot::SnapshotWriter),
-    ) {
-        use doram_sim::snapshot::Snapshot;
-        let Direction {
-            cfg: _,
-            tx,
-            tx_busy_until,
-            flying,
-            bytes_sent,
-            injector,
-            jitter_rng,
-            health,
-            stats,
-            fault,
-            label: _,
-            dir_id: _,
-            obs: _,       // re-wired by the host after restore
-            blame_res: _, // ditto
-            serializing,
-            last_tick,
-        } = self;
-        w.put_usize(tx.len());
-        for e in tx {
-            w.put_u64(e.bytes);
-            enc(&e.msg, w);
-            w.put_u8(e.blame);
-            w.put_u64(e.enq);
-            for v in e.busy_snap {
-                w.put_u64(v);
-            }
-        }
-        w.put_u64(tx_busy_until.0);
-        w.put_bool(serializing.is_some());
-        w.put_u8(serializing.unwrap_or(0));
-        w.put_u64(*last_tick);
-        w.put_usize(flying.len());
-        for (arrival, bytes, msg) in flying {
-            w.put_u64(arrival.0);
-            w.put_u64(*bytes);
-            enc(msg, w);
-        }
-        w.put_u64(*bytes_sent);
-        injector.save_state(w);
-        jitter_rng.save_state(w);
-        health.save_state(w);
-        stats.save_state(w);
-        doram_sim::snapshot::put_opt_sim_error(w, fault);
-    }
-
-    /// Restores this direction's dynamic state; messages are decoded by
-    /// `dec`.
-    fn load_state_with(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-        dec: &impl Fn(
-            &mut doram_sim::snapshot::SnapshotReader<'_>,
-        ) -> Result<M, doram_sim::snapshot::SnapshotError>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        use doram_sim::snapshot::Snapshot;
-        self.tx.clear();
-        for _ in 0..r.get_usize()? {
-            let bytes = r.get_u64()?;
-            let msg = dec(r)?;
-            let blame = r.get_u8()?;
-            let enq = r.get_u64()?;
-            let mut busy_snap = [0u64; doram_obs::BLAME_CLASSES];
-            for v in &mut busy_snap {
-                *v = r.get_u64()?;
-            }
-            self.tx.push_back(TxEntry {
-                bytes,
-                msg,
-                blame,
-                enq,
-                busy_snap,
-            });
-        }
-        self.tx_busy_until = MemCycle(r.get_u64()?);
-        let has_ser = r.get_bool()?;
-        let ser_cls = r.get_u8()?;
-        self.serializing = has_ser.then_some(ser_cls);
-        self.last_tick = r.get_u64()?;
-        self.flying.clear();
-        for _ in 0..r.get_usize()? {
-            let arrival = MemCycle(r.get_u64()?);
-            let bytes = r.get_u64()?;
-            let msg = dec(r)?;
-            self.flying.push_back((arrival, bytes, msg));
-        }
-        self.bytes_sent = r.get_u64()?;
-        self.injector.load_state(r)?;
-        self.jitter_rng.load_state(r)?;
-        self.health.load_state(r)?;
-        self.stats.load_state(r)?;
-        self.fault = doram_sim::snapshot::get_opt_sim_error(r)?;
-        Ok(())
-    }
 }
+
+doram_sim::impl_codec!(struct TxEntry<M> { bytes, msg, blame, enq, busy_snap });
+
+/// The serializer's class always travels as a busy flag plus a class byte
+/// (0 when idle), unlike `Option`'s codec.
+fn save_serializing(class: &Option<u8>, w: &mut SnapshotWriter) {
+    (class.is_some(), class.unwrap_or(0)).put(w);
+}
+
+fn load_serializing(
+    class: &mut Option<u8>,
+    r: &mut SnapshotReader<'_>,
+) -> Result<(), SnapshotError> {
+    let (busy, tag) = <(bool, u8)>::get(r)?;
+    *class = busy.then_some(tag);
+    Ok(())
+}
+
+// The recorder wiring (`obs`, `blame_res`) is redone by the host after
+// restore.
+doram_sim::impl_snapshot!(Direction<M> {
+    tx,
+    tx_busy_until,
+    serializing: via(save_serializing, load_serializing),
+    last_tick,
+    flying,
+    bytes_sent,
+    injector: state,
+    jitter_rng,
+    health: state,
+    stats,
+    fault,
+} skip { cfg, label, dir_id, obs, blame_res });
 
 /// A full-duplex serial link between a MainMC (CPU side) and a SimpleMC
 /// (memory side).
@@ -715,37 +621,9 @@ impl<M> Link<M> {
     pub fn quarantine_entries(&self) -> u32 {
         self.to_mem.health.quarantine_entries() + self.to_cpu.health.quarantine_entries()
     }
-
-    /// Appends both directions' dynamic state for a checkpoint. The
-    /// message type `M` is private to the consumer crate, so its codec is
-    /// passed in as `enc`.
-    pub fn save_state_with(
-        &self,
-        w: &mut doram_sim::snapshot::SnapshotWriter,
-        enc: impl Fn(&M, &mut doram_sim::snapshot::SnapshotWriter),
-    ) {
-        self.to_mem.save_state_with(w, &enc);
-        self.to_cpu.save_state_with(w, &enc);
-    }
-
-    /// Restores both directions' dynamic state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`doram_sim::snapshot::SnapshotError`] on truncation or a
-    /// malformed message.
-    pub fn load_state_with(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-        dec: impl Fn(
-            &mut doram_sim::snapshot::SnapshotReader<'_>,
-        ) -> Result<M, doram_sim::snapshot::SnapshotError>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.to_mem.load_state_with(r, &dec)?;
-        self.to_cpu.load_state_with(r, &dec)?;
-        Ok(())
-    }
 }
+
+doram_sim::impl_snapshot!(Link<M> { to_mem: state, to_cpu: state });
 
 #[cfg(test)]
 mod tests {
@@ -1009,7 +887,7 @@ mod tests {
 
     #[test]
     fn snapshot_resume_mid_backoff_is_bit_identical() {
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
         let cfg = LinkConfig {
             error_rate_ppm: 300_000,
             drop_rate_ppm: 100_000,
@@ -1039,13 +917,11 @@ mod tests {
         assert!(link.stats().retransmissions > 0, "retries before the split");
 
         let mut w = SnapshotWriter::new();
-        link.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+        link.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut resumed: Link<u32> = Link::new(cfg);
         let mut r = SnapshotReader::new(&bytes);
-        resumed
-            .load_state_with(&mut r, |r| r.get_u64().map(|v| v as u32))
-            .unwrap();
+        resumed.load_state(&mut r).unwrap();
 
         let mut next_r = next;
         let tail_a = run_half(&mut link, &mut next, split, 200_000);
@@ -1058,7 +934,7 @@ mod tests {
         // And the final states serialize identically.
         let snap = |l: &Link<u32>| {
             let mut w = SnapshotWriter::new();
-            l.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+            l.save_state(&mut w);
             w.into_bytes()
         };
         assert_eq!(snap(&link), snap(&resumed));
@@ -1247,7 +1123,7 @@ mod tests {
     #[test]
     fn blame_state_survives_snapshot_resume() {
         use doram_obs::{BlameClass, Recorder, FILTER_ALL};
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000_000);
         link.set_obs_named(Some(rec.clone()), "sec.link");
@@ -1263,24 +1139,20 @@ mod tests {
         }
         assert!(link.pending() > 0);
         let mut w = SnapshotWriter::new();
-        link.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+        link.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut resumed: Link<u32> = Link::new(LinkConfig::default());
         let rec2 = Recorder::shared(64, FILTER_ALL, 1_000_000);
         {
             // Carry the blame matrix across like the system checkpoint does.
             let mut w = SnapshotWriter::new();
-            doram_sim::snapshot::Snapshot::save_state(&rec.borrow().blame, &mut w);
+            rec.borrow().blame.put(&mut w);
             let b = w.into_bytes();
-            let mut r = SnapshotReader::new(&b);
-            doram_sim::snapshot::Snapshot::load_state(&mut rec2.borrow_mut().blame, &mut r)
-                .unwrap();
+            rec2.borrow_mut().blame = Codec::get(&mut SnapshotReader::new(&b)).unwrap();
         }
         resumed.set_obs_named(Some(rec2.clone()), "sec.link");
         let mut r = SnapshotReader::new(&bytes);
-        resumed
-            .load_state_with(&mut r, |r| r.get_u64().map(|v| v as u32))
-            .unwrap();
+        resumed.load_state(&mut r).unwrap();
         for c in 10..400u64 {
             link.tick(MemCycle(c), &mut at_mem, &mut at_cpu);
             let mut a = Vec::new();

@@ -340,25 +340,7 @@ impl ChannelFabric {
     }
 }
 
-impl Snapshot for ChannelFabric {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let ChannelFabric { channels } = self;
-        w.put_usize(channels.len());
-        for ch in channels {
-            ch.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        if r.get_usize()? != self.channels.len() {
-            return Err(SnapshotError::new("channel count mismatch"));
-        }
-        for ch in self.channels.iter_mut() {
-            ch.load_state(r)?;
-        }
-        Ok(())
-    }
-}
+doram_sim::impl_snapshot!(ChannelFabric { channels: state });
 
 /// Routes one NS-App's line-interleaved allocation over its allowed
 /// channels.

@@ -14,10 +14,9 @@
 //! access window — see `doram-crypto` — so the engine models crypto cost
 //! as zero additional latency, as the paper argues.
 
-use crate::onchip_oram::{get_oram_job, put_oram_job, OramJob};
+use crate::onchip_oram::OramJob;
 use doram_dram::MemOp;
 use doram_obs::SharedRecorder;
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::stats::Counter;
 use doram_sim::{CpuCycle, MemCycle, RequestId};
 use std::collections::VecDeque;
@@ -131,57 +130,15 @@ impl CpuEngine {
     }
 }
 
-impl Snapshot for EngineStats {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let EngineStats {
-            real_sent,
-            dummies_sent,
-            responses,
-        } = self;
-        real_sent.save_state(w);
-        dummies_sent.save_state(w);
-        responses.save_state(w);
-    }
+doram_sim::impl_codec!(struct EngineStats { real_sent, dummies_sent, responses });
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.real_sent.load_state(r)?;
-        self.dummies_sent.load_state(r)?;
-        self.responses.load_state(r)?;
-        Ok(())
-    }
-}
-
-impl Snapshot for CpuEngine {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let CpuEngine {
-            queue,
-            queue_cap: _,
-            awaiting,
-            next_send_at,
-            interval: _,
-            stats,
-            obs: _, // re-wired by the host after restore
-        } = self;
-        w.put_usize(queue.len());
-        for job in queue {
-            put_oram_job(job, w);
-        }
-        w.put_bool(*awaiting);
-        w.put_u64(next_send_at.0);
-        stats.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.queue.clear();
-        for _ in 0..r.get_usize()? {
-            self.queue.push_back(get_oram_job(r)?);
-        }
-        self.awaiting = r.get_bool()?;
-        self.next_send_at = MemCycle(r.get_u64()?);
-        self.stats.load_state(r)?;
-        Ok(())
-    }
-}
+// The recorder wiring is redone by the host after restore.
+doram_sim::impl_snapshot!(CpuEngine {
+    queue,
+    awaiting,
+    next_send_at,
+    stats,
+} skip { queue_cap, interval, obs });
 
 #[cfg(test)]
 mod tests {

@@ -11,12 +11,10 @@
 //! sub-channels, plus split-level fetches through the CPU) — only the
 //! [`BlockSink`] differs.
 
-use doram_dram::request::{get_mem_op, put_mem_op};
 use doram_dram::{MemOp, MemRequest, RequestClass};
 use doram_oram::plan::{BlockRef, PlanConfig, Planner};
 use doram_oram::position::PositionMap;
 use doram_sim::rng::Xoshiro256;
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::stats::{Counter, RunningMean};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen};
 use std::collections::HashSet;
@@ -460,247 +458,31 @@ impl OramFsm {
     }
 }
 
-pub(crate) fn put_oram_job(job: &OramJob, w: &mut SnapshotWriter) {
-    match job {
-        OramJob::Dummy => w.put_u8(0),
-        OramJob::Real { id, op, block } => {
-            w.put_u8(1);
-            match id {
-                None => w.put_bool(false),
-                Some(id) => {
-                    w.put_bool(true);
-                    w.put_u64(id.0);
-                }
-            }
-            put_mem_op(w, *op);
-            w.put_u64(*block);
-        }
-    }
-}
+doram_sim::impl_codec!(enum OramJob { Dummy = 0, Real { id, op, block } = 1 });
+doram_sim::impl_codec!(enum Phase {
+    Idle = 0,
+    Read { job, started, blocks, next, outstanding } = 1,
+    Write { job, started, blocks, next, outstanding } = 2,
+});
+doram_sim::impl_codec!(struct OverlapRead { job, started, blocks, next, outstanding, response_emitted });
 
-pub(crate) fn get_oram_job(r: &mut SnapshotReader<'_>) -> Result<OramJob, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => OramJob::Dummy,
-        1 => OramJob::Real {
-            id: if r.get_bool()? {
-                Some(RequestId(r.get_u64()?))
-            } else {
-                None
-            },
-            op: get_mem_op(r)?,
-            block: r.get_u64()?,
-        },
-        tag => return Err(SnapshotError::new(format!("bad oram job tag {tag}"))),
-    })
-}
+doram_sim::impl_snapshot!(OramStats {
+    real_accesses,
+    dummy_accesses,
+    access_latency: state,
+    read_phase_latency: state,
+});
 
-fn put_block_ref(b: &BlockRef, w: &mut SnapshotWriter) {
-    use doram_oram::plan::Placement;
-    match b.placement {
-        Placement::TreeUnit(u) => {
-            w.put_u8(0);
-            w.put_usize(u);
-        }
-        Placement::NormalChannel(c) => {
-            w.put_u8(1);
-            w.put_usize(c);
-        }
-    }
-    w.put_u64(b.addr);
-    w.put_u32(b.level);
-}
-
-fn get_block_ref(r: &mut SnapshotReader<'_>) -> Result<BlockRef, SnapshotError> {
-    use doram_oram::plan::Placement;
-    let placement = match r.get_u8()? {
-        0 => Placement::TreeUnit(r.get_usize()?),
-        1 => Placement::NormalChannel(r.get_usize()?),
-        tag => return Err(SnapshotError::new(format!("bad placement tag {tag}"))),
-    };
-    Ok(BlockRef {
-        placement,
-        addr: r.get_u64()?,
-        level: r.get_u32()?,
-    })
-}
-
-fn put_block_refs(blocks: &[BlockRef], w: &mut SnapshotWriter) {
-    w.put_usize(blocks.len());
-    for b in blocks {
-        put_block_ref(b, w);
-    }
-}
-
-fn get_block_refs(r: &mut SnapshotReader<'_>) -> Result<Vec<BlockRef>, SnapshotError> {
-    let n = r.get_usize()?;
-    let mut blocks = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        blocks.push(get_block_ref(r)?);
-    }
-    Ok(blocks)
-}
-
-fn put_id_set(ids: &HashSet<RequestId>, w: &mut SnapshotWriter) {
-    // Serialize sorted so the payload is independent of hash order.
-    let mut sorted: Vec<u64> = ids.iter().map(|id| id.0).collect();
-    sorted.sort_unstable();
-    w.put_usize(sorted.len());
-    for id in sorted {
-        w.put_u64(id);
-    }
-}
-
-fn get_id_set(r: &mut SnapshotReader<'_>) -> Result<HashSet<RequestId>, SnapshotError> {
-    let n = r.get_usize()?;
-    let mut ids = HashSet::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        ids.insert(RequestId(r.get_u64()?));
-    }
-    Ok(ids)
-}
-
-fn put_phase(phase: &Phase, w: &mut SnapshotWriter) {
-    let (tag, job, started, blocks, next, outstanding) = match phase {
-        Phase::Idle => {
-            w.put_u8(0);
-            return;
-        }
-        Phase::Read {
-            job,
-            started,
-            blocks,
-            next,
-            outstanding,
-        } => (1u8, job, started, blocks, next, outstanding),
-        Phase::Write {
-            job,
-            started,
-            blocks,
-            next,
-            outstanding,
-        } => (2u8, job, started, blocks, next, outstanding),
-    };
-    w.put_u8(tag);
-    put_oram_job(job, w);
-    w.put_u64(started.0);
-    put_block_refs(blocks, w);
-    w.put_usize(*next);
-    put_id_set(outstanding, w);
-}
-
-fn get_phase(r: &mut SnapshotReader<'_>) -> Result<Phase, SnapshotError> {
-    let tag = r.get_u8()?;
-    if tag == 0 {
-        return Ok(Phase::Idle);
-    }
-    let job = get_oram_job(r)?;
-    let started = MemCycle(r.get_u64()?);
-    let blocks = get_block_refs(r)?;
-    let next = r.get_usize()?;
-    let outstanding = get_id_set(r)?;
-    Ok(match tag {
-        1 => Phase::Read {
-            job,
-            started,
-            blocks,
-            next,
-            outstanding,
-        },
-        2 => Phase::Write {
-            job,
-            started,
-            blocks,
-            next,
-            outstanding,
-        },
-        _ => return Err(SnapshotError::new(format!("bad phase tag {tag}"))),
-    })
-}
-
-impl Snapshot for OramStats {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let OramStats {
-            real_accesses,
-            dummy_accesses,
-            access_latency,
-            read_phase_latency,
-        } = self;
-        real_accesses.save_state(w);
-        dummy_accesses.save_state(w);
-        access_latency.save_state(w);
-        read_phase_latency.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.real_accesses.load_state(r)?;
-        self.dummy_accesses.load_state(r)?;
-        self.access_latency.load_state(r)?;
-        self.read_phase_latency.load_state(r)?;
-        Ok(())
-    }
-}
-
-impl Snapshot for OramFsm {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let OramFsm {
-            planner: _, // stateless, rebuilt from config
-            posmap,
-            rng,
-            queue,
-            queue_cap: _,
-            phase,
-            overlap,
-            pipeline: _,
-            issue_per_tick: _,
-            stats,
-            obs: _, // re-wired by the host after restore
-        } = self;
-        posmap.save_state(w);
-        rng.save_state(w);
-        w.put_usize(queue.len());
-        for job in queue {
-            put_oram_job(job, w);
-        }
-        put_phase(phase, w);
-        match overlap {
-            None => w.put_bool(false),
-            Some(o) => {
-                w.put_bool(true);
-                put_oram_job(&o.job, w);
-                w.put_u64(o.started.0);
-                put_block_refs(&o.blocks, w);
-                w.put_usize(o.next);
-                put_id_set(&o.outstanding, w);
-                w.put_bool(o.response_emitted);
-            }
-        }
-        stats.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.posmap.load_state(r)?;
-        self.rng.load_state(r)?;
-        self.queue.clear();
-        for _ in 0..r.get_usize()? {
-            self.queue.push_back(get_oram_job(r)?);
-        }
-        self.phase = get_phase(r)?;
-        self.overlap = if r.get_bool()? {
-            Some(OverlapRead {
-                job: get_oram_job(r)?,
-                started: MemCycle(r.get_u64()?),
-                blocks: get_block_refs(r)?,
-                next: r.get_usize()?,
-                outstanding: get_id_set(r)?,
-                response_emitted: r.get_bool()?,
-            })
-        } else {
-            None
-        };
-        self.stats.load_state(r)?;
-        Ok(())
-    }
-}
+// The planner is stateless and rebuilt from the configuration; the
+// recorder wiring is redone by the host after restore.
+doram_sim::impl_snapshot!(OramFsm {
+    posmap: state,
+    rng,
+    queue,
+    phase,
+    overlap,
+    stats: state,
+} skip { planner, queue_cap, pipeline, issue_per_tick, obs });
 
 /// The Baseline's sink: tree unit `u` is direct channel `u`, ORAM data in
 /// a dedicated region.

@@ -8,9 +8,8 @@
 use crate::channels::{ChannelFabric, APP_REGION_BYTES};
 use doram_dram::{MemOp, MemRequest, RequestClass};
 use doram_secmem::{SecMemConfig, SecureMemoryEngine};
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Tracks one in-flight real S-App request.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +27,7 @@ pub struct SecMemFrontend {
     /// Real request ids → completion bookkeeping.
     pending: HashMap<RequestId, PendingReal>,
     /// Dummy ids (completions discarded).
-    dummies: HashMap<RequestId, ()>,
+    dummies: HashSet<RequestId>,
     /// Completions delayed by the secure-memory overhead factor.
     delayed: Vec<(MemCycle, RequestId)>,
     overhead: f64,
@@ -46,7 +45,7 @@ impl SecMemFrontend {
             engine: SecureMemoryEngine::new(cfg, seed),
             s_app,
             pending: HashMap::new(),
-            dummies: HashMap::new(),
+            dummies: HashSet::new(),
             delayed: Vec::new(),
             overhead,
         }
@@ -54,7 +53,7 @@ impl SecMemFrontend {
 
     /// Whether this frontend issued the request `id`.
     pub fn owns(&self, id: RequestId) -> bool {
-        self.pending.contains_key(&id) || self.dummies.contains_key(&id)
+        self.pending.contains_key(&id) || self.dummies.contains(&id)
     }
 
     /// Submits an S-App access; expands and enqueues the per-channel
@@ -101,7 +100,7 @@ impl SecMemFrontend {
             if r.is_real {
                 self.pending.insert(id, PendingReal { core_id, issued: now });
             } else {
-                self.dummies.insert(id, ());
+                self.dummies.insert(id);
             }
         }
         true
@@ -110,7 +109,7 @@ impl SecMemFrontend {
     /// Handles a completion belonging to this frontend. Call only when
     /// [`owns`](SecMemFrontend::owns) is true.
     pub fn on_completion(&mut self, id: RequestId, now: MemCycle) {
-        if self.dummies.remove(&id).is_some() {
+        if self.dummies.remove(&id) {
             return;
         }
         if let Some(p) = self.pending.remove(&id) {
@@ -148,73 +147,14 @@ impl SecMemFrontend {
     }
 }
 
-impl Snapshot for SecMemFrontend {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let SecMemFrontend {
-            engine,
-            s_app: _,
-            pending,
-            dummies,
-            delayed,
-            overhead: _,
-        } = self;
-        engine.save_state(w);
-        // Maps serialized sorted so the payload is independent of hash
-        // order.
-        let mut reals: Vec<(u64, PendingReal)> =
-            pending.iter().map(|(id, p)| (id.0, *p)).collect();
-        reals.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(reals.len());
-        for (id, p) in reals {
-            w.put_u64(id);
-            match p.core_id {
-                None => w.put_bool(false),
-                Some(core_id) => {
-                    w.put_bool(true);
-                    w.put_u64(core_id.0);
-                }
-            }
-            w.put_u64(p.issued.0);
-        }
-        let mut dummy_ids: Vec<u64> = dummies.keys().map(|id| id.0).collect();
-        dummy_ids.sort_unstable();
-        w.put_usize(dummy_ids.len());
-        for id in dummy_ids {
-            w.put_u64(id);
-        }
-        w.put_usize(delayed.len());
-        for (when, id) in delayed {
-            w.put_u64(when.0);
-            w.put_u64(id.0);
-        }
-    }
+doram_sim::impl_codec!(struct PendingReal { core_id, issued });
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.engine.load_state(r)?;
-        self.pending.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let core_id = if r.get_bool()? {
-                Some(RequestId(r.get_u64()?))
-            } else {
-                None
-            };
-            let issued = MemCycle(r.get_u64()?);
-            self.pending.insert(id, PendingReal { core_id, issued });
-        }
-        self.dummies.clear();
-        for _ in 0..r.get_usize()? {
-            self.dummies.insert(RequestId(r.get_u64()?), ());
-        }
-        self.delayed.clear();
-        for _ in 0..r.get_usize()? {
-            let when = MemCycle(r.get_u64()?);
-            let id = RequestId(r.get_u64()?);
-            self.delayed.push((when, id));
-        }
-        Ok(())
-    }
-}
+doram_sim::impl_snapshot!(SecMemFrontend {
+    engine: state,
+    pending,
+    dummies,
+    delayed,
+} skip { s_app, overhead });
 
 #[cfg(test)]
 mod tests {

@@ -13,23 +13,18 @@
 //! the (ciphertext) blocks as full response packets (§III-C). Write-phase
 //! updates travel as full write packets the CPU forwards; they are posted.
 
-use crate::onchip_oram::{
-    get_oram_job, put_oram_job, BlockSink, FsmEvent, Issued, OramFsm, OramJob, OramStats,
-};
 use crate::onchip_oram::ORAM_REGION_BASE;
+use crate::onchip_oram::{BlockSink, FsmEvent, Issued, OramFsm, OramJob, OramStats};
 use doram_bob::packet::PacketKind;
 use doram_bob::{Link, LinkConfig, LinkStats};
 use doram_crypto::{BucketIntegrity, MerkleTree, DIGEST_BYTES};
-use doram_dram::request::{get_completion, get_mem_request, put_completion, put_mem_request};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubChannelConfig};
 use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
-use doram_sim::snapshot::{
-    get_opt_sim_error, put_opt_sim_error, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -1469,463 +1464,166 @@ impl SecureChannel {
     }
 }
 
-pub(crate) fn put_split_fetch(f: &SplitFetch, w: &mut SnapshotWriter) {
-    w.put_u64(f.tag);
-    w.put_usize(f.channel);
-    w.put_u64(f.addr);
-}
+doram_sim::impl_codec!(struct SplitFetch { tag, channel, addr });
 
-pub(crate) fn get_split_fetch(r: &mut SnapshotReader<'_>) -> Result<SplitFetch, SnapshotError> {
-    Ok(SplitFetch {
-        tag: r.get_u64()?,
-        channel: r.get_usize()?,
-        addr: r.get_u64()?,
-    })
-}
+/// Only the carried fetches travel, after their count.
+impl Codec for SplitBatch {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.len.put(w);
+        self.fetches().iter().for_each(|f| f.put(w));
+    }
 
-fn put_sec_msg(msg: &SecMsg, w: &mut SnapshotWriter) {
-    match msg {
-        SecMsg::NsReq(req) => {
-            w.put_u8(0);
-            put_mem_request(w, req);
+    fn get(r: &mut SnapshotReader<'_>) -> Result<SplitBatch, SnapshotError> {
+        let len = u8::get(r)?;
+        if len as usize > MAX_BATCH {
+            return Err(SnapshotError::new(format!("split batch len {len}")));
         }
-        SecMsg::NsResp(c) => {
-            w.put_u8(1);
-            put_completion(w, c);
+        let mut batch = SplitBatch::new();
+        for _ in 0..len {
+            batch.push(SplitFetch::get(r)?);
         }
-        SecMsg::SecReq(job) => {
-            w.put_u8(2);
-            put_oram_job(job, w);
-        }
-        SecMsg::SecResp(job) => {
-            w.put_u8(3);
-            put_oram_job(job, w);
-        }
-        SecMsg::SplitReadReq(f) => {
-            w.put_u8(4);
-            put_split_fetch(f, w);
-        }
-        SecMsg::SplitReadBatch(batch) => {
-            w.put_u8(5);
-            w.put_u8(batch.len);
-            for f in batch.fetches() {
-                put_split_fetch(f, w);
-            }
-        }
-        SecMsg::SplitReadResp(f) => {
-            w.put_u8(6);
-            put_split_fetch(f, w);
-        }
-        SecMsg::SplitWrite(f) => {
-            w.put_u8(7);
-            put_split_fetch(f, w);
-        }
+        Ok(batch)
     }
 }
 
-fn get_sec_msg(r: &mut SnapshotReader<'_>) -> Result<SecMsg, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => SecMsg::NsReq(get_mem_request(r)?),
-        1 => SecMsg::NsResp(get_completion(r)?),
-        2 => SecMsg::SecReq(get_oram_job(r)?),
-        3 => SecMsg::SecResp(get_oram_job(r)?),
-        4 => SecMsg::SplitReadReq(get_split_fetch(r)?),
-        5 => {
-            let len = r.get_u8()?;
-            if len as usize > MAX_BATCH {
-                return Err(SnapshotError::new(format!("split batch len {len}")));
-            }
-            let mut batch = SplitBatch::new();
-            for _ in 0..len {
-                batch.push(get_split_fetch(r)?);
-            }
-            SecMsg::SplitReadBatch(batch)
-        }
-        6 => SecMsg::SplitReadResp(get_split_fetch(r)?),
-        7 => SecMsg::SplitWrite(get_split_fetch(r)?),
-        tag => return Err(SnapshotError::new(format!("bad sec msg tag {tag}"))),
-    })
-}
-
-impl Snapshot for SdIntegrity {
+/// A read-merging buffer is checkpointed as the link message it becomes.
+impl Snapshot for SplitBatch {
     fn save_state(&self, w: &mut SnapshotWriter) {
-        let SdIntegrity {
-            integrity,
-            versions,
-            prev_versions,
-            freshness: _, // rebuilt from `leaves` + `versions` on load
-            leaves,
-            next_leaf,
-            injector,
-            sub_injectors,
-            policy: _,
-            health,
-            parity: _, // config
-            integrity_failures,
-            refetches,
-            recovery_cycles,
-            parity_rebuilds,
-            scrub_repairs,
-            replay_detected,
-            relocation_detected,
-            rollback_rejected,
-            freshness_ops,
-            freshness_cycles,
-            fault,
-            inflight,
-            rebuild_shares,
-            rebuild_groups,
-            next_group,
-            owners,
-            corrupt,
-            transitions, // drained within every tick; empty between ticks
-            now_hint,
-        } = self;
-        debug_assert!(transitions.is_empty(), "transitions drain each tick");
-        // export_tags returns addr-sorted pairs, so the payload is
-        // independent of hash order.
-        let tags = integrity.export_tags();
-        w.put_usize(tags.len());
-        for (addr, tag) in tags {
-            w.put_u64(addr);
-            w.put_bytes(&tag);
-        }
-        let mut vers: Vec<(u64, u64)> = versions.iter().map(|(&a, &v)| (a, v)).collect();
-        vers.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(vers.len());
-        for (addr, v) in vers {
-            w.put_u64(addr);
-            w.put_u64(v);
-        }
-        let mut prev: Vec<(u64, u64)> = prev_versions.iter().map(|(&a, &v)| (a, v)).collect();
-        prev.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(prev.len());
-        for (addr, v) in prev {
-            w.put_u64(addr);
-            w.put_u64(v);
-        }
-        let mut lvs: Vec<(u64, u64)> = leaves.iter().map(|(&a, &l)| (a, l)).collect();
-        lvs.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(lvs.len());
-        for (addr, l) in lvs {
-            w.put_u64(addr);
-            w.put_u64(l);
-        }
-        w.put_u64(*next_leaf);
-        w.put_u64(*replay_detected);
-        w.put_u64(*relocation_detected);
-        w.put_u64(*rollback_rejected);
-        w.put_u64(*freshness_ops);
-        w.put_u64(*freshness_cycles);
-        injector.save_state(w);
-        w.put_usize(sub_injectors.len());
-        for inj in sub_injectors {
-            inj.save_state(w);
-        }
-        w.put_usize(health.len());
-        for h in health {
-            h.save_state(w);
-        }
-        w.put_u64(*integrity_failures);
-        w.put_u64(*refetches);
-        w.put_u64(*recovery_cycles);
-        w.put_u64(*parity_rebuilds);
-        w.put_u64(*scrub_repairs);
-        put_opt_sim_error(w, fault);
-        let mut tickets: Vec<(u64, RefetchTicket)> =
-            inflight.iter().map(|(id, t)| (id.0, *t)).collect();
-        tickets.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(tickets.len());
-        for (id, t) in tickets {
-            w.put_u64(id);
-            w.put_u64(t.orig.0);
-            w.put_u64(t.detect.0);
-            w.put_u32(t.attempts);
-        }
-        let mut shares: Vec<(u64, u64)> = rebuild_shares.iter().map(|(&s, &g)| (s, g)).collect();
-        shares.sort_unstable_by_key(|&(s, _)| s);
-        w.put_usize(shares.len());
-        for (share, gid) in shares {
-            w.put_u64(share);
-            w.put_u64(gid);
-        }
-        let mut groups: Vec<(u64, RequestId, u32)> = rebuild_groups
-            .iter()
-            .map(|(&g, &(orig, left))| (g, orig, left))
-            .collect();
-        groups.sort_unstable_by_key(|&(g, _, _)| g);
-        w.put_usize(groups.len());
-        for (gid, orig, left) in groups {
-            w.put_u64(gid);
-            w.put_u64(orig.0);
-            w.put_u32(left);
-        }
-        w.put_u64(*next_group);
-        w.put_usize(owners.len());
-        for (&addr, &sub) in owners {
-            w.put_u64(addr);
-            w.put_usize(sub);
-        }
-        w.put_usize(corrupt.len());
-        for &addr in corrupt {
-            w.put_u64(addr);
-        }
-        w.put_u64(*now_hint);
+        SecMsg::SplitReadBatch(*self).put(w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n_tags = r.get_usize()?;
-        let mut tags = Vec::with_capacity(n_tags.min(1 << 16));
-        for _ in 0..n_tags {
-            let addr = r.get_u64()?;
-            let bytes = r.get_bytes()?;
-            if bytes.len() != DIGEST_BYTES {
-                return Err(SnapshotError::new("bad integrity tag length"));
+        match SecMsg::get(r)? {
+            SecMsg::SplitReadBatch(batch) => *self = batch,
+            _ => return Err(SnapshotError::new("expected split batch")),
+        }
+        Ok(())
+    }
+}
+
+doram_sim::impl_codec!(
+    enum SecMsg {
+        NsReq(req) = 0,
+        NsResp(c) = 1,
+        SecReq(job) = 2,
+        SecResp(job) = 3,
+        SplitReadReq(f) = 4,
+        SplitReadBatch(batch) = 5,
+        SplitReadResp(f) = 6,
+        SplitWrite(f) = 7,
+    }
+);
+
+doram_sim::impl_codec!(struct RefetchTicket { orig, detect, attempts });
+
+/// The CMAC tag store travels as address-sorted `(addr, tag)` pairs, each
+/// tag length-prefixed and checked to be one digest long on load.
+fn save_tags(integrity: &BucketIntegrity, w: &mut SnapshotWriter) {
+    let tags: Vec<(u64, Vec<u8>)> = integrity
+        .export_tags()
+        .into_iter()
+        .map(|(addr, tag)| (addr, tag.to_vec()))
+        .collect();
+    tags.put(w);
+}
+
+fn load_tags(
+    integrity: &mut BucketIntegrity,
+    r: &mut SnapshotReader<'_>,
+) -> Result<(), SnapshotError> {
+    let mut tags = Vec::new();
+    for (addr, tag) in Vec::<(u64, Vec<u8>)>::get(r)? {
+        let tag: [u8; DIGEST_BYTES] = tag
+            .try_into()
+            .map_err(|_| SnapshotError::new("bad integrity tag length"))?;
+        tags.push((addr, tag));
+    }
+    integrity.import_tags(tags);
+    Ok(())
+}
+
+impl SdIntegrity {
+    /// Rebuilds the freshness tree from its authoritative inputs after a
+    /// restore: every leaf holds the hash of its bucket's *current* image
+    /// (each write re-hashes), so replaying one update per mapping restores
+    /// the exact state.
+    fn rebuild_freshness(&mut self) -> Result<(), SnapshotError> {
+        let Some(tree) = self.freshness.as_mut() else {
+            if self.leaves.is_empty() {
+                return Ok(());
             }
-            let mut tag = [0u8; DIGEST_BYTES];
-            tag.copy_from_slice(&bytes);
-            tags.push((addr, tag));
-        }
-        self.integrity.import_tags(tags);
-        self.versions.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let v = r.get_u64()?;
-            self.versions.insert(addr, v);
-        }
-        self.prev_versions.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let v = r.get_u64()?;
-            self.prev_versions.insert(addr, v);
-        }
-        self.leaves.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let leaf = r.get_u64()?;
-            self.leaves.insert(addr, leaf);
-        }
-        self.next_leaf = r.get_u64()?;
-        self.replay_detected = r.get_u64()?;
-        self.relocation_detected = r.get_u64()?;
-        self.rollback_rejected = r.get_u64()?;
-        self.freshness_ops = r.get_u64()?;
-        self.freshness_cycles = r.get_u64()?;
-        if !self.leaves.is_empty() && self.freshness.is_none() {
             return Err(SnapshotError::new(
                 "checkpoint carries freshness leaves but the config arms no tree",
             ));
-        }
-        // Rebuild the tree from its authoritative inputs: every leaf holds
-        // the hash of its bucket's *current* image (each write re-hashes),
-        // so replaying one update per mapping restores the exact state.
-        if let Some(tree) = self.freshness.as_mut() {
-            for (&addr, &leaf) in self.leaves.iter() {
-                if leaf >= tree.num_leaves() {
-                    return Err(SnapshotError::new("freshness leaf out of range"));
-                }
-                let version = self.versions.get(&addr).copied().unwrap_or(0);
-                tree.update(leaf, &Self::payload_bytes(addr, version));
+        };
+        for (&addr, &leaf) in &self.leaves {
+            if leaf >= tree.num_leaves() {
+                return Err(SnapshotError::new("freshness leaf out of range"));
             }
+            let version = self.versions.get(&addr).copied().unwrap_or(0);
+            tree.update(leaf, &Self::payload_bytes(addr, version));
         }
-        self.injector.load_state(r)?;
-        if r.get_usize()? != self.sub_injectors.len() {
-            return Err(SnapshotError::new(
-                "sub-channel count mismatch (sub injectors)",
-            ));
-        }
-        for inj in self.sub_injectors.iter_mut() {
-            inj.load_state(r)?;
-        }
-        if r.get_usize()? != self.health.len() {
-            return Err(SnapshotError::new("sub-channel count mismatch (health)"));
-        }
-        for h in self.health.iter_mut() {
-            h.load_state(r)?;
-        }
-        self.integrity_failures = r.get_u64()?;
-        self.refetches = r.get_u64()?;
-        self.recovery_cycles = r.get_u64()?;
-        self.parity_rebuilds = r.get_u64()?;
-        self.scrub_repairs = r.get_u64()?;
-        self.fault = get_opt_sim_error(r)?;
-        self.inflight.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let orig = RequestId(r.get_u64()?);
-            let detect = MemCycle(r.get_u64()?);
-            let attempts = r.get_u32()?;
-            self.inflight.insert(
-                id,
-                RefetchTicket {
-                    orig,
-                    detect,
-                    attempts,
-                },
-            );
-        }
-        self.rebuild_shares.clear();
-        for _ in 0..r.get_usize()? {
-            let share = r.get_u64()?;
-            let gid = r.get_u64()?;
-            self.rebuild_shares.insert(share, gid);
-        }
-        self.rebuild_groups.clear();
-        for _ in 0..r.get_usize()? {
-            let gid = r.get_u64()?;
-            let orig = RequestId(r.get_u64()?);
-            let left = r.get_u32()?;
-            self.rebuild_groups.insert(gid, (orig, left));
-        }
-        self.next_group = r.get_u64()?;
-        self.owners.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let sub = r.get_usize()?;
-            self.owners.insert(addr, sub);
-        }
-        self.corrupt.clear();
-        for _ in 0..r.get_usize()? {
-            self.corrupt.insert(r.get_u64()?);
-        }
-        self.transitions.clear();
-        self.now_hint = r.get_u64()?;
         Ok(())
     }
 }
 
-impl Snapshot for SecureChannel {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let SecureChannel {
-            link,
-            subs,
-            fsm,
-            s_app: _,
-            mc_pending,
-            resp_pending,
-            out_pending,
-            local_ids,
-            scratch: _, // drained within each tick
-            merge_bufs,
-            sd_integrity,
-            verify_pending,
-            pending_refetch,
-            pending_rebuild,
-            parity: _,      // config
-            scrub_every: _, // config
-            obs: _,              // re-wired by the host after restore
-            mc_blame_res: _,     // ditto
-            out_blame_res: _,    // ditto
-            verify_blame_res: _, // ditto
-        } = self;
-        link.save_state_with(w, put_sec_msg);
-        w.put_usize(subs.len());
-        for sub in subs {
-            sub.save_state(w);
-        }
-        fsm.save_state(w);
-        w.put_usize(mc_pending.len());
-        for req in mc_pending {
-            put_mem_request(w, req);
-        }
-        w.put_usize(resp_pending.len());
-        for c in resp_pending {
-            put_completion(w, c);
-        }
-        w.put_usize(out_pending.len());
-        for msg in out_pending {
-            put_sec_msg(msg, w);
-        }
-        local_ids.save_state(w);
-        // Presence of merge buffers is config; contents are dynamic (they
-        // drain every tick, but serialize them for safety).
-        match merge_bufs {
-            None => w.put_bool(false),
-            Some(bufs) => {
-                w.put_bool(true);
-                w.put_usize(bufs.len());
-                for batch in bufs {
-                    put_sec_msg(&SecMsg::SplitReadBatch(*batch), w);
-                }
-            }
-        }
-        sd_integrity.save_state(w);
-        w.put_usize(verify_pending.len());
-        for (ready, id) in verify_pending {
-            w.put_u64(ready.0);
-            w.put_u64(id.0);
-        }
-        w.put_usize(pending_refetch.len());
-        for (sub, req) in pending_refetch {
-            w.put_usize(*sub);
-            put_mem_request(w, req);
-        }
-        w.put_usize(pending_rebuild.len());
-        for (sub, req) in pending_rebuild {
-            w.put_usize(*sub);
-            put_mem_request(w, req);
-        }
-    }
+// The freshness tree is rebuilt from `leaves` + `versions`; health
+// transitions drain within every tick, so none are pending between ticks.
+doram_sim::impl_snapshot!(SdIntegrity {
+    integrity: via(save_tags, load_tags),
+    versions,
+    prev_versions,
+    leaves,
+    next_leaf,
+    replay_detected,
+    relocation_detected,
+    rollback_rejected,
+    freshness_ops,
+    freshness_cycles,
+    injector: state,
+    sub_injectors: state,
+    health: state,
+    integrity_failures,
+    refetches,
+    recovery_cycles,
+    parity_rebuilds,
+    scrub_repairs,
+    fault,
+    inflight,
+    rebuild_shares,
+    rebuild_groups,
+    next_group,
+    owners,
+    corrupt,
+    now_hint,
+} skip { freshness, policy, parity, transitions } after_load SdIntegrity::rebuild_freshness);
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.link.load_state_with(r, get_sec_msg)?;
-        if r.get_usize()? != self.subs.len() {
-            return Err(SnapshotError::new("secure sub-channel count mismatch"));
-        }
-        for sub in self.subs.iter_mut() {
-            sub.load_state(r)?;
-        }
-        self.fsm.load_state(r)?;
-        self.mc_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.mc_pending.push_back(get_mem_request(r)?);
-        }
-        self.resp_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.resp_pending.push_back(get_completion(r)?);
-        }
-        self.out_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.out_pending.push_back(get_sec_msg(r)?);
-        }
-        self.local_ids.load_state(r)?;
-        let has_bufs = r.get_bool()?;
-        if has_bufs != self.merge_bufs.is_some() {
-            return Err(SnapshotError::new("merge-buffer presence mismatch"));
-        }
-        if let Some(bufs) = self.merge_bufs.as_mut() {
-            if r.get_usize()? != bufs.len() {
-                return Err(SnapshotError::new("merge-buffer count mismatch"));
-            }
-            for batch in bufs.iter_mut() {
-                match get_sec_msg(r)? {
-                    SecMsg::SplitReadBatch(b) => *batch = b,
-                    _ => return Err(SnapshotError::new("expected split batch")),
-                }
-            }
-        }
-        self.sd_integrity.load_state(r)?;
-        self.verify_pending.clear();
-        for _ in 0..r.get_usize()? {
-            let ready = MemCycle(r.get_u64()?);
-            let id = RequestId(r.get_u64()?);
-            self.verify_pending.push_back((ready, id));
-        }
-        self.pending_refetch.clear();
-        for _ in 0..r.get_usize()? {
-            let sub = r.get_usize()?;
-            let req = get_mem_request(r)?;
-            self.pending_refetch.push_back((sub, req));
-        }
-        self.pending_rebuild.clear();
-        for _ in 0..r.get_usize()? {
-            let sub = r.get_usize()?;
-            let req = get_mem_request(r)?;
-            self.pending_rebuild.push_back((sub, req));
-        }
-        Ok(())
-    }
-}
+// Merge buffers exist per configuration; their contents drain every tick
+// but are checkpointed for safety. The recorder wiring is redone by the
+// host after restore.
+doram_sim::impl_snapshot!(SecureChannel {
+    link: state,
+    subs: state,
+    fsm: state,
+    mc_pending,
+    resp_pending,
+    out_pending,
+    local_ids,
+    merge_bufs: state,
+    sd_integrity: state,
+    verify_pending,
+    pending_refetch,
+    pending_rebuild,
+} skip {
+    s_app,
+    scratch,
+    parity,
+    scrub_every,
+    obs,
+    mc_blame_res,
+    out_blame_res,
+    verify_blame_res,
+});
 
 /// The SD's block sink: tree units are the local sub-channels; split
 /// blocks become link messages forwarded by the CPU.

@@ -12,9 +12,7 @@ use crate::cpu_engine::CpuEngine;
 use crate::metrics::{OramSummary, RunReport};
 use crate::onchip_oram::{FabricSink, FsmEvent, OramFsm, OramJob};
 use crate::secmem_frontend::SecMemFrontend;
-use crate::secure_channel::{
-    get_split_fetch, put_split_fetch, SecureChannel, SecureChannelConfig, SplitFetch,
-};
+use crate::secure_channel::{SecureChannel, SecureChannelConfig, SplitFetch};
 use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass};
 use doram_obs::{CoreStall, SharedRecorder, StallDump, Subsystem};
@@ -24,11 +22,12 @@ use doram_oram::tree::TreeGeometry;
 use doram_crypto::Cmac;
 use doram_sim::snapshot::{
     checkpoint_auth_message, fnv1a64, read_checkpoint, write_atomic, write_checkpoint,
-    CheckpointData, Snapshot, SnapshotError, SnapshotErrorKind, SnapshotReader, SnapshotWriter,
+    CheckpointData, Codec, Snapshot, SnapshotError, SnapshotErrorKind, SnapshotReader,
+    SnapshotWriter,
 };
 use doram_sim::stats::{Histogram, RunningMean};
 use doram_sim::{AppId, ConfigError, MemCycle, RequestId, RequestIdGen, CPU_CYCLES_PER_MEM_CYCLE};
-use doram_trace::TraceGenerator;
+use doram_trace::{TraceGenerator, TraceRecord};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -280,56 +279,30 @@ struct CoreSlot {
     restarts: u64,
 }
 
-impl CoreSlot {
-    /// Serializes the slot (restart count first: restoring needs it to
-    /// rebuild the right trace segment before the core state loads).
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let CoreSlot {
-            core,
-            is_sapp: _,
-            first_finish_cpu,
-            restarts,
-        } = self;
-        w.put_u64(*restarts);
-        match first_finish_cpu {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                w.put_u64(*c);
-            }
-        }
-        core.save_state(w);
-    }
+// The restart count picks the trace segment the core runs; restoring
+// re-opens that segment and fast-forwards it (`TraceCore::resume_trace`).
+doram_sim::impl_snapshot!(CoreSlot { restarts, first_finish_cpu, core: state } skip { is_sapp });
 
-    /// Restores the slot; `core_idx` and `cfg` rebuild the trace iterator
-    /// for the checkpointed restart count.
-    fn load_state(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        cfg: &SystemConfig,
-        core_idx: usize,
-        sapp_present: bool,
-    ) -> Result<(), SnapshotError> {
-        self.restarts = r.get_u64()?;
-        self.first_finish_cpu = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        let accesses = if self.is_sapp {
-            cfg.s_accesses
-        } else {
-            cfg.ns_accesses
-        };
-        let bench = if self.is_sapp {
-            cfg.benchmark
-        } else {
-            cfg.ns_benchmark(core_idx - usize::from(sapp_present))
-        };
-        let stream = trace_stream_id(cfg, core_idx, self.restarts);
-        let gen = TraceGenerator::new(bench.spec(), cfg.seed, stream);
-        self.core.load_state(r, Box::new(gen.finite(accesses)))
-    }
+/// The trace segment core `core_idx` runs after `restart` restarts: the
+/// S-App's benchmark (core 0 when present) or its NS-App benchmark, each
+/// restart a fresh stream.
+fn trace_segment(
+    cfg: &SystemConfig,
+    core_idx: usize,
+    is_sapp: bool,
+    sapp_present: bool,
+    restart: u64,
+) -> Box<dyn Iterator<Item = TraceRecord> + Send> {
+    let (bench, accesses) = if is_sapp {
+        (cfg.benchmark, cfg.s_accesses)
+    } else {
+        (
+            cfg.ns_benchmark(core_idx - usize::from(sapp_present)),
+            cfg.ns_accesses,
+        )
+    };
+    let stream = trace_stream_id(cfg, core_idx, restart);
+    Box::new(TraceGenerator::new(bench.spec(), cfg.seed, stream).finite(accesses))
 }
 
 /// The scheme-specific memory backend.
@@ -443,6 +416,8 @@ impl Backend {
     }
 }
 
+/// The flavor tag guards against restoring into a backend of a different
+/// scheme; each flavor then writes its fields in order.
 impl Snapshot for Backend {
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_u8(self.flavor_tag());
@@ -455,12 +430,7 @@ impl Snapshot for Backend {
             } => {
                 fabric.save_state(w);
                 fsm.save_state(w);
-                let mut ids: Vec<u64> = oram_ids.iter().map(|id| id.0).collect();
-                ids.sort_unstable();
-                w.put_usize(ids.len());
-                for id in ids {
-                    w.put_u64(id);
-                }
+                oram_ids.put(w);
             }
             Backend::SecMem { fabric, frontend } => {
                 fabric.save_state(w);
@@ -477,26 +447,9 @@ impl Snapshot for Backend {
                 normals.save_state(w);
                 secure.save_state(w);
                 engine.save_state(w);
-                let mut fwd: Vec<(u64, SplitFetch)> =
-                    split_fwd.iter().map(|(id, f)| (id.0, *f)).collect();
-                fwd.sort_unstable_by_key(|&(id, _)| id);
-                w.put_usize(fwd.len());
-                for (id, f) in fwd {
-                    w.put_u64(id);
-                    put_split_fetch(&f, w);
-                }
-                w.put_usize(pending_split.len());
-                for (f, op) in pending_split {
-                    put_split_fetch(f, w);
-                    w.put_u8(match op {
-                        MemOp::Read => 0,
-                        MemOp::Write => 1,
-                    });
-                }
-                w.put_usize(pending_deliver.len());
-                for f in pending_deliver {
-                    put_split_fetch(f, w);
-                }
+                split_fwd.put(w);
+                pending_split.put(w);
+                pending_deliver.put(w);
             }
         }
     }
@@ -510,7 +463,7 @@ impl Snapshot for Backend {
             )));
         }
         match self {
-            Backend::Plain { fabric } => fabric.load_state(r),
+            Backend::Plain { fabric } => fabric.load_state(r)?,
             Backend::BaselineOram {
                 fabric,
                 fsm,
@@ -518,15 +471,11 @@ impl Snapshot for Backend {
             } => {
                 fabric.load_state(r)?;
                 fsm.load_state(r)?;
-                oram_ids.clear();
-                for _ in 0..r.get_usize()? {
-                    oram_ids.insert(RequestId(r.get_u64()?));
-                }
-                Ok(())
+                *oram_ids = Codec::get(r)?;
             }
             Backend::SecMem { fabric, frontend } => {
                 fabric.load_state(r)?;
-                frontend.load_state(r)
+                frontend.load_state(r)?;
             }
             Backend::DOram {
                 normals,
@@ -539,30 +488,12 @@ impl Snapshot for Backend {
                 normals.load_state(r)?;
                 secure.load_state(r)?;
                 engine.load_state(r)?;
-                split_fwd.clear();
-                for _ in 0..r.get_usize()? {
-                    let id = RequestId(r.get_u64()?);
-                    split_fwd.insert(id, get_split_fetch(r)?);
-                }
-                pending_split.clear();
-                for _ in 0..r.get_usize()? {
-                    let f = get_split_fetch(r)?;
-                    let op = match r.get_u8()? {
-                        0 => MemOp::Read,
-                        1 => MemOp::Write,
-                        t => {
-                            return Err(SnapshotError::new(format!("bad MemOp tag {t}")));
-                        }
-                    };
-                    pending_split.push_back((f, op));
-                }
-                pending_deliver.clear();
-                for _ in 0..r.get_usize()? {
-                    pending_deliver.push_back(get_split_fetch(r)?);
-                }
-                Ok(())
+                *split_fwd = Codec::get(r)?;
+                *pending_split = Codec::get(r)?;
+                *pending_deliver = Codec::get(r)?;
             }
         }
+        Ok(())
     }
 }
 
@@ -601,77 +532,18 @@ impl MemoryState {
 
 }
 
-impl Snapshot for MemoryState {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let MemoryState {
-            backend,
-            routers: _, // stateless (config-derived routing tables)
-            idgen,
-            owners,
-            sapp_present: _,
-            ns_read_latency,
-            ns_write_latency,
-            per_app_read_latency,
-            ns_read_histogram,
-            ready_reads,
-            obs: _,             // re-wired by the host after restore
-            mux_split_res: _,   // ditto
-            mux_deliver_res: _, // ditto
-        } = self;
-        backend.save_state(w);
-        idgen.save_state(w);
-        let mut own: Vec<(u64, usize)> = owners.iter().map(|(id, c)| (id.0, *c)).collect();
-        own.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(own.len());
-        for (id, core) in own {
-            w.put_u64(id);
-            w.put_usize(core);
-        }
-        ns_read_latency.save_state(w);
-        ns_write_latency.save_state(w);
-        w.put_usize(per_app_read_latency.len());
-        for m in per_app_read_latency {
-            m.save_state(w);
-        }
-        ns_read_histogram.save_state(w);
-        w.put_usize(ready_reads.len());
-        for (core, id) in ready_reads {
-            w.put_usize(*core);
-            w.put_u64(id.0);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.backend.load_state(r)?;
-        self.idgen.load_state(r)?;
-        self.owners.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let core = r.get_usize()?;
-            self.owners.insert(id, core);
-        }
-        self.ns_read_latency.load_state(r)?;
-        self.ns_write_latency.load_state(r)?;
-        let n = r.get_usize()?;
-        if n != self.per_app_read_latency.len() {
-            return Err(SnapshotError::new(format!(
-                "per-app latency count mismatch: checkpoint has {n}, configuration builds {}",
-                self.per_app_read_latency.len()
-            )));
-        }
-        for m in &mut self.per_app_read_latency {
-            m.load_state(r)?;
-        }
-        self.ns_read_histogram.load_state(r)?;
-        self.ready_reads.clear();
-        for _ in 0..r.get_usize()? {
-            let core = r.get_usize()?;
-            let id = RequestId(r.get_u64()?);
-            self.ready_reads.push((core, id));
-        }
-        Ok(())
-    }
-}
+// Routing tables are configuration; the recorder wiring is redone by the
+// host after restore.
+doram_sim::impl_snapshot!(MemoryState {
+    backend: state,
+    idgen,
+    owners,
+    ns_read_latency: state,
+    ns_write_latency: state,
+    per_app_read_latency: state,
+    ns_read_histogram: state,
+    ready_reads,
+} skip { routers, sapp_present, obs, mux_split_res, mux_deliver_res });
 
 /// The port one core uses during its step.
 struct CorePort<'a> {
@@ -877,16 +749,11 @@ impl Simulation {
         let mut cores = Vec::with_capacity(n_cores);
         for core_idx in 0..n_cores {
             let is_sapp = sapp && core_idx == 0;
-            let accesses = if is_sapp { cfg.s_accesses } else { cfg.ns_accesses };
-            let bench = if is_sapp {
-                cfg.benchmark
-            } else {
-                cfg.ns_benchmark(core_idx - usize::from(sapp))
-            };
-            let stream = trace_stream_id(&cfg, core_idx, 0);
-            let gen = TraceGenerator::new(bench.spec(), cfg.seed, stream);
             cores.push(CoreSlot {
-                core: TraceCore::new(CoreConfig::default(), Box::new(gen.finite(accesses))),
+                core: TraceCore::new(
+                    CoreConfig::default(),
+                    trace_segment(&cfg, core_idx, is_sapp, sapp, 0),
+                ),
                 is_sapp,
                 first_finish_cpu: None,
                 restarts: 0,
@@ -1168,21 +1035,17 @@ impl Simulation {
             obs,
         } = self;
         let mut w = SnapshotWriter::new();
-        w.put_u64(*cycle);
-        w.put_usize(cores.len());
-        for slot in cores {
-            slot.save_state(&mut w);
-        }
+        cycle.put(&mut w);
+        cores.save_state(&mut w);
         mem.save_state(&mut w);
-        match obs {
-            None => w.put_bool(false),
-            Some(rec) => {
-                w.put_bool(true);
-                let rec = rec.borrow();
-                let (_, _, capacity) = rec.ring_stats();
-                w.put_usize(capacity);
-                rec.save_state(&mut w);
-            }
+        // The recorder travels with its ring capacity, so a resume without
+        // tracing options can rebuild it.
+        w.put_bool(obs.is_some());
+        if let Some(rec) = obs {
+            let rec = rec.borrow();
+            let (_, _, capacity) = rec.ring_stats();
+            capacity.put(&mut w);
+            rec.save_state(&mut w);
         }
         w.into_bytes()
     }
@@ -1198,16 +1061,11 @@ impl Simulation {
             obs,
         } = self;
         let mut r = SnapshotReader::new(payload);
-        *cycle = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n != cores.len() {
-            return Err(SnapshotError::new(format!(
-                "core count mismatch: checkpoint has {n}, configuration builds {}",
-                cores.len()
-            )));
-        }
+        *cycle = Codec::get(&mut r)?;
+        cores.load_state(&mut r)?;
         for (core_idx, slot) in cores.iter_mut().enumerate() {
-            slot.load_state(&mut r, cfg, core_idx, mem.sapp_present)?;
+            let trace = trace_segment(cfg, core_idx, slot.is_sapp, mem.sapp_present, slot.restarts);
+            slot.core.resume_trace(trace)?;
         }
         mem.load_state(&mut r)?;
         if r.get_bool()? {
@@ -1579,21 +1437,14 @@ impl Simulation {
                     }
                     // Restart to keep pressure constant.
                     slot.restarts += 1;
-                    let accesses = if slot.is_sapp {
-                        self.cfg.s_accesses
-                    } else {
-                        self.cfg.ns_accesses
-                    };
-                    let bench = if slot.is_sapp {
-                        self.cfg.benchmark
-                    } else {
-                        self.cfg
-                            .ns_benchmark(core_idx - usize::from(self.mem.sapp_present))
-                    };
-                    let stream = trace_stream_id(&self.cfg, core_idx, slot.restarts);
-                    let gen = TraceGenerator::new(bench.spec(), self.cfg.seed, stream);
-                    slot.core =
-                        TraceCore::new(CoreConfig::default(), Box::new(gen.finite(accesses)));
+                    let trace = trace_segment(
+                        &self.cfg,
+                        core_idx,
+                        slot.is_sapp,
+                        self.mem.sapp_present,
+                        slot.restarts,
+                    );
+                    slot.core = TraceCore::new(CoreConfig::default(), trace);
                 }
                 if !slot.is_sapp && slot.first_finish_cpu.is_none() {
                     all_ns_done = false;

@@ -1,6 +1,6 @@
 //! The trace-driven ROB core.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::SnapshotError;
 use doram_sim::stats::Counter;
 use doram_sim::RequestId;
 use doram_trace::{AccessOp, TraceRecord};
@@ -81,43 +81,16 @@ impl CoreStats {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for CoreStats {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let CoreStats {
-            retired,
-            cycles,
-            reads_issued,
-            writes_issued,
-            read_stall_cycles,
-            write_stall_cycles,
-            fetch_stall_cycles,
-            outstanding_read_sum,
-        } = self;
-        retired.save_state(w);
-        cycles.save_state(w);
-        reads_issued.save_state(w);
-        writes_issued.save_state(w);
-        read_stall_cycles.save_state(w);
-        write_stall_cycles.save_state(w);
-        fetch_stall_cycles.save_state(w);
-        outstanding_read_sum.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.retired.load_state(r)?;
-        self.cycles.load_state(r)?;
-        self.reads_issued.load_state(r)?;
-        self.writes_issued.load_state(r)?;
-        self.read_stall_cycles.load_state(r)?;
-        self.write_stall_cycles.load_state(r)?;
-        self.fetch_stall_cycles.load_state(r)?;
-        self.outstanding_read_sum.load_state(r)?;
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(struct CoreStats {
+    retired,
+    cycles,
+    reads_issued,
+    writes_issued,
+    read_stall_cycles,
+    write_stall_cycles,
+    fetch_stall_cycles,
+    outstanding_read_sum,
+});
 
 #[derive(Debug, Clone, Copy)]
 enum RobEntry {
@@ -307,52 +280,23 @@ impl TraceCore {
         }
     }
 
-    /// Serializes the core's dynamic state for a checkpoint.
+    /// Installs a fresh iterator over the trace this core was built with and
+    /// fast-forwards it past the records the restored state had consumed.
     ///
-    /// The trace iterator itself is not serialized; only the number of
-    /// records consumed is, so [`TraceCore::load_state`] can fast-forward a
-    /// freshly rebuilt iterator of the same trace to the same position.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        let TraceCore {
-            cfg: _,
-            trace: _,
-            rob,
-            gap_left,
-            pending_access,
-            trace_done,
-            consumed,
-            stats,
-        } = self;
-        w.put_u64(*consumed);
-        w.put_usize(rob.len());
-        for entry in rob {
-            put_rob_entry(entry, w);
-        }
-        w.put_u64(*gap_left);
-        match pending_access {
-            None => w.put_bool(false),
-            Some(rec) => {
-                w.put_bool(true);
-                put_trace_record(rec, w);
-            }
-        }
-        w.put_bool(*trace_done);
-        stats.save_state(w);
-    }
-
-    /// Restores the core from a checkpoint written by
-    /// [`TraceCore::save_state`].
+    /// The trace iterator itself is never checkpointed, only the number of
+    /// records consumed: call this after [`Snapshot::load_state`].
     ///
-    /// `fresh_trace` must be a brand-new iterator over the *same* trace the
-    /// core was constructed with; it is fast-forwarded past the records the
-    /// checkpointed core had already consumed.
-    pub fn load_state(
+    /// [`Snapshot::load_state`]: doram_sim::snapshot::Snapshot::load_state
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError`] if the trace is shorter than the
+    /// checkpointed position.
+    pub fn resume_trace(
         &mut self,
-        r: &mut SnapshotReader<'_>,
         fresh_trace: Box<dyn Iterator<Item = TraceRecord> + Send>,
     ) -> Result<(), SnapshotError> {
         self.trace = fresh_trace;
-        self.consumed = r.get_u64()?;
         for _ in 0..self.consumed {
             if self.trace.next().is_none() {
                 return Err(SnapshotError::new(format!(
@@ -361,68 +305,21 @@ impl TraceCore {
                 )));
             }
         }
-        self.rob.clear();
-        for _ in 0..r.get_usize()? {
-            self.rob.push_back(get_rob_entry(r)?);
-        }
-        self.gap_left = r.get_u64()?;
-        self.pending_access = if r.get_bool()? {
-            Some(get_trace_record(r)?)
-        } else {
-            None
-        };
-        self.trace_done = r.get_bool()?;
-        self.stats.load_state(r)?;
         Ok(())
     }
 }
 
-fn put_rob_entry(entry: &RobEntry, w: &mut SnapshotWriter) {
-    match entry {
-        RobEntry::NonMem => w.put_u8(0),
-        RobEntry::Read { id, done } => {
-            w.put_u8(1);
-            w.put_u64(id.0);
-            w.put_bool(*done);
-        }
-        RobEntry::Write { addr } => {
-            w.put_u8(2);
-            w.put_u64(*addr);
-        }
-    }
-}
+doram_sim::impl_codec!(enum RobEntry { NonMem = 0, Read { id, done } = 1, Write { addr } = 2 });
 
-fn get_rob_entry(r: &mut SnapshotReader<'_>) -> Result<RobEntry, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => RobEntry::NonMem,
-        1 => RobEntry::Read {
-            id: RequestId(r.get_u64()?),
-            done: r.get_bool()?,
-        },
-        2 => RobEntry::Write { addr: r.get_u64()? },
-        tag => return Err(SnapshotError::new(format!("bad rob entry tag {tag}"))),
-    })
-}
-
-fn put_trace_record(rec: &TraceRecord, w: &mut SnapshotWriter) {
-    w.put_u64(rec.gap);
-    w.put_u8(match rec.op {
-        AccessOp::Read => 0,
-        AccessOp::Write => 1,
-    });
-    w.put_u64(rec.addr);
-}
-
-fn get_trace_record(r: &mut SnapshotReader<'_>) -> Result<TraceRecord, SnapshotError> {
-    let gap = r.get_u64()?;
-    let op = match r.get_u8()? {
-        0 => AccessOp::Read,
-        1 => AccessOp::Write,
-        tag => return Err(SnapshotError::new(format!("bad access op tag {tag}"))),
-    };
-    let addr = r.get_u64()?;
-    Ok(TraceRecord { gap, op, addr })
-}
+// The trace position travels as `consumed`; see [`TraceCore::resume_trace`].
+doram_sim::impl_snapshot!(TraceCore {
+    consumed,
+    rob,
+    gap_left,
+    pending_access,
+    trace_done,
+    stats,
+} skip { cfg, trace });
 
 #[cfg(test)]
 mod tests {

@@ -159,31 +159,12 @@ impl ShareArbiter {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for ShareArbiter {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        // Threshold/window/mode are configuration; only the sliding-window
-        // tallies move during a run.
-        let ShareArbiter {
-            threshold: _,
-            oram_priority: _,
-            window: _,
-            oram_in_window,
-            normal_in_window,
-            enabled: _,
-        } = self;
-        w.put_u32(*oram_in_window);
-        w.put_u32(*normal_in_window);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.oram_in_window = r.get_u32()?;
-        self.normal_in_window = r.get_u32()?;
-        Ok(())
-    }
-}
+// Threshold/window/mode are configuration; only the sliding-window
+// tallies move during a run.
+doram_sim::impl_snapshot!(ShareArbiter {
+    oram_in_window,
+    normal_in_window,
+} skip { threshold, oram_priority, window, enabled });
 
 #[cfg(test)]
 mod tests {

@@ -98,41 +98,12 @@ impl Bank {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for Bank {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let Bank {
-            open_row,
-            ready_act,
-            ready_pre,
-            ready_col,
-        } = self;
-        match open_row {
-            None => w.put_bool(false),
-            Some(row) => {
-                w.put_bool(true);
-                w.put_u64(*row);
-            }
-        }
-        w.put_u64(ready_act.0);
-        w.put_u64(ready_pre.0);
-        w.put_u64(ready_col.0);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.open_row = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        self.ready_act = MemCycle(r.get_u64()?);
-        self.ready_pre = MemCycle(r.get_u64()?);
-        self.ready_col = MemCycle(r.get_u64()?);
-        Ok(())
-    }
-}
+doram_sim::impl_snapshot!(Bank {
+    open_row,
+    ready_act,
+    ready_pre,
+    ready_col
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,5 @@
 //! Memory requests and completions at the DRAM boundary.
 
-use doram_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId};
 
 /// Read or write, from the memory system's point of view.
@@ -57,90 +56,20 @@ impl Completion {
     }
 }
 
-/// Encodes a [`MemOp`] for snapshots.
-pub fn put_mem_op(w: &mut SnapshotWriter, op: MemOp) {
-    w.put_u8(match op {
-        MemOp::Read => 0,
-        MemOp::Write => 1,
-    });
-}
-
-/// Decodes a [`MemOp`] written by [`put_mem_op`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_mem_op(r: &mut SnapshotReader<'_>) -> Result<MemOp, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(MemOp::Read),
-        1 => Ok(MemOp::Write),
-        tag => Err(SnapshotError::new(format!("unknown MemOp tag {tag}"))),
+doram_sim::impl_codec!(
+    enum MemOp {
+        Read = 0,
+        Write = 1,
     }
-}
-
-/// Encodes a [`MemRequest`] for snapshots.
-pub fn put_mem_request(w: &mut SnapshotWriter, req: &MemRequest) {
-    let MemRequest {
-        id,
-        app,
-        op,
-        addr,
-        class,
-        arrival,
-    } = req;
-    w.put_u64(id.0);
-    w.put_usize(app.0);
-    put_mem_op(w, *op);
-    w.put_u64(*addr);
-    w.put_u8(match class {
-        RequestClass::Normal => 0,
-        RequestClass::Oram => 1,
-    });
-    w.put_u64(arrival.0);
-}
-
-/// Decodes a [`MemRequest`] written by [`put_mem_request`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_mem_request(r: &mut SnapshotReader<'_>) -> Result<MemRequest, SnapshotError> {
-    Ok(MemRequest {
-        id: RequestId(r.get_u64()?),
-        app: AppId(r.get_usize()?),
-        op: get_mem_op(r)?,
-        addr: r.get_u64()?,
-        class: match r.get_u8()? {
-            0 => RequestClass::Normal,
-            1 => RequestClass::Oram,
-            tag => {
-                return Err(SnapshotError::new(format!(
-                    "unknown RequestClass tag {tag}"
-                )))
-            }
-        },
-        arrival: MemCycle(r.get_u64()?),
-    })
-}
-
-/// Encodes a [`Completion`] for snapshots.
-pub fn put_completion(w: &mut SnapshotWriter, c: &Completion) {
-    let Completion { request, finished } = c;
-    put_mem_request(w, request);
-    w.put_u64(finished.0);
-}
-
-/// Decodes a [`Completion`] written by [`put_completion`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_completion(r: &mut SnapshotReader<'_>) -> Result<Completion, SnapshotError> {
-    Ok(Completion {
-        request: get_mem_request(r)?,
-        finished: MemCycle(r.get_u64()?),
-    })
-}
+);
+doram_sim::impl_codec!(
+    enum RequestClass {
+        Normal = 0,
+        Oram = 1,
+    }
+);
+doram_sim::impl_codec!(struct MemRequest { id, app, op, addr, class, arrival });
+doram_sim::impl_codec!(struct Completion { request, finished });
 
 #[cfg(test)]
 mod tests {

@@ -51,52 +51,19 @@ impl SubChannelStats {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for SubChannelStats {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let SubChannelStats {
-            reads,
-            writes,
-            activates,
-            precharges,
-            refreshes,
-            row_hits,
-            row_misses,
-            data_bus_busy,
-            cycles,
-            read_latency,
-            write_latency,
-        } = self;
-        reads.save_state(w);
-        writes.save_state(w);
-        activates.save_state(w);
-        precharges.save_state(w);
-        refreshes.save_state(w);
-        row_hits.save_state(w);
-        row_misses.save_state(w);
-        data_bus_busy.save_state(w);
-        cycles.save_state(w);
-        read_latency.save_state(w);
-        write_latency.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.reads.load_state(r)?;
-        self.writes.load_state(r)?;
-        self.activates.load_state(r)?;
-        self.precharges.load_state(r)?;
-        self.refreshes.load_state(r)?;
-        self.row_hits.load_state(r)?;
-        self.row_misses.load_state(r)?;
-        self.data_bus_busy.load_state(r)?;
-        self.cycles.load_state(r)?;
-        self.read_latency.load_state(r)?;
-        self.write_latency.load_state(r)?;
-        Ok(())
-    }
-}
+doram_sim::impl_snapshot!(SubChannelStats {
+    reads,
+    writes,
+    activates,
+    precharges,
+    refreshes,
+    row_hits,
+    row_misses,
+    data_bus_busy,
+    cycles,
+    read_latency: state,
+    write_latency: state,
+});
 
 #[cfg(test)]
 mod tests {

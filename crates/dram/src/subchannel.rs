@@ -715,208 +715,50 @@ impl SubChannel {
     }
 }
 
-fn put_pending(w: &mut doram_sim::snapshot::SnapshotWriter, p: &Pending) {
-    let Pending {
-        req,
-        bank,
-        row,
-        col,
-        managed,
-        blame,
-        enq,
-        busy_snap,
-    } = p;
-    crate::request::put_mem_request(w, req);
-    w.put_usize(*bank);
-    w.put_u64(*row);
-    w.put_u64(*col);
-    w.put_bool(*managed);
-    w.put_u8(*blame);
-    w.put_u64(*enq);
-    for &v in busy_snap {
-        w.put_u64(v);
-    }
-}
+doram_sim::impl_codec!(struct Pending { req, bank, row, col, managed, blame, enq, busy_snap });
+doram_sim::impl_codec!(struct InFlight { req, finish, blame });
 
-fn get_pending(
-    r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-) -> Result<Pending, doram_sim::snapshot::SnapshotError> {
-    let mut p = Pending {
-        req: crate::request::get_mem_request(r)?,
-        bank: r.get_usize()?,
-        row: r.get_u64()?,
-        col: r.get_u64()?,
-        managed: r.get_bool()?,
-        blame: r.get_u8()?,
-        enq: r.get_u64()?,
-        busy_snap: [0; doram_obs::BLAME_CLASSES],
-    };
-    for v in p.busy_snap.iter_mut() {
-        *v = r.get_u64()?;
-    }
-    Ok(p)
-}
+// Of the configuration only the arbiter's sliding-window tallies move, as
+// columns issue.
+doram_sim::impl_snapshot!(SubChannelConfig {
+    arbiter: state,
+} skip {
+    timing,
+    mapper,
+    read_queue,
+    write_queue,
+    drain_high,
+    drain_low,
+    max_write_age,
+    page_policy,
+});
 
-impl doram_sim::snapshot::Snapshot for SubChannel {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        // `cfg` is configuration except for the arbiter's sliding-window
-        // tallies, which mutate as columns issue. The command trace is an
-        // opt-in debugging aid excluded from checkpoints.
-        let SubChannel {
-            cfg,
-            banks,
-            read_q,
-            write_q,
-            in_flight,
-            stats,
-            data_busy_until,
-            last_burst_op,
-            last_burst_end,
-            last_write_data_end,
-            next_col_allowed,
-            last_act,
-            recent_acts,
-            next_refresh_due,
-            refreshing_until,
-            refresh_pending,
-            draining,
-            auto_precharge,
-            command_trace: _,
-            stall_cycles,
-            obs: _,       // re-wired by the host after restore
-            blame_res: _, // re-registered by set_obs after restore
-            last_burst_blame,
-        } = self;
-        cfg.arbiter.save_state(w);
-        w.put_usize(banks.len());
-        for b in banks {
-            b.save_state(w);
-        }
-        w.put_usize(read_q.len());
-        for p in read_q {
-            put_pending(w, p);
-        }
-        w.put_usize(write_q.len());
-        for p in write_q {
-            put_pending(w, p);
-        }
-        // `in_flight` retires via swap_remove, so element order is part of
-        // the schedule — serialize in current order.
-        w.put_usize(in_flight.len());
-        for f in in_flight {
-            let InFlight { req, finish, blame } = f;
-            crate::request::put_mem_request(w, req);
-            w.put_u64(finish.0);
-            w.put_u8(*blame);
-        }
-        stats.save_state(w);
-        w.put_u64(data_busy_until.0);
-        match last_burst_op {
-            None => w.put_bool(false),
-            Some(op) => {
-                w.put_bool(true);
-                crate::request::put_mem_op(w, *op);
-            }
-        }
-        w.put_u64(last_burst_end.0);
-        w.put_u64(last_write_data_end.0);
-        w.put_u64(next_col_allowed.0);
-        match last_act {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                w.put_u64(c.0);
-            }
-        }
-        w.put_usize(recent_acts.len());
-        for c in recent_acts {
-            w.put_u64(c.0);
-        }
-        w.put_u64(next_refresh_due.0);
-        match refreshing_until {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                w.put_u64(c.0);
-            }
-        }
-        w.put_bool(*refresh_pending);
-        w.put_bool(*draining);
-        w.put_usize(auto_precharge.len());
-        for &bank in auto_precharge {
-            w.put_usize(bank);
-        }
-        w.put_u64(*stall_cycles);
-        w.put_u8(*last_burst_blame);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        use doram_sim::snapshot::SnapshotError;
-        self.cfg.arbiter.load_state(r)?;
-        let banks = r.get_usize()?;
-        if banks != self.banks.len() {
-            return Err(SnapshotError::new(format!(
-                "bank count mismatch: snapshot {banks}, target {}",
-                self.banks.len()
-            )));
-        }
-        for b in &mut self.banks {
-            b.load_state(r)?;
-        }
-        self.read_q.clear();
-        for _ in 0..r.get_usize()? {
-            self.read_q.push_back(get_pending(r)?);
-        }
-        self.write_q.clear();
-        for _ in 0..r.get_usize()? {
-            self.write_q.push_back(get_pending(r)?);
-        }
-        self.in_flight.clear();
-        for _ in 0..r.get_usize()? {
-            let req = crate::request::get_mem_request(r)?;
-            let finish = MemCycle(r.get_u64()?);
-            let blame = r.get_u8()?;
-            self.in_flight.push(InFlight { req, finish, blame });
-        }
-        self.stats.load_state(r)?;
-        self.data_busy_until = MemCycle(r.get_u64()?);
-        self.last_burst_op = if r.get_bool()? {
-            Some(crate::request::get_mem_op(r)?)
-        } else {
-            None
-        };
-        self.last_burst_end = MemCycle(r.get_u64()?);
-        self.last_write_data_end = MemCycle(r.get_u64()?);
-        self.next_col_allowed = MemCycle(r.get_u64()?);
-        self.last_act = if r.get_bool()? {
-            Some(MemCycle(r.get_u64()?))
-        } else {
-            None
-        };
-        self.recent_acts.clear();
-        for _ in 0..r.get_usize()? {
-            self.recent_acts.push_back(MemCycle(r.get_u64()?));
-        }
-        self.next_refresh_due = MemCycle(r.get_u64()?);
-        self.refreshing_until = if r.get_bool()? {
-            Some(MemCycle(r.get_u64()?))
-        } else {
-            None
-        };
-        self.refresh_pending = r.get_bool()?;
-        self.draining = r.get_bool()?;
-        self.auto_precharge.clear();
-        for _ in 0..r.get_usize()? {
-            self.auto_precharge.push(r.get_usize()?);
-        }
-        self.stall_cycles = r.get_u64()?;
-        self.last_burst_blame = r.get_u8()?;
-        Ok(())
-    }
-}
+// `in_flight` retires via swap_remove, so its element order is part of the
+// schedule and is kept as is. The command trace is an opt-in debugging aid
+// excluded from checkpoints; the recorder wiring is redone by the host
+// after restore.
+doram_sim::impl_snapshot!(SubChannel {
+    cfg: state,
+    banks: state,
+    read_q,
+    write_q,
+    in_flight,
+    stats: state,
+    data_busy_until,
+    last_burst_op,
+    last_burst_end,
+    last_write_data_end,
+    next_col_allowed,
+    last_act,
+    recent_acts,
+    next_refresh_due,
+    refreshing_until,
+    refresh_pending,
+    draining,
+    auto_precharge,
+    stall_cycles,
+    last_burst_blame,
+} skip { command_trace, obs, blame_res });
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,15 @@
 //! Property tests for the DDR3 sub-channel: conservation, latency bounds,
-//! determinism, and liveness under arbitrary request mixes.
+//! determinism, and liveness under arbitrary request mixes; and the
+//! request/completion checkpoint decoders under hostile bytes.
 
 use doram_dram::{
     Completion, DramTiming, MemOp, MemRequest, RequestClass, ShareArbiter, SubChannel,
     SubChannelConfig,
 };
+use doram_sim::snapshot::{Codec, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// A compact request description the strategies generate.
 #[derive(Debug, Clone, Copy)]
@@ -143,5 +146,54 @@ proptest! {
         for w in finishes.windows(2) {
             prop_assert!(w[1] != w[0], "two bursts finished the same cycle");
         }
+    }
+}
+
+/// Runs the request-level composite decoders over `bytes`; the property is
+/// "a value or a typed error, never a panic".
+fn decode_all(bytes: &[u8]) {
+    let _ = <VecDeque<MemRequest> as Codec>::get(&mut SnapshotReader::new(bytes));
+    let _ = Vec::<Completion>::get(&mut SnapshotReader::new(bytes));
+    let _ = Option::<MemOp>::get(&mut SnapshotReader::new(bytes));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, and a valid request queue with one corrupted byte
+    /// then cut short, never panic the decoders; the undamaged queue
+    /// round-trips.
+    #[test]
+    fn request_decoders_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        reqs in gen_requests(12),
+        victim in any::<u64>(),
+        flip in 1u8..255,
+        keep in any::<u64>(),
+    ) {
+        decode_all(&bytes);
+        let queue: VecDeque<MemRequest> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| MemRequest {
+                id: RequestId(i as u64),
+                app: AppId(1),
+                op: if g.is_write { MemOp::Write } else { MemOp::Read },
+                addr: g.line * 64,
+                class: if g.is_oram { RequestClass::Oram } else { RequestClass::Normal },
+                arrival: MemCycle(g.gap),
+            })
+            .collect();
+        let mut w = SnapshotWriter::new();
+        queue.put(&mut w);
+        let mut valid = w.into_bytes();
+        prop_assert_eq!(
+            <VecDeque<MemRequest> as Codec>::get(&mut SnapshotReader::new(&valid)).expect("round trip"),
+            queue
+        );
+        let i = (victim % valid.len() as u64) as usize;
+        valid[i] ^= flip;
+        decode_all(&valid);
+        decode_all(&valid[..(keep % (valid.len() as u64 + 1)) as usize]);
     }
 }

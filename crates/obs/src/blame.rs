@@ -16,7 +16,6 @@
 //! enqueue and takes the difference on issue, so attribution costs
 //! O(classes) per request instead of O(queue length) per cycle.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Requestor classes competing for shared resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,42 +214,13 @@ impl BlameMatrix {
     }
 }
 
-impl Snapshot for BlameMatrix {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.resources.len());
-        for r in &self.resources {
-            w.put_str(&r.name);
-            for &v in &r.waits {
-                w.put_u64(v);
-            }
-            w.put_u64(r.queue_delay);
-            for &v in &r.busy_prefix {
-                w.put_u64(v);
-            }
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.resources.clear();
-        for _ in 0..r.get_usize()? {
-            let name = r.get_str()?;
-            let mut row = ResourceBlame::new(name);
-            for v in row.waits.iter_mut() {
-                *v = r.get_u64()?;
-            }
-            row.queue_delay = r.get_u64()?;
-            for v in row.busy_prefix.iter_mut() {
-                *v = r.get_u64()?;
-            }
-            self.resources.push(row);
-        }
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(struct ResourceBlame { name, waits, queue_delay, busy_prefix });
+doram_sim::impl_codec!(struct BlameMatrix { resources });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doram_sim::snapshot::{Codec, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn registration_is_idempotent() {
@@ -340,10 +310,9 @@ mod tests {
         m.busy_cycle(r, BlameClass::NsApp);
         m.settle(r, BlameClass::SAppRead, 4, &snap);
         let mut w = SnapshotWriter::new();
-        m.save_state(&mut w);
+        m.put(&mut w);
         let bytes = w.into_bytes();
-        let mut restored = BlameMatrix::default();
-        restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        let mut restored = BlameMatrix::get(&mut SnapshotReader::new(&bytes)).unwrap();
         // Re-registration after restore finds the same row.
         assert_eq!(restored.resource("sd.sub0"), r);
         assert_eq!(restored.resources()[r].queue_delay, 4);

@@ -256,44 +256,10 @@ pub struct Event {
     pub subsystem: Subsystem,
 }
 
-impl Event {
-    /// Serializes the event (fixed 26 bytes) for checkpointing.
-    pub fn save(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        w.put_u64(self.cycle);
-        w.put_u64(self.access);
-        w.put_u64(self.value);
-        w.put_u8(self.kind as u8);
-        w.put_u8(self.subsystem as u8);
-    }
-
-    /// Restores an event written by [`Event::save`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or unknown tags.
-    pub fn load(
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<Event, doram_sim::snapshot::SnapshotError> {
-        let cycle = r.get_u64()?;
-        let access = r.get_u64()?;
-        let value = r.get_u64()?;
-        let kind_tag = r.get_u8()?;
-        let sub_tag = r.get_u8()?;
-        let kind = EventKind::from_tag(kind_tag).ok_or_else(|| {
-            doram_sim::snapshot::SnapshotError::new(format!("bad event kind tag {kind_tag}"))
-        })?;
-        let subsystem = Subsystem::from_tag(sub_tag).ok_or_else(|| {
-            doram_sim::snapshot::SnapshotError::new(format!("bad subsystem tag {sub_tag}"))
-        })?;
-        Ok(Event {
-            cycle,
-            access,
-            value,
-            kind,
-            subsystem,
-        })
-    }
-}
+doram_sim::impl_codec!(tagged EventKind);
+doram_sim::impl_codec!(tagged Subsystem);
+// 26 bytes per event.
+doram_sim::impl_codec!(struct Event { cycle, access, value, kind, subsystem });
 
 #[cfg(test)]
 mod tests {
@@ -324,7 +290,7 @@ mod tests {
 
     #[test]
     fn event_snapshot_round_trips() {
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Codec, SnapshotReader, SnapshotWriter};
         let e = Event {
             cycle: 17,
             access: 3,
@@ -333,9 +299,10 @@ mod tests {
             subsystem: Subsystem::Link,
         };
         let mut w = SnapshotWriter::new();
-        e.save(&mut w);
+        e.put(&mut w);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 26);
         let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(Event::load(&mut r).unwrap(), e);
+        assert_eq!(Event::get(&mut r).unwrap(), e);
     }
 }

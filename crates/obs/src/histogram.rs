@@ -13,7 +13,7 @@
 //! counted in [`LogHistogram::saturated`], so a runaway tail can never
 //! grow the memory footprint.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Linear sub-buckets per power-of-two magnitude (4 significant bits).
 pub const SUBBUCKETS: u64 = 16;
@@ -191,6 +191,8 @@ impl LogHistogram {
     }
 }
 
+/// Buckets travel sparsely as `(index, count)` pairs: most of the ~600
+/// are empty in practice.
 impl Snapshot for LogHistogram {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let LogHistogram {
@@ -201,36 +203,23 @@ impl Snapshot for LogHistogram {
             max,
             saturated,
         } = self;
-        w.put_u64(*total);
-        w.put_u64(*sum);
-        w.put_u64(*min);
-        w.put_u64(*max);
-        w.put_u64(*saturated);
-        // Sparse: most of the ~600 buckets are empty in practice.
-        let occupied = buckets.iter().filter(|&&n| n != 0).count();
-        w.put_usize(occupied);
-        for (idx, &n) in buckets.iter().enumerate() {
-            if n != 0 {
-                w.put_usize(idx);
-                w.put_u64(n);
-            }
-        }
+        [*total, *sum, *min, *max, *saturated].put(w);
+        let occupied: Vec<(usize, u64)> = buckets
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, n)| n != 0)
+            .collect();
+        occupied.put(w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.total = r.get_u64()?;
-        self.sum = r.get_u64()?;
-        self.min = r.get_u64()?;
-        self.max = r.get_u64()?;
-        self.saturated = r.get_u64()?;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        for _ in 0..r.get_usize()? {
-            let idx = r.get_usize()?;
-            let n = r.get_u64()?;
-            let slot = self
-                .buckets
-                .get_mut(idx)
-                .ok_or_else(|| SnapshotError::new(format!("histogram bucket {idx} out of range")))?;
+        [self.total, self.sum, self.min, self.max, self.saturated] = Codec::get(r)?;
+        self.buckets.fill(0);
+        for (idx, n) in Vec::<(usize, u64)>::get(r)? {
+            let slot = self.buckets.get_mut(idx).ok_or_else(|| {
+                SnapshotError::new(format!("histogram bucket {idx} out of range"))
+            })?;
             *slot = n;
         }
         Ok(())

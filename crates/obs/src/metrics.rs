@@ -7,8 +7,6 @@
 //! queue depths, dummy-vs-real rate, fault activity) fall out of any run
 //! as a time-series export.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Default sampling interval in memory cycles (`--metrics-every`).
 pub const DEFAULT_METRICS_EVERY: u64 = 10_000;
 
@@ -139,48 +137,15 @@ impl MetricsRegistry {
     }
 }
 
-impl Snapshot for MetricsRegistry {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let MetricsRegistry {
-            every: _,  // run-option, not dynamic state
-            window: _, // run-option, not dynamic state
-            series,
-            samples,
-        } = self;
-        w.put_u64(*samples);
-        w.put_usize(series.len());
-        for s in series {
-            w.put_str(&s.name);
-            w.put_f64(s.last);
-            w.put_usize(s.points.len());
-            for (c, v) in &s.points {
-                w.put_u64(*c);
-                w.put_f64(*v);
-            }
-        }
-    }
+doram_sim::impl_codec!(struct TimeSeries { name, last, points });
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.samples = r.get_u64()?;
-        self.series.clear();
-        for _ in 0..r.get_usize()? {
-            let name = r.get_str()?;
-            let last = r.get_f64()?;
-            let mut points = Vec::new();
-            for _ in 0..r.get_usize()? {
-                let c = r.get_u64()?;
-                let v = r.get_f64()?;
-                points.push((c, v));
-            }
-            self.series.push(TimeSeries { name, last, points });
-        }
-        Ok(())
-    }
-}
+// The sampling interval and window are run options, not dynamic state.
+doram_sim::impl_snapshot!(MetricsRegistry { samples, series } skip { every, window });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn latches_and_samples() {

@@ -22,7 +22,6 @@ use crate::histogram::LogHistogram;
 use crate::metrics::MetricsRegistry;
 use crate::ring::EventRing;
 use crate::selfprof::SelfProfiler;
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -287,87 +286,33 @@ impl Recorder {
     }
 }
 
-impl Snapshot for Recorder {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let Recorder {
-            ring,
-            filter: _, // run-option, not dynamic state
-            seq,
-            metrics,
-            blame,
-            hist_access,
-            hist_class,
-            inflight_sends,
-            prof: _, // host wall-clock state: never checkpointed
-        } = self;
-        ring.save_state(w);
-        let AccessSeq {
-            engine_sent,
-            engine_resp,
-            sd_arrived,
-            sd_waiting,
-            sd_current,
-            sd_read_done,
-            sd_access_done,
-        } = seq;
-        w.put_u64(*engine_sent);
-        w.put_u64(*engine_resp);
-        w.put_u64(*sd_arrived);
-        w.put_usize(sd_waiting.len());
-        for (id, real) in sd_waiting {
-            w.put_u64(*id);
-            w.put_bool(*real);
-        }
-        w.put_u64(*sd_current);
-        w.put_u64(*sd_read_done);
-        w.put_u64(*sd_access_done);
-        metrics.save_state(w);
-        blame.save_state(w);
-        hist_access.save_state(w);
-        for h in hist_class {
-            h.save_state(w);
-        }
-        w.put_usize(inflight_sends.len());
-        for (cycle, real) in inflight_sends {
-            w.put_u64(*cycle);
-            w.put_bool(*real);
-        }
-    }
+doram_sim::impl_codec!(struct AccessSeq {
+    engine_sent,
+    engine_resp,
+    sd_arrived,
+    sd_waiting,
+    sd_current,
+    sd_read_done,
+    sd_access_done,
+});
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.ring.load_state(r)?;
-        self.seq.engine_sent = r.get_u64()?;
-        self.seq.engine_resp = r.get_u64()?;
-        self.seq.sd_arrived = r.get_u64()?;
-        self.seq.sd_waiting.clear();
-        for _ in 0..r.get_usize()? {
-            let id = r.get_u64()?;
-            let real = r.get_bool()?;
-            self.seq.sd_waiting.push_back((id, real));
-        }
-        self.seq.sd_current = r.get_u64()?;
-        self.seq.sd_read_done = r.get_u64()?;
-        self.seq.sd_access_done = r.get_u64()?;
-        self.metrics.load_state(r)?;
-        self.blame.load_state(r)?;
-        self.hist_access.load_state(r)?;
-        for h in self.hist_class.iter_mut() {
-            h.load_state(r)?;
-        }
-        self.inflight_sends.clear();
-        for _ in 0..r.get_usize()? {
-            let cycle = r.get_u64()?;
-            let real = r.get_bool()?;
-            self.inflight_sends.push_back((cycle, real));
-        }
-        Ok(())
-    }
-}
+// The filter is a run option and the self-profiler's host wall-clock state
+// is never checkpointed.
+doram_sim::impl_snapshot!(Recorder {
+    ring: state,
+    seq,
+    metrics: state,
+    blame,
+    hist_access: state,
+    hist_class: state,
+    inflight_sends,
+} skip { filter, prof });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{parse_filter, FILTER_ALL};
+    use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 
     /// Walks one real access end to end and checks the span events pair
     /// up on one id with ordered timestamps.

@@ -6,7 +6,7 @@
 //! window rather than aborting or growing without bound.
 
 use crate::event::Event;
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Default ring capacity (events). At 26 bytes of payload per event this
 /// bounds tracing memory to a few tens of megabytes.
@@ -88,34 +88,33 @@ impl EventRing {
     }
 }
 
+/// Events travel in logical (oldest-first) order, so a restored ring starts
+/// unwrapped with `head` at zero.
 impl Snapshot for EventRing {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let EventRing {
-            buf: _, // written in logical (oldest-first) order below
-            cap: _, // config-derived
-            head: _,
+            buf: _,  // written in logical order below
+            cap: _,  // config-derived
+            head: _, // implied by the logical order
             dropped,
         } = self;
-        w.put_u64(*dropped);
+        dropped.put(w);
         w.put_usize(self.len());
-        for e in self.iter() {
-            e.save(w);
-        }
+        self.iter().for_each(|e| e.put(w));
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.clear();
-        self.dropped = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > self.cap {
+        self.dropped = Codec::get(r)?;
+        let events = Vec::<Event>::get(r)?;
+        if events.len() > self.cap {
             return Err(SnapshotError::new(format!(
-                "event ring holds {n} events, capacity is {}",
+                "event ring holds {} events, capacity is {}",
+                events.len(),
                 self.cap
             )));
         }
-        for _ in 0..n {
-            self.buf.push(Event::load(r)?);
-        }
+        self.buf.extend(events);
         Ok(())
     }
 }

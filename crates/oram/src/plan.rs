@@ -34,6 +34,14 @@ pub struct BlockRef {
     pub level: u32,
 }
 
+doram_sim::impl_codec!(
+    enum Placement {
+        TreeUnit(unit) = 0,
+        NormalChannel(channel) = 1,
+    }
+);
+doram_sim::impl_codec!(struct BlockRef { placement, addr, level });
+
 /// Planner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {

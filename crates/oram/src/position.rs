@@ -6,6 +6,7 @@
 //! materializing 8 M entries).
 
 use doram_sim::rng::Xoshiro256;
+use doram_sim::snapshot::SnapshotError;
 use std::collections::HashMap;
 
 /// Lazy position map.
@@ -72,46 +73,20 @@ impl PositionMap {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-}
 
-impl doram_sim::snapshot::Snapshot for PositionMap {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let PositionMap {
-            map,
-            num_leaves: _,
-            rng,
-        } = self;
-        // Serialize sorted so the payload is independent of hash order.
-        let mut entries: Vec<(u64, u64)> = map.iter().map(|(&b, &l)| (b, l)).collect();
-        entries.sort_unstable_by_key(|&(b, _)| b);
-        w.put_usize(entries.len());
-        for (block, leaf) in entries {
-            w.put_u64(block);
-            w.put_u64(leaf);
+    /// Rejects restored leaves outside the configured tree.
+    fn check_leaves(&self) -> Result<(), SnapshotError> {
+        match self.map.values().find(|&&leaf| leaf >= self.num_leaves) {
+            Some(leaf) => Err(SnapshotError::new(format!(
+                "position map leaf {leaf} out of range for {} leaves",
+                self.num_leaves
+            ))),
+            None => Ok(()),
         }
-        rng.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.map.clear();
-        for _ in 0..r.get_usize()? {
-            let block = r.get_u64()?;
-            let leaf = r.get_u64()?;
-            if leaf >= self.num_leaves {
-                return Err(doram_sim::snapshot::SnapshotError::new(format!(
-                    "position map leaf {leaf} out of range for {} leaves",
-                    self.num_leaves
-                )));
-            }
-            self.map.insert(block, leaf);
-        }
-        self.rng.load_state(r)?;
-        Ok(())
     }
 }
+
+doram_sim::impl_snapshot!(PositionMap { map, rng } skip { num_leaves } after_load PositionMap::check_leaves);
 
 #[cfg(test)]
 mod tests {

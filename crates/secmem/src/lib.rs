@@ -127,26 +127,7 @@ impl SecureMemoryEngine {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for SecureMemoryEngine {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let SecureMemoryEngine {
-            cfg: _,
-            rng,
-            expanded,
-        } = self;
-        rng.save_state(w);
-        w.put_u64(*expanded);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.rng.load_state(r)?;
-        self.expanded = r.get_u64()?;
-        Ok(())
-    }
-}
+doram_sim::impl_snapshot!(SecureMemoryEngine { rng, expanded } skip { cfg });
 
 #[cfg(test)]
 mod tests {

@@ -175,6 +175,18 @@ impl From<ConfigError> for SimError {
     }
 }
 
+// Checkpoint encoding of latched faults.
+crate::impl_codec!(struct ConfigError { message });
+
+crate::impl_codec!(enum SimError {
+    Config(e) = 0,
+    Fault { site, detail } = 1,
+    IntegrityViolation { addr, detail } = 2,
+    LinkTimeout { attempts, detail } = 3,
+    Protocol { detail } = 4,
+    StashOverflow { occupancy, capacity } = 5,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -595,67 +595,20 @@ impl AdversaryPlan {
     }
 }
 
-impl crate::snapshot::Snapshot for FaultCounts {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let FaultCounts {
-            corrupt_frames,
-            drop_frames,
-            delay_frames,
-            bit_flips,
-            forged_macs,
-            replays,
-            relocations,
-            rollback_bursts,
-        } = self;
-        w.put_u64(*corrupt_frames);
-        w.put_u64(*drop_frames);
-        w.put_u64(*delay_frames);
-        w.put_u64(*bit_flips);
-        w.put_u64(*forged_macs);
-        w.put_u64(*replays);
-        w.put_u64(*relocations);
-        w.put_u64(*rollback_bursts);
-    }
+crate::impl_codec!(struct FaultCounts {
+    corrupt_frames,
+    drop_frames,
+    delay_frames,
+    bit_flips,
+    forged_macs,
+    replays,
+    relocations,
+    rollback_bursts,
+});
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.corrupt_frames = r.get_u64()?;
-        self.drop_frames = r.get_u64()?;
-        self.delay_frames = r.get_u64()?;
-        self.bit_flips = r.get_u64()?;
-        self.forged_macs = r.get_u64()?;
-        self.replays = r.get_u64()?;
-        self.relocations = r.get_u64()?;
-        self.rollback_bursts = r.get_u64()?;
-        Ok(())
-    }
-}
-
-impl crate::snapshot::Snapshot for FaultInjector {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        // The plan and site are configuration; only the roll cursor and
-        // tallies move.
-        let FaultInjector {
-            plan: _,
-            site: _,
-            rng,
-            counts,
-        } = self;
-        rng.save_state(w);
-        counts.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.rng.load_state(r)?;
-        self.counts.load_state(r)?;
-        Ok(())
-    }
-}
+// The plan and site are configuration; only the roll cursor and tallies
+// move.
+crate::impl_snapshot!(FaultInjector { rng, counts } skip { plan, site });
 
 #[cfg(test)]
 mod tests {

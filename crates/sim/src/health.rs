@@ -28,7 +28,6 @@
 //! and issues no traffic, so attaching it cannot perturb a simulation.
 
 use crate::clock::MemCycle;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// The condition of one fault-tolerant component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -274,42 +273,22 @@ impl HealthMonitor {
     }
 }
 
-impl Snapshot for HealthMonitor {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        // The policy is configuration; only the machine's position moves.
-        let HealthMonitor {
-            policy: _,
-            state,
-            consecutive_failures,
-            probe_successes,
-            since,
-            quarantine_entries,
-            closed_unhealthy_cycles,
-        } = self;
-        w.put_u8(*state as u8);
-        w.put_u32(*consecutive_failures);
-        w.put_u32(*probe_successes);
-        w.put_u64(*since);
-        w.put_u32(*quarantine_entries);
-        w.put_u64(*closed_unhealthy_cycles);
-    }
+crate::impl_codec!(tagged HealthState);
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let tag = r.get_u8()?;
-        self.state = HealthState::from_tag(tag)
-            .ok_or_else(|| SnapshotError::new(format!("bad health state tag {tag}")))?;
-        self.consecutive_failures = r.get_u32()?;
-        self.probe_successes = r.get_u32()?;
-        self.since = r.get_u64()?;
-        self.quarantine_entries = r.get_u32()?;
-        self.closed_unhealthy_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
+// The policy is configuration; only the machine's position moves.
+crate::impl_snapshot!(HealthMonitor {
+    state,
+    consecutive_failures,
+    probe_successes,
+    since,
+    quarantine_entries,
+    closed_unhealthy_cycles,
+} skip { policy });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 
     fn policy(quarantine: u32, window: u64, probes: u32) -> HealthPolicy {
         HealthPolicy {

@@ -87,20 +87,7 @@ impl RequestIdGen {
     }
 }
 
-impl crate::snapshot::Snapshot for RequestIdGen {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let RequestIdGen { next } = self;
-        w.put_u64(*next);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.next = r.get_u64()?;
-        Ok(())
-    }
-}
+crate::impl_codec!(struct RequestIdGen { next });
 
 #[cfg(test)]
 mod tests {

@@ -130,24 +130,7 @@ impl Xoshiro256 {
     }
 }
 
-impl crate::snapshot::Snapshot for Xoshiro256 {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let Xoshiro256 { s } = self;
-        for &word in s {
-            w.put_u64(word);
-        }
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        for word in &mut self.s {
-            *word = r.get_u64()?;
-        }
-        Ok(())
-    }
-}
+crate::impl_codec!(struct Xoshiro256 { s });
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,6 @@
-//! Checkpoint/restore substrate: the [`Snapshot`] trait, a compact binary
-//! encoding, and the crash-consistent checkpoint file format.
+//! Checkpoint/restore substrate: the [`Snapshot`] and [`Codec`] traits,
+//! a compact binary encoding, and the crash-consistent checkpoint file
+//! format.
 //!
 //! Every stateful component of the simulation implements [`Snapshot`]:
 //! `save_state` appends the component's *dynamic* state (queues, RNG
@@ -8,6 +9,15 @@
 //! Configuration-derived structure (capacities, timings, wiring) is *not*
 //! serialized — a restore target is always freshly built from the same
 //! configuration first, so only the dynamic fields need to travel.
+//!
+//! Plain values — counters, requests, queued messages, maps — implement
+//! [`Codec`] instead, and every encoding rule lives in this module once:
+//! little-endian integers, `usize` as `u64`, a presence byte before an
+//! `Option`, a `u64` count before a `Vec`/`VecDeque`/map/set, hash maps
+//! and sets written sorted by key so the payload never depends on hash
+//! order. Components declare their ordered field list with
+//! [`impl_snapshot!`](crate::impl_snapshot) and value types with
+//! [`impl_codec!`](crate::impl_codec); neither writes its layout twice.
 //!
 //! The file format is versioned and checksummed (FNV-1a 64): a truncated,
 //! corrupted, or incompatible checkpoint is rejected with a typed
@@ -18,22 +28,24 @@
 //! # Examples
 //!
 //! ```
-//! use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+//! use doram_sim::snapshot::{Codec, SnapshotReader, SnapshotWriter};
 //! use doram_sim::rng::Xoshiro256;
 //!
 //! let mut rng = Xoshiro256::seed_from(7);
 //! rng.next_u64();
 //! let mut w = SnapshotWriter::new();
-//! rng.save_state(&mut w);
+//! rng.put(&mut w);
 //! let bytes = w.into_bytes();
 //!
-//! let mut restored = Xoshiro256::seed_from(0);
-//! restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+//! let mut restored = Xoshiro256::get(&mut SnapshotReader::new(&bytes)).unwrap();
 //! assert_eq!(restored.next_u64(), rng.next_u64());
 //! ```
 
-use crate::error::{ConfigError, SimError};
+use crate::clock::MemCycle;
+use crate::id::{AppId, RequestId};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::io::Write;
 use std::path::Path;
 
@@ -54,6 +66,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// continues its telemetry exactly. Older files are rejected with
 /// [`SnapshotErrorKind::BadVersion`] — re-run from the start rather than
 /// resuming across the format change.
+///
+/// Changing any encoded field — adding, removing, reordering or retyping
+/// one in an [`impl_snapshot!`](crate::impl_snapshot) or
+/// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
+/// changes the payload: bump this version and re-bless the golden
+/// checkpoint table (`tests/golden_checkpoints.rs`).
 pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
@@ -145,9 +163,12 @@ impl std::error::Error for SnapshotError {}
 
 /// A component whose dynamic state can be captured and restored in-place.
 ///
-/// Implementations must destructure the whole struct (no `..` rest
-/// pattern) so that adding a field without updating the snapshot code is
-/// a compile error rather than a silent resume divergence.
+/// Implement it with [`impl_snapshot!`](crate::impl_snapshot) from the
+/// component's ordered field list. The macro destructures the whole
+/// struct (no `..` rest pattern), so adding a field without listing it —
+/// as encoded state or as skipped configuration — is a compile error
+/// rather than a silent resume divergence. Hand-written implementations
+/// must destructure the same way.
 pub trait Snapshot {
     /// Appends this component's dynamic state to `w`.
     fn save_state(&self, w: &mut SnapshotWriter);
@@ -161,6 +182,424 @@ pub trait Snapshot {
     ///
     /// Returns [`SnapshotError`] on truncation or layout mismatch.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
+}
+
+/// A value with one binary encoding: [`put`](Codec::put) appends it,
+/// [`get`](Codec::get) decodes a fresh one.
+///
+/// Decoders never trust a length prefix for allocation: collections grow
+/// one decoded element at a time, so a hostile count fails with
+/// [`SnapshotErrorKind::Truncated`] once the input runs out.
+pub trait Codec: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError`] on truncation or a malformed encoding.
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+macro_rules! codec_via {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl Codec for $ty {
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.$put(*self);
+            }
+
+            fn get(r: &mut SnapshotReader<'_>) -> Result<$ty, SnapshotError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+codec_via! {
+    u8 => put_u8, get_u8;
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    usize => put_usize, get_usize;
+    bool => put_bool, get_bool;
+    f64 => put_f64, get_f64;
+}
+
+impl Codec for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_str(self);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<String, SnapshotError> {
+        r.get_str()
+    }
+}
+
+crate::impl_codec!(struct MemCycle(cycle));
+crate::impl_codec!(struct RequestId(id));
+crate::impl_codec!(struct AppId(app));
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Option<T>, SnapshotError> {
+        Ok(if r.get_bool()? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// Appends a `u64` count, then each item.
+fn put_seq<'a, T: Codec + 'a>(
+    w: &mut SnapshotWriter,
+    len: usize,
+    items: impl Iterator<Item = &'a T>,
+) {
+    w.put_usize(len);
+    items.for_each(|v| v.put(w));
+}
+
+/// Decodes a count-prefixed sequence into any collection, one element at
+/// a time (never preallocating from the untrusted count).
+fn get_seq<T: Codec, C: Default + Extend<T>>(
+    r: &mut SnapshotReader<'_>,
+) -> Result<C, SnapshotError> {
+    let mut out = C::default();
+    for _ in 0..r.get_usize()? {
+        out.extend(Some(T::get(r)?));
+    }
+    Ok(out)
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_seq(w, self.len(), self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Vec<T>, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<T: Codec> Codec for VecDeque<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_seq(w, self.len(), self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<VecDeque<T>, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<T: Codec + Ord> Codec for BTreeSet<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_seq(w, self.len(), self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<BTreeSet<T>, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<K, V>, SnapshotError> {
+        get_seq::<(K, V), _>(r)
+    }
+}
+
+/// Written sorted, so the payload never depends on hash order.
+impl<T: Codec + Ord + Hash> Codec for HashSet<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        put_seq(w, items.len(), items.into_iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<HashSet<T>, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+/// Written sorted by key, so the payload never depends on hash order.
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<HashMap<K, V>, SnapshotError> {
+        get_seq::<(K, V), _>(r)
+    }
+}
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<[T; N], SnapshotError> {
+        let items = (0..N).map(|_| T::get(r)).collect::<Result<Vec<T>, _>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N items decoded")))
+    }
+}
+
+macro_rules! codec_tuple {
+    ($($name:ident)+) => {
+        impl<$($name: Codec),+> Codec for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut SnapshotWriter) {
+                let ($($name,)+) = self;
+                $($name.put(w);)+
+            }
+
+            fn get(r: &mut SnapshotReader<'_>) -> Result<($($name,)+), SnapshotError> {
+                Ok(($($name::get(r)?,)+))
+            }
+        }
+    };
+}
+
+codec_tuple!(A B);
+codec_tuple!(A B C);
+
+/// A fixed-shape collection of components: the count is written and must
+/// match the configured shape on load, then each element restores in
+/// place.
+impl<T: Snapshot> Snapshot for Vec<T> {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|v| v.save_state(w));
+    }
+
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_usize()?;
+        if n != self.len() {
+            return Err(SnapshotError::new(format!(
+                "count mismatch: snapshot has {n} {}, configuration builds {}",
+                std::any::type_name::<T>(),
+                self.len()
+            )));
+        }
+        self.iter_mut().try_for_each(|v| v.load_state(r))
+    }
+}
+
+/// A fixed-size array of components: elements restore in place, in order.
+impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        self.iter().for_each(|v| v.save_state(w));
+    }
+
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.iter_mut().try_for_each(|v| v.load_state(r))
+    }
+}
+
+/// A component whose presence is configuration: a presence byte is
+/// written and must match the restore target's.
+impl<T: Snapshot> Snapshot for Option<T> {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.save_state(w);
+        }
+    }
+
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let present = r.get_bool()?;
+        match self {
+            Some(v) if present => v.load_state(r),
+            None if !present => Ok(()),
+            _ => Err(SnapshotError::new(format!(
+                "presence mismatch: snapshot {} {}, configuration {}",
+                if present { "has" } else { "lacks" },
+                std::any::type_name::<T>(),
+                if present { "builds none" } else { "builds one" },
+            ))),
+        }
+    }
+}
+
+/// Implements [`Snapshot`] for a component from its ordered field list.
+///
+/// ```text
+/// impl_snapshot! {
+///     Type<M> { plain, nested: state, custom: via(save_fn, load_fn) }
+///     skip { config_field, host_only_field }
+///     after_load Type::check
+/// }
+/// ```
+///
+/// * A bare field is a [`Codec`] value: written with `put`, replaced by
+///   `get` on load (resizable queues, maps and sets are refilled).
+/// * `field: state` is a nested [`Snapshot`] component built from the
+///   configuration: it restores in place (fixed-shape collections reject
+///   a count mismatch).
+/// * `field: via(save, load)` names a hand-written layout:
+///   `save(&field, w)` and `load(&mut field, r) -> Result<(), _>`.
+/// * `skip` lists configuration and host-only fields; every field of the
+///   struct must appear in exactly one of the two lists, because the
+///   generated code destructures it without `..`.
+/// * `after_load` names an optional `fn(&mut Self) -> Result<(),
+///   SnapshotError>` run once all fields are restored (rebuilds and
+///   cross-field validation).
+/// * Generic parameters are bounded by [`Codec`].
+///
+/// Fields are encoded in list order, which is independent of declaration
+/// order.
+#[macro_export]
+macro_rules! impl_snapshot {
+    (@save $w:ident $f:ident) => { $crate::snapshot::Codec::put($f, $w) };
+    (@save $w:ident $f:ident state) => { $crate::snapshot::Snapshot::save_state($f, $w) };
+    (@save $w:ident $f:ident via ($save:path, $load:path)) => { $save($f, $w) };
+    (@load $r:ident $f:ident) => { *$f = $crate::snapshot::Codec::get($r)? };
+    (@load $r:ident $f:ident state) => { $crate::snapshot::Snapshot::load_state($f, $r)? };
+    (@load $r:ident $f:ident via ($save:path, $load:path)) => { $load($f, $r)? };
+    (
+        $ty:ident $(<$($p:ident),+>)? {
+            $($field:ident $(: $mode:ident $(($($arg:tt)*))?)?),* $(,)?
+        }
+        $(skip { $($skip:ident),* $(,)? })?
+        $(after_load $hook:path)?
+    ) => {
+        impl$(<$($p: $crate::snapshot::Codec),+>)? $crate::snapshot::Snapshot
+            for $ty$(<$($p),+>)?
+        {
+            fn save_state(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let $ty { $($field,)* $($($skip: _,)*)? } = self;
+                $($crate::impl_snapshot!(@save w $field $($mode $(($($arg)*))?)?);)*
+            }
+
+            fn load_state(
+                &mut self,
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapshotError> {
+                {
+                    let $ty { $($field,)* $($($skip: _,)*)? } = &mut *self;
+                    $($crate::impl_snapshot!(@load r $field $($mode $(($($arg)*))?)?);)*
+                }
+                $($hook(self)?;)?
+                Ok(())
+            }
+        }
+    };
+}
+
+/// Implements [`Codec`] for a value type from its ordered field list.
+///
+/// ```text
+/// impl_codec!(struct Request { id, addr, arrival });   // named fields
+/// impl_codec!(struct Cycle(raw));                     // tuple struct
+/// impl_codec!(enum Msg { Idle = 0, Req(r) = 1, Job { id, op } = 2 });
+/// impl_codec!(tagged Kind);   // `*self as u8` out, `Kind::from_tag` in
+/// ```
+///
+/// Structs encode their fields in list order; enums write the variant's
+/// `u8` tag, then its fields. Generic parameters are bounded by
+/// [`Codec`].
+#[macro_export]
+macro_rules! impl_codec {
+    (@get $r:ident $_f:ident) => { $crate::snapshot::Codec::get($r)? };
+    (struct $ty:ident $(<$($p:ident),+>)? { $($field:ident),* $(,)? }) => {
+        impl$(<$($p: $crate::snapshot::Codec),+>)? $crate::snapshot::Codec for $ty$(<$($p),+>)? {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let $ty { $($field),* } = self;
+                $($crate::snapshot::Codec::put($field, w);)*
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty { $($field: $crate::snapshot::Codec::get(r)?),* })
+            }
+        }
+    };
+    (struct $ty:ident($($field:ident),+)) => {
+        impl $crate::snapshot::Codec for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let $ty($($field),+) = self;
+                $($crate::snapshot::Codec::put($field, w);)+
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty($($crate::impl_codec!(@get r $field)),+))
+            }
+        }
+    };
+    (enum $ty:ident {
+        $($var:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })? = $tag:literal),+ $(,)?
+    }) => {
+        impl $crate::snapshot::Codec for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                match self {
+                    $($ty::$var $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::Codec::put($tf, w);)+)?
+                        $($($crate::snapshot::Codec::put($sf, w);)+)?
+                    })+
+                }
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(match r.get_u8()? {
+                    $($tag => $ty::$var
+                        $(($($crate::impl_codec!(@get r $tf)),+))?
+                        $({ $($sf: $crate::snapshot::Codec::get(r)?),+ })?,)+
+                    tag => {
+                        return Err($crate::snapshot::SnapshotError::new(format!(
+                            concat!("unknown ", stringify!($ty), " tag {}"),
+                            tag
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (tagged $ty:ident) => {
+        impl $crate::snapshot::Codec for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                w.put_u8(*self as u8);
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let tag = r.get_u8()?;
+                $ty::from_tag(tag).ok_or_else(|| {
+                    $crate::snapshot::SnapshotError::new(format!(
+                        concat!("unknown ", stringify!($ty), " tag {}"),
+                        tag
+                    ))
+                })
+            }
+        }
+    };
 }
 
 /// Append-only binary encoder for snapshots (little-endian, no padding).
@@ -384,100 +823,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes a [`SimError`] (variant tag + fields).
-pub fn put_sim_error(w: &mut SnapshotWriter, e: &SimError) {
-    match e {
-        SimError::Config(c) => {
-            w.put_u8(0);
-            w.put_str(c.message());
-        }
-        SimError::Fault { site, detail } => {
-            w.put_u8(1);
-            w.put_str(site);
-            w.put_str(detail);
-        }
-        SimError::IntegrityViolation { addr, detail } => {
-            w.put_u8(2);
-            w.put_u64(*addr);
-            w.put_str(detail);
-        }
-        SimError::LinkTimeout { attempts, detail } => {
-            w.put_u8(3);
-            w.put_u32(*attempts);
-            w.put_str(detail);
-        }
-        SimError::Protocol { detail } => {
-            w.put_u8(4);
-            w.put_str(detail);
-        }
-        SimError::StashOverflow {
-            occupancy,
-            capacity,
-        } => {
-            w.put_u8(5);
-            w.put_usize(*occupancy);
-            w.put_usize(*capacity);
-        }
-    }
-}
-
-/// Decodes a [`SimError`] written by [`put_sim_error`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown variant tag.
-pub fn get_sim_error(r: &mut SnapshotReader<'_>) -> Result<SimError, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(SimError::Config(ConfigError::new(r.get_str()?))),
-        1 => Ok(SimError::Fault {
-            site: r.get_str()?,
-            detail: r.get_str()?,
-        }),
-        2 => Ok(SimError::IntegrityViolation {
-            addr: r.get_u64()?,
-            detail: r.get_str()?,
-        }),
-        3 => Ok(SimError::LinkTimeout {
-            attempts: r.get_u32()?,
-            detail: r.get_str()?,
-        }),
-        4 => Ok(SimError::Protocol {
-            detail: r.get_str()?,
-        }),
-        5 => Ok(SimError::StashOverflow {
-            occupancy: r.get_usize()?,
-            capacity: r.get_usize()?,
-        }),
-        tag => Err(SnapshotError::new(format!("unknown SimError tag {tag}"))),
-    }
-}
-
-/// Encodes an optional latched fault.
-pub fn put_opt_sim_error(w: &mut SnapshotWriter, e: &Option<SimError>) {
-    match e {
-        None => w.put_bool(false),
-        Some(e) => {
-            w.put_bool(true);
-            put_sim_error(w, e);
-        }
-    }
-}
-
-/// Decodes an optional latched fault.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown variant tag.
-pub fn get_opt_sim_error(
-    r: &mut SnapshotReader<'_>,
-) -> Result<Option<SimError>, SnapshotError> {
-    if r.get_bool()? {
-        Ok(Some(get_sim_error(r)?))
-    } else {
-        Ok(None)
-    }
-}
-
 /// Writes `bytes` to `path` crash-consistently: the data lands in a temp
 /// file in the same directory, is fsynced, and is atomically renamed over
 /// `path`. A crash at any point leaves either the old file or the new one
@@ -673,6 +1018,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointData, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -739,6 +1085,17 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
+    /// Encodes `v`, decodes it back, and checks nothing is left over.
+    fn round_trip<T: Codec + PartialEq + fmt::Debug>(v: &T) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        v.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(&T::get(&mut r).unwrap(), v);
+        r.finish().unwrap();
+        bytes
+    }
+
     #[test]
     fn sim_error_codec_round_trips_every_variant() {
         let cases = vec![
@@ -750,23 +1107,123 @@ mod tests {
             SimError::stash_overflow(130, 128),
         ];
         for e in cases {
-            let mut w = SnapshotWriter::new();
-            put_sim_error(&mut w, &e);
-            let bytes = w.into_bytes();
-            let mut r = SnapshotReader::new(&bytes);
-            assert_eq!(get_sim_error(&mut r).unwrap(), e);
-            r.finish().unwrap();
+            round_trip(&e);
         }
-        // Optional form.
-        for opt in [None, Some(SimError::protocol("x"))] {
-            let mut w = SnapshotWriter::new();
-            put_opt_sim_error(&mut w, &opt);
-            let bytes = w.into_bytes();
-            assert_eq!(
-                get_opt_sim_error(&mut SnapshotReader::new(&bytes)).unwrap(),
-                opt
-            );
+        round_trip(&None::<SimError>);
+        round_trip(&Some(SimError::protocol("x")));
+        let mut r = SnapshotReader::new(&[9]);
+        let err = SimError::get(&mut r).unwrap_err();
+        assert!(err.message().contains("SimError tag 9"), "{err}");
+    }
+
+    #[test]
+    fn generic_codecs_round_trip() {
+        round_trip(&7u8);
+        round_trip(&u32::MAX);
+        round_trip(&(u64::MAX - 1));
+        round_trip(&usize::MAX);
+        round_trip(&true);
+        round_trip(&-0.5f64);
+        round_trip(&String::from("héllo"));
+        round_trip(&MemCycle(9));
+        round_trip(&RequestId(10));
+        round_trip(&AppId(3));
+        round_trip(&Some(5u64));
+        round_trip(&vec![1u64, 2, 3]);
+        round_trip(&VecDeque::from(vec![(1u64, true), (2, false)]));
+        round_trip(&[4u64, 5, 6, 7]);
+        round_trip(&(1u8, 2u32, 3u64));
+        round_trip(&HashMap::from([
+            (3u64, (RequestId(1), 2u32)),
+            (1, (RequestId(4), 5)),
+        ]));
+        round_trip(&HashSet::from([RequestId(8), RequestId(2)]));
+        round_trip(&BTreeMap::from([(2u64, 1usize), (1, 0)]));
+        round_trip(&BTreeSet::from([5u64, 1]));
+        // Layout spot checks: usize and bool widths, presence byte, count prefix.
+        assert_eq!(round_trip(&1usize).len(), 8);
+        assert_eq!(round_trip(&None::<u64>), vec![0]);
+        assert_eq!(round_trip(&vec![7u8]), vec![1, 0, 0, 0, 0, 0, 0, 0, 7]);
+        assert_eq!(round_trip(&[1u8, 2]), vec![1, 2], "arrays carry no count");
+    }
+
+    #[test]
+    fn hash_collections_encode_independently_of_insertion_order() {
+        let mut a = HashMap::new();
+        let mut b = HashMap::new();
+        for k in 0..200u64 {
+            a.insert(k, k * 3);
+            b.insert(199 - k, (199 - k) * 3);
         }
+        let sorted: BTreeMap<u64, u64> = a.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(round_trip(&a), round_trip(&b));
+        assert_eq!(round_trip(&a), round_trip(&sorted), "written sorted by key");
+        let x: HashSet<u64> = (0..100).collect();
+        let y: HashSet<u64> = (0..100).rev().collect();
+        assert_eq!(round_trip(&x), round_trip(&y));
+    }
+
+    #[test]
+    fn huge_count_prefix_is_truncated_without_allocating() {
+        // A count of u64::MAX over a 16-byte input: each decoder must stop
+        // at the first missing element instead of reserving room for it.
+        let mut w = SnapshotWriter::new();
+        w.put_u64(u64::MAX);
+        w.put_u64(1);
+        let bytes = w.into_bytes();
+        fn decode<T: Codec>(bytes: &[u8]) -> Result<(), SnapshotError> {
+            T::get(&mut SnapshotReader::new(bytes)).map(drop)
+        }
+        let kinds = [
+            decode::<Vec<u64>>(&bytes),
+            decode::<VecDeque<u64>>(&bytes),
+            decode::<HashMap<u64, u64>>(&bytes),
+            decode::<HashSet<u64>>(&bytes),
+            decode::<BTreeMap<u64, u64>>(&bytes),
+            decode::<BTreeSet<u64>>(&bytes),
+            decode::<String>(&bytes),
+        ];
+        for k in kinds {
+            assert_eq!(k.unwrap_err().kind(), SnapshotErrorKind::Truncated);
+        }
+    }
+
+    /// A fixed-shape component for the in-place collection impls.
+    #[derive(Debug, Default, PartialEq)]
+    struct Cell {
+        v: u64,
+        cap: u64,
+    }
+
+    crate::impl_snapshot!(Cell { v } skip { cap });
+
+    #[test]
+    fn fixed_shape_collections_restore_in_place_and_reject_reshaping() {
+        let src = vec![Cell { v: 1, cap: 9 }, Cell { v: 2, cap: 9 }];
+        let mut w = SnapshotWriter::new();
+        src.save_state(&mut w);
+        Some([Cell { v: 3, cap: 0 }]).save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut r = SnapshotReader::new(&bytes);
+        let mut dst = vec![Cell::default(), Cell { v: 0, cap: 4 }];
+        dst.load_state(&mut r).unwrap();
+        assert_eq!(dst, vec![Cell { v: 1, cap: 0 }, Cell { v: 2, cap: 4 }]);
+        let mut opt = Some([Cell::default()]);
+        opt.load_state(&mut r).unwrap();
+        assert_eq!(opt.unwrap()[0].v, 3);
+        r.finish().unwrap();
+
+        let mut three = vec![Cell::default(), Cell::default(), Cell::default()];
+        let err = three
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap_err();
+        assert!(err.message().contains("count mismatch"), "{err}");
+        let mut absent: Option<Cell> = None;
+        let err = absent
+            .load_state(&mut SnapshotReader::new(&[1]))
+            .unwrap_err();
+        assert!(err.message().contains("presence mismatch"), "{err}");
     }
 
     #[test]

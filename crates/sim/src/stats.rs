@@ -177,82 +177,49 @@ impl Histogram {
     }
 }
 
-impl crate::snapshot::Snapshot for Counter {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let Counter(v) = self;
-        w.put_u64(*v);
-    }
+crate::impl_codec!(struct Counter(count));
+crate::impl_snapshot!(RunningMean {
+    sum,
+    count,
+    min,
+    max
+});
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.0 = r.get_u64()?;
-        Ok(())
-    }
-}
-
-impl crate::snapshot::Snapshot for RunningMean {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let RunningMean {
-            sum,
-            count,
-            min,
-            max,
-        } = self;
-        w.put_f64(*sum);
-        w.put_u64(*count);
-        w.put_f64(*min);
-        w.put_f64(*max);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.sum = r.get_f64()?;
-        self.count = r.get_u64()?;
-        self.min = r.get_f64()?;
-        self.max = r.get_f64()?;
-        Ok(())
-    }
-}
-
+/// The bucket layout is configuration: it is written so a restore into a
+/// differently shaped histogram fails instead of misreading the counts.
 impl crate::snapshot::Snapshot for Histogram {
     fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
+        use crate::snapshot::Codec;
         let Histogram {
             bucket_width,
             buckets,
             overflow,
             total,
         } = self;
-        w.put_u64(*bucket_width);
-        w.put_usize(buckets.len());
-        for &b in buckets {
-            w.put_u64(b);
-        }
-        w.put_u64(*overflow);
-        w.put_u64(*total);
+        bucket_width.put(w);
+        buckets.put(w);
+        overflow.put(w);
+        total.put(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let width = r.get_u64()?;
-        let len = r.get_usize()?;
-        if width != self.bucket_width || len != self.buckets.len() {
+        use crate::snapshot::Codec;
+        let width = u64::get(r)?;
+        let buckets = Vec::<u64>::get(r)?;
+        if width != self.bucket_width || buckets.len() != self.buckets.len() {
             return Err(crate::snapshot::SnapshotError::new(format!(
-                "histogram layout mismatch: snapshot {len}x{width}, target {}x{}",
+                "histogram layout mismatch: snapshot {}x{width}, target {}x{}",
+                buckets.len(),
                 self.buckets.len(),
                 self.bucket_width
             )));
         }
-        for b in &mut self.buckets {
-            *b = r.get_u64()?;
-        }
-        self.overflow = r.get_u64()?;
-        self.total = r.get_u64()?;
+        self.buckets = buckets;
+        self.overflow = u64::get(r)?;
+        self.total = u64::get(r)?;
         Ok(())
     }
 }

@@ -1,13 +1,16 @@
 //! Property tests for snapshot/checkpoint parsing: arbitrary (hostile)
-//! bytes must come back as typed [`SnapshotError`]s, never a panic; a
+//! bytes must come back as typed [`SnapshotError`]s, never a panic — for
+//! the low-level reader and for composite [`Codec`] decoders alike; a
 //! written checkpoint round-trips exactly; and any single corrupted byte
 //! or truncation of a valid file is detected.
 
 use doram_sim::snapshot::{
-    read_checkpoint, write_checkpoint, CheckpointData, SnapshotError, SnapshotErrorKind,
-    SnapshotReader,
+    read_checkpoint, write_checkpoint, CheckpointData, Codec, SnapshotError, SnapshotErrorKind,
+    SnapshotReader, SnapshotWriter,
 };
+use doram_sim::{MemCycle, RequestId, SimError};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,8 +34,84 @@ fn with_file<T>(bytes: &[u8], f: impl FnOnce(&std::path::Path) -> T) -> T {
     out
 }
 
+/// Decodes `bytes` as `T`, discarding the outcome: the property is "a
+/// value or a typed error, never a panic".
+fn decode<T: Codec>(bytes: &[u8]) {
+    let _ = T::get(&mut SnapshotReader::new(bytes));
+}
+
+/// Runs every composite decoder under test over `bytes`.
+fn decode_all(bytes: &[u8]) {
+    decode::<HashMap<u64, (RequestId, u32)>>(bytes);
+    decode::<Option<SimError>>(bytes);
+    decode::<Vec<(u64, Vec<u8>)>>(bytes);
+    decode::<VecDeque<(MemCycle, RequestId)>>(bytes);
+    decode::<BTreeMap<u64, usize>>(bytes);
+    decode::<HashSet<RequestId>>(bytes);
+    decode::<BTreeSet<u64>>(bytes);
+    decode::<(bool, [u64; 4], String)>(bytes);
+}
+
+fn id_map(entries: &[(u64, u64, u32)]) -> HashMap<u64, (RequestId, u32)> {
+    entries
+        .iter()
+        .map(|&(k, id, n)| (k, (RequestId(id), n)))
+        .collect()
+}
+
+fn encode<T: Codec>(v: &T) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes never panic a composite decoder.
+    #[test]
+    fn arbitrary_bytes_never_panic_composite_decoders(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        decode_all(&bytes);
+    }
+
+    /// A valid encoding with one corrupted byte, then cut short: decoders
+    /// get deep into the layout before they meet the damage.
+    #[test]
+    fn damaged_encodings_never_panic_composite_decoders(
+        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u32>()), 0..16),
+        victim in any::<u64>(),
+        flip in 1u8..255,
+        keep in any::<u64>(),
+    ) {
+        let mut bytes = encode(&id_map(&entries));
+        bytes.extend(encode(&Some(SimError::fault("link", "gave up"))));
+        let i = (victim % bytes.len() as u64) as usize;
+        bytes[i] ^= flip;
+        decode_all(&bytes);
+        decode_all(&bytes[..(keep % (bytes.len() as u64 + 1)) as usize]);
+    }
+
+    /// A hash map's encoding depends on its contents, not on insertion
+    /// order, and decodes back to the same map.
+    #[test]
+    fn hash_map_encoding_ignores_insertion_order(
+        entries in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u32>()), 0..64),
+    ) {
+        let forward = id_map(&entries);
+        let mut keys: Vec<u64> = forward.keys().copied().collect();
+        keys.sort_unstable_by(|a, b| b.cmp(a));
+        let mut reversed = HashMap::new();
+        for k in keys {
+            reversed.insert(k, forward[&k]);
+        }
+        let bytes = encode(&forward);
+        prop_assert_eq!(&bytes, &encode(&reversed));
+        let back: HashMap<u64, (RequestId, u32)> =
+            Codec::get(&mut SnapshotReader::new(&bytes)).expect("round trip");
+        prop_assert_eq!(back, forward);
+    }
 
     /// Arbitrary bytes never panic the checkpoint reader — every outcome
     /// is a typed error (random bytes cannot satisfy the checksum).

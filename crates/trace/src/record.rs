@@ -28,6 +28,14 @@ impl TraceRecord {
     }
 }
 
+doram_sim::impl_codec!(
+    enum AccessOp {
+        Read = 0,
+        Write = 1,
+    }
+);
+doram_sim::impl_codec!(struct TraceRecord { gap, op, addr });
+
 #[cfg(test)]
 mod tests {
     use super::*;
