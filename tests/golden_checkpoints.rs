@@ -1,12 +1,14 @@
 //! Golden checkpoint matrix: the layout fingerprint of the checkpoint
 //! format.
 //!
-//! Thirteen smoke-scale runs (libq, 300 NS accesses, a depth-12 tree,
+//! Fourteen smoke-scale runs (libq, 300 NS accesses, a depth-12 tree,
 //! a checkpoint every 1,500 memory cycles) cover every scheme and every
 //! knob family that adds checkpointed state: merged split reads and SD
 //! pipelining, parity/scrub/probation under link and DRAM faults, a
 //! hostile sub-channel, an active adversary (which arms the freshness
-//! tree) and the interference recorder. Each case pins
+//! tree), the interference recorder, and the recorder watching every
+//! recovery path at once (its ring and blame rows are checkpointed, so
+//! the order of recovery instants is pinned too). Each case pins
 //!
 //! * the FNV-1a-64 of one fixed mid-run checkpoint payload,
 //! * the FNV-1a-64 of the final report JSON,
@@ -62,6 +64,7 @@ const GOLDEN: &[Golden] = &[
     ("doram-k0c7-adversary", 4500, 0x1440dbf8e53eb5c1, 0xcbb42ad7e641456c),
     ("doram-k0c7-recorder", 4500, 0xe76f1ed1360e2fbb, 0x2caf9f6073d3e7b1),
     ("baseline-recorder", 6000, 0xbdcf5f065cbff2f8, 0x5603d2b867431f98),
+    ("doram-k1c4-recovery-recorder", 6000, 0xe142327c12693689, 0x5d5868f3a9f6c8e7),
 ];
 
 struct Case {
@@ -219,6 +222,29 @@ fn cases() -> Vec<Case> {
             cfg: base(Scheme::Baseline).build().expect("valid config"),
             recorder: true,
             exercises: nothing,
+        },
+        Case {
+            name: "doram-k1c4-recovery-recorder",
+            cfg: doram(1, 4)
+                .parity(true)
+                .scrub_every(1_000)
+                .probation_window(3_000)
+                .probation_successes(2)
+                .fault_plan({
+                    let mut plan = adversary_mix();
+                    plan.site_windows.extend(hostile_sub3().site_windows);
+                    plan
+                })
+                .build()
+                .expect("valid config"),
+            recorder: true,
+            exercises: |f| {
+                f.refetches > 0
+                    && f.parity_rebuilds > 0
+                    && f.scrub_repairs > 0
+                    && f.freshness_ops > 0
+                    && f.quarantine_entries[3] > 0
+            },
         },
     ]
 }
