@@ -13,38 +13,27 @@
 //! the (ciphertext) blocks as full response packets (§III-C). Write-phase
 //! updates travel as full write packets the CPU forwards; they are posted.
 
+mod verifier;
+
 use crate::onchip_oram::ORAM_REGION_BASE;
 use crate::onchip_oram::{BlockSink, FsmEvent, Issued, OramFsm, OramJob, OramStats};
 use doram_bob::packet::PacketKind;
 use doram_bob::{Link, LinkConfig, LinkStats};
-use doram_crypto::{BucketIntegrity, MerkleTree, DIGEST_BYTES};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubChannelConfig};
-use doram_obs::{EventKind, SharedRecorder, Subsystem};
+use doram_obs::{BlameClass, SharedRecorder, Subsystem};
 use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
-use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
-use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
+use doram_sim::fault::{FaultCounts, FaultPlan};
+use doram_sim::health::HealthState;
 use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
+use verifier::SdVerifier;
 
 /// Fault-plan site base of the SD's per-sub-channel DRAM buses: sub `i`
 /// rolls site-scoped bursts at site `SD_SUB_SITE_BASE + i` (the shared
 /// bus keeps site 0x5D00).
 pub const SD_SUB_SITE_BASE: u64 = 0x5D10;
-
-/// Depth of the SD's freshness Merkle tree when armed: `2^14` leaves,
-/// one per distinct bucket address, assigned on first touch. Runs that
-/// touch more buckets than there are leaves gracefully fall back to
-/// per-bucket CMAC protection for the overflow addresses (freshness is
-/// then only best-effort there — noted in SECURITY.md).
-const FRESHNESS_DEPTH: u32 = 14;
-/// Modeled memory cycles per tree level walked when verifying or
-/// re-hashing a bucket's freshness leaf.
-const FRESHNESS_HOP_CYCLES: u64 = 1;
-/// Modeled cycles charged per freshness-tree operation: one
-/// root-to-leaf walk over the on-chip node cache.
-const FRESHNESS_COST: u64 = FRESHNESS_DEPTH as u64 * FRESHNESS_HOP_CYCLES;
 
 /// A split-level block operation forwarded through the CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,570 +237,13 @@ pub struct SdFaultStats {
     pub unhealthy_cycles: Vec<u64>,
 }
 
-/// Re-fetch bookkeeping for one in-flight recovery read.
-#[derive(Debug, Clone, Copy)]
-struct RefetchTicket {
-    /// The FSM-visible id of the original read.
-    orig: RequestId,
-    /// Cycle the first failed verification was detected.
-    detect: MemCycle,
-    /// Failed attempts so far (1 after the first detection).
-    attempts: u32,
-}
-
-/// What to do with a verified (or unverifiable) ORAM read completion.
-enum SdVerdict {
-    /// Hand the block to the FSM under this id.
-    Deliver(RequestId),
-    /// Re-read the bucket: enqueue this request on the same sub-channel.
-    Refetch(MemRequest),
-    /// Reconstruct the bucket from parity shares on the serving
-    /// sub-channels (graceful degradation instead of fail-stop).
-    Rebuild {
-        /// The FSM-visible id to complete once the last share lands.
-        orig: RequestId,
-        /// Bucket address to reconstruct.
-        addr: u64,
-        /// Sub-channel excluded from the share reads (the one whose copy
-        /// just proved unrecoverable), beyond any non-serving ones.
-        exclude: Option<usize>,
-    },
-}
-
-/// How a delivered completion maps back to the FSM.
-enum Delivered {
-    /// Ordinary traffic: complete this id.
-    Regular(RequestId),
-    /// Last share of a parity rebuild: complete the rebuilt read.
-    RebuildDone(RequestId),
-    /// A share landed but its group still waits for more.
-    RebuildPartial,
-}
-
-/// The SD's bucket-integrity engine: a per-bucket CMAC tag store over a
-/// version-per-write payload model, an injector faulting reads in
-/// transit, and the bounded re-fetch / quarantine recovery policy.
-#[derive(Debug)]
-struct SdIntegrity {
-    integrity: BucketIntegrity,
-    /// Write counter per bucket address — the authenticated payload. A
-    /// timing simulation carries no data, so the version stands in for
-    /// the bucket contents: every write re-tags, every read re-verifies.
-    versions: HashMap<u64, u64>,
-    /// Previous version per bucket: the stale-but-once-authentic image a
-    /// replay or rollback adversary re-supplies. Tracked only while the
-    /// freshness tree is armed.
-    prev_versions: HashMap<u64, u64>,
-    /// Freshness Merkle tree, armed iff the fault plan carries any
-    /// adversarial rates ([`FaultPlan::has_adversary`]). The root models
-    /// the SD's tamper-proof on-chip freshness register; since the
-    /// per-bucket CMAC tag store lives in the same untrusted DRAM as the
-    /// buckets, replayed (tag, payload) pairs verify under CMAC alone and
-    /// only the tree catches them. `None` on legacy plans: no
-    /// allocation, no modeled cost, no behavioural change.
-    freshness: Option<MerkleTree>,
-    /// Bucket address → freshness leaf, assigned on first touch.
-    leaves: HashMap<u64, u64>,
-    next_leaf: u64,
-    injector: FaultInjector,
-    /// Per-sub overlay injectors rolling *only* site-scoped bursts at
-    /// site `SD_SUB_SITE_BASE + i`. A plan without site windows leaves
-    /// them disabled, so legacy plans consume no extra randomness.
-    sub_injectors: Vec<FaultInjector>,
-    policy: RecoveryPolicy,
-    /// Per-sub circuit breakers (replaces the old `consec`/`quarantined`
-    /// pair; with probation off the walk is behaviour-identical).
-    health: Vec<HealthMonitor>,
-    /// Parity striping on: quarantine degrades instead of latching.
-    parity: bool,
-    integrity_failures: u64,
-    refetches: u64,
-    recovery_cycles: u64,
-    parity_rebuilds: u64,
-    scrub_repairs: u64,
-    /// Stale replays caught by the freshness tree.
-    replay_detected: u64,
-    /// Relocated (spliced) buckets caught by the address-bound tag.
-    relocation_detected: u64,
-    /// Rollback-burst serves caught by the freshness tree.
-    rollback_rejected: u64,
-    /// Freshness-tree walks performed (leaf verifications + re-hashes).
-    freshness_ops: u64,
-    /// Modeled cycles charged for those walks.
-    freshness_cycles: u64,
-    /// First fail-stop condition (quarantine or exhausted re-fetches).
-    fault: Option<SimError>,
-    /// Outstanding recovery reads: local id → ticket.
-    inflight: HashMap<RequestId, RefetchTicket>,
-    /// Parity-rebuild share tracking: share id → group key.
-    rebuild_shares: HashMap<u64, u64>,
-    /// Group key → (FSM id to complete, shares outstanding).
-    rebuild_groups: HashMap<u64, (RequestId, u32)>,
-    next_group: u64,
-    /// Bucket address → sub-channel that last served it (parity only;
-    /// the scrubber's work-discovery map).
-    owners: BTreeMap<u64, usize>,
-    /// Buckets marked for scrub repair when their home sub quarantined,
-    /// repaired in address order.
-    corrupt: BTreeSet<u64>,
-    /// Health transitions awaiting trace emission (drained every tick).
-    transitions: Vec<(usize, HealthTransition)>,
-    /// Most recent tick cycle, for live unhealthy-cycle accounting.
-    now_hint: u64,
-}
-
-impl SdIntegrity {
-    fn new(cfg: &SecureChannelConfig, n_subs: usize) -> SdIntegrity {
-        let seed = cfg.seed;
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&(seed ^ 0x5D_1234_5678).to_le_bytes());
-        let plan = &cfg.fault_plan;
-        let sub_policy = HealthPolicy {
-            degrade_threshold: 1,
-            quarantine_threshold: cfg.recovery.quarantine_threshold,
-            probation_window: cfg.probation_window,
-            probation_successes: cfg.probation_successes,
-        };
-        SdIntegrity {
-            integrity: BucketIntegrity::new(key),
-            versions: HashMap::new(),
-            prev_versions: HashMap::new(),
-            freshness: plan
-                .has_adversary()
-                .then(|| MerkleTree::new(FRESHNESS_DEPTH, key)),
-            leaves: HashMap::new(),
-            next_leaf: 0,
-            // Site 0x5D00: the SD's DRAM bus, distinct from link sites.
-            injector: plan.injector(0x5D00),
-            sub_injectors: (0..n_subs)
-                .map(|i| {
-                    let site = SD_SUB_SITE_BASE + i as u64;
-                    plan.site_plan(site).injector(site)
-                })
-                .collect(),
-            policy: cfg.recovery,
-            health: vec![HealthMonitor::new(sub_policy); n_subs],
-            parity: cfg.parity,
-            integrity_failures: 0,
-            refetches: 0,
-            recovery_cycles: 0,
-            parity_rebuilds: 0,
-            scrub_repairs: 0,
-            replay_detected: 0,
-            relocation_detected: 0,
-            rollback_rejected: 0,
-            freshness_ops: 0,
-            freshness_cycles: 0,
-            fault: None,
-            inflight: HashMap::new(),
-            rebuild_shares: HashMap::new(),
-            rebuild_groups: HashMap::new(),
-            next_group: 0,
-            owners: BTreeMap::new(),
-            corrupt: BTreeSet::new(),
-            transitions: Vec::new(),
-            now_hint: 0,
-        }
-    }
-
-    /// The authenticated bucket image: address ‖ version, both LE. The
-    /// address half makes two buckets at the same version distinct, so
-    /// a relocated copy never aliases the expected image.
-    fn payload_bytes(addr: u64, version: u64) -> [u8; 16] {
-        let mut p = [0u8; 16];
-        p[..8].copy_from_slice(&addr.to_le_bytes());
-        p[8..].copy_from_slice(&version.to_le_bytes());
-        p
-    }
-
-    /// The freshness leaf for `addr`, assigning (and adopting the current
-    /// image into) one on first touch. `None` when the tree is unarmed or
-    /// its leaves are exhausted (the bucket then keeps CMAC-only cover).
-    fn leaf_for(&mut self, addr: u64, current: &[u8; 16]) -> Option<u64> {
-        self.freshness.as_ref()?;
-        if let Some(&l) = self.leaves.get(&addr) {
-            return Some(l);
-        }
-        let tree = self.freshness.as_mut().expect("checked above");
-        if self.next_leaf >= tree.num_leaves() {
-            return None;
-        }
-        let l = self.next_leaf;
-        self.next_leaf += 1;
-        self.leaves.insert(addr, l);
-        // First sight: adopt, mirroring BucketIntegrity::verify_or_adopt.
-        tree.update(l, current);
-        Some(l)
-    }
-
-    /// Charges one modeled root-to-leaf walk.
-    fn charge_walk(&mut self) -> u64 {
-        self.freshness_ops += 1;
-        self.freshness_cycles += FRESHNESS_COST;
-        FRESHNESS_COST
-    }
-
-    fn latch(&mut self, fault: SimError) {
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    fn is_serving(&self, sub: usize) -> bool {
-        self.health[sub].is_serving()
-    }
-
-    fn any_serving(&self) -> bool {
-        self.health.iter().any(|h| h.is_serving())
-    }
-
-    /// Whether a parity rebuild excluding `exclude` has shares to read.
-    fn can_rebuild(&self, exclude: Option<usize>) -> bool {
-        self.parity
-            && self
-                .health
-                .iter()
-                .enumerate()
-                .any(|(i, h)| h.is_serving() && Some(i) != exclude)
-    }
-
-    fn note(&mut self, sub: usize, t: Option<HealthTransition>) {
-        if let Some(t) = t {
-            self.transitions.push((sub, t));
-        }
-    }
-
-    /// Starts a parity rebuild of `addr`: one share read per serving
-    /// sub-channel (minus `exclude`), queued with back-pressure. The FSM
-    /// id `orig` completes when the last share lands.
-    #[allow(clippy::too_many_arguments)] // the request tuple + channel plumbing
-    fn start_rebuild(
-        &mut self,
-        orig: RequestId,
-        addr: u64,
-        app: AppId,
-        now: MemCycle,
-        ids: &mut RequestIdGen,
-        queue: &mut VecDeque<(usize, MemRequest)>,
-        exclude: Option<usize>,
-    ) -> bool {
-        let serving: Vec<usize> = (0..self.health.len())
-            .filter(|&i| self.health[i].is_serving() && Some(i) != exclude)
-            .collect();
-        if serving.is_empty() {
-            return false;
-        }
-        let gid = self.next_group;
-        self.next_group += 1;
-        self.rebuild_groups.insert(gid, (orig, serving.len() as u32));
-        self.parity_rebuilds += 1;
-        for s in serving {
-            let id = ids.next_id();
-            self.rebuild_shares.insert(id.0, gid);
-            queue.push_back((
-                s,
-                MemRequest {
-                    id,
-                    app,
-                    op: MemOp::Read,
-                    addr,
-                    class: RequestClass::Oram,
-                    arrival: now,
-                },
-            ));
-        }
-        true
-    }
-
-    /// Maps a delivered completion id back to the FSM: ordinary ids pass
-    /// through; parity-rebuild shares count down their group.
-    fn resolve_delivery(&mut self, id: RequestId) -> Delivered {
-        let Some(gid) = self.rebuild_shares.remove(&id.0) else {
-            return Delivered::Regular(id);
-        };
-        let group = self
-            .rebuild_groups
-            .get_mut(&gid)
-            .expect("rebuild share without group");
-        group.1 -= 1;
-        if group.1 == 0 {
-            let (orig, _) = self.rebuild_groups.remove(&gid).expect("checked");
-            Delivered::RebuildDone(orig)
-        } else {
-            Delivered::RebuildPartial
-        }
-    }
-
-    /// A sub-channel just entered quarantine: mark every bucket it served
-    /// for scrub repair (parity only — without parity there is nothing to
-    /// rebuild from).
-    fn mark_corrupt(&mut self, sub: usize) {
-        if !self.parity {
-            return;
-        }
-        for (&addr, &owner) in self.owners.iter() {
-            if owner == sub {
-                self.corrupt.insert(addr);
-            }
-        }
-    }
-
-    /// One background-scrub step: repair one marked bucket (re-tag it
-    /// from the parity reconstruction) and probe quarantined / probation
-    /// sub-channels. Returns the repaired bucket's owning sub, if any.
-    fn scrub(&mut self, now: MemCycle) -> Option<usize> {
-        let repaired = if let Some(&addr) = self.corrupt.iter().next() {
-            self.corrupt.remove(&addr);
-            let payload =
-                Self::payload_bytes(addr, self.versions.get(&addr).copied().unwrap_or(0));
-            self.integrity.record(addr, &payload);
-            if let Some(leaf) = self.leaf_for(addr, &payload) {
-                let tree = self.freshness.as_mut().expect("leaf implies tree");
-                tree.update(leaf, &payload);
-            }
-            self.scrub_repairs += 1;
-            self.owners.get(&addr).copied()
-        } else {
-            None
-        };
-        for i in 0..self.health.len() {
-            if let Some(t) = self.health[i].tick(now) {
-                self.transitions.push((i, t));
-            }
-            if self.health[i].state() == HealthState::Probation {
-                // Probe read against the sub's own burst schedule: while
-                // the injected burst is still active the probe fails and
-                // re-trips quarantine; once it passes, clean probes
-                // accumulate toward promotion.
-                let flip = self.sub_injectors[i].roll(FaultKind::BitFlip, now);
-                let forge = self.sub_injectors[i].roll(FaultKind::ForgeMac, now);
-                let replay = self.sub_injectors[i].roll(FaultKind::ReplayStale, now);
-                let reloc = self.sub_injectors[i].roll(FaultKind::RelocateBucket, now);
-                let rewind = self.sub_injectors[i].roll(FaultKind::RollbackBurst, now);
-                let t = if flip || forge || replay || reloc || rewind {
-                    self.health[i].on_failure(now)
-                } else {
-                    self.health[i].on_probe_success(now)
-                };
-                if let Some(t) = t {
-                    self.transitions.push((i, t));
-                }
-            }
-        }
-        repaired
-    }
-
-    /// Processes one ORAM-class completion from sub-channel `sub`.
-    /// Returns the verdict plus the modeled freshness-verification cycles
-    /// to charge before the delivery becomes visible to the FSM.
-    fn on_oram_completion(
-        &mut self,
-        sub: usize,
-        c: &Completion,
-        now: MemCycle,
-        ids: &mut RequestIdGen,
-    ) -> (SdVerdict, u64) {
-        let ticket = self.inflight.remove(&c.request.id);
-        let orig = ticket.map_or(c.request.id, |t| t.orig);
-        if self.parity {
-            self.owners.insert(c.request.addr, sub);
-        }
-        let armed = self.freshness.is_some();
-        if c.request.op == MemOp::Write {
-            // Every path write bumps the bucket version and re-tags it.
-            let addr = c.request.addr;
-            let v = self.versions.entry(addr).or_insert(0);
-            let old = *v;
-            *v += 1;
-            let version = *v;
-            let payload = Self::payload_bytes(addr, version);
-            self.integrity.record(addr, &payload);
-            let mut cost = 0;
-            if armed {
-                self.prev_versions.insert(addr, old);
-                if let Some(leaf) = self.leaf_for(addr, &payload) {
-                    let tree = self.freshness.as_mut().expect("leaf implies tree");
-                    tree.update(leaf, &payload);
-                    cost = self.charge_walk();
-                }
-            }
-            return (SdVerdict::Deliver(orig), cost);
-        }
-        let overlay_on = !self.sub_injectors[sub].is_disabled();
-        if (!armed && self.injector.is_disabled() && !overlay_on)
-            || !self.health[sub].is_serving()
-        {
-            return (SdVerdict::Deliver(orig), 0);
-        }
-        let addr = c.request.addr;
-        let current = self.versions.get(&addr).copied().unwrap_or(0);
-        let payload = Self::payload_bytes(addr, current);
-        // First sight of an unwritten bucket: adopt its tag, then hold
-        // every later read to it.
-        self.integrity.verify_or_adopt(addr, &payload);
-        let mut cost = 0;
-        let leaf = self.leaf_for(addr, &payload);
-        if leaf.is_some() {
-            cost = self.charge_walk();
-        }
-        let mut wire = payload.to_vec();
-        if self.injector.roll(FaultKind::BitFlip, now) {
-            self.injector.flip_bit(&mut wire);
-        }
-        let mut forged = self.injector.roll(FaultKind::ForgeMac, now);
-        let mut replayed = self.injector.roll(FaultKind::ReplayStale, now);
-        let mut relocated = self.injector.roll(FaultKind::RelocateBucket, now);
-        let mut rewound = self.injector.roll(FaultKind::RollbackBurst, now);
-        if overlay_on {
-            // Site-scoped burst targeting this sub-channel alone.
-            if self.sub_injectors[sub].roll(FaultKind::BitFlip, now) {
-                self.sub_injectors[sub].flip_bit(&mut wire);
-            }
-            forged |= self.sub_injectors[sub].roll(FaultKind::ForgeMac, now);
-            replayed |= self.sub_injectors[sub].roll(FaultKind::ReplayStale, now);
-            relocated |= self.sub_injectors[sub].roll(FaultKind::RelocateBucket, now);
-            rewound |= self.sub_injectors[sub].roll(FaultKind::RollbackBurst, now);
-        }
-        // Adversarial splices replace the wire image wholesale (relocation
-        // wins if several fire: a spliced bucket is what arrives).
-        if relocated {
-            // A once-authentic copy of *another* bucket, chosen
-            // deterministically so same-seed runs see the same splice.
-            match self
-                .versions
-                .iter()
-                .filter(|&(&a, _)| a != addr)
-                .max_by_key(|&(&a, _)| a)
-            {
-                Some((&oa, &ov)) => wire = Self::payload_bytes(oa, ov).to_vec(),
-                // No other bucket exists yet: nothing to splice from.
-                None => relocated = false,
-            }
-        } else if replayed || rewound {
-            let stale = self.prev_versions.get(&addr).copied().unwrap_or(current);
-            if stale != current {
-                wire = Self::payload_bytes(addr, stale).to_vec();
-            } else {
-                // Replaying the current image serves nothing stale.
-                replayed = false;
-                rewound = false;
-            }
-        }
-        // CMAC alone: the tag store shares the untrusted DRAM, so a
-        // replayed/rolled-back (payload, tag) pair still verifies — only
-        // the relocation (address-bound tag) and garbling classes fail.
-        let mac_ok = if forged || relocated {
-            false
-        } else if replayed || rewound {
-            true
-        } else {
-            self.integrity.verify(addr, &wire)
-        };
-        let fresh_ok = match (leaf, self.freshness.as_ref()) {
-            (Some(l), Some(tree)) => tree.verify(l, &wire),
-            _ => true,
-        };
-        if mac_ok && fresh_ok {
-            let t = self.health[sub].on_success(now);
-            self.note(sub, t);
-            if let Some(t) = ticket {
-                self.recovery_cycles += now.0 - t.detect.0;
-            }
-            return (SdVerdict::Deliver(orig), cost);
-        }
-
-        // Failed verification: attribute the attack class, then recover,
-        // quarantine, or give up through the shared machinery.
-        if relocated {
-            self.relocation_detected += 1;
-        } else if rewound {
-            self.rollback_rejected += 1;
-        } else if replayed {
-            self.replay_detected += 1;
-        }
-        self.integrity_failures += 1;
-        let was_share = self.rebuild_shares.contains_key(&orig.0);
-        let (detect, attempts) = ticket.map_or((now, 1), |t| (t.detect, t.attempts + 1));
-        let transition = self.health[sub].on_failure(now);
-        let tripped = transition.is_some_and(|t| t.to == HealthState::Quarantined);
-        self.note(sub, transition);
-        if tripped {
-            self.mark_corrupt(sub);
-            if self.parity && !was_share && self.can_rebuild(None) {
-                // The quarantined sub's copy is lost; reconstruct from the
-                // survivors and keep running degraded instead of latching.
-                return (
-                    SdVerdict::Rebuild {
-                        orig,
-                        addr,
-                        exclude: None,
-                    },
-                    cost,
-                );
-            }
-            self.latch(SimError::fault(
-                format!("sd sub-channel {sub}"),
-                format!(
-                    "quarantined after {} consecutive integrity failures",
-                    self.health[sub].consecutive_failures()
-                ),
-            ));
-            return (SdVerdict::Deliver(orig), cost);
-        }
-        if attempts > self.policy.refetch_limit {
-            if self.parity && !was_share && self.can_rebuild(Some(sub)) {
-                // This copy is unrecoverable; rebuild it from the other
-                // sub-channels' shares rather than giving up.
-                return (
-                    SdVerdict::Rebuild {
-                        orig,
-                        addr,
-                        exclude: Some(sub),
-                    },
-                    cost,
-                );
-            }
-            self.latch(SimError::integrity(
-                addr,
-                format!("re-fetch budget ({}) exhausted", self.policy.refetch_limit),
-            ));
-            return (SdVerdict::Deliver(orig), cost);
-        }
-        self.refetches += 1;
-        let id = ids.next_id();
-        self.inflight.insert(id, RefetchTicket { orig, detect, attempts });
-        (
-            SdVerdict::Refetch(MemRequest {
-                id,
-                op: MemOp::Read,
-                arrival: now,
-                ..c.request
-            }),
-            cost,
-        )
-    }
-
-    fn stats(&self) -> SdFaultStats {
-        let now = MemCycle(self.now_hint);
-        SdFaultStats {
-            integrity_failures: self.integrity_failures,
-            refetches: self.refetches,
-            recovery_cycles: self.recovery_cycles,
-            quarantined_subs: (0..self.health.len())
-                .filter(|&i| self.health[i].is_quarantined())
-                .collect(),
-            parity_rebuilds: self.parity_rebuilds,
-            scrub_repairs: self.scrub_repairs,
-            replay_detected: self.replay_detected,
-            relocation_detected: self.relocation_detected,
-            rollback_rejected: self.rollback_rejected,
-            freshness_ops: self.freshness_ops,
-            freshness_cycles: self.freshness_cycles,
-            health: self.health.iter().map(|h| h.state()).collect(),
-            quarantine_entries: self.health.iter().map(|h| h.quarantine_entries()).collect(),
-            unhealthy_cycles: self.health.iter().map(|h| h.unhealthy_cycles(now)).collect(),
-        }
+/// Aggregate blame: `n` entries held at `res` waited this cycle, blamed on
+/// `class`. A no-op without the recorder, the row, or a wait.
+fn blame_held(obs: &Option<SharedRecorder>, res: Option<usize>, class: BlameClass, n: u64) {
+    if let (Some(obs), Some(res), true) = (obs, res, n > 0) {
+        let mut rec = obs.borrow_mut();
+        rec.blame.wait(res, class, n);
+        rec.blame.delay(res, n);
     }
 }
 
@@ -831,20 +263,8 @@ pub struct SecureChannel {
     /// Read-merging state: per normal channel (index 0 unused), the batch
     /// being accumulated this tick. `None` disables merging.
     merge_bufs: Option<Vec<SplitBatch>>,
-    /// Bucket-integrity verification and recovery.
-    sd_integrity: SdIntegrity,
-    /// Deliveries held while the SD walks the freshness tree: the block
-    /// becomes visible to the FSM once the modeled verification finishes
-    /// at the carried cycle. Empty whenever the tree is unarmed.
-    verify_pending: VecDeque<(MemCycle, RequestId)>,
-    /// Recovery reads waiting for sub-channel capacity: (sub, request).
-    pending_refetch: VecDeque<(usize, MemRequest)>,
-    /// Parity-rebuild share reads waiting for sub-channel capacity.
-    pending_rebuild: VecDeque<(usize, MemRequest)>,
-    /// Parity striping on (degraded routing in the sink).
-    parity: bool,
-    /// Background scrub period (0 disables).
-    scrub_every: u64,
+    /// Bucket verification and every recovery path around the datapath.
+    verifier: SdVerifier,
     /// Trace recorder; `None` (the default) keeps the hot path silent.
     obs: Option<SharedRecorder>,
     /// Blame row for the SimpleMC holding buffer (`sd.mc`), registered by
@@ -852,8 +272,6 @@ pub struct SecureChannel {
     mc_blame_res: Option<usize>,
     /// Blame row for CPU-bound messages waiting on the link (`sd.out`).
     out_blame_res: Option<usize>,
-    /// Blame row for blocks held by the freshness-tree walk (`sd.verify`).
-    verify_blame_res: Option<usize>,
 }
 
 impl SecureChannel {
@@ -875,8 +293,7 @@ impl SecureChannel {
             // Site 0: the secure channel's serial link.
             link.set_fault_plan(&cfg.fault_plan, 0);
         }
-        let n_subs = cfg.sub_channels.len();
-        let sd_integrity = SdIntegrity::new(&cfg, n_subs);
+        let verifier = SdVerifier::new(&cfg);
         SecureChannel {
             link,
             subs: cfg.sub_channels.into_iter().map(SubChannel::new).collect(),
@@ -896,42 +313,35 @@ impl SecureChannel {
             merge_bufs: cfg
                 .merge_split_reads
                 .then(|| vec![SplitBatch::new(); 8]),
-            sd_integrity,
-            verify_pending: VecDeque::new(),
-            pending_refetch: VecDeque::new(),
-            pending_rebuild: VecDeque::new(),
-            parity: cfg.parity,
-            scrub_every: cfg.scrub_every,
+            verifier,
             obs: None,
             mc_blame_res: None,
             out_blame_res: None,
-            verify_blame_res: None,
         }
     }
 
     /// Attaches (or detaches) a trace recorder, wiring the serial link,
-    /// every sub-channel, and the SD's FSM to the same handle. The channel
-    /// itself emits the SD-side access-span events (arrival, read-phase
-    /// done, access done) plus integrity fault/recovery instants.
+    /// every sub-channel, the SD's FSM and its verifier to the same
+    /// handle. The channel itself emits the SD-side access-span events
+    /// (arrival, read-phase done, access done); the verifier emits the
+    /// integrity fault/recovery instants.
     pub fn set_obs(&mut self, obs: Option<SharedRecorder>) {
         self.link.set_obs_named(obs.clone(), "sec.link");
         for (i, sub) in self.subs.iter_mut().enumerate() {
             sub.set_obs(obs.clone(), i as u64);
         }
         self.fsm.set_obs(obs.clone());
-        // Aggregate blame rows for the SD-side holding queues.
-        let mut rows = (None, None, None);
-        if let Some(rec) = &obs {
-            let mut rec = rec.borrow_mut();
-            if rec.wants(Subsystem::Sd) {
-                rows = (
-                    Some(rec.blame.resource("sd.mc")),
-                    Some(rec.blame.resource("sd.out")),
-                    Some(rec.blame.resource("sd.verify")),
-                );
-            }
-        }
-        (self.mc_blame_res, self.out_blame_res, self.verify_blame_res) = rows;
+        // Aggregate blame rows for the SD-side holding queues; the
+        // verifier registers `sd.verify` after them.
+        (self.mc_blame_res, self.out_blame_res) = obs
+            .as_ref()
+            .filter(|rec| rec.borrow().wants(Subsystem::Sd))
+            .map(|rec| {
+                let mut rec = rec.borrow_mut();
+                (rec.blame.resource("sd.mc"), rec.blame.resource("sd.out"))
+            })
+            .unzip();
+        self.verifier.set_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -978,46 +388,32 @@ impl SecureChannel {
     /// bit-flip/forge faults, including per-sub-channel hostile bursts.
     pub fn fault_counts(&self) -> FaultCounts {
         let mut total = self.link.fault_counts();
-        total.absorb(&self.sd_integrity.injector.counts());
-        for inj in &self.sd_integrity.sub_injectors {
-            total.absorb(&inj.counts());
-        }
+        total.absorb(&self.verifier.fault_counts());
         total
     }
 
     /// Counters of the SD's integrity verification and recovery.
     pub fn sd_fault_stats(&self) -> SdFaultStats {
-        self.sd_integrity.stats()
-    }
-
-    /// Current health state of each SD sub-channel.
-    pub fn sub_health(&self) -> Vec<HealthState> {
-        self.sd_integrity.health.iter().map(|h| h.state()).collect()
+        self.verifier.stats()
     }
 
     /// Whether the channel is operating degraded: parity is covering for
     /// at least one out-of-service sub-channel.
     pub fn degraded(&self) -> bool {
-        self.parity && self.sd_integrity.health.iter().any(|h| !h.is_serving())
+        self.verifier.degraded()
     }
 
     /// The first unrecovered fault on the channel: a quarantine /
     /// exhausted integrity recovery at the SD, or an exhausted retry
     /// budget on the link.
     pub fn fault(&self) -> Option<&SimError> {
-        self.sd_integrity.fault.as_ref().or_else(|| self.link.fault())
+        self.verifier.fault().or_else(|| self.link.fault())
     }
 
     /// The first latched SD integrity fault (quarantine without parity
     /// cover, or an exhausted re-fetch budget), if any.
     pub fn sd_fault(&self) -> Option<&SimError> {
-        self.sd_integrity.fault.as_ref()
-    }
-
-    /// The first latched serial-link fault (exhausted retry budget), if
-    /// any. The frame was still delivered, so the run may have drained.
-    pub fn link_fault(&self) -> Option<&SimError> {
-        self.link.fault()
+        self.verifier.fault()
     }
 
     /// Health states of the serial link's two directions (to-mem, to-cpu).
@@ -1028,22 +424,13 @@ impl SecureChannel {
     /// One-line summary of the dynamic state, for watchdog diagnostics.
     pub fn debug_state(&self) -> String {
         let subs: Vec<String> = self.subs.iter().map(|s| s.debug_state()).collect();
-        let health: Vec<&str> = self
-            .sd_integrity
-            .health
-            .iter()
-            .map(|h| h.state().name())
-            .collect();
         format!(
-            "fsm=[{}] mc_pending={} resp_pending={} out_pending={} verify={} refetch={} rebuild={} health=[{}] subs=[{}]",
+            "fsm=[{}] mc_pending={} resp_pending={} out_pending={} {} subs=[{}]",
             self.fsm.debug_state(),
             self.mc_pending.len(),
             self.resp_pending.len(),
             self.out_pending.len(),
-            self.verify_pending.len(),
-            self.pending_refetch.len(),
-            self.pending_rebuild.len(),
-            health.join(","),
+            self.verifier.debug_state(),
             subs.join(" | ")
         )
     }
@@ -1068,11 +455,6 @@ impl SecureChannel {
             .fold(doram_dram::EnergyBreakdown::default(), |acc, e| acc.add(&e))
     }
 
-    /// Whether the CPU side can send an NS request this cycle.
-    pub fn can_send_ns(&self) -> bool {
-        self.link.can_send_to_mem()
-    }
-
     /// Sends an NS-App request down the link.
     ///
     /// # Errors
@@ -1082,12 +464,7 @@ impl SecureChannel {
         let msg = SecMsg::NsReq(req);
         self.link
             .send_to_mem_classed(msg.wire_bytes(), msg, msg.blame_class() as u8)
-            .map_err(|m| match m {
-            SecMsg::NsReq(r) => r,
-            // The rejected message is the one just passed in; total match
-            // without panicking.
-            _ => req,
-        })
+            .map_err(|_| req)
     }
 
     /// Whether a secure packet can be sent this cycle.
@@ -1118,11 +495,7 @@ impl SecureChannel {
         let msg = SecMsg::SplitReadResp(fetch);
         self.link
             .send_to_mem_classed(msg.wire_bytes(), msg, msg.blame_class() as u8)
-            .map_err(|m| match m {
-                SecMsg::SplitReadResp(f) => f,
-                // The rejected message is the one just passed in.
-                _ => fetch,
-            })
+            .map_err(|_| fetch)
     }
 
     /// Advances one memory cycle.
@@ -1140,7 +513,6 @@ impl SecureChannel {
         split_reads: &mut Vec<SplitFetch>,
         split_writes: &mut Vec<SplitFetch>,
     ) {
-        self.sd_integrity.now_hint = now.0;
         // 1. Link movement.
         let mut at_mem = Vec::new();
         let mut at_cpu = Vec::new();
@@ -1161,7 +533,7 @@ impl SecureChannel {
                 }
                 _ => {
                     debug_assert!(false, "CPU-bound message arrived at SD");
-                    self.sd_integrity
+                    self.verifier
                         .latch(SimError::protocol("CPU-bound message arrived at SD"));
                 }
             }
@@ -1178,7 +550,7 @@ impl SecureChannel {
                 SecMsg::SplitWrite(f) => split_writes.push(f),
                 _ => {
                     debug_assert!(false, "SD-bound message arrived at CPU");
-                    self.sd_integrity
+                    self.verifier
                         .latch(SimError::protocol("SD-bound message arrived at CPU"));
                 }
             }
@@ -1201,14 +573,8 @@ impl SecureChannel {
         // Aggregate blame: NS requests still held behind a full
         // sub-channel queue waited this cycle; the head is what the queue
         // refused, so its class (always NS here) takes the row.
-        if let Some(res) = self.mc_blame_res {
-            if let (false, Some(obs)) = (self.mc_pending.is_empty(), &self.obs) {
-                let n = self.mc_pending.len() as u64;
-                let mut rec = obs.borrow_mut();
-                rec.blame.wait(res, doram_obs::BlameClass::NsApp, n);
-                rec.blame.delay(res, n);
-            }
-        }
+        let held = self.mc_pending.len() as u64;
+        blame_held(&self.obs, self.mc_blame_res, BlameClass::NsApp, held);
 
         // 3. SD: drive the ORAM FSM.
         let mut events = Vec::new();
@@ -1219,9 +585,7 @@ impl SecureChannel {
                 ids: &mut self.local_ids,
                 s_app: self.s_app,
                 merge_bufs: self.merge_bufs.as_deref_mut(),
-                integrity: &mut self.sd_integrity,
-                rebuild: &mut self.pending_rebuild,
-                parity: self.parity,
+                verifier: &mut self.verifier,
             };
             self.fsm.tick(now, &mut sink, &mut events);
         }
@@ -1253,135 +617,22 @@ impl SecureChannel {
             }
         }
 
-        // 4. DRAM sub-channels. ORAM read completions pass through the
-        // integrity engine: a failed MAC check re-fetches the bucket from
-        // the same sub-channel instead of notifying the FSM, so recovery
-        // latency shows up as ordinary access latency.
-        //
-        // 4a. Deliveries whose modeled freshness-tree walk has finished.
-        // Entries are queued with monotonically non-decreasing ready
-        // cycles (the walk cost is a constant), so draining the front is
-        // enough.
-        while let Some(&(ready, id)) = self.verify_pending.front() {
-            if ready > now {
-                break;
-            }
-            self.verify_pending.pop_front();
-            match self.sd_integrity.resolve_delivery(id) {
-                Delivered::Regular(id) => {
-                    self.fsm.on_block_complete(id);
-                }
-                Delivered::RebuildDone(orig) => {
-                    self.fsm.on_block_complete(orig);
-                }
-                Delivered::RebuildPartial => {}
-            }
-        }
-        // Aggregate blame: blocks still held by the freshness-tree walk
-        // are stalled on verification itself.
-        if let Some(res) = self.verify_blame_res {
-            if let (false, Some(obs)) = (self.verify_pending.is_empty(), &self.obs) {
-                let n = self.verify_pending.len() as u64;
-                let mut rec = obs.borrow_mut();
-                rec.blame.wait(res, doram_obs::BlameClass::IntegrityVerify, n);
-                rec.blame.delay(res, n);
-            }
-        }
-        while let Some(&(si, req)) = self.pending_refetch.front() {
-            // Recovery reads are the integrity engine's traffic: waits
-            // they inflict on others are blamed on verification.
-            match self.subs[si]
-                .enqueue_tagged(req, doram_obs::BlameClass::IntegrityVerify as u8)
-            {
-                Ok(()) => {
-                    self.pending_refetch.pop_front();
-                }
-                Err(_) => break,
-            }
-        }
-        while let Some(&(si, req)) = self.pending_rebuild.front() {
-            // Parity-share reads ride the scrub/parity blame class.
-            match self.subs[si].enqueue_tagged(req, doram_obs::BlameClass::ScrubParity as u8) {
-                Ok(()) => {
-                    self.pending_rebuild.pop_front();
-                }
-                Err(_) => break,
-            }
-        }
+        // 4. DRAM sub-channels. Every ORAM completion passes through the
+        // verifier, which hands the block to the FSM once it checks out,
+        // so verification and recovery latency show up as ordinary access
+        // latency. Blocks whose freshness walk finished go first, then
+        // queued recovery reads take free sub-channel slots.
+        self.verifier.ready(now, |id| {
+            self.fsm.on_block_complete(id);
+        });
+        self.verifier.issue(&mut self.subs);
         for si in 0..self.subs.len() {
             self.scratch.clear();
             self.subs[si].tick(now, &mut self.scratch);
             for c in self.scratch.drain(..) {
                 if c.request.class == RequestClass::Oram {
-                    let fails_before = self.sd_integrity.integrity_failures;
-                    let (verdict, verify_cycles) = self
-                        .sd_integrity
-                        .on_oram_completion(si, &c, now, &mut self.local_ids);
-                    if let Some(obs) = &self.obs {
-                        if self.sd_integrity.integrity_failures > fails_before {
-                            obs.borrow_mut().instant(
-                                Subsystem::Fault,
-                                EventKind::FaultDetected,
-                                now.0,
-                                si as u64,
-                            );
-                        }
-                        if verify_cycles > 0 {
-                            obs.borrow_mut().integrity_verify(now.0, verify_cycles);
-                        }
-                    }
-                    match verdict {
-                        SdVerdict::Deliver(id) if verify_cycles > 0 => {
-                            // Hold the block until the modeled tree walk
-                            // finishes; 4a drains it at the ready cycle.
-                            self.verify_pending
-                                .push_back((MemCycle(now.0 + verify_cycles), id));
-                        }
-                        SdVerdict::Deliver(id) => match self.sd_integrity.resolve_delivery(id) {
-                            Delivered::Regular(id) => {
-                                self.fsm.on_block_complete(id);
-                            }
-                            Delivered::RebuildDone(orig) => {
-                                self.fsm.on_block_complete(orig);
-                            }
-                            Delivered::RebuildPartial => {}
-                        },
-                        SdVerdict::Refetch(req) => {
-                            if let Some(obs) = &self.obs {
-                                obs.borrow_mut().instant(
-                                    Subsystem::Fault,
-                                    EventKind::Recovery,
-                                    now.0,
-                                    si as u64,
-                                );
-                            }
-                            self.pending_refetch.push_back((si, req));
-                        }
-                        SdVerdict::Rebuild { orig, addr, exclude } => {
-                            if let Some(obs) = &self.obs {
-                                obs.borrow_mut().instant(
-                                    Subsystem::Fault,
-                                    EventKind::Recovery,
-                                    now.0,
-                                    si as u64,
-                                );
-                            }
-                            let started = self.sd_integrity.start_rebuild(
-                                orig,
-                                addr,
-                                self.s_app,
-                                now,
-                                &mut self.local_ids,
-                                &mut self.pending_rebuild,
-                                exclude,
-                            );
-                            // can_rebuild was checked when the verdict was
-                            // issued, within the same call stack.
-                            debug_assert!(started, "rebuild with no serving shares");
-                            if !started {
-                                self.fsm.on_block_complete(orig);
-                            }
-                        }
+                    if let Some(id) = self.verifier.verify(si, &c, now, &mut self.local_ids) {
+                        self.fsm.on_block_complete(id);
                     }
                 } else {
                     match c.request.op {
@@ -1391,35 +642,7 @@ impl SecureChannel {
                 }
             }
         }
-
-        // 4b. Background scrubber: during idle bus cycles the SD walks
-        // the tree re-verifying MACs; modelled as one parity repair and
-        // one probe round per period, charged zero bus time.
-        if self.scrub_every > 0 && now.0 > 0 && now.0.is_multiple_of(self.scrub_every) {
-            let repaired = self.sd_integrity.scrub(now);
-            if let (Some(sub), Some(obs)) = (repaired, &self.obs) {
-                obs.borrow_mut().instant(
-                    Subsystem::Fault,
-                    EventKind::ScrubRepair,
-                    now.0,
-                    sub as u64,
-                );
-            }
-        }
-        // Emit any health transitions recorded this tick.
-        if !self.sd_integrity.transitions.is_empty() {
-            let transitions = std::mem::take(&mut self.sd_integrity.transitions);
-            if let Some(obs) = &self.obs {
-                for (sub, t) in transitions {
-                    obs.borrow_mut().instant(
-                        Subsystem::Sd,
-                        EventKind::HealthTransition,
-                        now.0,
-                        t.event_value(sub as u64),
-                    );
-                }
-            }
-        }
+        self.verifier.end_tick(now);
 
         // 5. Flush CPU-bound messages (SD traffic first: it is latency-
         // critical and the paper sizes the link for it).
@@ -1447,20 +670,12 @@ impl SecureChannel {
         // Aggregate blame: CPU-bound messages still waiting for link
         // capacity, blamed on the head message's class (SD traffic
         // flushes first, so it is what holds the lane).
-        if let Some(res) = self.out_blame_res {
-            let n = (self.out_pending.len() + self.resp_pending.len()) as u64;
-            if n > 0 {
-                if let Some(obs) = &self.obs {
-                    let head = self
-                        .out_pending
-                        .front()
-                        .map_or(doram_obs::BlameClass::NsApp, |m| m.blame_class());
-                    let mut rec = obs.borrow_mut();
-                    rec.blame.wait(res, head, n);
-                    rec.blame.delay(res, n);
-                }
-            }
-        }
+        let held = (self.out_pending.len() + self.resp_pending.len()) as u64;
+        let head = self
+            .out_pending
+            .front()
+            .map_or(BlameClass::NsApp, |m| m.blame_class());
+        blame_held(&self.obs, self.out_blame_res, head, held);
     }
 }
 
@@ -1514,90 +729,6 @@ doram_sim::impl_codec!(
     }
 );
 
-doram_sim::impl_codec!(struct RefetchTicket { orig, detect, attempts });
-
-/// The CMAC tag store travels as address-sorted `(addr, tag)` pairs, each
-/// tag length-prefixed and checked to be one digest long on load.
-fn save_tags(integrity: &BucketIntegrity, w: &mut SnapshotWriter) {
-    let tags: Vec<(u64, Vec<u8>)> = integrity
-        .export_tags()
-        .into_iter()
-        .map(|(addr, tag)| (addr, tag.to_vec()))
-        .collect();
-    tags.put(w);
-}
-
-fn load_tags(
-    integrity: &mut BucketIntegrity,
-    r: &mut SnapshotReader<'_>,
-) -> Result<(), SnapshotError> {
-    let mut tags = Vec::new();
-    for (addr, tag) in Vec::<(u64, Vec<u8>)>::get(r)? {
-        let tag: [u8; DIGEST_BYTES] = tag
-            .try_into()
-            .map_err(|_| SnapshotError::new("bad integrity tag length"))?;
-        tags.push((addr, tag));
-    }
-    integrity.import_tags(tags);
-    Ok(())
-}
-
-impl SdIntegrity {
-    /// Rebuilds the freshness tree from its authoritative inputs after a
-    /// restore: every leaf holds the hash of its bucket's *current* image
-    /// (each write re-hashes), so replaying one update per mapping restores
-    /// the exact state.
-    fn rebuild_freshness(&mut self) -> Result<(), SnapshotError> {
-        let Some(tree) = self.freshness.as_mut() else {
-            if self.leaves.is_empty() {
-                return Ok(());
-            }
-            return Err(SnapshotError::new(
-                "checkpoint carries freshness leaves but the config arms no tree",
-            ));
-        };
-        for (&addr, &leaf) in &self.leaves {
-            if leaf >= tree.num_leaves() {
-                return Err(SnapshotError::new("freshness leaf out of range"));
-            }
-            let version = self.versions.get(&addr).copied().unwrap_or(0);
-            tree.update(leaf, &Self::payload_bytes(addr, version));
-        }
-        Ok(())
-    }
-}
-
-// The freshness tree is rebuilt from `leaves` + `versions`; health
-// transitions drain within every tick, so none are pending between ticks.
-doram_sim::impl_snapshot!(SdIntegrity {
-    integrity: via(save_tags, load_tags),
-    versions,
-    prev_versions,
-    leaves,
-    next_leaf,
-    replay_detected,
-    relocation_detected,
-    rollback_rejected,
-    freshness_ops,
-    freshness_cycles,
-    injector: state,
-    sub_injectors: state,
-    health: state,
-    integrity_failures,
-    refetches,
-    recovery_cycles,
-    parity_rebuilds,
-    scrub_repairs,
-    fault,
-    inflight,
-    rebuild_shares,
-    rebuild_groups,
-    next_group,
-    owners,
-    corrupt,
-    now_hint,
-} skip { freshness, policy, parity, transitions } after_load SdIntegrity::rebuild_freshness);
-
 // Merge buffers exist per configuration; their contents drain every tick
 // but are checkpointed for safety. The recorder wiring is redone by the
 // host after restore.
@@ -1610,19 +741,13 @@ doram_sim::impl_snapshot!(SecureChannel {
     out_pending,
     local_ids,
     merge_bufs: state,
-    sd_integrity: state,
-    verify_pending,
-    pending_refetch,
-    pending_rebuild,
+    verifier: state,
 } skip {
     s_app,
     scratch,
-    parity,
-    scrub_every,
     obs,
     mc_blame_res,
     out_blame_res,
-    verify_blame_res,
 });
 
 /// The SD's block sink: tree units are the local sub-channels; split
@@ -1635,12 +760,8 @@ struct SdSink<'a> {
     /// When `Some`, split reads coalesce per channel instead of emitting
     /// one short packet each.
     merge_bufs: Option<&'a mut [SplitBatch]>,
-    /// Health view + rebuild bookkeeping for degraded routing.
-    integrity: &'a mut SdIntegrity,
-    /// Parity-rebuild share reads queued with back-pressure.
-    rebuild: &'a mut VecDeque<(usize, MemRequest)>,
-    /// Degraded routing enabled (parity striping on).
-    parity: bool,
+    /// Serving view and parity rebuilds for degraded routing.
+    verifier: &'a mut SdVerifier,
 }
 
 /// Cap on SD→CPU messages queued locally before the sink back-pressures.
@@ -1650,59 +771,36 @@ impl BlockSink for SdSink<'_> {
     fn try_block(&mut self, op: MemOp, block: &BlockRef, now: MemCycle) -> Issued {
         match block.placement {
             Placement::TreeUnit(u) => {
+                let addr = ORAM_REGION_BASE + block.addr;
+                let mut sub = u;
                 // Degraded routing: with parity on, traffic homed on an
                 // out-of-service sub-channel is covered by the survivors —
                 // reads rebuild from N−1 shares, writes remap cyclically.
-                // With no serving sub left (total loss, fault latched) the
-                // request falls through to its home sub so the run drains.
-                if self.parity && !self.integrity.is_serving(u) && self.integrity.any_serving() {
-                    match op {
-                        MemOp::Read => {
-                            let orig = self.ids.next_id();
-                            let started = self.integrity.start_rebuild(
-                                orig,
-                                ORAM_REGION_BASE + block.addr,
-                                self.s_app,
-                                now,
-                                self.ids,
-                                self.rebuild,
-                                None,
-                            );
-                            debug_assert!(started, "any_serving checked");
-                            return Issued::Tracked(orig);
-                        }
-                        MemOp::Write => {
-                            let n = self.subs.len();
-                            let target = (1..n)
-                                .map(|d| (u + d) % n)
-                                .find(|&s| self.integrity.is_serving(s))
-                                .expect("any_serving checked");
-                            let id = self.ids.next_id();
-                            let req = MemRequest {
-                                id,
-                                app: self.s_app,
-                                op,
-                                addr: ORAM_REGION_BASE + block.addr,
-                                class: RequestClass::Oram,
-                                arrival: now,
-                            };
-                            return match self.subs[target].enqueue(req) {
-                                Ok(()) => Issued::Tracked(id),
-                                Err(_) => Issued::Busy,
-                            };
-                        }
+                if self.verifier.reroutes(u) {
+                    if op == MemOp::Read {
+                        let orig = self.ids.next_id();
+                        let started = self
+                            .verifier
+                            .start_rebuild(orig, addr, self.s_app, now, self.ids, None);
+                        debug_assert!(started, "reroutes implies a serving sub");
+                        return Issued::Tracked(orig);
                     }
+                    let n = self.subs.len();
+                    sub = (1..n)
+                        .map(|d| (u + d) % n)
+                        .find(|&s| self.verifier.is_serving(s))
+                        .expect("reroutes implies a serving sub");
                 }
                 let id = self.ids.next_id();
                 let req = MemRequest {
                     id,
                     app: self.s_app,
                     op,
-                    addr: ORAM_REGION_BASE + block.addr,
+                    addr,
                     class: RequestClass::Oram,
                     arrival: now,
                 };
-                match self.subs[u].enqueue(req) {
+                match self.subs[sub].enqueue(req) {
                     Ok(()) => Issued::Tracked(id),
                     Err(_) => Issued::Busy,
                 }
@@ -1739,9 +837,11 @@ impl BlockSink for SdSink<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::verifier::FRESHNESS_COST;
     use super::*;
     use doram_oram::split::SplitConfig;
     use doram_oram::tree::TreeGeometry;
+    use doram_sim::fault::FaultKind;
 
     fn cfg(k: u32) -> SecureChannelConfig {
         SecureChannelConfig {
@@ -2077,7 +1177,7 @@ mod tests {
         assert_eq!(stats.quarantine_entries, vec![0, 1, 0, 0]);
         assert!(stats.parity_rebuilds > 0, "reads were reconstructed");
         assert!(stats.unhealthy_cycles[1] > 0);
-        assert_eq!(ch.sub_health()[1], HealthState::Quarantined);
+        assert_eq!(stats.health[1], HealthState::Quarantined);
         // Healthy siblings absorbed the quarantined sub's writes.
         assert!(ch.sub_channel(1).stats().reads.get() > 0, "pre-trip traffic");
     }
@@ -2195,7 +1295,7 @@ mod tests {
             }
         }
         assert_eq!(
-            a.sub_health()[2],
+            a.sd_fault_stats().health[2],
             HealthState::Quarantined,
             "split lands mid-episode"
         );
