@@ -577,14 +577,6 @@ impl<M> Link<M> {
         (self.to_mem.bytes_sent, self.to_cpu.bytes_sent)
     }
 
-    /// Frames replayed (to-mem, to-cpu).
-    pub fn retransmissions(&self) -> (u64, u64) {
-        (
-            self.to_mem.stats.retransmissions,
-            self.to_cpu.stats.retransmissions,
-        )
-    }
-
     /// Recovery statistics, both directions merged.
     pub fn stats(&self) -> LinkStats {
         let mut s = self.to_mem.stats;

@@ -1296,7 +1296,6 @@ impl Simulation {
     ) -> Result<(RunReport, Vec<Vec<doram_dram::CommandRecord>>), SimError> {
         opts.validate(&self.cfg)?;
         let cap = self.cfg.max_mem_cycles;
-        let debug = std::env::var_os("DORAM_DEBUG").is_some();
         let ckpt_hash = config_hash(&self.cfg);
         // Claim this run's epoch up front: the marker is durably bumped
         // before any checkpoint carries it, so even a crash mid-run leaves
@@ -1356,38 +1355,6 @@ impl Simulation {
                         dump: self.stall_dump(),
                     });
                 }
-            }
-            if debug && m.is_multiple_of(50_000) {
-                let retired: Vec<u64> = self.cores.iter().map(|c| c.core.retired()).collect();
-                let oram = match &self.mem.backend {
-                    Backend::BaselineOram { fabric, fsm, oram_ids } => {
-                        let chs: Vec<String> = (0..fabric.len())
-                            .map(|i| match fabric.channel(i) {
-                                crate::channels::Channel::Direct(sc) => {
-                                    format!("ch{i}[{}]", sc.debug_state())
-                                }
-                                _ => String::new(),
-                            })
-                            .collect();
-                        format!(
-                            "oram real={} busy={} outstanding={} | {}",
-                            fsm.stats().real_accesses.get(),
-                            fsm.busy(),
-                            oram_ids.len(),
-                            chs.join(" ")
-                        )
-                    }
-                    Backend::DOram { secure, engine, .. } => format!(
-                        "sd real={} dummy={} eng sent={}/{} resp={}",
-                        secure.oram_stats().real_accesses.get(),
-                        secure.oram_stats().dummy_accesses.get(),
-                        engine.stats().real_sent.get(),
-                        engine.stats().dummies_sent.get(),
-                        engine.stats().responses.get(),
-                    ),
-                    _ => String::new(),
-                };
-                eprintln!("[m={m}] retired={retired:?} {oram}");
             }
             let now = MemCycle(m);
             let prof_now = prof_ids
