@@ -2008,11 +2008,12 @@ mod tests {
     #[test]
     fn faulty_doram_run_recovers_with_only_latency_cost() {
         use doram_sim::fault::{FaultPlan, FaultRates};
-        // error_rate_ppm = 500 on the links plus DRAM bit flips at the SD
-        // — the acceptance scenario: the run completes, fault counters are
-        // nonzero, recovery latency is broken out, and the workload's
-        // completion profile matches the fault-free run (recovery hides
-        // faults from correctness, costing only cycles).
+        // A fault plan corrupting (500 ppm) and dropping link frames plus
+        // DRAM bit flips and forged MACs at the SD — the acceptance
+        // scenario: the run completes, fault counters are nonzero,
+        // recovery latency is broken out, and the workload's completion
+        // profile matches the fault-free run (recovery hides faults from
+        // correctness, costing only cycles).
         let run = |plan: FaultPlan| {
             let cfg = SystemConfig::builder(Benchmark::Libq)
                 .scheme(Scheme::DOram { k: 0, c: 7 })

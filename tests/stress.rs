@@ -165,13 +165,10 @@ fn faulty_soak_recovers_everything_and_stays_deterministic() {
             .ns_accesses(800)
             .tree_l_max(12)
             .seed(3)
-            .link(LinkConfig {
-                error_rate_ppm: 500,
-                ..LinkConfig::default()
-            })
             .fault_plan(FaultPlan::with_rates(
                 41,
                 FaultRates {
+                    corrupt_ppm: 500,
                     drop_ppm: 200,
                     bitflip_ppm: 2_000,
                     forge_mac_ppm: 500,
@@ -187,6 +184,7 @@ fn faulty_soak_recovers_everything_and_stays_deterministic() {
     let fr = r.faults.clone().expect("D-ORAM reports fault activity");
     assert!(fr.injected.total() > 0, "soak must actually inject faults");
     assert!(fr.injected.bit_flips > 0, "DRAM plan active");
+    assert!(fr.crc_errors > 0, "frames were corrupted");
     assert!(fr.retransmissions > 0, "link recovery ran");
     assert!(fr.integrity_failures > 0 && fr.refetches > 0, "SD recovery ran");
     assert!(fr.total_recovery_cycles() > 0, "recovery costs latency");
