@@ -21,7 +21,7 @@ pub struct OramSummary {
 }
 
 /// Fault-injection and recovery activity of a run, aggregated over every
-/// serial link and the SD's integrity engine.
+/// serial link and the SD's verifier.
 #[derive(Debug, Clone, Default)]
 pub struct FaultReport {
     /// Faults injected, by kind (links + SD DRAM).

@@ -620,8 +620,8 @@ impl SecureChannel {
         // 4. DRAM sub-channels. Every ORAM completion passes through the
         // verifier, which hands the block to the FSM once it checks out,
         // so verification and recovery latency show up as ordinary access
-        // latency. Blocks whose freshness walk finished go first, then
-        // queued recovery reads take free sub-channel slots.
+        // latency. Blocks the verifier held are released first, then its
+        // own reads take free sub-channel slots.
         self.verifier.ready(now, |id| {
             self.fsm.on_block_complete(id);
         });
