@@ -545,9 +545,12 @@ mod tests {
         }
     }
 
-    /// A sink that accepts everything and completes after a fixed delay.
+    /// A sink that accepts up to `per_cycle` blocks per cycle and
+    /// completes each after a fixed delay.
     struct DelaySink {
         delay: u64,
+        per_cycle: usize,
+        left: usize,
         next_id: u64,
         inflight: Vec<(RequestId, MemCycle)>,
         issued_reads: usize,
@@ -558,13 +561,17 @@ mod tests {
         fn new(delay: u64) -> DelaySink {
             DelaySink {
                 delay,
+                per_cycle: usize::MAX,
+                left: usize::MAX,
                 next_id: 0,
                 inflight: Vec::new(),
                 issued_reads: 0,
                 issued_writes: 0,
             }
         }
+        /// Starts cycle `now`: returns the blocks completing by then.
         fn pop_ready(&mut self, now: MemCycle) -> Vec<RequestId> {
+            self.left = self.per_cycle;
             let (ready, rest): (Vec<_>, Vec<_>) =
                 self.inflight.drain(..).partition(|&(_, t)| t <= now);
             self.inflight = rest;
@@ -574,6 +581,10 @@ mod tests {
 
     impl BlockSink for DelaySink {
         fn try_block(&mut self, op: MemOp, _block: &BlockRef, now: MemCycle) -> Issued {
+            if self.left == 0 {
+                return Issued::Busy;
+            }
+            self.left -= 1;
             let id = RequestId(self.next_id);
             self.next_id += 1;
             match op {
@@ -743,6 +754,48 @@ mod tests {
             (sink.issued_reads, sink.issued_writes)
         };
         assert_eq!(count(false), count(true));
+    }
+
+    #[test]
+    fn debug_state_tracks_pipelined_overlap_read() {
+        // 24 block issues per cycle: each 32-block phase takes two cycles
+        // to issue, so the overlap read gets the write phase's leftovers.
+        let mut fsm = OramFsm::new(plan_cfg(), 1, 4);
+        fsm.set_pipeline(true);
+        for _ in 0..3 {
+            fsm.submit(OramJob::Dummy);
+        }
+        let mut sink = DelaySink::new(10);
+        sink.per_cycle = 24;
+        let mut events = Vec::new();
+        let mut states = Vec::new();
+        for c in 0..25 {
+            for id in sink.pop_ready(MemCycle(c)) {
+                fsm.on_block_complete(id);
+            }
+            fsm.tick(MemCycle(c), &mut sink, &mut events);
+            states.push(fsm.debug_state());
+        }
+        assert_eq!(states[10], "queue=2 phase=[read 32/32 out=8] overlap=[-]");
+        assert_eq!(states[11], "queue=2 phase=[write 0/32 out=0] overlap=[-]");
+        assert_eq!(
+            states[12],
+            "queue=1 phase=[write 24/32 out=24] overlap=[read 0/32 out=0 emitted=false]"
+        );
+        assert_eq!(
+            states[13],
+            "queue=1 phase=[write 32/32 out=32] overlap=[read 16/32 out=16 emitted=false]"
+        );
+        // The write phase ends before the overlap read drains; the read
+        // finishes on the next cycle's takeover and the next one starts.
+        assert_eq!(
+            states[23],
+            "queue=1 phase=[idle] overlap=[read 32/32 out=16 emitted=false]"
+        );
+        assert_eq!(
+            states[24],
+            "queue=0 phase=[write 24/32 out=24] overlap=[read 0/32 out=0 emitted=false]"
+        );
     }
 
     #[test]

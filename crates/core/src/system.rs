@@ -2300,6 +2300,94 @@ mod tests {
         assert!(err.to_string().contains("no forward progress"));
     }
 
+    /// The watchdog dump's component lines, mid-run: restored from the
+    /// checkpoint a small run of `scheme` takes at memory cycle 1,000.
+    fn components_at_cycle_1000(scheme: Scheme, name: &str) -> Vec<String> {
+        let cfg = || {
+            SystemConfig::builder(Benchmark::Libq)
+                .scheme(scheme)
+                .ns_accesses(200)
+                .tree_l_max(12)
+                .build()
+                .unwrap()
+        };
+        let dir = ckpt_dir(name);
+        let opts = RunOptions {
+            checkpoint_every: Some(1_000),
+            checkpoint_dir: Some(dir.clone()),
+            ..RunOptions::default()
+        };
+        Simulation::new(cfg()).unwrap().run_with(&opts).unwrap();
+        let sim = Simulation::resume(cfg(), &dir.join("ckpt-000000001000.dorc")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        sim.stall_dump().components
+    }
+
+    /// Every scheme's dump lists its S-App path's lines first, then one
+    /// `ch{i}[…]` line per fabric channel.
+    #[test]
+    fn stall_dump_lists_sapp_path_then_fabric_channels() {
+        // Sub-channel state: queues, in-flight, drain, refresh, and reads/writes issued.
+        let sub = |rq, wq, fly, drain, rd, wr| {
+            format!(
+                "rq={rq} wq={wq} fly={fly} drain={drain} refresh_pending=false \
+                 refreshing=false rd={rd} wr={wr}"
+            )
+        };
+        let direct = |i, s: String| format!("ch{i}[{s}]");
+        let bob = |i, s: String| format!("ch{i}[link_pending=0 mc_pending=0 resp_pending=0 subs=[{s}]]");
+        assert_eq!(
+            components_at_cycle_1000(Scheme::SoloNs, "dump-solo"),
+            [
+                direct(0, sub(0, 0, 0, false, 12, 4)),
+                direct(1, sub(0, 0, 0, false, 11, 5)),
+                direct(2, sub(0, 1, 0, true, 11, 3)),
+                direct(3, sub(0, 0, 0, false, 8, 7)),
+            ]
+        );
+        assert_eq!(
+            components_at_cycle_1000(Scheme::Baseline, "dump-baseline"),
+            [
+                "oram-fsm[queue=1 phase=[write 40/40 out=1] overlap=[-]] outstanding=1".to_string(),
+                direct(0, sub(6, 5, 0, false, 52, 24)),
+                direct(1, sub(1, 5, 0, false, 58, 20)),
+                direct(2, sub(2, 2, 0, false, 56, 19)),
+                direct(3, sub(1, 8, 0, false, 52, 23)),
+            ]
+        );
+        assert_eq!(
+            components_at_cycle_1000(Scheme::SecureMemory, "dump-secmem"),
+            [
+                "secmem[pending=4 dummies=16 delayed=0]".to_string(),
+                direct(0, sub(4, 8, 1, false, 61, 21)),
+                direct(1, sub(4, 8, 2, false, 67, 20)),
+                direct(2, sub(2, 4, 1, false, 66, 18)),
+                direct(3, sub(1, 8, 2, false, 62, 23)),
+            ]
+        );
+        let secure_subs = [
+            sub(0, 0, 0, false, 52, 47),
+            sub(0, 5, 0, true, 51, 41),
+            sub(0, 1, 3, true, 52, 45),
+            sub(1, 0, 0, false, 50, 47),
+        ];
+        assert_eq!(
+            components_at_cycle_1000(Scheme::DOram { k: 1, c: 4 }, "dump-doram"),
+            [
+                format!(
+                    "secure[fsm=[queue=1 phase=[write 40/40 out=9] overlap=[-]] mc_pending=0 \
+                     resp_pending=0 out_pending=0 verify=0 refetch=0 rebuild=0 \
+                     health=[healthy,healthy,healthy,healthy] subs=[{}]]",
+                    secure_subs.join(" | ")
+                ),
+                "engine[sent=5/1 resp=5] split_fwd=0 pending_split=0 pending_deliver=0".to_string(),
+                bob(0, sub(0, 8, 1, true, 57, 18)),
+                bob(1, sub(1, 7, 1, false, 57, 17)),
+                bob(2, sub(5, 8, 0, false, 55, 21)),
+            ]
+        );
+    }
+
     #[test]
     fn graceful_shutdown_checkpoints_and_resumes() {
         let cfg = || {

@@ -2,6 +2,7 @@
 //! supports, checked for liveness, sanity, and determinism.
 
 use doram::bob::LinkConfig;
+use doram::core::report::report_json;
 use doram::core::{RunReport, Scheme, Simulation, SystemConfig};
 use doram::dram::PagePolicy;
 use doram::trace::Benchmark;
@@ -136,20 +137,28 @@ fn full_system_is_jedec_conformant() {
 
 #[test]
 fn conformance_run_matches_plain_run() {
-    let mk = || {
-        SystemConfig::builder(Benchmark::Libq)
-            .scheme(Scheme::DOram { k: 1, c: 7 })
-            .ns_accesses(300)
-            .build()
+    // Recording and re-checking every DRAM command must not perturb the
+    // run: the report is byte-identical under every S-App path.
+    for scheme in [
+        Scheme::SoloNs,
+        Scheme::Baseline,
+        Scheme::SecureMemory,
+        Scheme::DOram { k: 1, c: 7 },
+    ] {
+        let mk = || {
+            SystemConfig::builder(Benchmark::Libq)
+                .scheme(scheme)
+                .ns_accesses(300)
+                .build()
+                .unwrap()
+        };
+        let plain = Simulation::new(mk()).unwrap().run().unwrap();
+        let checked = Simulation::new(mk())
             .unwrap()
-    };
-    let plain = Simulation::new(mk()).unwrap().run().unwrap();
-    let checked = Simulation::new(mk())
-        .unwrap()
-        .run_with_conformance_check()
-        .unwrap();
-    assert_eq!(plain.ns_exec_cpu_cycles, checked.ns_exec_cpu_cycles);
-    assert_eq!(plain.total_mem_cycles, checked.total_mem_cycles);
+            .run_with_conformance_check()
+            .unwrap();
+        assert_eq!(report_json(&checked), report_json(&plain), "{scheme:?}");
+    }
 }
 
 #[test]
