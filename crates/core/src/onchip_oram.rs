@@ -64,23 +64,65 @@ pub enum FsmEvent {
     AccessDone(OramJob),
 }
 
+/// One access's walk over its path in one direction: the planned blocks,
+/// how many have been issued, and the issued ones still outstanding.
+#[derive(Debug)]
+struct PathOp {
+    job: OramJob,
+    started: MemCycle,
+    blocks: Vec<BlockRef>,
+    next: usize,
+    outstanding: HashSet<RequestId>,
+}
+
+impl PathOp {
+    /// Every block issued and completed.
+    fn done(&self) -> bool {
+        self.next >= self.blocks.len() && self.outstanding.is_empty()
+    }
+
+    /// Issues blocks in path order until the sink pushes back or
+    /// `budget` runs out.
+    fn issue(&mut self, op: MemOp, sink: &mut dyn BlockSink, now: MemCycle, budget: &mut usize) {
+        while self.next < self.blocks.len() && *budget > 0 {
+            match sink.try_block(op, &self.blocks[self.next], now) {
+                Issued::Tracked(id) => {
+                    self.outstanding.insert(id);
+                    self.next += 1;
+                }
+                Issued::Done => self.next += 1,
+                Issued::Busy => break,
+            }
+            *budget -= 1;
+        }
+    }
+
+    /// Ends this read phase at `now`: records its latency and releases
+    /// the response.
+    fn finish_read(&self, now: MemCycle, stats: &mut OramStats, events: &mut Vec<FsmEvent>) {
+        stats.read_phase_latency.record((now.0 - self.started.0) as f64);
+        events.push(FsmEvent::ReadPhaseDone(self.job));
+    }
+
+    /// The write phase of this read: the same path, from its first block.
+    fn write_back(self) -> PathOp {
+        PathOp {
+            next: 0,
+            outstanding: HashSet::new(),
+            ..self
+        }
+    }
+
+    fn progress(&self) -> String {
+        format!("{}/{} out={}", self.next, self.blocks.len(), self.outstanding.len())
+    }
+}
+
 #[derive(Debug)]
 enum Phase {
     Idle,
-    Read {
-        job: OramJob,
-        started: MemCycle,
-        blocks: Vec<BlockRef>,
-        next: usize,
-        outstanding: HashSet<RequestId>,
-    },
-    Write {
-        job: OramJob,
-        started: MemCycle,
-        blocks: Vec<BlockRef>,
-        next: usize,
-        outstanding: HashSet<RequestId>,
-    },
+    Read(PathOp),
+    Write(PathOp),
 }
 
 /// The next access's read phase running concurrently with the current
@@ -88,18 +130,8 @@ enum Phase {
 /// "buffer the request and service it after the write phase").
 #[derive(Debug)]
 struct OverlapRead {
-    job: OramJob,
-    started: MemCycle,
-    blocks: Vec<BlockRef>,
-    next: usize,
-    outstanding: HashSet<RequestId>,
+    read: PathOp,
     response_emitted: bool,
-}
-
-impl OverlapRead {
-    fn read_done(&self) -> bool {
-        self.next >= self.blocks.len() && self.outstanding.is_empty()
-    }
 }
 
 /// Statistics of one ORAM controller.
@@ -212,28 +244,12 @@ impl OramFsm {
     pub fn debug_state(&self) -> String {
         let phase = match &self.phase {
             Phase::Idle => "idle".to_string(),
-            Phase::Read {
-                next,
-                blocks,
-                outstanding,
-                ..
-            } => format!("read {}/{} out={}", next, blocks.len(), outstanding.len()),
-            Phase::Write {
-                next,
-                blocks,
-                outstanding,
-                ..
-            } => format!("write {}/{} out={}", next, blocks.len(), outstanding.len()),
+            Phase::Read(p) => format!("read {}", p.progress()),
+            Phase::Write(p) => format!("write {}", p.progress()),
         };
         let overlap = match &self.overlap {
             None => "-".to_string(),
-            Some(o) => format!(
-                "read {}/{} out={} emitted={}",
-                o.next,
-                o.blocks.len(),
-                o.outstanding.len(),
-                o.response_emitted
-            ),
+            Some(o) => format!("read {} emitted={}", o.read.progress(), o.response_emitted),
         };
         format!("queue={} phase=[{phase}] overlap=[{overlap}]", self.queue.len())
     }
@@ -242,22 +258,23 @@ impl OramFsm {
     /// id belonged to it.
     pub fn on_block_complete(&mut self, id: RequestId) -> bool {
         let in_phase = match &mut self.phase {
-            Phase::Read { outstanding, .. } | Phase::Write { outstanding, .. } => {
-                outstanding.remove(&id)
-            }
+            Phase::Read(p) | Phase::Write(p) => p.outstanding.remove(&id),
             Phase::Idle => false,
         };
-        if in_phase {
-            return true;
-        }
-        self.overlap
-            .as_mut()
-            .is_some_and(|o| o.outstanding.remove(&id))
+        in_phase
+            || self
+                .overlap
+                .as_mut()
+                .is_some_and(|o| o.read.outstanding.remove(&id))
     }
 
-    /// Resolves the leaf for a job (consulting/remapping the position
-    /// map for real accesses) and plans its blocks.
-    fn plan_job(&mut self, job: OramJob) -> Vec<BlockRef> {
+    /// Starts `job`'s read phase: marks the access start for the
+    /// recorder, resolves the leaf (consulting and remapping the position
+    /// map for real accesses) and plans its path.
+    fn start(&mut self, job: OramJob, now: MemCycle) -> PathOp {
+        if let Some(obs) = &self.obs {
+            obs.borrow_mut().sd_access_started(now.0);
+        }
         let leaf = match job {
             OramJob::Real { block, .. } => {
                 let leaf = self.posmap.leaf_of(block);
@@ -268,203 +285,88 @@ impl OramFsm {
                 .rng
                 .gen_below(self.planner.config().geometry.num_leaves()),
         };
-        self.planner.plan(leaf).blocks
+        PathOp {
+            job,
+            started: now,
+            blocks: self.planner.plan(leaf).blocks,
+            next: 0,
+            outstanding: HashSet::new(),
+        }
     }
 
     /// Advances the FSM one cycle, pushing events into `events`.
     pub fn tick(&mut self, now: MemCycle, sink: &mut dyn BlockSink, events: &mut Vec<FsmEvent>) {
-        // Start a queued job.
+        // Start the next access: a pipelined read phase, if any, takes
+        // over first.
         if matches!(self.phase, Phase::Idle) {
-            // A pipelined read phase, if any, takes over first.
             if let Some(o) = self.overlap.take() {
-                if !o.response_emitted && o.read_done() {
+                self.phase = if o.response_emitted {
+                    Phase::Write(o.read.write_back())
+                } else if o.read.done() {
                     // Finished while we were still writing; release the
                     // response now, then write back.
-                    events.push(FsmEvent::ReadPhaseDone(o.job));
-                    self.stats
-                        .read_phase_latency
-                        .record((now.0 - o.started.0) as f64);
-                    self.phase = Phase::Write {
-                        job: o.job,
-                        started: o.started,
-                        blocks: o.blocks,
-                        next: 0,
-                        outstanding: HashSet::new(),
-                    };
-                } else if o.response_emitted {
-                    self.phase = Phase::Write {
-                        job: o.job,
-                        started: o.started,
-                        blocks: o.blocks,
-                        next: 0,
-                        outstanding: HashSet::new(),
-                    };
+                    o.read.finish_read(now, &mut self.stats, events);
+                    Phase::Write(o.read.write_back())
                 } else {
                     // Continue its read phase in the foreground.
-                    self.phase = Phase::Read {
-                        job: o.job,
-                        started: o.started,
-                        blocks: o.blocks,
-                        next: o.next,
-                        outstanding: o.outstanding,
-                    };
-                }
-            } else if let Some(job) = self.queue.pop_front() {
-                if let Some(obs) = &self.obs {
-                    obs.borrow_mut().sd_access_started(now.0);
-                }
-                let blocks = self.plan_job(job);
-                self.phase = Phase::Read {
-                    job,
-                    started: now,
-                    blocks,
-                    next: 0,
-                    outstanding: HashSet::new(),
+                    Phase::Read(o.read)
                 };
+            } else if let Some(job) = self.queue.pop_front() {
+                self.phase = Phase::Read(self.start(job, now));
             }
         }
 
         // Launch a pipelined read phase behind an ongoing write phase.
-        if self.pipeline
-            && self.overlap.is_none()
-            && matches!(self.phase, Phase::Write { .. })
-        {
+        if self.pipeline && self.overlap.is_none() && matches!(self.phase, Phase::Write(_)) {
             if let Some(job) = self.queue.pop_front() {
-                if let Some(obs) = &self.obs {
-                    obs.borrow_mut().sd_access_started(now.0);
-                }
-                let blocks = self.plan_job(job);
+                let read = self.start(job, now);
                 self.overlap = Some(OverlapRead {
-                    job,
-                    started: now,
-                    blocks,
-                    next: 0,
-                    outstanding: HashSet::new(),
+                    read,
                     response_emitted: false,
                 });
             }
         }
 
-        // Issue blocks for the current phase.
+        // Issue blocks for the current phase, then spend leftover budget
+        // on the pipelined read phase.
         let mut budget = self.issue_per_tick;
-        let (op, done) = match &mut self.phase {
+        match &mut self.phase {
             Phase::Idle => return,
-            Phase::Read {
-                blocks,
-                next,
-                outstanding,
-                ..
-            } => {
-                while *next < blocks.len() && budget > 0 {
-                    match sink.try_block(MemOp::Read, &blocks[*next], now) {
-                        Issued::Tracked(id) => {
-                            outstanding.insert(id);
-                            *next += 1;
-                        }
-                        Issued::Done => {
-                            *next += 1;
-                        }
-                        Issued::Busy => break,
-                    }
-                    budget -= 1;
-                }
-                (MemOp::Read, *next >= blocks.len() && outstanding.is_empty())
-            }
-            Phase::Write {
-                blocks,
-                next,
-                outstanding,
-                ..
-            } => {
-                while *next < blocks.len() && budget > 0 {
-                    match sink.try_block(MemOp::Write, &blocks[*next], now) {
-                        Issued::Tracked(id) => {
-                            outstanding.insert(id);
-                            *next += 1;
-                        }
-                        Issued::Done => {
-                            *next += 1;
-                        }
-                        Issued::Busy => break,
-                    }
-                    budget -= 1;
-                }
-                (MemOp::Write, *next >= blocks.len() && outstanding.is_empty())
-            }
-        };
-
-        // Spend leftover budget on the pipelined read phase.
+            Phase::Read(p) => p.issue(MemOp::Read, sink, now, &mut budget),
+            Phase::Write(p) => p.issue(MemOp::Write, sink, now, &mut budget),
+        }
         if let Some(o) = self.overlap.as_mut() {
-            while o.next < o.blocks.len() && budget > 0 {
-                match sink.try_block(MemOp::Read, &o.blocks[o.next], now) {
-                    Issued::Tracked(id) => {
-                        o.outstanding.insert(id);
-                        o.next += 1;
-                    }
-                    Issued::Done => {
-                        o.next += 1;
-                    }
-                    Issued::Busy => break,
-                }
-                budget -= 1;
-            }
-            if o.read_done() && !o.response_emitted {
+            o.read.issue(MemOp::Read, sink, now, &mut budget);
+            if o.read.done() && !o.response_emitted {
                 o.response_emitted = true;
-                self.stats
-                    .read_phase_latency
-                    .record((now.0 - o.started.0) as f64);
-                events.push(FsmEvent::ReadPhaseDone(o.job));
+                o.read.finish_read(now, &mut self.stats, events);
             }
         }
 
-        if !done {
-            return;
-        }
         // Phase transition.
-        let phase = std::mem::replace(&mut self.phase, Phase::Idle);
-        match (op, phase) {
-            (
-                MemOp::Read,
-                Phase::Read {
-                    job,
-                    started,
-                    blocks,
-                    ..
-                },
-            ) => {
-                self.stats
-                    .read_phase_latency
-                    .record((now.0 - started.0) as f64);
-                events.push(FsmEvent::ReadPhaseDone(job));
-                self.phase = Phase::Write {
-                    job,
-                    started,
-                    blocks,
-                    next: 0,
-                    outstanding: HashSet::new(),
-                };
+        match std::mem::replace(&mut self.phase, Phase::Idle) {
+            Phase::Read(p) if p.done() => {
+                p.finish_read(now, &mut self.stats, events);
+                self.phase = Phase::Write(p.write_back());
             }
-            (MemOp::Write, Phase::Write { job, started, .. }) => {
-                self.stats.access_latency.record((now.0 - started.0) as f64);
-                match job {
+            Phase::Write(p) if p.done() => {
+                self.stats.access_latency.record((now.0 - p.started.0) as f64);
+                match p.job {
                     OramJob::Real { .. } => self.stats.real_accesses.inc(),
                     OramJob::Dummy => self.stats.dummy_accesses.inc(),
                 }
-                events.push(FsmEvent::AccessDone(job));
+                events.push(FsmEvent::AccessDone(p.job));
                 // Next job starts on the next tick.
             }
-            _ => unreachable!("phase/op mismatch"),
+            phase => self.phase = phase,
         }
     }
 }
 
 doram_sim::impl_codec!(enum OramJob { Dummy = 0, Real { id, op, block } = 1 });
-doram_sim::impl_codec!(enum Phase {
-    Idle = 0,
-    Read { job, started, blocks, next, outstanding } = 1,
-    Write { job, started, blocks, next, outstanding } = 2,
-});
-doram_sim::impl_codec!(struct OverlapRead { job, started, blocks, next, outstanding, response_emitted });
+doram_sim::impl_codec!(struct PathOp { job, started, blocks, next, outstanding });
+doram_sim::impl_codec!(enum Phase { Idle = 0, Read(p) = 1, Write(p) = 2 });
+doram_sim::impl_codec!(struct OverlapRead { read, response_emitted });
 
 doram_sim::impl_snapshot!(OramStats {
     real_accesses,
