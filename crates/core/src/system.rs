@@ -284,20 +284,19 @@ struct CoreSlot {
 doram_sim::impl_snapshot!(CoreSlot { restarts, first_finish_cpu, core: state } skip { is_sapp });
 
 /// The trace segment core `core_idx` runs after `restart` restarts: the
-/// S-App's benchmark (core 0 when present) or its NS-App benchmark, each
-/// restart a fresh stream.
+/// S-App's benchmark (core 0 when the scheme has one) or its NS-App
+/// benchmark, each restart a fresh stream.
 fn trace_segment(
     cfg: &SystemConfig,
     core_idx: usize,
-    is_sapp: bool,
-    sapp_present: bool,
     restart: u64,
 ) -> Box<dyn Iterator<Item = TraceRecord> + Send> {
-    let (bench, accesses) = if is_sapp {
+    let sapp = cfg.scheme.has_sapp();
+    let (bench, accesses) = if sapp && core_idx == 0 {
         (cfg.benchmark, cfg.s_accesses)
     } else {
         (
-            cfg.ns_benchmark(core_idx - usize::from(sapp_present)),
+            cfg.ns_benchmark(core_idx - usize::from(sapp)),
             cfg.ns_accesses,
         )
     };
@@ -305,197 +304,377 @@ fn trace_segment(
     Box::new(TraceGenerator::new(bench.spec(), cfg.seed, stream).finite(accesses))
 }
 
-/// The scheme-specific memory backend.
+/// The memory backend. Every scheme runs its NS-Apps on a channel fabric;
+/// the schemes differ only in the path the S-App takes to memory.
+struct Backend {
+    /// The NS-App channels: four direct channels, or D-ORAM's three BOB
+    /// normal channels (NS channels 1–3; the secure channel is NS channel 0).
+    fabric: ChannelFabric,
+    sapp: SAppPath,
+}
+
+/// How the S-App reaches memory.
 #[allow(clippy::large_enum_variant)] // one backend is live per run; no arrays of these
-enum Backend {
-    /// Pure NS schemes (1NS, 7NS-4ch, 7NS-3ch): direct channels only.
-    Plain { fabric: ChannelFabric },
-    /// Baseline: direct channels + on-chip Path ORAM controller.
-    BaselineOram {
-        fabric: ChannelFabric,
+enum SAppPath {
+    /// NS-only schemes (1NS, 7NS-4ch, 7NS-3ch).
+    None,
+    /// Baseline and 1S-partition: the on-chip Path ORAM controller, whose
+    /// block requests in flight on the fabric are `ids`.
+    Oram {
         fsm: OramFsm,
-        oram_ids: HashSet<RequestId>,
+        ids: HashSet<RequestId>,
     },
-    /// 1S7NS under the secure-memory model.
-    SecMem {
-        fabric: ChannelFabric,
-        frontend: SecMemFrontend,
-    },
-    /// D-ORAM: BOB normal channels + secure channel with SD.
-    DOram {
-        normals: ChannelFabric,
-        secure: Box<SecureChannel>,
-        engine: CpuEngine,
-        /// Outstanding split reads on normal channels: id → fetch.
-        split_fwd: HashMap<RequestId, SplitFetch>,
-        /// Split operations waiting for normal-channel capacity.
-        pending_split: VecDeque<(SplitFetch, MemOp)>,
-        /// Fetched split blocks waiting for secure-link capacity.
-        pending_deliver: VecDeque<SplitFetch>,
-    },
+    /// The secure-memory front end, fanning each access out over the fabric.
+    SecMem(SecMemFrontend),
+    /// D-ORAM: delegation to the SD on the secure channel.
+    Delegated(Box<Delegated>),
+}
+
+/// D-ORAM's S-App path: the secure channel (NS channel 0) with the CPU-side
+/// engine, and the split-level queues between the SD and the normal channels.
+struct Delegated {
+    secure: SecureChannel,
+    engine: CpuEngine,
+    /// Outstanding split reads on normal channels: id → fetch.
+    split_fwd: HashMap<RequestId, SplitFetch>,
+    /// Split operations waiting for normal-channel capacity.
+    pending_split: VecDeque<(SplitFetch, MemOp)>,
+    /// Fetched split blocks waiting for secure-link capacity.
+    pending_deliver: VecDeque<SplitFetch>,
+    /// The recorder and its `cpu.mux.split` and `cpu.mux.deliver` blame
+    /// rows; `None` keeps the channel mux silent.
+    mux_blame: Option<(SharedRecorder, usize, usize)>,
+}
+
+impl SAppPath {
+    /// Checkpoint tag guarding against a restore into another scheme.
+    fn tag(&self) -> u8 {
+        match self {
+            SAppPath::None => 0,
+            SAppPath::Oram { .. } => 1,
+            SAppPath::SecMem(_) => 2,
+            SAppPath::Delegated(_) => 3,
+        }
+    }
+
+    /// Hands a fabric completion to the S-App path when the path issued
+    /// it; `false` leaves it to the NS ledger.
+    fn claim(&mut self, c: &Completion) -> bool {
+        let id = c.request.id;
+        match self {
+            SAppPath::None => false,
+            SAppPath::Oram { fsm, ids } => {
+                let owned = ids.remove(&id);
+                if owned {
+                    fsm.on_block_complete(id);
+                }
+                owned
+            }
+            SAppPath::SecMem(frontend) => {
+                let owned = frontend.owns(id);
+                if owned {
+                    frontend.on_completion(id, c.finished);
+                }
+                owned
+            }
+            SAppPath::Delegated(d) => {
+                let owned = c.request.class == RequestClass::Oram;
+                // Split writes complete silently.
+                if let Some(f) = owned.then(|| d.split_fwd.remove(&id)).flatten() {
+                    d.pending_deliver.push_back(f);
+                }
+                owned
+            }
+        }
+    }
+}
+
+impl Delegated {
+    /// The secure side of one memory cycle, ahead of the fabric's: engine
+    /// → secure link, the secure channel itself, and split operations
+    /// forwarded onto the normal channels. Returns the secure channel's NS
+    /// completions.
+    fn tick_secure(
+        &mut self,
+        now: MemCycle,
+        fabric: &mut ChannelFabric,
+        idgen: &mut RequestIdGen,
+        ledger: &mut Ledger,
+    ) -> Vec<Completion> {
+        if self.secure.can_send_secure() {
+            if let Some(job) = self.engine.poll_send(now) {
+                self.secure.send_secure(job);
+            }
+        }
+        let mut ns_done = Vec::new();
+        let mut responses = Vec::new();
+        let mut sreads = Vec::new();
+        let mut swrites = Vec::new();
+        self.secure
+            .tick(now, &mut ns_done, &mut responses, &mut sreads, &mut swrites);
+        for job in responses {
+            if let Some(core_read) = self.engine.on_response(job, now) {
+                ledger.wake(core_read);
+            }
+        }
+        self.pending_split.extend(sreads.into_iter().map(|f| (f, MemOp::Read)));
+        self.pending_split.extend(swrites.into_iter().map(|f| (f, MemOp::Write)));
+
+        // Forward split operations onto normal channels.
+        while let Some(&(f, op)) = self.pending_split.front() {
+            let id = idgen.next_id();
+            let req = MemRequest {
+                id,
+                app: AppId(0),
+                op,
+                addr: SPLIT_REGION_BASE + f.addr,
+                class: RequestClass::Oram,
+                arrival: now,
+            };
+            if fabric.channel_mut(f.channel - 1).try_enqueue(req, now).is_err() {
+                break;
+            }
+            if op == MemOp::Read {
+                self.split_fwd.insert(id, f);
+            }
+            self.pending_split.pop_front();
+        }
+        // Aggregate blame: split operations still held behind a full
+        // normal channel waited this cycle, blamed on the head's class
+        // (read fetches are the S-App's critical path; writes its
+        // background writebacks).
+        if let (Some((obs, res, _)), Some(&(_, op))) = (&self.mux_blame, self.pending_split.front())
+        {
+            let cls = match op {
+                MemOp::Read => doram_obs::BlameClass::SAppRead,
+                MemOp::Write => doram_obs::BlameClass::SAppWriteback,
+            };
+            let n = self.pending_split.len() as u64;
+            let mut rec = obs.borrow_mut();
+            rec.blame.wait(*res, cls, n);
+            rec.blame.delay(*res, n);
+        }
+        ns_done
+    }
+
+    /// Returns fetched split blocks to the SD, after the fabric's cycle.
+    fn deliver_splits(&mut self) {
+        while let Some(&f) = self.pending_deliver.front() {
+            if self.secure.try_deliver_split_read(f).is_err() {
+                break;
+            }
+            self.pending_deliver.pop_front();
+        }
+        // Aggregate blame: fetched blocks still waiting for secure-link
+        // capacity are on the S-App's read critical path.
+        if let (Some((obs, _, res)), false) = (&self.mux_blame, self.pending_deliver.is_empty()) {
+            let n = self.pending_deliver.len() as u64;
+            let mut rec = obs.borrow_mut();
+            rec.blame.wait(*res, doram_obs::BlameClass::SAppRead, n);
+            rec.blame.delay(*res, n);
+        }
+    }
 }
 
 impl Backend {
-    fn flavor_tag(&self) -> u8 {
-        match self {
-            Backend::Plain { .. } => 0,
-            Backend::BaselineOram { .. } => 1,
-            Backend::SecMem { .. } => 2,
-            Backend::DOram { .. } => 3,
+    /// NS channel number of fabric channel 0: D-ORAM's secure channel is
+    /// NS channel 0 and its normal channels follow.
+    fn fabric_base(&self) -> usize {
+        usize::from(matches!(self.sapp, SAppPath::Delegated(_)))
+    }
+
+    /// Routes an NS request to NS channel `ch`; `false` on back-pressure.
+    fn route_ns(&mut self, ch: usize, req: MemRequest, now: MemCycle) -> bool {
+        let base = self.fabric_base();
+        match &mut self.sapp {
+            SAppPath::Delegated(d) if ch == 0 => d.secure.try_send_ns(req).is_ok(),
+            _ => self.fabric.channel_mut(ch - base).try_enqueue(req, now).is_ok(),
         }
     }
 
     /// Monotone forward-progress counter: DRAM column commands issued
     /// anywhere in the backend.
     fn column_ops(&self) -> u64 {
-        match self {
-            Backend::Plain { fabric }
-            | Backend::BaselineOram { fabric, .. }
-            | Backend::SecMem { fabric, .. } => fabric.column_ops(),
-            Backend::DOram {
-                normals, secure, ..
-            } => {
-                let sd: u64 = (0..secure.sub_channel_count())
-                    .map(|i| {
-                        let s = secure.sub_channel(i).stats();
-                        s.reads.get() + s.writes.get()
-                    })
-                    .sum();
-                normals.column_ops() + sd
-            }
+        let secure: u64 = match &self.sapp {
+            SAppPath::Delegated(d) => (0..d.secure.sub_channel_count())
+                .map(|i| {
+                    let s = d.secure.sub_channel(i).stats();
+                    s.reads.get() + s.writes.get()
+                })
+                .sum(),
+            _ => 0,
+        };
+        self.fabric.column_ops() + secure
+    }
+
+    /// Per-component state summaries for the watchdog's diagnostic dump:
+    /// the S-App path's lines, then one line per fabric channel.
+    fn debug_lines(&self) -> Vec<String> {
+        let mut lines = match &self.sapp {
+            SAppPath::None => Vec::new(),
+            SAppPath::Oram { fsm, ids } => vec![format!(
+                "oram-fsm[{}] outstanding={}",
+                fsm.debug_state(),
+                ids.len()
+            )],
+            SAppPath::SecMem(frontend) => vec![format!("secmem[{}]", frontend.debug_state())],
+            SAppPath::Delegated(d) => vec![
+                format!("secure[{}]", d.secure.debug_state()),
+                format!(
+                    "engine[sent={}/{} resp={}] split_fwd={} pending_split={} \
+                     pending_deliver={}",
+                    d.engine.stats().real_sent.get(),
+                    d.engine.stats().dummies_sent.get(),
+                    d.engine.stats().responses.get(),
+                    d.split_fwd.len(),
+                    d.pending_split.len(),
+                    d.pending_deliver.len()
+                ),
+            ],
+        };
+        lines.extend(self.fabric.debug_states());
+        lines
+    }
+
+    /// Hands the shared recorder to every instrumented component: the
+    /// D-ORAM access path end to end (engine → secure link → SD →
+    /// sub-channels), every fabric channel (links, SimpleMCs, sub-channels
+    /// — the `ch{i}.*` blame rows), and D-ORAM's channel-mux holding queues
+    /// (`cpu.mux.*`). Safe to call again after a filter change: blame-row
+    /// registration re-evaluates against the recorder's current subsystem
+    /// mask.
+    fn set_obs(&mut self, obs: &SharedRecorder) {
+        if let SAppPath::Delegated(d) = &mut self.sapp {
+            d.secure.set_obs(Some(obs.clone()));
+            d.engine.set_obs(Some(obs.clone()));
+        }
+        self.fabric.set_obs(Some(obs.clone()));
+        if let SAppPath::Delegated(d) = &mut self.sapp {
+            let mut rec = obs.borrow_mut();
+            d.mux_blame = rec.wants(Subsystem::Engine).then(|| {
+                let split = rec.blame.resource("cpu.mux.split");
+                (obs.clone(), split, rec.blame.resource("cpu.mux.deliver"))
+            });
         }
     }
 
-    /// Per-component state summaries for the watchdog's diagnostic dump.
-    fn debug_lines(&self) -> Vec<String> {
-        match self {
-            Backend::Plain { fabric } => fabric.debug_states(),
-            Backend::BaselineOram {
-                fabric,
-                fsm,
-                oram_ids,
-            } => {
-                let mut lines = vec![format!(
-                    "oram-fsm[{}] outstanding={}",
-                    fsm.debug_state(),
-                    oram_ids.len()
-                )];
-                lines.extend(fabric.debug_states());
-                lines
-            }
-            Backend::SecMem { fabric, frontend } => {
-                let mut lines = vec![format!("secmem[{}]", frontend.debug_state())];
-                lines.extend(fabric.debug_states());
-                lines
-            }
-            Backend::DOram {
-                normals,
-                secure,
-                engine,
-                split_fwd,
-                pending_split,
-                pending_deliver,
-            } => {
-                let mut lines = vec![
-                    format!("secure[{}]", secure.debug_state()),
-                    format!(
-                        "engine[sent={}/{} resp={}] split_fwd={} pending_split={} \
-                         pending_deliver={}",
-                        engine.stats().real_sent.get(),
-                        engine.stats().dummies_sent.get(),
-                        engine.stats().responses.get(),
-                        split_fwd.len(),
-                        pending_split.len(),
-                        pending_deliver.len()
-                    ),
-                ];
-                lines.extend(normals.debug_states());
-                lines
-            }
+    /// Records every DRAM device command from here on.
+    fn enable_command_traces(&mut self) {
+        if let SAppPath::Delegated(d) = &mut self.sapp {
+            d.secure.enable_command_traces();
         }
+        for i in 0..self.fabric.len() {
+            self.fabric.channel_mut(i).enable_command_traces();
+        }
+    }
+
+    /// The recorded command traces, one per sub-channel, the secure
+    /// channel's first.
+    fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
+        let mut all = match &mut self.sapp {
+            SAppPath::Delegated(d) => d.secure.take_command_traces(),
+            _ => Vec::new(),
+        };
+        for i in 0..self.fabric.len() {
+            all.extend(self.fabric.channel_mut(i).take_command_traces());
+        }
+        all
     }
 }
 
-/// The flavor tag guards against restoring into a backend of a different
-/// scheme; each flavor then writes its fields in order.
+/// The S-App path's tag guards against restoring into a backend of a
+/// different scheme; then come the fabric and the S-App path's fields.
 impl Snapshot for Backend {
     fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_u8(self.flavor_tag());
-        match self {
-            Backend::Plain { fabric } => fabric.save_state(w),
-            Backend::BaselineOram {
-                fabric,
-                fsm,
-                oram_ids,
-            } => {
-                fabric.save_state(w);
+        w.put_u8(self.sapp.tag());
+        self.fabric.save_state(w);
+        match &self.sapp {
+            SAppPath::None => {}
+            SAppPath::Oram { fsm, ids } => {
                 fsm.save_state(w);
-                oram_ids.put(w);
+                ids.put(w);
             }
-            Backend::SecMem { fabric, frontend } => {
-                fabric.save_state(w);
-                frontend.save_state(w);
-            }
-            Backend::DOram {
-                normals,
-                secure,
-                engine,
-                split_fwd,
-                pending_split,
-                pending_deliver,
-            } => {
-                normals.save_state(w);
-                secure.save_state(w);
-                engine.save_state(w);
-                split_fwd.put(w);
-                pending_split.put(w);
-                pending_deliver.put(w);
-            }
+            SAppPath::SecMem(frontend) => frontend.save_state(w),
+            SAppPath::Delegated(d) => d.save_state(w),
         }
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let tag = r.get_u8()?;
-        if tag != self.flavor_tag() {
+        if tag != self.sapp.tag() {
             return Err(SnapshotError::new(format!(
                 "backend flavor mismatch: checkpoint has {tag}, configuration builds {}",
-                self.flavor_tag()
+                self.sapp.tag()
             )));
         }
-        match self {
-            Backend::Plain { fabric } => fabric.load_state(r)?,
-            Backend::BaselineOram {
-                fabric,
-                fsm,
-                oram_ids,
-            } => {
-                fabric.load_state(r)?;
+        self.fabric.load_state(r)?;
+        match &mut self.sapp {
+            SAppPath::None => {}
+            SAppPath::Oram { fsm, ids } => {
                 fsm.load_state(r)?;
-                *oram_ids = Codec::get(r)?;
+                *ids = Codec::get(r)?;
             }
-            Backend::SecMem { fabric, frontend } => {
-                fabric.load_state(r)?;
-                frontend.load_state(r)?;
-            }
-            Backend::DOram {
-                normals,
-                secure,
-                engine,
-                split_fwd,
-                pending_split,
-                pending_deliver,
-            } => {
-                normals.load_state(r)?;
-                secure.load_state(r)?;
-                engine.load_state(r)?;
-                *split_fwd = Codec::get(r)?;
-                *pending_split = Codec::get(r)?;
-                *pending_deliver = Codec::get(r)?;
-            }
+            SAppPath::SecMem(frontend) => frontend.load_state(r)?,
+            SAppPath::Delegated(d) => d.load_state(r)?,
         }
         Ok(())
     }
 }
+
+// The recorder wiring is redone by the host after restore.
+doram_sim::impl_snapshot!(Delegated {
+    secure: state,
+    engine: state,
+    split_fwd,
+    pending_split,
+    pending_deliver,
+} skip { mux_blame });
+
+/// Who waits on which read, and the NS-Apps' latency record.
+struct Ledger {
+    /// Read ids the cores are blocked on → core index.
+    owners: HashMap<RequestId, usize>,
+    ns_read_latency: RunningMean,
+    ns_write_latency: RunningMean,
+    per_app_read_latency: Vec<RunningMean>,
+    ns_read_histogram: Histogram,
+    /// Read ids completed this cycle, to deliver to cores.
+    ready_reads: Vec<(usize, RequestId)>,
+}
+
+impl Ledger {
+    /// Records an NS completion (latency stats + core wake-up).
+    fn record(&mut self, c: &Completion) {
+        let lat = (c.finished.0 - c.request.arrival.0) as f64;
+        match c.request.op {
+            MemOp::Read => {
+                self.ns_read_latency.record(lat);
+                self.ns_read_histogram.record(lat as u64);
+                if let Some(m) = self.per_app_read_latency.get_mut(c.request.app.index()) {
+                    m.record(lat);
+                }
+                self.wake(c.request.id);
+            }
+            MemOp::Write => self.ns_write_latency.record(lat),
+        }
+    }
+
+    /// Wakes the core blocked on read `id`, if any.
+    fn wake(&mut self, id: RequestId) {
+        if let Some(core) = self.owners.remove(&id) {
+            self.ready_reads.push((core, id));
+        }
+    }
+}
+
+doram_sim::impl_snapshot!(Ledger {
+    owners,
+    ns_read_latency: state,
+    ns_write_latency: state,
+    per_app_read_latency: state,
+    ns_read_histogram: state,
+    ready_reads,
+});
 
 /// Everything the memory side owns (kept separate from the cores so both
 /// can be borrowed at once).
@@ -503,47 +682,18 @@ struct MemoryState {
     backend: Backend,
     routers: Vec<NsRouter>,
     idgen: RequestIdGen,
-    /// Read ids the cores are blocked on → core index.
-    owners: HashMap<RequestId, usize>,
-    sapp_present: bool,
-    // Metrics.
-    ns_read_latency: RunningMean,
-    ns_write_latency: RunningMean,
-    per_app_read_latency: Vec<RunningMean>,
-    ns_read_histogram: Histogram,
-    /// Read ids completed this cycle, to deliver to cores.
-    ready_reads: Vec<(usize, RequestId)>,
-    /// Trace recorder for the channel-mux blame rows below; `None` keeps
-    /// `tick_memory` silent.
-    obs: Option<SharedRecorder>,
-    /// Blame row for split operations waiting on normal-channel capacity
-    /// (`cpu.mux.split`), registered by `wire_obs`.
-    mux_split_res: Option<usize>,
-    /// Blame row for fetched split blocks waiting on secure-link capacity
-    /// (`cpu.mux.deliver`).
-    mux_deliver_res: Option<usize>,
+    ledger: Ledger,
 }
 
 impl MemoryState {
-    /// NS router index for a core.
+    /// NS router index for a core: the S-App, when present, is core 0.
     fn ns_index(&self, core_idx: usize) -> usize {
-        core_idx - usize::from(self.sapp_present)
+        core_idx - usize::from(!matches!(self.backend.sapp, SAppPath::None))
     }
-
 }
 
-// Routing tables are configuration; the recorder wiring is redone by the
-// host after restore.
-doram_sim::impl_snapshot!(MemoryState {
-    backend: state,
-    idgen,
-    owners,
-    ns_read_latency: state,
-    ns_write_latency: state,
-    per_app_read_latency: state,
-    ns_read_histogram: state,
-    ready_reads,
-} skip { routers, sapp_present, obs, mux_split_res, mux_deliver_res });
+// Routing tables are configuration.
+doram_sim::impl_snapshot!(MemoryState { backend: state, idgen, ledger: state } skip { routers });
 
 /// The port one core uses during its step.
 struct CorePort<'a> {
@@ -551,133 +701,80 @@ struct CorePort<'a> {
     core_idx: usize,
     is_sapp: bool,
     now: MemCycle,
-    /// Set by [`CorePort::try_sapp`] when an S-App *write* was accepted
-    /// (writes return no id, so acceptance travels through this flag).
-    sapp_write_ok: bool,
 }
 
 impl MemoryPort for CorePort<'_> {
     fn try_read(&mut self, addr: u64) -> Option<RequestId> {
         if self.is_sapp {
-            return self.try_sapp(Some(MemOp::Read), addr);
+            return self.try_sapp(MemOp::Read, addr).flatten();
         }
-        let ns = self.mem.ns_index(self.core_idx);
-        let id = self.mem.idgen.next_id();
-        let (ch, req) = self.mem.routers[ns].request(id, MemOp::Read, addr, self.now);
-        if try_route_ns(&mut self.mem.backend, ch, req, self.now) {
-            self.mem.owners.insert(id, self.core_idx);
-            Some(id)
-        } else {
-            None
-        }
+        let id = self.try_ns(MemOp::Read, addr)?;
+        self.mem.ledger.owners.insert(id, self.core_idx);
+        Some(id)
     }
 
     fn try_write(&mut self, addr: u64) -> bool {
         if self.is_sapp {
-            return self.try_sapp(None, addr).is_some() || self.sapp_write_ok;
+            return self.try_sapp(MemOp::Write, addr).is_some();
         }
-        let ns = self.mem.ns_index(self.core_idx);
-        let id = self.mem.idgen.next_id();
-        let (ch, req) = self.mem.routers[ns].request(id, MemOp::Write, addr, self.now);
-        try_route_ns(&mut self.mem.backend, ch, req, self.now)
+        self.try_ns(MemOp::Write, addr).is_some()
     }
 }
 
 impl CorePort<'_> {
-    /// S-App access through the scheme's protection frontend. For reads,
-    /// returns the id the core blocks on; for writes, `Some(dummy)` iff
-    /// accepted (via the `sapp_write_ok` flag dance below).
-    fn try_sapp(&mut self, read: Option<MemOp>, addr: u64) -> Option<RequestId> {
-        self.sapp_write_ok = false;
+    /// NS access on the channel the core's router picks; the request's id
+    /// when the channel accepted it.
+    fn try_ns(&mut self, op: MemOp, addr: u64) -> Option<RequestId> {
+        let mem = &mut *self.mem;
+        let id = mem.idgen.next_id();
+        let router = &mem.routers[mem.ns_index(self.core_idx)];
+        let (ch, req) = router.request(id, op, addr, self.now);
+        mem.backend.route_ns(ch, req, self.now).then_some(id)
+    }
+
+    /// S-App access through the scheme's S-App path. `None` is
+    /// back-pressure; an accepted access yields the read id the core
+    /// blocks on, or `Some(None)` for a posted write.
+    fn try_sapp(&mut self, op: MemOp, addr: u64) -> Option<Option<RequestId>> {
+        let MemoryState {
+            backend,
+            idgen,
+            ledger,
+            ..
+        } = &mut *self.mem;
+        let is_read = op == MemOp::Read;
         let block = addr >> 6;
-        let is_read = read.is_some();
-        match &mut self.mem.backend {
-            Backend::Plain { .. } => unreachable!("no S-App in plain schemes"),
-            Backend::BaselineOram { fsm, .. } => {
+        let id = match &mut backend.sapp {
+            SAppPath::None => unreachable!("no S-App in NS-only schemes"),
+            SAppPath::Oram { fsm, .. } => {
                 if !fsm.can_submit() {
                     return None;
                 }
-                if is_read {
-                    let id = self.mem.idgen.next_id();
-                    fsm.submit(OramJob::Real {
-                        id: Some(id),
-                        op: MemOp::Read,
-                        block,
-                    });
-                    self.mem.owners.insert(id, self.core_idx);
-                    Some(id)
-                } else {
-                    fsm.submit(OramJob::Real {
-                        id: None,
-                        op: MemOp::Write,
-                        block,
-                    });
-                    self.sapp_write_ok = true;
-                    None
-                }
+                let id = is_read.then(|| idgen.next_id());
+                fsm.submit(OramJob::Real { id, op, block });
+                id
             }
-            Backend::SecMem { fabric, frontend } => {
-                if is_read {
-                    let id = self.mem.idgen.next_id();
-                    if frontend.try_submit(
-                        Some(id),
-                        MemOp::Read,
-                        addr,
-                        self.now,
-                        fabric,
-                        &mut self.mem.idgen,
-                    ) {
-                        self.mem.owners.insert(id, self.core_idx);
-                        Some(id)
-                    } else {
-                        None
-                    }
-                } else {
-                    self.sapp_write_ok = frontend.try_submit(
-                        None,
-                        MemOp::Write,
-                        addr,
-                        self.now,
-                        fabric,
-                        &mut self.mem.idgen,
-                    );
-                    None
-                }
-            }
-            Backend::DOram { engine, .. } => {
-                if !engine.can_submit() {
+            SAppPath::SecMem(frontend) => {
+                // A refused read still consumes its id.
+                let id = is_read.then(|| idgen.next_id());
+                if !frontend.try_submit(id, op, addr, self.now, &mut backend.fabric, idgen) {
                     return None;
                 }
-                if is_read {
-                    let id = self.mem.idgen.next_id();
-                    engine.submit(Some(id), MemOp::Read, block);
-                    self.mem.owners.insert(id, self.core_idx);
-                    Some(id)
-                } else {
-                    engine.submit(None, MemOp::Write, block);
-                    self.sapp_write_ok = true;
-                    None
+                id
+            }
+            SAppPath::Delegated(d) => {
+                if !d.engine.can_submit() {
+                    return None;
                 }
+                let id = is_read.then(|| idgen.next_id());
+                d.engine.submit(id, op, block);
+                id
             }
+        };
+        if let Some(id) = id {
+            ledger.owners.insert(id, self.core_idx);
         }
-    }
-}
-
-/// Routes an NS request to its channel in any backend.
-fn try_route_ns(backend: &mut Backend, ch: usize, req: MemRequest, now: MemCycle) -> bool {
-    match backend {
-        Backend::Plain { fabric }
-        | Backend::BaselineOram { fabric, .. }
-        | Backend::SecMem { fabric, .. } => fabric.channel_mut(ch).try_enqueue(req, now).is_ok(),
-        Backend::DOram {
-            normals, secure, ..
-        } => {
-            if ch == 0 {
-                secure.try_send_ns(req).is_ok()
-            } else {
-                normals.channel_mut(ch - 1).try_enqueue(req, now).is_ok()
-            }
-        }
+        Some(id)
     }
 }
 
@@ -695,44 +792,6 @@ pub struct Simulation {
     obs: Option<SharedRecorder>,
 }
 
-/// Hands the shared recorder to every instrumented component of the
-/// backend: the D-ORAM access path end to end (engine → secure link →
-/// SD → sub-channels), every normal channel (links, SimpleMCs,
-/// sub-channels — the `ch{i}.*` blame rows), and the channel-mux holding
-/// queues of `tick_memory` (`cpu.mux.*`). Safe to call again after a
-/// filter change: blame-row registration re-evaluates against the
-/// recorder's current subsystem mask.
-fn wire_obs(mem: &mut MemoryState, obs: &SharedRecorder) {
-    match &mut mem.backend {
-        Backend::Plain { fabric }
-        | Backend::BaselineOram { fabric, .. }
-        | Backend::SecMem { fabric, .. } => fabric.set_obs(Some(obs.clone())),
-        Backend::DOram {
-            normals,
-            secure,
-            engine,
-            ..
-        } => {
-            secure.set_obs(Some(obs.clone()));
-            engine.set_obs(Some(obs.clone()));
-            normals.set_obs(Some(obs.clone()));
-        }
-    }
-    let is_doram = matches!(mem.backend, Backend::DOram { .. });
-    let mut rows = (None, None);
-    {
-        let mut rec = obs.borrow_mut();
-        if is_doram && rec.wants(Subsystem::Engine) {
-            rows = (
-                Some(rec.blame.resource("cpu.mux.split")),
-                Some(rec.blame.resource("cpu.mux.deliver")),
-            );
-        }
-    }
-    (mem.mux_split_res, mem.mux_deliver_res) = rows;
-    mem.obs = Some(obs.clone());
-}
-
 impl Simulation {
     /// Builds the system for `cfg`.
     ///
@@ -748,13 +807,9 @@ impl Simulation {
         // Cores and traces.
         let mut cores = Vec::with_capacity(n_cores);
         for core_idx in 0..n_cores {
-            let is_sapp = sapp && core_idx == 0;
             cores.push(CoreSlot {
-                core: TraceCore::new(
-                    CoreConfig::default(),
-                    trace_segment(&cfg, core_idx, is_sapp, sapp, 0),
-                ),
-                is_sapp,
+                core: TraceCore::new(CoreConfig::default(), trace_segment(&cfg, core_idx, 0)),
+                is_sapp: sapp && core_idx == 0,
                 first_finish_cpu: None,
                 restarts: 0,
             });
@@ -789,34 +844,23 @@ impl Simulation {
             split: SplitConfig::none(),
             tree_units: cfg.channels,
         };
-        let backend = match cfg.scheme {
-            Scheme::SoloNs | Scheme::Ns7on4 | Scheme::Ns7on3 => Backend::Plain {
-                fabric: ChannelFabric::direct(cfg.channels, &sub_cfg),
-            },
-            Scheme::Baseline => Backend::BaselineOram {
-                fabric: ChannelFabric::direct(cfg.channels, &sub_cfg),
-                fsm: OramFsm::new(plan, cfg.seed ^ 0x0A0A, 4),
-                oram_ids: HashSet::new(),
-            },
+        let oram = |plan| SAppPath::Oram {
+            fsm: OramFsm::new(plan, cfg.seed ^ 0x0A0A, 4),
+            ids: HashSet::new(),
+        };
+        let sapp = match cfg.scheme {
+            Scheme::SoloNs | Scheme::Ns7on4 | Scheme::Ns7on3 => SAppPath::None,
+            Scheme::Baseline => oram(plan),
             // The partitioned setting confines the tree to channel #0
             // (tree_units = 1 ⇒ every block lands on unit 0 = channel 0);
             // the NS routers already exclude that channel.
-            Scheme::Partition1S => Backend::BaselineOram {
-                fabric: ChannelFabric::direct(cfg.channels, &sub_cfg),
-                fsm: OramFsm::new(
-                    PlanConfig {
-                        tree_units: 1,
-                        ..plan
-                    },
-                    cfg.seed ^ 0x0A0A,
-                    4,
-                ),
-                oram_ids: HashSet::new(),
-            },
-            Scheme::SecureMemory => Backend::SecMem {
-                fabric: ChannelFabric::direct(cfg.channels, &sub_cfg),
-                frontend: SecMemFrontend::new(cfg.channels, AppId(0), cfg.seed ^ 0x5EC),
-            },
+            Scheme::Partition1S => oram(PlanConfig {
+                tree_units: 1,
+                ..plan
+            }),
+            Scheme::SecureMemory => {
+                SAppPath::SecMem(SecMemFrontend::new(cfg.channels, AppId(0), cfg.seed ^ 0x5EC))
+            }
             Scheme::DOram { k, .. } => {
                 let split = if k == 0 {
                     SplitConfig::none()
@@ -851,37 +895,40 @@ impl Simulation {
                     probation_window: cfg.probation_window,
                     probation_successes: cfg.probation_successes,
                 });
-                let mut normals = ChannelFabric::bob(cfg.channels - 1, cfg.link, &sub_cfg);
-                if !cfg.fault_plan.is_zero() {
-                    // Link sites: 0 is the secure channel; normal channel
-                    // links start at 1.
-                    normals.set_fault_plan(&cfg.fault_plan, 1);
-                }
-                Backend::DOram {
-                    normals,
-                    secure: Box::new(secure),
+                SAppPath::Delegated(Box::new(Delegated {
+                    secure,
                     engine: CpuEngine::new(cfg.dummy_interval_cpu, 4),
                     split_fwd: HashMap::new(),
                     pending_split: VecDeque::new(),
                     pending_deliver: VecDeque::new(),
-                }
+                    mux_blame: None,
+                }))
             }
+        };
+        let fabric = if matches!(sapp, SAppPath::Delegated(_)) {
+            let mut normals = ChannelFabric::bob(cfg.channels - 1, cfg.link, &sub_cfg);
+            if !cfg.fault_plan.is_zero() {
+                // Link sites: 0 is the secure channel; normal channel
+                // links start at 1.
+                normals.set_fault_plan(&cfg.fault_plan, 1);
+            }
+            normals
+        } else {
+            ChannelFabric::direct(cfg.channels, &sub_cfg)
         };
 
         let mem = MemoryState {
-            backend,
+            backend: Backend { fabric, sapp },
             routers,
             idgen: RequestIdGen::new(),
-            owners: HashMap::new(),
-            sapp_present: sapp,
-            ns_read_latency: RunningMean::new(),
-            ns_write_latency: RunningMean::new(),
-            per_app_read_latency: vec![RunningMean::new(); n_cores],
-            ns_read_histogram: Histogram::new(8, 256),
-            ready_reads: Vec::new(),
-            obs: None,
-            mux_split_res: None,
-            mux_deliver_res: None,
+            ledger: Ledger {
+                owners: HashMap::new(),
+                ns_read_latency: RunningMean::new(),
+                ns_write_latency: RunningMean::new(),
+                per_app_read_latency: vec![RunningMean::new(); n_cores],
+                ns_read_histogram: Histogram::new(8, 256),
+                ready_reads: Vec::new(),
+            },
         };
 
         Ok(Simulation {
@@ -915,11 +962,11 @@ impl Simulation {
             }
             // Re-wire: blame-row registration is gated on the subsystem
             // filter at attach time, so a filter change must propagate.
-            wire_obs(&mut self.mem, obs);
+            self.mem.backend.set_obs(obs);
             return obs.clone();
         }
         let obs = doram_obs::Recorder::shared(ring_capacity, filter, metrics_every);
-        wire_obs(&mut self.mem, &obs);
+        self.mem.backend.set_obs(&obs);
         self.obs = Some(obs.clone());
         obs
     }
@@ -1064,8 +1111,8 @@ impl Simulation {
         *cycle = Codec::get(&mut r)?;
         cores.load_state(&mut r)?;
         for (core_idx, slot) in cores.iter_mut().enumerate() {
-            let trace = trace_segment(cfg, core_idx, slot.is_sapp, mem.sapp_present, slot.restarts);
-            slot.core.resume_trace(trace)?;
+            slot.core
+                .resume_trace(trace_segment(cfg, core_idx, slot.restarts))?;
         }
         mem.load_state(&mut r)?;
         if r.get_bool()? {
@@ -1081,7 +1128,7 @@ impl Simulation {
                 )
             });
             rec.borrow_mut().load_state(&mut r)?;
-            wire_obs(mem, &rec);
+            mem.backend.set_obs(&rec);
             *obs = Some(rec);
         }
         r.finish()
@@ -1143,7 +1190,7 @@ impl Simulation {
         };
         StallDump {
             cores,
-            blocked_reads: self.mem.owners.len() as u64,
+            blocked_reads: self.mem.ledger.owners.len() as u64,
             components: self.mem.backend.debug_lines(),
             metrics,
             recent_events,
@@ -1158,71 +1205,58 @@ impl Simulation {
         if !rec.metrics.due(m) {
             return;
         }
-        rec.metrics.set("blocked_reads", self.mem.owners.len() as f64);
-        match &self.mem.backend {
-            Backend::Plain { fabric }
-            | Backend::BaselineOram { fabric, .. }
-            | Backend::SecMem { fabric, .. } => {
-                for i in 0..fabric.len() {
-                    rec.metrics
-                        .set(&format!("ch{i}.util"), fabric.channel(i).bus_utilization());
-                }
-            }
-            Backend::DOram {
-                normals,
-                secure,
-                engine,
-                split_fwd,
-                pending_split,
-                pending_deliver,
-            } => {
-                let st = engine.stats();
-                let real = st.real_sent.get();
-                let dummy = st.dummies_sent.get();
-                rec.metrics.set("engine.queue", engine.queue_len() as f64);
-                rec.metrics.set("engine.sent", (real + dummy) as f64);
-                let rate = if real + dummy > 0 {
-                    real as f64 / (real + dummy) as f64
-                } else {
-                    0.0
-                };
-                rec.metrics.set("engine.real_rate", rate);
-                rec.metrics.set("sd.queue", secure.sd_queue_len() as f64);
-                rec.metrics.set("sd.out_pending", secure.out_pending_len() as f64);
-                for i in 0..secure.sub_channel_count() {
-                    let sub = secure.sub_channel(i);
-                    rec.metrics.set(&format!("sd.sub{i}.queue"), sub.queued() as f64);
-                    rec.metrics
-                        .set(&format!("sd.sub{i}.util"), sub.stats().bus_utilization());
-                }
-                for i in 0..normals.len() {
-                    rec.metrics
-                        .set(&format!("ch{}.util", i + 1), normals.channel(i).bus_utilization());
-                }
-                let sd = secure.sd_fault_stats();
-                let mut link = secure.link_stats();
-                link.absorb(&normals.link_stats());
-                rec.metrics
-                    .set("fault.integrity_failures", sd.integrity_failures as f64);
-                rec.metrics.set("fault.refetches", sd.refetches as f64);
-                rec.metrics
-                    .set("fault.retransmissions", link.retransmissions as f64);
-                rec.metrics
-                    .set("fault.parity_rebuilds", sd.parity_rebuilds as f64);
-                rec.metrics
-                    .set("fault.scrub_repairs", sd.scrub_repairs as f64);
-                for (i, h) in sd.health.iter().enumerate() {
-                    rec.metrics
-                        .set(&format!("health.sub{i}"), *h as u8 as f64);
-                }
-                let (lm, lc) = secure.link_health();
-                rec.metrics.set("health.link_to_mem", lm as u8 as f64);
-                rec.metrics.set("health.link_to_cpu", lc as u8 as f64);
-                let split_backlog = split_fwd.len() + pending_split.len() + pending_deliver.len();
-                rec.metrics.set("split.backlog", split_backlog as f64);
+        let metrics = &mut rec.metrics;
+        metrics.set("blocked_reads", self.mem.ledger.owners.len() as f64);
+        let Backend { fabric, sapp } = &self.mem.backend;
+        let delegated = match sapp {
+            SAppPath::Delegated(d) => Some(d),
+            _ => None,
+        };
+        if let Some(d) = delegated {
+            let (secure, engine) = (&d.secure, &d.engine);
+            let st = engine.stats();
+            let real = st.real_sent.get();
+            let dummy = st.dummies_sent.get();
+            metrics.set("engine.queue", engine.queue_len() as f64);
+            metrics.set("engine.sent", (real + dummy) as f64);
+            let rate = if real + dummy > 0 {
+                real as f64 / (real + dummy) as f64
+            } else {
+                0.0
+            };
+            metrics.set("engine.real_rate", rate);
+            metrics.set("sd.queue", secure.sd_queue_len() as f64);
+            metrics.set("sd.out_pending", secure.out_pending_len() as f64);
+            for i in 0..secure.sub_channel_count() {
+                let sub = secure.sub_channel(i);
+                metrics.set(&format!("sd.sub{i}.queue"), sub.queued() as f64);
+                metrics.set(&format!("sd.sub{i}.util"), sub.stats().bus_utilization());
             }
         }
-        rec.metrics.sample(m);
+        let base = self.mem.backend.fabric_base();
+        for i in 0..fabric.len() {
+            metrics.set(&format!("ch{}.util", i + base), fabric.channel(i).bus_utilization());
+        }
+        if let Some(d) = delegated {
+            let secure = &d.secure;
+            let sd = secure.sd_fault_stats();
+            let mut link = secure.link_stats();
+            link.absorb(&fabric.link_stats());
+            metrics.set("fault.integrity_failures", sd.integrity_failures as f64);
+            metrics.set("fault.refetches", sd.refetches as f64);
+            metrics.set("fault.retransmissions", link.retransmissions as f64);
+            metrics.set("fault.parity_rebuilds", sd.parity_rebuilds as f64);
+            metrics.set("fault.scrub_repairs", sd.scrub_repairs as f64);
+            for (i, h) in sd.health.iter().enumerate() {
+                metrics.set(&format!("health.sub{i}"), *h as u8 as f64);
+            }
+            let (lm, lc) = secure.link_health();
+            metrics.set("health.link_to_mem", lm as u8 as f64);
+            metrics.set("health.link_to_cpu", lc as u8 as f64);
+            let split_backlog = d.split_fwd.len() + d.pending_split.len() + d.pending_deliver.len();
+            metrics.set("split.backlog", split_backlog as f64);
+        }
+        metrics.sample(m);
     }
 
     /// Like [`run`](Simulation::run), but records every DRAM device
@@ -1234,35 +1268,18 @@ impl Simulation {
     ///
     /// [`SimError::CycleCapExceeded`] or [`SimError::JedecViolation`].
     pub fn run_with_conformance_check(mut self) -> Result<RunReport, SimError> {
-        // Enable tracing everywhere.
-        match &mut self.mem.backend {
-            Backend::Plain { fabric }
-            | Backend::BaselineOram { fabric, .. }
-            | Backend::SecMem { fabric, .. } => {
-                for i in 0..fabric.len() {
-                    fabric.channel_mut(i).enable_command_traces();
-                }
-            }
-            Backend::DOram {
-                normals, secure, ..
-            } => {
-                secure.enable_command_traces();
-                for i in 0..normals.len() {
-                    normals.channel_mut(i).enable_command_traces();
-                }
-            }
-        }
-        let timing = self.cfg.timing;
-        let (report, traces) = self.run_inner(true, &RunOptions::default())?;
+        self.mem.backend.enable_command_traces();
+        self.advance(&RunOptions::default())?;
+        let traces = self.mem.backend.take_command_traces();
         for (idx, trace) in traces.into_iter().enumerate() {
-            if let Err(v) = doram_dram::check_conformance(&trace, &timing) {
+            if let Err(v) = doram_dram::check_conformance(&trace, &self.cfg.timing) {
                 return Err(SimError::JedecViolation {
                     sub_channel: idx,
                     detail: v[0].to_string(),
                 });
             }
         }
-        Ok(report)
+        Ok(self.report())
     }
 
     /// Runs to completion (every NS-App finished its trace once).
@@ -1285,15 +1302,13 @@ impl Simulation {
     /// [`SimError::Config`] for invalid options, [`SimError::Checkpoint`]
     /// for checkpoint I/O failures, [`SimError::Stalled`] when the
     /// watchdog fires, and [`SimError::Interrupted`] on graceful shutdown.
-    pub fn run_with(self, opts: &RunOptions) -> Result<RunReport, SimError> {
-        self.run_inner(false, opts).map(|(report, _)| report)
+    pub fn run_with(mut self, opts: &RunOptions) -> Result<RunReport, SimError> {
+        self.advance(opts)?;
+        Ok(self.report())
     }
 
-    fn run_inner(
-        mut self,
-        collect_traces: bool,
-        opts: &RunOptions,
-    ) -> Result<(RunReport, Vec<Vec<doram_dram::CommandRecord>>), SimError> {
+    /// Steps memory cycles until every NS-App has finished its trace once.
+    fn advance(&mut self, opts: &RunOptions) -> Result<(), SimError> {
         opts.validate(&self.cfg)?;
         let cap = self.cfg.max_mem_cycles;
         let ckpt_hash = config_hash(&self.cfg);
@@ -1370,7 +1385,6 @@ impl Simulation {
                         core_idx,
                         is_sapp,
                         now,
-                        sapp_write_ok: false,
                     };
                     self.cores[core_idx].core.step(&mut port);
                 }
@@ -1391,7 +1405,7 @@ impl Simulation {
             self.sample_metrics(m);
 
             // Deliver read completions to cores.
-            for (core_idx, id) in std::mem::take(&mut self.mem.ready_reads) {
+            for (core_idx, id) in std::mem::take(&mut self.mem.ledger.ready_reads) {
                 self.cores[core_idx].core.complete_read(id);
             }
 
@@ -1404,13 +1418,7 @@ impl Simulation {
                     }
                     // Restart to keep pressure constant.
                     slot.restarts += 1;
-                    let trace = trace_segment(
-                        &self.cfg,
-                        core_idx,
-                        slot.is_sapp,
-                        self.mem.sapp_present,
-                        slot.restarts,
-                    );
+                    let trace = trace_segment(&self.cfg, core_idx, slot.restarts);
                     slot.core = TraceCore::new(CoreConfig::default(), trace);
                 }
                 if !slot.is_sapp && slot.first_finish_cpu.is_none() {
@@ -1434,133 +1442,84 @@ impl Simulation {
         // run that drained afterwards completes and surfaces the latched
         // fault through `FaultReport::latched_fault` instead of silently
         // discarding its results behind a hard error.
-        if let Backend::DOram { secure, .. } = &self.mem.backend {
-            if let Some(fault) = secure.sd_fault() {
+        if let SAppPath::Delegated(d) = &self.mem.backend.sapp {
+            if let Some(fault) = d.secure.sd_fault() {
                 return Err(SimError::IntegrityFailStop {
                     detail: fault.to_string(),
                 });
             }
         }
-        let traces = if collect_traces {
-            match &mut self.mem.backend {
-                Backend::Plain { fabric }
-                | Backend::BaselineOram { fabric, .. }
-                | Backend::SecMem { fabric, .. } => {
-                    let mut all = Vec::new();
-                    for i in 0..fabric.len() {
-                        all.extend(fabric.channel_mut(i).take_command_traces());
-                    }
-                    all
-                }
-                Backend::DOram {
-                    normals, secure, ..
-                } => {
-                    let mut all = secure.take_command_traces();
-                    for i in 0..normals.len() {
-                        all.extend(normals.channel_mut(i).take_command_traces());
-                    }
-                    all
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        let total = self.cycle + 1;
-        Ok((self.report(total), traces))
+        Ok(())
     }
 
-    fn report(self, total_mem_cycles: u64) -> RunReport {
-        let ns_exec: Vec<u64> = self
-            .cores
+    /// The report of a run [`advance`](Simulation::advance) finished.
+    fn report(self) -> RunReport {
+        let Simulation {
+            cfg,
+            cores,
+            mem,
+            cycle,
+            ..
+        } = self;
+        let ns_exec: Vec<u64> = cores
             .iter()
             .filter(|c| !c.is_sapp)
             .map(|c| c.first_finish_cpu.expect("run ended with all NS done"))
             .collect();
-        let s_exec = self
-            .cores
-            .iter()
-            .find(|c| c.is_sapp)
-            .and_then(|c| c.first_finish_cpu);
+        let s_exec = cores.iter().find(|c| c.is_sapp).and_then(|c| c.first_finish_cpu);
 
+        // Per-channel figures in NS channel order: D-ORAM's secure channel
+        // (the mean over its sub-channels) first, then the fabric.
         let energy_params = doram_dram::EnergyParams::ddr3_1600();
-        let (channel_utilization, channel_row_hit, oram, secure_link_bytes, channel_energy, faults) =
-            match &self.mem.backend {
-                Backend::Plain { fabric } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    None,
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
-                Backend::BaselineOram { fabric, fsm, .. } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    Some(summarize(fsm.stats())),
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
-                Backend::SecMem { fabric, .. } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    None,
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
-                Backend::DOram {
-                    normals, secure, ..
-                } => {
-                    let n_subs = secure.sub_channel_count();
-                    let sec_util = (0..n_subs)
-                        .map(|i| secure.sub_channel(i).stats().bus_utilization())
+        let mut channel_utilization = Vec::new();
+        let mut channel_row_hit = Vec::new();
+        let mut channel_energy = Vec::new();
+        let (mut oram, mut secure_link_bytes, mut faults) = (None, None, None);
+        let Backend { fabric, sapp } = &mem.backend;
+        match sapp {
+            SAppPath::None | SAppPath::SecMem(_) => {}
+            SAppPath::Oram { fsm, .. } => oram = Some(summarize(fsm.stats())),
+            SAppPath::Delegated(d) => {
+                let secure = &d.secure;
+                let n_subs = secure.sub_channel_count();
+                let sub_mean = |f: fn(&doram_dram::SubChannelStats) -> f64| {
+                    (0..n_subs)
+                        .map(|i| f(secure.sub_channel(i).stats()))
                         .sum::<f64>()
-                        / n_subs as f64;
-                    let sec_hit = (0..n_subs)
-                        .map(|i| secure.sub_channel(i).stats().row_hit_rate())
-                        .sum::<f64>()
-                        / n_subs as f64;
-                    let mut util = vec![sec_util];
-                    let mut hit = vec![sec_hit];
-                    let mut energy = vec![secure.energy(&energy_params)];
-                    for i in 0..normals.len() {
-                        util.push(normals.channel(i).bus_utilization());
-                        hit.push(normals.channel(i).row_hit_rate());
-                        energy.push(normals.channel(i).energy(&energy_params));
-                    }
-                    (
-                        util,
-                        hit,
-                        Some(summarize(secure.oram_stats())),
-                        Some(secure.link_bytes()),
-                        energy,
-                        Some(fault_report(secure, normals)),
-                    )
-                }
-            };
+                        / n_subs as f64
+                };
+                channel_utilization.push(sub_mean(|s| s.bus_utilization()));
+                channel_row_hit.push(sub_mean(|s| s.row_hit_rate()));
+                channel_energy.push(secure.energy(&energy_params));
+                oram = Some(summarize(secure.oram_stats()));
+                secure_link_bytes = Some(secure.link_bytes());
+                faults = Some(fault_report(secure, fabric));
+            }
+        }
+        for i in 0..fabric.len() {
+            let ch = fabric.channel(i);
+            channel_utilization.push(ch.bus_utilization());
+            channel_row_hit.push(ch.row_hit_rate());
+            channel_energy.push(ch.energy(&energy_params));
+        }
 
-        let per_core_mlp = self
-            .cores
-            .iter()
-            .map(|c| c.core.stats().mean_mlp())
-            .collect();
+        let per_core_mlp = cores.iter().map(|c| c.core.stats().mean_mlp()).collect();
         RunReport {
-            scheme: self.cfg.scheme,
-            benchmark: self.cfg.benchmark,
+            scheme: cfg.scheme,
+            benchmark: cfg.benchmark,
             ns_exec_cpu_cycles: ns_exec,
             s_exec_cpu_cycles: s_exec,
-            ns_read_latency: self.mem.ns_read_latency,
-            ns_write_latency: self.mem.ns_write_latency,
-            per_app_read_latency: self.mem.per_app_read_latency,
-            ns_read_histogram: self.mem.ns_read_histogram,
+            ns_read_latency: mem.ledger.ns_read_latency,
+            ns_write_latency: mem.ledger.ns_write_latency,
+            per_app_read_latency: mem.ledger.per_app_read_latency,
+            ns_read_histogram: mem.ledger.ns_read_histogram,
             channel_utilization,
             channel_row_hit,
             oram,
             secure_link_bytes,
             channel_energy,
             per_core_mlp,
-            total_mem_cycles,
+            total_mem_cycles: cycle + 1,
             faults,
         }
     }
@@ -1620,225 +1579,55 @@ fn trace_stream_id(cfg: &SystemConfig, core_idx: usize, restart: u64) -> u64 {
     cfg.trace_stream * 1_000_000 + core_idx as u64 * 1_000 + restart
 }
 
-/// Disjoint-field view of [`MemoryState`] used while the backend is
-/// mutably borrowed.
-struct Recorder<'a> {
-    owners: &'a mut HashMap<RequestId, usize>,
-    ready_reads: &'a mut Vec<(usize, RequestId)>,
-    ns_read_latency: &'a mut RunningMean,
-    ns_write_latency: &'a mut RunningMean,
-    per_app_read_latency: &'a mut [RunningMean],
-    ns_read_histogram: &'a mut Histogram,
-}
-
-impl Recorder<'_> {
-    /// Records an NS completion (latency stats + core wake-up).
-    fn record(&mut self, c: &Completion) {
-        let lat = (c.finished.0 - c.request.arrival.0) as f64;
-        match c.request.op {
-            MemOp::Read => {
-                self.ns_read_latency.record(lat);
-                self.ns_read_histogram.record(lat as u64);
-                if let Some(m) = self.per_app_read_latency.get_mut(c.request.app.index()) {
-                    m.record(lat);
-                }
-                self.wake(c.request.id);
-            }
-            MemOp::Write => self.ns_write_latency.record(lat),
-        }
-    }
-
-    /// Wakes the core blocked on read `id`, if any.
-    fn wake(&mut self, id: RequestId) {
-        if let Some(core) = self.owners.remove(&id) {
-            self.ready_reads.push((core, id));
-        }
-    }
-}
-
-/// One memory-cycle step of the backend.
+/// One memory-cycle step of the backend: the S-App path issues, the
+/// fabric ticks, and the S-App path collects what came back.
 fn tick_memory(mem: &mut MemoryState, now: MemCycle) {
     let MemoryState {
-        backend,
+        backend: Backend { fabric, sapp },
         idgen,
-        owners,
-        ready_reads,
-        ns_read_latency,
-        ns_write_latency,
-        per_app_read_latency,
-        ns_read_histogram,
-        obs,
-        mux_split_res,
-        mux_deliver_res,
+        ledger,
         ..
     } = mem;
-    let mut rec = Recorder {
-        owners,
-        ready_reads,
-        ns_read_latency,
-        ns_write_latency,
-        per_app_read_latency,
-        ns_read_histogram,
-    };
-    let mut completions: Vec<Completion> = Vec::new();
-    match backend {
-        Backend::Plain { fabric } => {
-            fabric.tick(now, &mut completions);
-            for c in completions {
-                rec.record(&c);
-            }
-        }
-        Backend::BaselineOram {
-            fabric,
-            fsm,
-            oram_ids,
-        } => {
-            // Drive the ORAM controller.
+    let mut secure_ns_done = Vec::new();
+    match sapp {
+        SAppPath::None | SAppPath::SecMem(_) => {}
+        SAppPath::Oram { fsm, ids } => {
             let mut events = Vec::new();
-            {
-                let mut sink = FabricSink {
-                    fabric,
-                    idgen,
-                    app: AppId(0),
-                    issued: oram_ids,
-                };
-                fsm.tick(now, &mut sink, &mut events);
-            }
+            let mut sink = FabricSink {
+                fabric,
+                idgen,
+                app: AppId(0),
+                issued: ids,
+            };
+            fsm.tick(now, &mut sink, &mut events);
             for e in events {
                 if let FsmEvent::ReadPhaseDone(OramJob::Real { id: Some(id), .. }) = e {
-                    rec.wake(id);
-                }
-            }
-            fabric.tick(now, &mut completions);
-            for c in completions {
-                if oram_ids.remove(&c.request.id) {
-                    fsm.on_block_complete(c.request.id);
-                } else {
-                    rec.record(&c);
+                    ledger.wake(id);
                 }
             }
         }
-        Backend::SecMem { fabric, frontend } => {
-            fabric.tick(now, &mut completions);
-            for c in completions {
-                if frontend.owns(c.request.id) {
-                    frontend.on_completion(c.request.id, c.finished);
-                } else {
-                    rec.record(&c);
-                }
-            }
+        SAppPath::Delegated(d) => secure_ns_done = d.tick_secure(now, fabric, idgen, ledger),
+    }
+
+    let mut completions = Vec::new();
+    fabric.tick(now, &mut completions);
+    for c in &completions {
+        if !sapp.claim(c) {
+            ledger.record(c);
+        }
+    }
+
+    match sapp {
+        SAppPath::SecMem(frontend) => {
             for id in frontend.poll_ready(now) {
-                rec.wake(id);
+                ledger.wake(id);
             }
         }
-        Backend::DOram {
-            normals,
-            secure,
-            engine,
-            split_fwd,
-            pending_split,
-            pending_deliver,
-        } => {
-            // CPU engine → secure link.
-            if secure.can_send_secure() {
-                if let Some(job) = engine.poll_send(now) {
-                    secure.send_secure(job);
-                }
-            }
-
-            // Secure channel.
-            let mut ns_done = Vec::new();
-            let mut responses = Vec::new();
-            let mut sreads = Vec::new();
-            let mut swrites = Vec::new();
-            secure.tick(now, &mut ns_done, &mut responses, &mut sreads, &mut swrites);
-            for job in responses {
-                if let Some(core_read) = engine.on_response(job, now) {
-                    rec.wake(core_read);
-                }
-            }
-            for f in sreads {
-                pending_split.push_back((f, MemOp::Read));
-            }
-            for f in swrites {
-                pending_split.push_back((f, MemOp::Write));
-            }
-
-            // Forward split operations onto normal channels.
-            while let Some(&(f, op)) = pending_split.front() {
-                let id = idgen.next_id();
-                let req = MemRequest {
-                    id,
-                    app: AppId(0),
-                    op,
-                    addr: SPLIT_REGION_BASE + f.addr,
-                    class: RequestClass::Oram,
-                    arrival: now,
-                };
-                match normals.channel_mut(f.channel - 1).try_enqueue(req, now) {
-                    Ok(()) => {
-                        if op == MemOp::Read {
-                            split_fwd.insert(id, f);
-                        }
-                        pending_split.pop_front();
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Aggregate blame: split operations still held behind a full
-            // normal channel waited this cycle, blamed on the head's class
-            // (read fetches are the S-App's critical path; writes its
-            // background writebacks).
-            if let Some(res) = *mux_split_res {
-                if let (Some(&(_, op)), Some(obs)) = (pending_split.front(), &*obs) {
-                    let cls = match op {
-                        MemOp::Read => doram_obs::BlameClass::SAppRead,
-                        MemOp::Write => doram_obs::BlameClass::SAppWriteback,
-                    };
-                    let n = pending_split.len() as u64;
-                    let mut rec = obs.borrow_mut();
-                    rec.blame.wait(res, cls, n);
-                    rec.blame.delay(res, n);
-                }
-            }
-
-            // Normal channels.
-            normals.tick(now, &mut completions);
-            for c in completions.drain(..) {
-                if c.request.class == RequestClass::Oram {
-                    if let Some(f) = split_fwd.remove(&c.request.id) {
-                        pending_deliver.push_back(f);
-                    }
-                    // Split writes complete silently.
-                } else {
-                    rec.record(&c);
-                }
-            }
-
-            // Return fetched split blocks to the SD.
-            while let Some(&f) = pending_deliver.front() {
-                match secure.try_deliver_split_read(f) {
-                    Ok(()) => {
-                        pending_deliver.pop_front();
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Aggregate blame: fetched blocks still waiting for secure-link
-            // capacity are on the S-App's read critical path.
-            if let Some(res) = *mux_deliver_res {
-                if let (false, Some(obs)) = (pending_deliver.is_empty(), &*obs) {
-                    let n = pending_deliver.len() as u64;
-                    let mut rec = obs.borrow_mut();
-                    rec.blame.wait(res, doram_obs::BlameClass::SAppRead, n);
-                    rec.blame.delay(res, n);
-                }
-            }
-
-            for c in ns_done {
-                rec.record(&c);
-            }
-        }
+        SAppPath::Delegated(d) => d.deliver_splits(),
+        SAppPath::None | SAppPath::Oram { .. } => {}
+    }
+    for c in &secure_ns_done {
+        ledger.record(c);
     }
 }
 
