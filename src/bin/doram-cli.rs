@@ -59,7 +59,30 @@ impl Opts {
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Rejects the first option outside `known`, naming it: a subcommand
+    /// that does not read an option would otherwise leave its default in
+    /// force without a word.
+    fn only(self, known: &[&str]) -> Result<Opts, String> {
+        let mut given = self.pairs.iter().map(|(k, _)| k).chain(&self.flags);
+        match given.find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(format!("unknown option '--{k}' for this command")),
+            None => Ok(self),
+        }
+    }
 }
+
+/// The options `doram-cli run` reads, in usage order.
+const RUN_OPTIONS: &[&str] = &[
+    "bench", "scheme", "k", "c", "accesses", "seed", "dummy-interval",
+    "merge", "pipeline", "json", "out",
+    "parity", "scrub-every", "probation-window", "probation-successes",
+    "chaos-sub", "chaos-at",
+    "adversary", "adversary-sub", "adversary-at", "adversary-ppm",
+    "checkpoint-every", "checkpoint-dir", "resume", "watchdog", "ckpt-key",
+    "trace-out", "trace-filter", "metrics-every", "metrics-window", "trace-ring",
+    "obs-out", "prom-out",
+];
 
 fn parse_benchmark(opts: &Opts) -> Result<Benchmark, String> {
     let name = opts.get("bench").unwrap_or("mummer");
@@ -119,7 +142,8 @@ fn build_config(opts: &Opts) -> Result<SystemConfig, String> {
     b.build().map_err(|e| e.to_string())
 }
 
-/// `--adversary MODE`: a seeded [`AdversaryPlan`] of repeating attack
+/// `--adversary MODE`: a seeded
+/// [`AdversaryPlan`](doram::sim::fault::AdversaryPlan) of repeating attack
 /// bursts against secure sub-channel `sub`, compiled down to the ordinary
 /// site-window fault plan. `mix` mounts all three active attacks with
 /// staggered onsets so their bursts interleave.
@@ -520,7 +544,8 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (Some(sub), Some(file)) = (args.first(), args.get(1)) else {
         return Err(TRACE_USAGE.into());
     };
-    let opts = Opts::parse(&args[2..])?;
+    let known: &[&str] = if sub == "validate" { &["min-accesses"] } else { &[] };
+    let opts = Opts::parse(&args[2..])?.only(known)?;
     let path = Path::new(file);
     match sub.as_str() {
         "summarize" => {
@@ -574,6 +599,9 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err(OBS_USAGE.into());
     };
     let path = Path::new(file);
+    if sub != "compare" {
+        Opts::parse(&args[2..])?.only(&[])?;
+    }
     match sub.as_str() {
         "report" => {
             let text = std::fs::read_to_string(path)?;
@@ -607,7 +635,7 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
             let Some(current) = args.get(2) else {
                 return Err(format!("obs compare needs BASELINE and CURRENT files\n{OBS_USAGE}").into());
             };
-            let opts = Opts::parse(&args[3..])?;
+            let opts = Opts::parse(&args[3..])?.only(&["tolerance-pct"])?;
             let tol: f64 = match opts.get("tolerance-pct") {
                 None => 0.0,
                 Some(v) => v
@@ -719,7 +747,23 @@ fn compare_json(
     }
 }
 
-fn cmd_list() {
+fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    use doram::core::experiments::{validation, Scale};
+    let scale = Scale {
+        ns_accesses: opts.get_u64("accesses", 800).unwrap_or(800),
+        seed: opts.get_u64("seed", 1).unwrap_or(1),
+        benchmarks: Scale::from_env().benchmarks,
+    };
+    let card = validation::validate(&scale)?;
+    println!("{}", card.render());
+    if card.structural_ok() {
+        Ok(())
+    } else {
+        Err("structural claims failed".into())
+    }
+}
+
+fn cmd_list(_: &Opts) -> Result<(), Box<dyn Error>> {
     println!("benchmarks (Table III):");
     for b in Benchmark::ALL {
         println!("  {:<8} MPKI {:>5.1}  {:?}", b.spec().name, b.spec().mpki, b.suite());
@@ -756,6 +800,7 @@ fn cmd_list() {
          --prom-out FILE (Prometheus text snapshot); \
          inspect offline with `doram-cli obs report|check-prom|check-jsonl|compare`"
     );
+    Ok(())
 }
 
 const USAGE: &str = "usage: doram-cli <run|sweep-c|profile|check|trace|obs|list> [--bench NAME] [--scheme NAME]
@@ -791,42 +836,26 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match Opts::parse(&args[1..]) {
+    // Each subcommand and the options it reads.
+    let (command, known): (fn(&Opts) -> Result<(), Box<dyn Error>>, &[&str]) = match cmd.as_str() {
+        "run" => (cmd_run, RUN_OPTIONS),
+        "sweep-c" => (cmd_sweep_c, &["bench", "accesses", "seed"]),
+        "profile" => (cmd_profile, &["bench", "accesses", "seed"]),
+        "check" => (cmd_check, &["accesses", "seed"]),
+        "list" => (cmd_list, &[]),
+        other => {
+            eprintln!("unknown command '{other}'\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = match Opts::parse(&args[1..]).and_then(|o| o.only(known)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "sweep-c" => cmd_sweep_c(&opts),
-        "profile" => cmd_profile(&opts),
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "check" => {
-            use doram::core::experiments::{validation, Scale};
-            let scale = Scale {
-                ns_accesses: opts.get_u64("accesses", 800).unwrap_or(800),
-                seed: opts.get_u64("seed", 1).unwrap_or(1),
-                benchmarks: Scale::from_env().benchmarks,
-            };
-            match validation::validate(&scale) {
-                Ok(card) => {
-                    println!("{}", card.render());
-                    if card.structural_ok() { Ok(()) } else { Err("structural claims failed".into()) }
-                }
-                Err(e) => Err(Box::new(e) as Box<dyn Error>),
-            }
-        }
-        other => {
-            eprintln!("unknown command '{other}'\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
+    match command(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -857,6 +886,22 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         assert!(Opts::parse(&["oops".to_string()]).is_err());
+    }
+
+    #[test]
+    fn rejects_options_a_command_does_not_read() {
+        let err = opts(&["--ns-accesses", "5"]).only(RUN_OPTIONS).unwrap_err();
+        assert!(err.contains("'--ns-accesses'"), "{err}");
+        assert!(opts(&["--parity", "--accesses", "5"]).only(RUN_OPTIONS).is_ok());
+        assert!(opts(&["--merge"]).only(&["bench", "accesses", "seed"]).is_err());
+        // `run` accepts exactly the options its usage text lists.
+        let run_usage = USAGE.split("doram-cli trace").next().unwrap();
+        let listed: Vec<&str> = run_usage
+            .split("[--")
+            .skip(1)
+            .map(|t| t.split([' ', ']']).next().unwrap())
+            .collect();
+        assert_eq!(listed, RUN_OPTIONS);
     }
 
     #[test]
