@@ -15,7 +15,7 @@ use crate::secmem_frontend::SecMemFrontend;
 use crate::secure_channel::{SecureChannel, SecureChannelConfig, SplitFetch};
 use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass};
-use doram_obs::{CoreStall, SharedRecorder, StallDump, Subsystem};
+use doram_obs::{CoreStall, Recorder, SharedRecorder, StallDump, Subsystem};
 use doram_oram::plan::PlanConfig;
 use doram_oram::split::SplitConfig;
 use doram_oram::tree::TreeGeometry;
@@ -965,7 +965,7 @@ impl Simulation {
             self.mem.backend.set_obs(obs);
             return obs.clone();
         }
-        let obs = doram_obs::Recorder::shared(ring_capacity, filter, metrics_every);
+        let obs = Recorder::shared(ring_capacity, filter, metrics_every);
         self.mem.backend.set_obs(&obs);
         self.obs = Some(obs.clone());
         obs
@@ -1121,11 +1121,7 @@ impl Simulation {
             // `enable_tracing` overrides these defaults when the resumed
             // run passes its own.
             let rec = obs.take().unwrap_or_else(|| {
-                doram_obs::Recorder::shared(
-                    capacity,
-                    doram_obs::FILTER_ALL,
-                    doram_obs::DEFAULT_METRICS_EVERY,
-                )
+                Recorder::shared(capacity, doram_obs::FILTER_ALL, doram_obs::DEFAULT_METRICS_EVERY)
             });
             rec.borrow_mut().load_state(&mut r)?;
             mem.backend.set_obs(&rec);

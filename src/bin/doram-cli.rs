@@ -837,7 +837,8 @@ fn main() -> ExitCode {
         };
     }
     // Each subcommand and the options it reads.
-    let (command, known): (fn(&Opts) -> Result<(), Box<dyn Error>>, &[&str]) = match cmd.as_str() {
+    type Command = fn(&Opts) -> Result<(), Box<dyn Error>>;
+    let (command, known): (Command, &[&str]) = match cmd.as_str() {
         "run" => (cmd_run, RUN_OPTIONS),
         "sweep-c" => (cmd_sweep_c, &["bench", "accesses", "seed"]),
         "profile" => (cmd_profile, &["bench", "accesses", "seed"]),
