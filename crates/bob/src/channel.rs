@@ -101,9 +101,9 @@ impl BobChannel {
         self.obs = obs;
     }
 
-    /// Installs a system-wide fault plan on the channel's link, overriding
-    /// the per-link rates of [`LinkConfig`]. `site` must be unique per
-    /// link so each draws an independent fault stream.
+    /// Arms the channel's link with a system-wide fault plan (see
+    /// [`Link::set_fault_plan`]). `site` must be unique per link so each
+    /// draws an independent fault stream.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, site: u64) {
         self.link.set_fault_plan(plan, site);
     }

@@ -28,6 +28,9 @@
 //! cycles are charged up front on the frame's arrival time, which keeps the
 //! link a deterministic function of (config, fault plan, send sequence) —
 //! a faulty run delivers exactly the same frames as a clean run, later.
+//!
+//! A link starts unarmed: its faults come only from a [`FaultPlan`]
+//! installed with [`Link::set_fault_plan`].
 
 use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRates};
@@ -41,6 +44,25 @@ use std::collections::VecDeque;
 /// streams derived from the same seed.
 const JITTER_STREAM_SALT: u64 = 0xBAC0_FF01_BAC0_FF01;
 
+/// The plan an unarmed link keys its injector and jitter streams from. It
+/// never fires, so neither stream is drawn from until
+/// [`Link::set_fault_plan`] arms the link; both are checkpointed, so the
+/// fixed seed keeps a fresh link's state bytes stable.
+const UNARMED: FaultPlan = FaultPlan {
+    seed: 0x11_4B,
+    base: FaultRates::none(),
+    site_windows: Vec::new(),
+};
+
+/// A direction's fault injector and backoff-jitter stream, both keyed on
+/// `(plan.seed, stream)` under distinct salts.
+fn fault_streams(plan: &FaultPlan, stream: u64) -> (FaultInjector, Xoshiro256) {
+    (
+        plan.injector(stream),
+        Xoshiro256::stream(plan.seed ^ JITTER_STREAM_SALT, stream),
+    )
+}
+
 /// Link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
@@ -50,15 +72,6 @@ pub struct LinkConfig {
     pub latency: MemCycle,
     /// Maximum packets queued waiting for the serializer, per direction.
     pub tx_queue: usize,
-    /// Probability (per million frames) that a frame is corrupted in
-    /// flight, detected by CRC at the receiver, and NAK-replayed.
-    /// 0 disables corruption injection.
-    pub error_rate_ppm: u32,
-    /// Probability (per million frames) that a frame is dropped outright
-    /// and recovered by retransmission timeout. 0 disables drops.
-    pub drop_rate_ppm: u32,
-    /// Seed for deterministic error injection.
-    pub error_seed: u64,
     /// Maximum retransmissions per frame before the link reports a
     /// [`SimError::LinkTimeout`] (the frame is still delivered so the
     /// simulation can drain, but the fault is latched for fail-stop).
@@ -72,8 +85,9 @@ pub struct LinkConfig {
     /// Jitter added on top of each backoff wait, as a percentage of the
     /// exponential term (`0..=100`). `0` (the default) disables jitter
     /// entirely — no randomness is consumed, so legacy runs are
-    /// bit-identical. The jitter stream is seeded from `error_seed`, so
-    /// the schedule is deterministic per (seed, direction).
+    /// bit-identical. The jitter stream is seeded from the plan installed
+    /// by [`Link::set_fault_plan`], so the schedule is deterministic per
+    /// (plan seed, direction).
     pub backoff_jitter_pct: u8,
 }
 
@@ -87,26 +101,11 @@ impl Default for LinkConfig {
             // response), so each direction carries half: 7.5 ns = 6 tCK.
             latency: MemCycle::from_nanos(7.5),
             tx_queue: 32,
-            error_rate_ppm: 0,
-            drop_rate_ppm: 0,
-            error_seed: 0x11_4B,
             max_retries: 8,
             // > 2 * latency + worst-case serialization (5 cycles for 72 B).
             retry_timeout: MemCycle(32),
             backoff_base: MemCycle(4),
             backoff_jitter_pct: 0,
-        }
-    }
-}
-
-impl LinkConfig {
-    /// The per-frame fault rates implied by this config (used when no
-    /// system-wide [`FaultPlan`] overrides the link).
-    fn fault_rates(&self) -> FaultRates {
-        FaultRates {
-            corrupt_ppm: self.error_rate_ppm,
-            drop_ppm: self.drop_rate_ppm,
-            ..FaultRates::none()
         }
     }
 }
@@ -215,15 +214,15 @@ struct Direction<M> {
 
 impl<M> Direction<M> {
     fn new(cfg: LinkConfig, stream: u64, label: &'static str) -> Direction<M> {
-        let plan = FaultPlan::with_rates(cfg.error_seed, cfg.fault_rates());
+        let (injector, jitter_rng) = fault_streams(&UNARMED, stream);
         Direction {
             cfg,
             tx: VecDeque::new(),
             tx_busy_until: MemCycle::ZERO,
             flying: VecDeque::new(),
             bytes_sent: 0,
-            injector: plan.injector(stream),
-            jitter_rng: Xoshiro256::stream(cfg.error_seed ^ JITTER_STREAM_SALT, stream),
+            injector,
+            jitter_rng,
             health: HealthMonitor::new(HealthPolicy::default()),
             stats: LinkStats::default(),
             fault: None,
@@ -470,16 +469,21 @@ impl<M> Link<M> {
         }
     }
 
-    /// Replaces both directions' injectors with streams drawn from a
-    /// system-wide fault plan. `site` distinguishes this link from others
-    /// sharing the plan (two streams per link).
+    /// Arms the link with a system-wide fault plan, the only source of
+    /// link faults. Both directions' injectors and jitter streams are
+    /// keyed off the plan; `site` distinguishes this link from others
+    /// sharing it (two streams per link). A plan that can never fire
+    /// leaves the link unarmed, so its state stays a fresh link's.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, site: u64) {
-        self.to_mem.injector = plan.injector(site * 2);
-        self.to_cpu.injector = plan.injector(site * 2 + 1);
-        // Re-key the jitter streams off the plan so links sharing one
-        // system-wide plan jitter independently per site.
-        self.to_mem.jitter_rng = Xoshiro256::stream(plan.seed ^ JITTER_STREAM_SALT, site * 2);
-        self.to_cpu.jitter_rng = Xoshiro256::stream(plan.seed ^ JITTER_STREAM_SALT, site * 2 + 1);
+        if plan.is_zero() {
+            return;
+        }
+        for (dir, stream) in [
+            (&mut self.to_mem, site * 2),
+            (&mut self.to_cpu, site * 2 + 1),
+        ] {
+            (dir.injector, dir.jitter_rng) = fault_streams(plan, stream);
+        }
     }
 
     /// Attaches (or detaches) a trace recorder. Both directions emit
@@ -704,9 +708,23 @@ mod tests {
         assert_eq!(link.pending(), 0);
     }
 
-    /// Drives 200 frames through a link and returns (arrivals, stats).
-    fn run_lossy(cfg: LinkConfig) -> (Vec<(u32, u64)>, LinkStats) {
+    /// A plan corrupting `corrupt_ppm` and dropping `drop_ppm` of frames.
+    fn lossy(seed: u64, corrupt_ppm: u32, drop_ppm: u32) -> FaultPlan {
+        FaultPlan::with_rates(
+            seed,
+            FaultRates {
+                corrupt_ppm,
+                drop_ppm,
+                ..FaultRates::none()
+            },
+        )
+    }
+
+    /// Drives 200 frames through a link armed with `plan` and returns
+    /// (arrivals, stats).
+    fn run_lossy(cfg: LinkConfig, plan: &FaultPlan) -> (Vec<(u32, u64)>, LinkStats) {
         let mut link: Link<u32> = Link::new(cfg);
+        link.set_fault_plan(plan, 0);
         let mut next = 0u32;
         let mut got = Vec::new();
         for c in 0..200_000u64 {
@@ -728,13 +746,10 @@ mod tests {
 
     #[test]
     fn error_injection_replays_and_delays() {
-        let clean = LinkConfig::default();
-        let lossy = LinkConfig {
-            error_rate_ppm: 200_000, // 20%: exaggerated to observe quickly
-            ..clean
-        };
-        let (clean_got, clean_stats) = run_lossy(clean);
-        let (lossy_got, lossy_stats) = run_lossy(lossy);
+        let cfg = LinkConfig::default();
+        let (clean_got, clean_stats) = run_lossy(cfg, &FaultPlan::none());
+        // 20%: exaggerated to observe quickly.
+        let (lossy_got, lossy_stats) = run_lossy(cfg, &lossy(0x11_4B, 200_000, 0));
         assert_eq!(clean_stats.retransmissions, 0);
         assert_eq!(clean_stats.recovery_cycles, 0);
         assert!(
@@ -758,11 +773,8 @@ mod tests {
 
     #[test]
     fn dropped_frames_recover_by_timeout() {
-        let cfg = LinkConfig {
-            drop_rate_ppm: 200_000,
-            ..LinkConfig::default()
-        };
-        let (got, stats) = run_lossy(cfg);
+        let cfg = LinkConfig::default();
+        let (got, stats) = run_lossy(cfg, &lossy(0x11_4B, 0, 200_000));
         assert_eq!(got.len(), 200, "every dropped frame is retransmitted");
         assert!(stats.timeouts > 10, "timeouts {}", stats.timeouts);
         assert_eq!(stats.crc_errors, 0);
@@ -773,19 +785,12 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_schedule() {
-        let cfg = LinkConfig {
-            error_rate_ppm: 100_000,
-            drop_rate_ppm: 50_000,
-            ..LinkConfig::default()
-        };
-        let (got_a, stats_a) = run_lossy(cfg);
-        let (got_b, stats_b) = run_lossy(cfg);
+        let cfg = LinkConfig::default();
+        let (got_a, stats_a) = run_lossy(cfg, &lossy(0x11_4B, 100_000, 50_000));
+        let (got_b, stats_b) = run_lossy(cfg, &lossy(0x11_4B, 100_000, 50_000));
         assert_eq!(got_a, got_b);
         assert_eq!(stats_a, stats_b);
-        let (got_c, stats_c) = run_lossy(LinkConfig {
-            error_seed: 0xDEAD,
-            ..cfg
-        });
+        let (got_c, stats_c) = run_lossy(cfg, &lossy(0xDEAD, 100_000, 50_000));
         assert!(got_a != got_c || stats_a != stats_c, "seed must matter");
     }
 
@@ -793,11 +798,9 @@ mod tests {
     fn retry_budget_exhaustion_latches_fault() {
         // 100% corruption: every attempt fails, so the budget runs out and
         // the link latches a LinkTimeout — but still delivers the frame.
-        let cfg = LinkConfig {
-            error_rate_ppm: 1_000_000,
-            ..LinkConfig::default()
-        };
+        let cfg = LinkConfig::default();
         let mut link: Link<u32> = Link::new(cfg);
+        link.set_fault_plan(&lossy(0x11_4B, 1_000_000, 0), 0);
         link.send_to_mem(72, 1).unwrap();
         let got = drain(&mut link, 100_000);
         assert_eq!(got.len(), 1, "fail-stop still drains the frame");
@@ -851,25 +854,23 @@ mod tests {
     fn jitter_is_deterministic_per_seed() {
         let cfg = LinkConfig {
             backoff_jitter_pct: 50,
-            error_rate_ppm: 200_000,
             ..LinkConfig::default()
         };
-        let (got_a, stats_a) = run_lossy(cfg);
-        let (got_b, stats_b) = run_lossy(cfg);
+        let plan = lossy(0x11_4B, 200_000, 0);
+        let (got_a, stats_a) = run_lossy(cfg, &plan);
+        let (got_b, stats_b) = run_lossy(cfg, &plan);
         assert_eq!(got_a, got_b, "same seed must give the same schedule");
         assert_eq!(stats_a, stats_b);
         // A different seed shifts both the fault schedule and the jitter.
-        let (got_c, _) = run_lossy(LinkConfig {
-            error_seed: 0xBEEF,
-            ..cfg
-        });
+        let (got_c, _) = run_lossy(cfg, &lossy(0xBEEF, 200_000, 0));
         assert_ne!(got_a, got_c, "seed must matter");
         // Jitter costs extra cycles relative to the un-jittered run
         // whenever any retransmission happened.
-        let (_, stats_plain) = run_lossy(LinkConfig {
+        let plain = LinkConfig {
             backoff_jitter_pct: 0,
             ..cfg
-        });
+        };
+        let (_, stats_plain) = run_lossy(plain, &plan);
         assert_eq!(stats_a.retransmissions, stats_plain.retransmissions);
         assert!(
             stats_a.recovery_cycles >= stats_plain.recovery_cycles,
@@ -881,11 +882,12 @@ mod tests {
     fn snapshot_resume_mid_backoff_is_bit_identical() {
         use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
         let cfg = LinkConfig {
-            error_rate_ppm: 300_000,
-            drop_rate_ppm: 100_000,
             backoff_jitter_pct: 50,
             ..LinkConfig::default()
         };
+        // The plan is configuration, not state: the resumed link is armed
+        // with it before its state loads.
+        let plan = lossy(0x11_4B, 300_000, 100_000);
         let run_half = |link: &mut Link<u32>, next: &mut u32, from: u64, upto: u64| {
             let mut got = Vec::new();
             for c in from..upto {
@@ -902,6 +904,7 @@ mod tests {
             got
         };
         let mut link: Link<u32> = Link::new(cfg);
+        link.set_fault_plan(&plan, 0);
         let mut next = 0u32;
         let split = 800u64;
         let head = run_half(&mut link, &mut next, 0, split);
@@ -912,6 +915,7 @@ mod tests {
         link.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut resumed: Link<u32> = Link::new(cfg);
+        resumed.set_fault_plan(&plan, 0);
         let mut r = SnapshotReader::new(&bytes);
         resumed.load_state(&mut r).unwrap();
 
@@ -939,11 +943,8 @@ mod tests {
         // to-mem direction's failure streak crosses the quarantine
         // threshold (16) within two frames. Health is observational — the
         // link keeps delivering — but the state and trace events register.
-        let cfg = LinkConfig {
-            error_rate_ppm: 1_000_000,
-            ..LinkConfig::default()
-        };
-        let mut link: Link<u32> = Link::new(cfg);
+        let mut link: Link<u32> = Link::new(LinkConfig::default());
+        link.set_fault_plan(&lossy(0x11_4B, 1_000_000, 0), 0);
         let rec = Recorder::shared(256, FILTER_ALL, 1_000_000);
         link.set_obs(Some(rec.clone()));
         link.send_to_mem(72, 1).unwrap();
@@ -996,8 +997,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_plan_leaves_the_link_unarmed() {
+        use doram_sim::snapshot::{Snapshot, SnapshotWriter};
+        // A plan that can never fire re-keys neither the checkpointed
+        // injectors nor the jitter streams, whatever its seed or site.
+        let snap = |l: &Link<u32>| {
+            let mut w = SnapshotWriter::new();
+            l.save_state(&mut w);
+            w.into_bytes()
+        };
+        let fresh: Link<u32> = Link::new(LinkConfig::default());
+        for (plan, site) in [(FaultPlan::none(), 0), (lossy(77, 0, 0), 3)] {
+            let mut link: Link<u32> = Link::new(LinkConfig::default());
+            link.set_fault_plan(&plan, site);
+            assert_eq!(snap(&link), snap(&fresh), "seed {} site {site}", plan.seed);
+        }
+    }
+
+    #[test]
     fn system_fault_plan_overrides_config() {
-        // Config says clean; an installed plan injects heavily.
+        // A link built from its config alone is clean; an installed plan
+        // injects heavily.
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let plan = FaultPlan::with_rates(
             9,

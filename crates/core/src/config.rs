@@ -146,10 +146,10 @@ pub struct SystemConfig {
     pub sd_pipeline: bool,
     /// Hard cap on simulated memory cycles (safety net).
     pub max_mem_cycles: u64,
-    /// Deterministic fault plan for the untrusted-memory stack: when
-    /// non-zero, every serial link and the SD's DRAM reads draw faults
-    /// from it (seeded independently per site) and recover through
-    /// CRC/NAK retransmission and integrity re-fetch.
+    /// Deterministic fault plan for the untrusted-memory stack, the only
+    /// source of injected faults: when non-zero, every serial link and the
+    /// SD's DRAM reads draw faults from it (seeded independently per site)
+    /// and recover through CRC/NAK retransmission and integrity re-fetch.
     pub fault_plan: FaultPlan,
     /// Integrity-recovery policy at the SD (re-fetch budget, quarantine
     /// threshold).

@@ -125,16 +125,16 @@ pub fn page_policy(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimErro
 }
 
 /// Serial-link reliability: CRC error + replay rates (ideal links in the
-/// paper; real SerDes lanes see occasional frame replays).
+/// paper; real SerDes lanes see occasional frame replays). Every link
+/// draws its own fault stream from one plan.
 pub fn link_reliability(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
+    use doram_sim::fault::{FaultKind, FaultPlan, FaultRates};
     let base = run_cfg(builder(b, scale).build().expect("valid"))?;
     let mut points = Vec::new();
     for ppm in [0u32, 1_000, 100_000] {
-        let link = doram_bob::LinkConfig {
-            error_rate_ppm: ppm,
-            ..doram_bob::LinkConfig::default()
-        };
-        let v = run_cfg(builder(b, scale).link(link).build().expect("valid"))?;
+        let rates = FaultRates::only(FaultKind::CorruptFrame, ppm);
+        let plan = FaultPlan::with_rates(scale.seed, rates);
+        let v = run_cfg(builder(b, scale).fault_plan(plan).build().expect("valid"))?;
         points.push((format!("{ppm} ppm"), v / base));
     }
     Ok(AblationSweep {

@@ -178,9 +178,9 @@ pub struct SecureChannelConfig {
     /// Let the buffered access's read phase overlap the current write
     /// phase (an extension; the paper's SD strictly serializes).
     pub sd_pipeline: bool,
-    /// System-wide fault plan. When non-zero it overrides the link's own
-    /// `error_rate_ppm` machinery and additionally faults the SD's DRAM
-    /// reads (bit flips, forged MACs) per its bit-flip/forge rates.
+    /// System-wide fault plan, the only source of injected faults: it arms
+    /// the serial link (site 0) and faults the SD's DRAM reads (bit flips,
+    /// forged MACs, adversarial serves) per its rates and site windows.
     pub fault_plan: FaultPlan,
     /// Integrity-recovery policy (re-fetch budget, quarantine threshold).
     pub recovery: RecoveryPolicy,
@@ -289,10 +289,8 @@ impl SecureChannel {
             "plan units must equal sub-channel count"
         );
         let mut link = Link::new(cfg.link);
-        if !cfg.fault_plan.is_zero() {
-            // Site 0: the secure channel's serial link.
-            link.set_fault_plan(&cfg.fault_plan, 0);
-        }
+        // Site 0: the secure channel's serial link.
+        link.set_fault_plan(&cfg.fault_plan, 0);
         let verifier = SdVerifier::new(&cfg);
         SecureChannel {
             link,

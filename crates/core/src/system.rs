@@ -907,11 +907,9 @@ impl Simulation {
         };
         let fabric = if matches!(sapp, SAppPath::Delegated(_)) {
             let mut normals = ChannelFabric::bob(cfg.channels - 1, cfg.link, &sub_cfg);
-            if !cfg.fault_plan.is_zero() {
-                // Link sites: 0 is the secure channel; normal channel
-                // links start at 1.
-                normals.set_fault_plan(&cfg.fault_plan, 1);
-            }
+            // Link sites: 0 is the secure channel; normal channel links
+            // start at 1.
+            normals.set_fault_plan(&cfg.fault_plan, 1);
             normals
         } else {
             ChannelFabric::direct(cfg.channels, &sub_cfg)

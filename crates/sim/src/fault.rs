@@ -6,10 +6,12 @@
 //! workspace-wide fault schedule used to exercise those scenarios:
 //!
 //! * [`FaultRates`] — per-million probabilities for each [`FaultKind`],
-//! * [`FaultWindow`] — a scheduled burst overriding the base rates during a
-//!   cycle interval (e.g. a noisy-neighbor window or a targeted attack),
-//! * [`FaultPlan`] — seed + base rates + windows; the single value threaded
-//!   through `LinkConfig`/`SecureChannelConfig`/`SystemConfig`,
+//! * [`FaultWindow`] — a cycle interval with its own rates; a [`SiteWindow`]
+//!   scopes one to a single injection site (a targeted attack, one hostile
+//!   sub-channel),
+//! * [`FaultPlan`] — seed + base rates + site windows; the single source of
+//!   injected faults, carried by `SystemConfig`/`SecureChannelConfig` and
+//!   installed on each serial link with `Link::set_fault_plan`,
 //! * [`FaultInjector`] — a per-site roller with an independent RNG stream
 //!   derived from the plan seed, so the same seed always produces the same
 //!   fault schedule regardless of how other subsystems consume randomness.
@@ -189,7 +191,8 @@ impl FaultRates {
 }
 
 /// A scheduled burst: between `start` (inclusive) and `end` (exclusive) the
-/// window's rates replace the plan's base rates.
+/// window's rates replace the plan's base rates at the [`SiteWindow`]'s
+/// site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// First memory cycle the window covers.
@@ -208,9 +211,9 @@ impl FaultWindow {
 }
 
 /// A burst scoped to a single injection site: while active it overrides
-/// the global schedule, but *only* for the injector at exactly `site`.
-/// Every other site keeps the base/window rates — the tool for modeling a
-/// targeted attack (one hostile sub-channel) rather than ambient noise.
+/// the base rates, but *only* for the injector at exactly `site`. Every
+/// other site keeps the base rates — the tool for modeling a targeted
+/// attack (one hostile sub-channel) rather than ambient noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteWindow {
     /// The injection site this window targets.
@@ -226,10 +229,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Rates in effect outside every window.
     pub base: FaultRates,
-    /// Scheduled bursts. The *last* window containing a cycle wins.
-    pub windows: Vec<FaultWindow>,
-    /// Site-scoped bursts. While one is active it overrides the global
-    /// schedule for its site alone; the last containing window wins.
+    /// Site-scoped bursts. While one is active it overrides the base
+    /// rates for its site alone; the last containing window wins.
     pub site_windows: Vec<SiteWindow>,
 }
 
@@ -244,15 +245,8 @@ impl FaultPlan {
         FaultPlan {
             seed,
             base,
-            windows: Vec::new(),
             site_windows: Vec::new(),
         }
-    }
-
-    /// Builder-style: appends a scheduled window.
-    pub fn window(mut self, window: FaultWindow) -> FaultPlan {
-        self.windows.push(window);
-        self
     }
 
     /// Builder-style: appends a site-scoped window.
@@ -263,35 +257,19 @@ impl FaultPlan {
 
     /// True when neither the base rates nor any window can fire.
     pub fn is_zero(&self) -> bool {
-        self.base.is_zero()
-            && self.windows.iter().all(|w| w.rates.is_zero())
-            && self.site_windows.iter().all(|s| s.window.rates.is_zero())
-    }
-
-    /// The rates in effect at `now`: the last containing window, else base.
-    pub fn rates_at(&self, now: MemCycle) -> FaultRates {
-        self.windows
-            .iter()
-            .rev()
-            .find(|w| w.contains(now))
-            .map(|w| w.rates)
-            .unwrap_or(self.base)
+        self.base.is_zero() && self.site_windows.iter().all(|s| s.window.rates.is_zero())
     }
 
     /// The rates the injector at `site` sees at `now`: the last containing
-    /// site-scoped window for that site, else the global schedule.
+    /// site-scoped window for that site, else the base rates.
     pub fn rates_at_site(&self, site: u64, now: MemCycle) -> FaultRates {
         self.site_windows
             .iter()
             .rev()
-            .find(|s| s.site == site && s.window.contains(now))
-            .map(|s| s.window.rates)
-            .unwrap_or_else(|| self.rates_at(now))
-    }
-
-    /// Whether any site-scoped window targets `site`.
-    pub fn has_site_windows(&self, site: u64) -> bool {
-        self.site_windows.iter().any(|s| s.site == site)
+            // Interval first: an injector's plan holds only its own site's
+            // windows, so the site test almost never decides.
+            .find(|s| s.window.contains(now) && s.site == site)
+            .map_or(self.base, |s| s.window.rates)
     }
 
     /// Whether the plan can ever fire an adversarial kind (replay,
@@ -300,7 +278,6 @@ impl FaultPlan {
     /// keeping plain fault-injection runs bit-identical.
     pub fn has_adversary(&self) -> bool {
         self.base.is_adversarial()
-            || self.windows.iter().any(|w| w.rates.is_adversarial())
             || self
                 .site_windows
                 .iter()
@@ -308,29 +285,36 @@ impl FaultPlan {
     }
 
     /// The plan's schedule *restricted to* `site`'s overlay windows: base
-    /// rates of zero, the site's scoped windows promoted to plain windows.
-    /// An injector built from this derived plan fires only during the
-    /// site-scoped bursts — the overlay roller layered on top of a shared
-    /// injector so legacy (siteless) plans stay bit-identical.
+    /// rates of zero and only the windows scoped to `site`. An injector
+    /// built from this derived plan fires only during those bursts — the
+    /// overlay roller layered on top of a shared injector so plans without
+    /// site windows stay bit-identical.
     pub fn site_plan(&self, site: u64) -> FaultPlan {
         FaultPlan {
-            seed: self.seed,
             base: FaultRates::none(),
-            windows: self
+            ..self.at_site(site)
+        }
+    }
+
+    /// The plan as `site` sees it: the base rates and only the windows
+    /// scoped to `site`.
+    fn at_site(&self, site: u64) -> FaultPlan {
+        FaultPlan {
+            seed: self.seed,
+            base: self.base,
+            site_windows: self
                 .site_windows
                 .iter()
                 .filter(|s| s.site == site)
-                .map(|s| s.window)
+                .copied()
                 .collect(),
-            site_windows: Vec::new(),
         }
     }
 
     /// Validates base and window rates, and window bounds.
     pub fn validate(&self) -> Result<(), SimError> {
         self.base.validate()?;
-        let site_bounds = self.site_windows.iter().map(|s| &s.window);
-        for w in self.windows.iter().chain(site_bounds) {
+        for w in self.site_windows.iter().map(|s| &s.window) {
             w.rates.validate()?;
             if w.start.0 >= w.end.0 {
                 return Err(SimError::config(format!(
@@ -345,10 +329,13 @@ impl FaultPlan {
     /// Creates the injector for one site (a link direction, a sub-channel…).
     ///
     /// Distinct sites get independent RNG streams from the same seed, so the
-    /// schedule at one site is unaffected by traffic at another.
+    /// schedule at one site is unaffected by traffic at another. The
+    /// injector keeps only `site`'s windows, so a roll never scans another
+    /// site's bursts.
     pub fn injector(&self, site: u64) -> FaultInjector {
         FaultInjector {
-            plan: self.clone(),
+            plan: self.at_site(site),
+            armed: !self.is_zero(),
             site,
             rng: Xoshiro256::stream(self.seed ^ FAULT_STREAM_SALT, site),
             counts: FaultCounts::default(),
@@ -419,7 +406,12 @@ impl FaultCounts {
 /// A per-site fault roller with its own RNG stream and counters.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
+    /// The plan restricted to `site` ([`FaultPlan::at_site`]).
     plan: FaultPlan,
+    /// Whether the whole plan can fire, at this site or any other:
+    /// [`FaultInjector::is_disabled`] answers for the plan, so a consumer's
+    /// clean fast path does not depend on which sites the windows target.
+    armed: bool,
     site: u64,
     rng: Xoshiro256,
     counts: FaultCounts,
@@ -429,11 +421,6 @@ impl FaultInjector {
     /// An injector that never fires (for sites with no plan).
     pub fn disabled() -> FaultInjector {
         FaultPlan::none().injector(0)
-    }
-
-    /// The site this injector rolls for.
-    pub fn site(&self) -> u64 {
-        self.site
     }
 
     /// Rolls whether a fault of `kind` fires at `now`, bumping counters on a
@@ -470,9 +457,10 @@ impl FaultInjector {
         self.counts
     }
 
-    /// True when this injector's plan can never fire.
+    /// True when the plan this injector came from can never fire, at this
+    /// site or any other.
     pub fn is_disabled(&self) -> bool {
-        self.plan.is_zero()
+        !self.armed
     }
 }
 
@@ -608,7 +596,7 @@ crate::impl_codec!(struct FaultCounts {
 
 // The plan and site are configuration; only the roll cursor and tallies
 // move.
-crate::impl_snapshot!(FaultInjector { rng, counts } skip { plan, site });
+crate::impl_snapshot!(FaultInjector { rng, counts } skip { plan, armed, site });
 
 #[cfg(test)]
 mod tests {
@@ -675,11 +663,14 @@ mod tests {
 
     #[test]
     fn windows_override_base() {
-        let plan = FaultPlan::with_rates(1, FaultRates::none()).window(FaultWindow {
-            start: MemCycle(100),
-            end: MemCycle(200),
-            rates: link_rates(1_000_000),
-        });
+        let plan = FaultPlan::with_rates(1, FaultRates::none()).site_window(
+            0,
+            FaultWindow {
+                start: MemCycle(100),
+                end: MemCycle(200),
+                rates: link_rates(1_000_000),
+            },
+        );
         let mut inj = plan.injector(0);
         assert!(!inj.roll(FaultKind::CorruptFrame, MemCycle(99)));
         assert!(inj.roll(FaultKind::CorruptFrame, MemCycle(100)));
@@ -701,12 +692,13 @@ mod tests {
             rates: FaultRates::none(),
         };
         let plan = FaultPlan::with_rates(1, FaultRates::none())
-            .window(burst)
-            .window(quiet);
-        assert_eq!(plan.rates_at(MemCycle(499)).corrupt_ppm, 1_000_000);
-        assert_eq!(plan.rates_at(MemCycle(550)).corrupt_ppm, 0);
-        assert_eq!(plan.rates_at(MemCycle(600)).corrupt_ppm, 1_000_000);
-        assert_eq!(plan.rates_at(MemCycle(1000)).corrupt_ppm, 0);
+            .site_window(2, burst)
+            .site_window(2, quiet);
+        let at = |now| plan.rates_at_site(2, MemCycle(now)).corrupt_ppm;
+        assert_eq!(at(499), 1_000_000);
+        assert_eq!(at(550), 0);
+        assert_eq!(at(600), 1_000_000);
+        assert_eq!(at(1000), 0);
     }
 
     #[test]
@@ -725,6 +717,8 @@ mod tests {
         assert!(hit.roll(FaultKind::CorruptFrame, MemCycle(150)));
         assert!(!other.roll(FaultKind::CorruptFrame, MemCycle(150)));
         assert_eq!(other.counts().total(), 0);
+        // Disabled answers for the whole plan, not the site.
+        assert!(!other.is_disabled());
     }
 
     #[test]
@@ -738,11 +732,14 @@ mod tests {
         let derived = plan.site_plan(3);
         // The derived plan drops base rates and keeps only site 3's bursts.
         assert_eq!(derived.base, FaultRates::none());
-        assert_eq!(derived.windows, vec![burst]);
-        assert!(derived.site_windows.is_empty());
+        assert_eq!(
+            derived.site_windows,
+            vec![SiteWindow {
+                site: 3,
+                window: burst
+            }]
+        );
         assert!(plan.site_plan(4).is_zero(), "untargeted sites get nothing");
-        assert!(plan.has_site_windows(3));
-        assert!(!plan.has_site_windows(4));
     }
 
     #[test]
@@ -752,10 +749,7 @@ mod tests {
         let plan = FaultPlan::with_rates(42, link_rates(250_000));
         let mut inj = plan.injector(3);
         for i in 0..500 {
-            assert_eq!(
-                plan.rates_at(MemCycle(i)),
-                plan.rates_at_site(3, MemCycle(i))
-            );
+            assert_eq!(plan.rates_at_site(3, MemCycle(i)), plan.base);
             inj.roll(FaultKind::CorruptFrame, MemCycle(i));
         }
         assert!(inj.counts().total() > 0);
@@ -765,11 +759,14 @@ mod tests {
     fn validate_rejects_bad_plans() {
         let over = FaultPlan::with_rates(0, link_rates(1_000_001));
         assert!(over.validate().is_err());
-        let empty_window = FaultPlan::none().window(FaultWindow {
-            start: MemCycle(5),
-            end: MemCycle(5),
-            rates: FaultRates::none(),
-        });
+        let empty_window = FaultPlan::none().site_window(
+            0,
+            FaultWindow {
+                start: MemCycle(5),
+                end: MemCycle(5),
+                rates: FaultRates::none(),
+            },
+        );
         assert!(empty_window.validate().is_err());
         assert!(FaultPlan::with_rates(0, link_rates(1_000_000)).validate().is_ok());
     }
