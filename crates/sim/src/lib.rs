@@ -4,9 +4,9 @@
 //!
 //! This crate deliberately contains no architecture knowledge: it provides the
 //! time base (DRAM command clock vs. CPU clock), deterministic random number
-//! generation, identifier newtypes, bounded queues, and statistics
-//! primitives. All cycle-level models (DRAM, CPU, BOB link, ORAM controller)
-//! are built on top of these.
+//! generation, identifier newtypes, fault plans, health monitors, checkpoint
+//! encoding, and statistics primitives. All cycle-level models (DRAM, CPU,
+//! BOB link, ORAM controller) are built on top of these.
 //!
 //! # Examples
 //!
@@ -28,7 +28,6 @@ pub mod error;
 pub mod fault;
 pub mod health;
 pub mod id;
-pub mod queue;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
@@ -40,7 +39,6 @@ pub use fault::{
 };
 pub use health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
 pub use id::{AppId, ChannelId, CoreId, RequestId, RequestIdGen, SubChannelId};
-pub use queue::BoundedQueue;
 pub use rng::Xoshiro256;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{Counter, Histogram, RunningMean};
