@@ -56,6 +56,14 @@ impl Opts {
         }
     }
 
+    /// [`Opts::get_u64`] for an option the config holds as a `u32`: a value
+    /// that does not fit is rejected, not truncated.
+    fn get_u32(&self, key: &str, default: u32) -> Result<u32, String> {
+        let v = self.get_u64(key, default.into())?;
+        u32::try_from(v)
+            .map_err(|_| format!("--{key} expects a number up to {}, got '{v}'", u32::MAX))
+    }
+
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -93,8 +101,8 @@ fn parse_benchmark(opts: &Opts) -> Result<Benchmark, String> {
 }
 
 fn parse_scheme(opts: &Opts) -> Result<Scheme, String> {
-    let k = opts.get_u64("k", 0)? as u32;
-    let c = opts.get_u64("c", 7)? as u32;
+    let k = opts.get_u32("k", 0)?;
+    let c = opts.get_u32("c", 7)?;
     match opts.get("scheme").unwrap_or("doram") {
         "solo" | "1ns" => Ok(Scheme::SoloNs),
         "7ns-4ch" | "ns4" => Ok(Scheme::Ns7on4),
@@ -117,7 +125,7 @@ fn build_config(opts: &Opts) -> Result<SystemConfig, String> {
         .parity(opts.has_flag("parity"))
         .scrub_every(opts.get_u64("scrub-every", 0)?)
         .probation_window(opts.get_u64("probation-window", 0)?)
-        .probation_successes(opts.get_u64("probation-successes", 4)? as u32);
+        .probation_successes(opts.get_u32("probation-successes", 4)?);
     if let Some(t) = opts.get("dummy-interval") {
         b = b.dummy_interval(t.parse().map_err(|_| "--dummy-interval expects a number")?);
     }
@@ -136,7 +144,7 @@ fn build_config(opts: &Opts) -> Result<SystemConfig, String> {
             opts.get_u64("seed", 1)?,
             opts.get_u64("adversary-sub", 0)?,
             opts.get_u64("adversary-at", 10_000)?,
-            opts.get_u64("adversary-ppm", 30_000)? as u32,
+            opts.get_u32("adversary-ppm", 30_000)?,
         )?);
     }
     b.build().map_err(|e| e.to_string())
@@ -903,6 +911,17 @@ mod tests {
             .map(|t| t.split([' ', ']']).next().unwrap())
             .collect();
         assert_eq!(listed, RUN_OPTIONS);
+    }
+
+    #[test]
+    fn rejects_u32_options_that_do_not_fit() {
+        // 2^32 + 1 used to wrap to 1, so `--k 4294967297` ran D-ORAM+1.
+        for key in ["--k", "--c", "--probation-successes", "--adversary-ppm"] {
+            let err =
+                build_config(&opts(&["--adversary", "replay", key, "4294967297"])).unwrap_err();
+            assert!(err.starts_with(&format!("{key} expects")), "{err}");
+        }
+        assert_eq!(opts(&["--c", "4294967295"]).get_u32("c", 7), Ok(u32::MAX));
     }
 
     #[test]
