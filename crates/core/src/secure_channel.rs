@@ -23,7 +23,7 @@ use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubCha
 use doram_obs::{BlameClass, SharedRecorder, Subsystem};
 use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
-use doram_sim::fault::{FaultCounts, FaultPlan};
+use doram_sim::fault::{FaultCounts, FaultPlan, FaultRates, FaultWindow};
 use doram_sim::health::HealthState;
 use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
@@ -34,6 +34,27 @@ use verifier::SdVerifier;
 /// rolls site-scoped bursts at site `SD_SUB_SITE_BASE + i` (the shared
 /// bus keeps site 0x5D00).
 pub const SD_SUB_SITE_BASE: u64 = 0x5D10;
+
+/// A hostile sub-channel: over `[start, end)` memory cycles every bucket
+/// read on secure sub-channel `sub` comes back with a forged MAC, which
+/// quarantines the sub-channel (and, without parity, fail-stops the run).
+pub fn hostile_sub_plan(seed: u64, sub: u64, start: u64, end: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        ..FaultPlan::none()
+    }
+    .site_window(
+        SD_SUB_SITE_BASE + sub,
+        FaultWindow {
+            start: MemCycle(start),
+            end: MemCycle(end),
+            rates: FaultRates {
+                forge_mac_ppm: 1_000_000,
+                ..FaultRates::none()
+            },
+        },
+    )
+}
 
 /// A split-level block operation forwarded through the CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1041,7 +1062,6 @@ mod tests {
 
     #[test]
     fn faulty_dram_reads_recover_through_refetch() {
-        use doram_sim::fault::FaultRates;
         let run_faulty = || {
             let mut ch = SecureChannel::new(SecureChannelConfig {
                 // 2% of SD bucket reads see a bit flip, 0.5% a forged MAC.
@@ -1136,26 +1156,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// A permanent 100% MAC-forgery burst on one sub-channel's site.
-    fn hostile_sub_plan(seed: u64, sub: u64, start: u64, end: u64) -> FaultPlan {
-        use doram_sim::fault::{FaultRates, FaultWindow};
-        FaultPlan {
-            seed,
-            ..FaultPlan::none()
-        }
-        .site_window(
-            SD_SUB_SITE_BASE + sub,
-            FaultWindow {
-                start: MemCycle(start),
-                end: MemCycle(end),
-                rates: FaultRates {
-                    forge_mac_ppm: 1_000_000,
-                    ..FaultRates::none()
-                },
-            },
-        )
     }
 
     #[test]
@@ -1322,7 +1322,6 @@ mod tests {
 
     #[test]
     fn replayed_buckets_are_detected_and_recovered() {
-        use doram_sim::fault::FaultRates;
         let run_one = || {
             let mut ch = SecureChannel::new(SecureChannelConfig {
                 // 3% of SD bucket reads are answered with a stale,
@@ -1357,7 +1356,6 @@ mod tests {
 
     #[test]
     fn relocated_buckets_are_detected_by_the_address_bound_tag() {
-        use doram_sim::fault::FaultRates;
         let mut ch = SecureChannel::new(SecureChannelConfig {
             fault_plan: FaultPlan::with_rates(
                 7,
@@ -1376,7 +1374,6 @@ mod tests {
 
     #[test]
     fn rollback_burst_trips_quarantine_and_parity_covers() {
-        use doram_sim::fault::{FaultRates, FaultWindow};
         // A sustained 100% rollback burst against sub 1's site.
         let plan = FaultPlan {
             seed: 77,
@@ -1406,7 +1403,6 @@ mod tests {
 
     #[test]
     fn adversary_run_snapshot_round_trips() {
-        use doram_sim::fault::FaultRates;
         use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
         let mk = || {
             SecureChannel::new(SecureChannelConfig {

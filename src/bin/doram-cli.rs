@@ -8,6 +8,7 @@
 //! ```
 
 use doram::core::profiling::{profile, ProfileScale};
+use doram::core::secure_channel::hostile_sub_plan;
 use doram::core::{RunOptions, RunReport, Scheme, SimError, Simulation, SystemConfig};
 use doram::obs::{self, SharedRecorder};
 use doram::sim::snapshot::write_atomic;
@@ -133,7 +134,10 @@ fn build_config(opts: &Opts) -> Result<SystemConfig, String> {
         let sub: u64 = sub
             .parse()
             .map_err(|_| format!("--chaos-sub expects a sub-channel index, got '{sub}'"))?;
-        b = b.fault_plan(chaos_plan(opts.get_u64("seed", 1)?, sub, opts.get_u64("chaos-at", 10_000)?));
+        // From `--chaos-at` on, sub-channel `sub` forges every MAC: the
+        // sustained hostile-region fault that quarantines it mid-run.
+        let (seed, start) = (opts.get_u64("seed", 1)?, opts.get_u64("chaos-at", 10_000)?);
+        b = b.fault_plan(hostile_sub_plan(seed, sub, start, u64::MAX));
     }
     if let Some(mode) = opts.get("adversary") {
         if opts.get("chaos-sub").is_some() {
@@ -198,29 +202,6 @@ fn adversary_fault_plan(
     }
     plan.validate().map_err(|e| e.to_string())?;
     Ok(plan.compile())
-}
-
-/// The chaos-soak plan: from `start` on, every bucket read on secure
-/// sub-channel `sub` comes back with a forged MAC — the sustained
-/// hostile-region fault that quarantines the sub-channel mid-run.
-fn chaos_plan(seed: u64, sub: u64, start: u64) -> doram::sim::fault::FaultPlan {
-    use doram::core::secure_channel::SD_SUB_SITE_BASE;
-    use doram::sim::fault::{FaultPlan, FaultRates, FaultWindow};
-    FaultPlan {
-        seed,
-        ..FaultPlan::none()
-    }
-    .site_window(
-        SD_SUB_SITE_BASE + sub,
-        FaultWindow {
-            start: doram::sim::MemCycle(start),
-            end: doram::sim::MemCycle(u64::MAX),
-            rates: FaultRates {
-                forge_mac_ppm: 1_000_000,
-                ..FaultRates::none()
-            },
-        },
-    )
 }
 
 fn print_report(r: &RunReport) {
@@ -1154,7 +1135,7 @@ mod tests {
             "--seed", "7", "--chaos-sub", "2", "--chaos-at", "5000", "--parity",
         ]))
         .unwrap();
-        assert_eq!(cfg.fault_plan, chaos_plan(7, 2, 5_000));
+        assert_eq!(cfg.fault_plan, hostile_sub_plan(7, 2, 5_000, u64::MAX));
         assert_ne!(cfg.fault_plan, doram::sim::fault::FaultPlan::none());
 
         assert!(build_config(&opts(&["--chaos-sub", "nope"])).is_err());

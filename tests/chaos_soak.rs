@@ -6,32 +6,11 @@
 //! serving — instead of fail-stopping, and the verified functional ORAM
 //! (the protocol oracle) must still return exactly what was written.
 
-use doram::core::secure_channel::SD_SUB_SITE_BASE;
+use doram::core::secure_channel::hostile_sub_plan;
 use doram::core::{Scheme, Simulation, SystemConfig};
-use doram::sim::fault::{FaultPlan, FaultRates, FaultWindow};
+use doram::sim::fault::{FaultPlan, FaultRates};
 use doram::sim::health::HealthState;
-use doram::sim::MemCycle;
 use doram::trace::Benchmark;
-
-/// A 100% MAC-forgery burst on secure sub-channel `sub`'s fault site
-/// over `[start, end)` memory cycles.
-fn hostile_sub_plan(seed: u64, sub: u64, start: u64, end: u64) -> FaultPlan {
-    FaultPlan {
-        seed,
-        ..FaultPlan::none()
-    }
-    .site_window(
-        SD_SUB_SITE_BASE + sub,
-        FaultWindow {
-            start: MemCycle(start),
-            end: MemCycle(end),
-            rates: FaultRates {
-                forge_mac_ppm: 1_000_000,
-                ..FaultRates::none()
-            },
-        },
-    )
-}
 
 #[test]
 fn chaos_soak_survives_quarantine_and_records_the_episode() {

@@ -22,13 +22,11 @@
 //! payload change means the simulated behaviour changed.
 
 use doram::core::report::report_json;
-use doram::core::secure_channel::SD_SUB_SITE_BASE;
+use doram::core::secure_channel::{hostile_sub_plan, SD_SUB_SITE_BASE};
 use doram::core::system::{RunOptions, Simulation};
 use doram::core::{FaultReport, RunReport, Scheme, SystemConfig};
 use doram::obs::FILTER_ALL;
-use doram::sim::fault::{
-    AdversaryBurst, AdversaryPlan, FaultKind, FaultPlan, FaultRates, FaultWindow,
-};
+use doram::sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind, FaultPlan, FaultRates};
 use doram::sim::snapshot::{fnv1a64, read_checkpoint, CHECKPOINT_VERSION};
 use doram::sim::MemCycle;
 use doram::trace::Benchmark;
@@ -91,21 +89,7 @@ fn base(scheme: Scheme) -> doram::core::SystemConfigBuilder {
 /// parity rebuilds, a quarantine and scrub repairs all land in the
 /// checkpointed state.
 fn hostile_sub3() -> FaultPlan {
-    FaultPlan {
-        seed: 9,
-        ..FaultPlan::none()
-    }
-    .site_window(
-        SD_SUB_SITE_BASE + 3,
-        FaultWindow {
-            start: MemCycle(1_000),
-            end: MemCycle(5_000),
-            rates: FaultRates {
-                forge_mac_ppm: 1_000_000,
-                ..FaultRates::none()
-            },
-        },
-    )
+    hostile_sub_plan(9, 3, 1_000, 5_000)
 }
 
 /// Staggered replay, relocation and rollback bursts on sub-channel 0.
