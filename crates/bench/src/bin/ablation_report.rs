@@ -1,11 +1,10 @@
-//! Prints the design-choice ablation sweeps (modeled NS-App cost; the
-//! Criterion `ablations` bench times the same configurations' wall cost).
+//! Prints the design-choice ablation sweeps: the modeled NS-App cost of
+//! each knob, on the first benchmark of the scale.
 use doram_core::experiments::ablations;
-use doram_trace::Benchmark;
 
 fn main() {
     let scale = doram_bench::announce("ablations");
-    let bench = scale.benchmarks.first().copied().unwrap_or(Benchmark::Mummer);
+    let bench = scale.benchmarks[0];
     doram_bench::emit("ablations", || {
         ablations::run_all(bench, &scale).map(|sweeps| ablations::render(bench, &sweeps))
     })

@@ -6,11 +6,7 @@ use doram_core::{Scheme, Simulation, SystemConfig};
 
 fn main() {
     let scale = doram_bench::announce("latency_profile");
-    let bench = scale
-        .benchmarks
-        .first()
-        .copied()
-        .unwrap_or(doram_trace::Benchmark::Mummer);
+    let bench = scale.benchmarks[0];
     doram_bench::emit("latency_profile", || {
         let mut out = format!("NS read-latency distribution, {bench} (memory cycles)\n\n");
         let mut p99s = Vec::new();

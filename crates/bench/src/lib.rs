@@ -27,9 +27,15 @@ pub fn maybe_write_csv(exhibit: &str, csv: &str) {
     }
 }
 
-/// Resolves the sweep scale from the environment and announces it.
+/// Resolves the sweep scale from the environment and announces it; the
+/// scale names at least one benchmark. A malformed `DORAM_ACCESSES` or
+/// `DORAM_BENCH` ends the process with exit status 1, naming the
+/// variable.
 pub fn announce(exhibit: &str) -> Scale {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("[{exhibit}] error: {e}");
+        std::process::exit(1)
+    });
     eprintln!(
         "[{exhibit}] {} benchmarks × {} accesses/NS-App (set DORAM_BENCH / DORAM_ACCESSES to change)",
         scale.benchmarks.len(),

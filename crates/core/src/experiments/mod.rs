@@ -3,8 +3,8 @@
 //! Each submodule reproduces one exhibit: it runs the required simulations
 //! and returns typed rows plus a plain-text rendering in the paper's
 //! layout. The experiment binaries in `doram-bench` are thin wrappers
-//! around these functions, so integration tests and benches exercise the
-//! same code paths.
+//! around these functions, so the tests exercise the binaries' code
+//! paths.
 //!
 //! | Module | Exhibit | Content |
 //! |---|---|---|
@@ -55,8 +55,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Fast scale for tests and Criterion benches: two representative
-    /// benchmarks, short traces.
+    /// Fast scale for unit tests: two representative benchmarks, short
+    /// traces.
     pub fn quick() -> Scale {
         Scale {
             ns_accesses: 800,
@@ -76,25 +76,50 @@ impl Scale {
     }
 
     /// Reads `DORAM_ACCESSES` (trace length) and `DORAM_BENCH`
-    /// (comma-separated benchmark names) from the environment, falling
-    /// back to [`Scale::full`].
-    pub fn from_env() -> Scale {
+    /// (comma-separated benchmark names) from the environment; an unset
+    /// variable keeps [`Scale::full`]'s value.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and the value [`Scale::parse`] rejects.
+    pub fn from_env() -> Result<Scale, String> {
+        let accesses = std::env::var("DORAM_ACCESSES").ok();
+        let benchmarks = std::env::var("DORAM_BENCH").ok();
+        Scale::parse(accesses.as_deref(), benchmarks.as_deref())
+    }
+
+    /// [`Scale::from_env`] given the two variables' values: `accesses`
+    /// must be a positive number and every name in `benchmarks` a
+    /// benchmark, swept in Table III order.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and the value it rejects.
+    pub fn parse(accesses: Option<&str>, benchmarks: Option<&str>) -> Result<Scale, String> {
         let mut scale = Scale::full();
-        if let Ok(n) = std::env::var("DORAM_ACCESSES") {
-            if let Ok(n) = n.parse() {
-                scale.ns_accesses = n;
+        if let Some(n) = accesses {
+            match n.parse() {
+                Ok(n) if n > 0 => scale.ns_accesses = n,
+                _ => {
+                    return Err(format!(
+                        "DORAM_ACCESSES expects a positive number, got '{n}'"
+                    ))
+                }
             }
         }
-        if let Ok(list) = std::env::var("DORAM_BENCH") {
-            let wanted: Vec<Benchmark> = Benchmark::ALL
+        if let Some(list) = benchmarks {
+            scale.benchmarks = Benchmark::ALL
                 .into_iter()
                 .filter(|b| list.split(',').any(|n| n.trim() == b.spec().name))
                 .collect();
-            if !wanted.is_empty() {
-                scale.benchmarks = wanted;
+            // A listed name that selected no benchmark is not one.
+            let names = || scale.benchmarks.iter().map(|b| b.spec().name);
+            let mut listed = list.split(',').map(str::trim);
+            if let Some(bad) = listed.find(|&n| !names().any(|b| b == n)) {
+                return Err(format!("DORAM_BENCH names an unknown benchmark '{bad}'"));
             }
         }
-        scale
+        Ok(scale)
     }
 }
 
@@ -176,8 +201,23 @@ mod tests {
 
     #[test]
     fn env_scale_parsing() {
-        // from_env without variables == full.
-        let s = Scale::from_env();
-        assert!(!s.benchmarks.is_empty());
+        let s = Scale::parse(None, None).unwrap();
+        assert_eq!((s.ns_accesses, s.benchmarks.len()), (2_000, 15));
+        // Table III order, whatever the order of the list.
+        let s = Scale::parse(Some("300"), Some("mummer, libq")).unwrap();
+        assert_eq!(s.ns_accesses, 300);
+        assert_eq!(s.benchmarks, [Benchmark::Libq, Benchmark::Mummer]);
+        // A bad value is named with its variable, never replaced by a
+        // default.
+        let accesses = |v| Scale::parse(Some(v), None).unwrap_err();
+        let benchmarks = |v| Scale::parse(None, Some(v)).unwrap_err();
+        let want = "DORAM_ACCESSES expects a positive number, got";
+        assert_eq!(accesses("2k"), format!("{want} '2k'"));
+        assert_eq!(accesses("0"), format!("{want} '0'"));
+        assert_eq!(accesses(""), format!("{want} ''"));
+        let want = "DORAM_BENCH names an unknown benchmark";
+        assert_eq!(benchmarks("mummer,lbq"), format!("{want} 'lbq'"));
+        assert_eq!(benchmarks("mumer"), format!("{want} 'mumer'"));
+        assert_eq!(benchmarks(""), format!("{want} ''"));
     }
 }

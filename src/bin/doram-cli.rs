@@ -739,9 +739,9 @@ fn compare_json(
 fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
     use doram::core::experiments::{validation, Scale};
     let scale = Scale {
-        ns_accesses: opts.get_u64("accesses", 800).unwrap_or(800),
-        seed: opts.get_u64("seed", 1).unwrap_or(1),
-        benchmarks: Scale::from_env().benchmarks,
+        ns_accesses: opts.get_u64("accesses", 800)?,
+        seed: opts.get_u64("seed", 1)?,
+        benchmarks: Scale::from_env()?.benchmarks,
     };
     let card = validation::validate(&scale)?;
     println!("{}", card.render());
@@ -903,6 +903,18 @@ mod tests {
             assert!(err.starts_with(&format!("{key} expects")), "{err}");
         }
         assert_eq!(opts(&["--c", "4294967295"]).get_u32("c", 7), Ok(u32::MAX));
+    }
+
+    #[test]
+    fn check_rejects_malformed_numbers() {
+        // Both used to fall back to their defaults: 800 accesses, seed 1.
+        for (key, args) in [
+            ("--accesses", ["--accesses", "2k", "--seed", "3"]),
+            ("--seed", ["--accesses", "200", "--seed", "x"]),
+        ] {
+            let err = cmd_check(&opts(&args)).unwrap_err().to_string();
+            assert!(err.starts_with(&format!("{key} expects")), "{err}");
+        }
     }
 
     #[test]
