@@ -58,11 +58,7 @@ fn run_one(
 
 fn main() {
     let scale = doram_bench::announce("interference_sweep");
-    let bench = scale
-        .benchmarks
-        .first()
-        .copied()
-        .unwrap_or(doram_trace::Benchmark::Mummer);
+    let bench = scale.benchmarks[0];
     let grid: [(&'static str, Scheme); 3] = [
         ("doram_k0_c7", Scheme::DOram { k: 0, c: 7 }),
         ("doram_k1_c4", Scheme::DOram { k: 1, c: 4 }),
@@ -103,11 +99,7 @@ fn main() {
             );
         }
         json.push_str("]}\n");
-        let path = std::env::var("DORAM_BENCH_OUT")
-            .map(|dir| std::path::Path::new(&dir).join("BENCH_interference.json"))
-            .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_interference.json"));
-        doram_sim::snapshot::write_atomic(&path, json.as_bytes()).expect("write baseline");
-        eprintln!("[interference_sweep] wrote {}", path.display());
+        doram_bench::write_baseline("interference_sweep", "BENCH_interference.json", &json);
 
         let mut out = format!("Interference sweep, {bench} (blame cycles by requestor class)\n\n");
         let class_names: Vec<&str> = doram_obs::ALL_BLAME_CLASSES

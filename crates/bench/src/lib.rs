@@ -8,8 +8,12 @@
 //!
 //! * `DORAM_ACCESSES` — NS-App trace length (default 2000);
 //! * `DORAM_BENCH` — comma-separated benchmark subset (default: all 15).
+//!
+//! The binaries that write a checked-in `BENCH_*.json` baseline write it
+//! into `DORAM_BENCH_OUT` when that variable is set.
 
 use doram_core::experiments::Scale;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Writes `csv` to `$DORAM_CSV/<exhibit>.csv` when the variable is set.
@@ -25,6 +29,20 @@ pub fn maybe_write_csv(exhibit: &str, csv: &str) {
         doram_sim::snapshot::write_atomic(&path, csv.as_bytes()).expect("write CSV");
         eprintln!("[{exhibit}] wrote {}", path.display());
     }
+}
+
+/// Writes a `BENCH_*.json` baseline named `file` into `$DORAM_BENCH_OUT`,
+/// or the working directory when the variable is unset, with the same
+/// crash-consistent write as [`maybe_write_csv`].
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_baseline(exhibit: &str, file: &str, json: &str) {
+    let path = std::env::var_os("DORAM_BENCH_OUT")
+        .map_or_else(|| PathBuf::from(file), |dir| Path::new(&dir).join(file));
+    doram_sim::snapshot::write_atomic(&path, json.as_bytes()).expect("write baseline");
+    eprintln!("[{exhibit}] wrote {}", path.display());
 }
 
 /// Resolves the sweep scale from the environment and announces it; the
