@@ -137,7 +137,7 @@ pub struct SystemConfig {
     pub secure_share_threshold: f64,
     /// Merge each ORAM access's split-level read packets into one short
     /// packet per normal channel (footnote 1 of §III-C — the paper leaves
-    /// this to future work, so it defaults to off; the ablation benches
+    /// this to future work, so it defaults to off; the ablation sweeps
     /// measure its value).
     pub merge_split_reads: bool,
     /// Overlap the SD's buffered access's read phase with the current

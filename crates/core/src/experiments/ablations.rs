@@ -3,9 +3,8 @@
 //! Unlike the figures (which reproduce the paper), these sweeps vary one
 //! knob at a time around the paper's operating point and report the
 //! *simulated* NS-App cost — quantifying how much each design choice
-//! contributes. The Criterion `ablations` bench times the same
-//! configurations' wall-clock cost; this module reports their modeled
-//! performance.
+//! contributes. They report modeled performance only; host speed is
+//! measured by `perf/`.
 
 use super::{run_scheme, Scale};
 use crate::config::{Scheme, SystemConfig};
