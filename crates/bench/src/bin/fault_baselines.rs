@@ -15,26 +15,26 @@
 //! Every number in both files is simulated, a deterministic function of
 //! (benchmark, accesses, seed), so a fresh run must match the checked-in
 //! files byte for byte.
-use doram_core::experiments::Scale;
+use doram_core::experiments::{config_for, simulate, ExperimentError, Scale};
 use doram_core::metrics::OramSummary;
 use doram_core::secure_channel::{hostile_sub_plan, SD_SUB_SITE_BASE};
-use doram_core::{FaultReport, RunReport, Scheme, SimError, Simulation, SystemConfig};
+use doram_core::{FaultReport, RunReport, Scheme};
 use doram_sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind, FaultPlan};
 use doram_sim::MemCycle;
 use doram_trace::Benchmark;
+use std::sync::Arc;
 
-fn run(bench: Benchmark, scale: &Scale, plan: FaultPlan) -> Result<RunReport, SimError> {
-    let cfg = SystemConfig::builder(bench)
-        .scheme(Scheme::DOram { k: 0, c: 7 })
-        .ns_accesses(scale.ns_accesses)
-        .seed(scale.seed)
+fn run(
+    bench: Benchmark,
+    scale: &Scale,
+    plan: FaultPlan,
+) -> Result<Arc<RunReport>, ExperimentError> {
+    let cfg = config_for(bench, Scheme::DOram { k: 0, c: 7 }, scale)
         .tree_l_max(12)
         .parity(true)
         .scrub_every(5_000)
-        .fault_plan(plan)
-        .build()
-        .expect("valid config");
-    Simulation::new(cfg).expect("valid sim").run()
+        .fault_plan(plan);
+    simulate(cfg)
 }
 
 /// The ORAM summary and the fault block every D-ORAM report carries.
@@ -285,7 +285,7 @@ fn main() {
             "hostile plan must quarantine a sub-channel"
         );
 
-        Ok::<String, SimError>(format!(
+        Ok::<String, ExperimentError>(format!(
             "{}\n{}",
             ADVERSARY.write(bench, &scale, [&clean, &attacked]),
             DEGRADED.write(bench, &scale, [&clean, &degraded]),

@@ -1,11 +1,10 @@
 //! Regenerates Figure 12 (T25mix/T33 ratio vs experimentally best c).
-use doram_core::experiments::{fig11, fig12};
+use doram_core::experiments::fig12;
 
 fn main() {
     let scale = doram_bench::announce("fig12");
     doram_bench::emit("fig12", || {
-        let sweep = fig11::run(&scale)?;
-        fig12::run(&scale, &sweep).map(|rows| {
+        fig12::run(&scale).map(|rows| {
             doram_bench::maybe_write_csv("fig12", &fig12::render_csv(&rows));
             fig12::render(&rows)
         })

@@ -24,7 +24,7 @@ struct ConfigSample {
     report_json: String,
 }
 
-fn run_one(
+fn run_traced(
     label: &'static str,
     scheme: Scheme,
     bench: doram_trace::Benchmark,
@@ -69,7 +69,7 @@ fn main() {
             .into_iter()
             .map(|(label, scheme)| {
                 let (accesses, seed) = (scale.ns_accesses, scale.seed);
-                std::thread::spawn(move || run_one(label, scheme, bench, accesses, seed))
+                std::thread::spawn(move || run_traced(label, scheme, bench, accesses, seed))
             })
             .collect();
         let mut samples = Vec::new();

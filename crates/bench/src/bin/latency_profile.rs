@@ -1,8 +1,9 @@
 //! NS-App read-latency distributions per scheme — an exhibit beyond the
 //! paper: means tell the Figure 13 story, but the D-ORAM/c policy really
 //! plays out in the tail (NS reads queued behind an ORAM path burst).
+use doram_core::experiments::{run_scheme, ExperimentError};
 use doram_core::report::render_bars;
-use doram_core::{Scheme, Simulation, SystemConfig};
+use doram_core::Scheme;
 
 fn main() {
     let scale = doram_bench::announce("latency_profile");
@@ -16,13 +17,7 @@ fn main() {
             Scheme::DOram { k: 0, c: 7 },
             Scheme::DOram { k: 0, c: 0 },
         ] {
-            let cfg = SystemConfig::builder(bench)
-                .scheme(scheme)
-                .ns_accesses(scale.ns_accesses)
-                .seed(scale.seed)
-                .build()
-                .expect("valid");
-            let r = Simulation::new(cfg).expect("valid").run()?;
+            let r = run_scheme(bench, scheme, &scale)?;
             out.push_str(&format!(
                 "{:<12} mean {:>7.1}  p50 {:>5}  p95 {:>5}  p99 {:>5}\n",
                 scheme.label(),
@@ -35,7 +30,7 @@ fn main() {
         }
         out.push_str("\np99 comparison:\n");
         out.push_str(&render_bars(&p99s, 40));
-        Ok::<String, doram_core::system::SimError>(out)
+        Ok::<String, ExperimentError>(out)
     })
     .expect("latency profile failed");
 }

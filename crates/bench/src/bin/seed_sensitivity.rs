@@ -2,28 +2,22 @@
 //! vs Baseline ratio across random seeds (trace content, position map,
 //! dummy addresses)? Reports mean ± sample standard deviation.
 
-use doram_core::{Scheme, Simulation, SystemConfig};
+use doram_core::experiments::{run_scheme, ExperimentError, Scale};
+use doram_core::Scheme;
 
-fn ratio(bench: doram_trace::Benchmark, seed: u64, accesses: u64) -> f64 {
-    let run = |scheme: Scheme| {
-        let cfg = SystemConfig::builder(bench)
-            .scheme(scheme)
-            .ns_accesses(accesses)
-            .seed(seed)
-            .build()
-            .expect("valid");
-        Simulation::new(cfg)
-            .expect("valid")
-            .run()
-            .expect("completes")
-            .ns_exec_mean()
+fn ratio(bench: doram_trace::Benchmark, scale: &Scale, seed: u64) -> Result<f64, ExperimentError> {
+    let scale = &Scale {
+        seed,
+        ..scale.clone()
     };
-    run(Scheme::DOram { k: 0, c: 7 }) / run(Scheme::Baseline)
+    let doram = run_scheme(bench, Scheme::DOram { k: 0, c: 7 }, scale)?;
+    let baseline = run_scheme(bench, Scheme::Baseline, scale)?;
+    Ok(doram.ns_exec_mean() / baseline.ns_exec_mean())
 }
 
 fn main() {
     let scale = doram_bench::announce("seed_sensitivity");
-    doram_bench::emit::<std::convert::Infallible>("seed_sensitivity", || {
+    doram_bench::emit("seed_sensitivity", || {
         let seeds: Vec<u64> = (1..=5).collect();
         let mut out = String::from(
             "D-ORAM / Baseline NS execution-time ratio across seeds\n\n",
@@ -39,10 +33,10 @@ fn main() {
             scale.benchmarks.clone()
         };
         for b in benches {
-            let ratios: Vec<f64> = seeds
+            let ratios = seeds
                 .iter()
-                .map(|&s| ratio(b, s, scale.ns_accesses))
-                .collect();
+                .map(|&seed| ratio(b, &scale, seed))
+                .collect::<Result<Vec<f64>, _>>()?;
             let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
             let var = ratios
                 .iter()
@@ -62,7 +56,7 @@ fn main() {
             ));
         }
         out.push_str("\nA spread ≪ the D-ORAM effect size means the shapes are not seed luck.\n");
-        Ok(out)
+        Ok::<String, ExperimentError>(out)
     })
-    .expect("infallible");
+    .expect("seed sensitivity failed");
 }

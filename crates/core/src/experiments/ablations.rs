@@ -6,10 +6,9 @@
 //! contributes. They report modeled performance only; host speed is
 //! measured by `perf/`.
 
-use super::{run_scheme, Scale};
-use crate::config::{Scheme, SystemConfig};
+use super::{config_for, simulate, ExperimentError, Scale};
+use crate::config::{Scheme, SystemConfigBuilder};
 use crate::report::{fmt3, render_table};
-use crate::system::{SimError, Simulation};
 use doram_trace::Benchmark;
 
 /// One sweep: a knob, its settings, and the measured normalized cost.
@@ -21,153 +20,119 @@ pub struct AblationSweep {
     pub points: Vec<(String, f64)>,
 }
 
-fn run_cfg(cfg: SystemConfig) -> Result<f64, SimError> {
-    Ok(Simulation::new(cfg).expect("valid ablation config").run()?.ns_exec_mean())
+/// The paper's operating point: plain D-ORAM.
+fn paper(b: Benchmark, scale: &Scale) -> SystemConfigBuilder {
+    config_for(b, Scheme::DOram { k: 0, c: 7 }, scale)
 }
 
-fn builder(b: Benchmark, scale: &Scale) -> crate::config::SystemConfigBuilder {
-    SystemConfig::builder(b)
-        .scheme(Scheme::DOram { k: 0, c: 7 })
-        .ns_accesses(scale.ns_accesses)
-        .seed(scale.seed)
+/// Runs `base` and every setting, each setting's mean NS-App execution
+/// time normalized to `base`'s.
+fn sweep(
+    knob: &'static str,
+    base: SystemConfigBuilder,
+    settings: impl IntoIterator<Item = (String, SystemConfigBuilder)>,
+) -> Result<AblationSweep, ExperimentError> {
+    let base = simulate(base)?.ns_exec_mean();
+    let points = settings
+        .into_iter()
+        .map(|(label, cfg)| Ok((label, simulate(cfg)?.ns_exec_mean() / base)))
+        .collect::<Result<_, ExperimentError>>()?;
+    Ok(AblationSweep { knob, points })
 }
 
 /// Tree-top cache depth (paper: 3 levels).
-pub fn tree_top(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for levels in [0u32, 1, 3, 5] {
-        let t = run_cfg(builder(b, scale).tree_top_levels(levels).build().expect("valid"))?;
-        points.push((format!("{levels} levels"), t / base));
-    }
-    Ok(AblationSweep {
-        knob: "tree-top cache depth",
-        points,
-    })
+pub fn tree_top(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
+    let cfg = paper(b, scale);
+    let settings = [0u32, 1, 3, 5].map(|l| (format!("{l} levels"), cfg.clone().tree_top_levels(l)));
+    sweep("tree-top cache depth", cfg, settings)
 }
 
 /// Dummy pacing interval t (paper: 50 CPU cycles).
-pub fn dummy_interval(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for t in [10u64, 50, 200, 1000] {
-        let v = run_cfg(builder(b, scale).dummy_interval(t).build().expect("valid"))?;
-        points.push((format!("t={t}"), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "dummy interval t",
-        points,
-    })
+pub fn dummy_interval(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
+    let cfg = paper(b, scale);
+    let settings =
+        [10u64, 50, 200, 1000].map(|t| (format!("t={t}"), cfg.clone().dummy_interval(t)));
+    sweep("dummy interval t", cfg, settings)
 }
 
 /// Subtree packing depth (paper: 7; 1 ≈ heap order).
-pub fn subtree_depth(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for s in [1u32, 4, 7, 12] {
-        let v = run_cfg(builder(b, scale).subtree_levels(s).build().expect("valid"))?;
-        points.push((format!("{s}-level subtrees"), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "subtree packing depth",
-        points,
-    })
+pub fn subtree_depth(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
+    let cfg = paper(b, scale);
+    let settings =
+        [1u32, 4, 7, 12].map(|s| (format!("{s}-level subtrees"), cfg.clone().subtree_levels(s)));
+    sweep("subtree packing depth", cfg, settings)
 }
 
 /// Secure-channel arbitration: SD priority (default) vs cooperative split.
-pub fn secure_arbitration(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for (label, t) in [("SD priority", 1.0f64), ("75/25 epochs", 0.75), ("50/50 epochs", 0.5)] {
-        let v = run_cfg(builder(b, scale).secure_share_threshold(t).build().expect("valid"))?;
-        points.push((label.to_string(), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "secure-channel arbitration",
-        points,
-    })
+pub fn secure_arbitration(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
+    let cfg = paper(b, scale);
+    let settings = [
+        ("SD priority", 1.0f64),
+        ("75/25 epochs", 0.75),
+        ("50/50 epochs", 0.5),
+    ]
+    .map(|(label, t)| (label.to_string(), cfg.clone().secure_share_threshold(t)));
+    sweep("secure-channel arbitration", cfg, settings)
 }
 
 /// Serial-link bandwidth (the paper sets one link ≈ one parallel
 /// channel, i.e. 16 B/tCK; §III-A's comparability assumption).
-pub fn link_bandwidth(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for bytes in [8u64, 16, 32] {
+pub fn link_bandwidth(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
+    let cfg = paper(b, scale);
+    let settings = [8u64, 16, 32].map(|bytes| {
         let link = doram_bob::LinkConfig {
             bytes_per_cycle: bytes,
             ..doram_bob::LinkConfig::default()
         };
-        let v = run_cfg(builder(b, scale).link(link).build().expect("valid"))?;
-        points.push((format!("{:.1} GB/s", bytes as f64 * 0.8), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "serial-link bandwidth",
-        points,
-    })
+        let label = format!("{:.1} GB/s", bytes as f64 * 0.8);
+        (label, cfg.clone().link(link))
+    });
+    sweep("serial-link bandwidth", cfg, settings)
 }
 
 /// Row-buffer page policy: open (the paper's, subtree-layout-friendly)
 /// vs closed (auto-precharge).
-pub fn page_policy(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
+pub fn page_policy(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
     use doram_dram::PagePolicy;
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for (label, p) in [("open page", PagePolicy::Open), ("closed page", PagePolicy::Closed)] {
-        let v = run_cfg(builder(b, scale).page_policy(p).build().expect("valid"))?;
-        points.push((label.to_string(), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "page policy",
-        points,
-    })
+    let cfg = paper(b, scale);
+    let settings = [
+        ("open page", PagePolicy::Open),
+        ("closed page", PagePolicy::Closed),
+    ]
+    .map(|(label, p)| (label.to_string(), cfg.clone().page_policy(p)));
+    sweep("page policy", cfg, settings)
 }
 
 /// Serial-link reliability: CRC error + replay rates (ideal links in the
 /// paper; real SerDes lanes see occasional frame replays). Every link
 /// draws its own fault stream from one plan.
-pub fn link_reliability(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
+pub fn link_reliability(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
     use doram_sim::fault::{FaultKind, FaultPlan, FaultRates};
-    let base = run_cfg(builder(b, scale).build().expect("valid"))?;
-    let mut points = Vec::new();
-    for ppm in [0u32, 1_000, 100_000] {
+    let cfg = paper(b, scale);
+    let settings = [0u32, 1_000, 100_000].map(|ppm| {
         let rates = FaultRates::only(FaultKind::CorruptFrame, ppm);
         let plan = FaultPlan::with_rates(scale.seed, rates);
-        let v = run_cfg(builder(b, scale).fault_plan(plan).build().expect("valid"))?;
-        points.push((format!("{ppm} ppm"), v / base));
-    }
-    Ok(AblationSweep {
-        knob: "link frame-error rate",
-        points,
-    })
+        (format!("{ppm} ppm"), cfg.clone().fault_plan(plan))
+    });
+    sweep("link frame-error rate", cfg, settings)
 }
 
 /// Footnote-1 split-read merging and SD pipelining (both off in the paper),
 /// measured at k = 2 where split traffic matters.
-pub fn extensions(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError> {
+pub fn extensions(b: Benchmark, scale: &Scale) -> Result<AblationSweep, ExperimentError> {
     let cfg = |merge: bool, pipe: bool| {
-        SystemConfig::builder(b)
-            .scheme(Scheme::DOram { k: 2, c: 7 })
-            .ns_accesses(scale.ns_accesses)
-            .seed(scale.seed)
+        config_for(b, Scheme::DOram { k: 2, c: 7 }, scale)
             .merge_split_reads(merge)
             .sd_pipeline(pipe)
-            .build()
-            .expect("valid")
     };
-    let base = run_cfg(cfg(false, false))?;
-    let mut points = vec![("paper protocol".to_string(), 1.0)];
-    for (label, m, p) in [
+    let settings = [
+        ("paper protocol", false, false),
         ("merged split reads", true, false),
         ("SD pipelining", false, true),
         ("both", true, true),
-    ] {
-        points.push((label.to_string(), run_cfg(cfg(m, p))? / base));
-    }
-    Ok(AblationSweep {
-        knob: "extensions (at k=2)",
-        points,
-    })
+    ]
+    .map(|(label, m, p)| (label.to_string(), cfg(m, p)));
+    sweep("extensions (at k=2)", cfg(false, false), settings)
 }
 
 /// Runs every ablation for one benchmark.
@@ -175,7 +140,7 @@ pub fn extensions(b: Benchmark, scale: &Scale) -> Result<AblationSweep, SimError
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run_all(b: Benchmark, scale: &Scale) -> Result<Vec<AblationSweep>, SimError> {
+pub fn run_all(b: Benchmark, scale: &Scale) -> Result<Vec<AblationSweep>, ExperimentError> {
     Ok(vec![
         tree_top(b, scale)?,
         dummy_interval(b, scale)?,
@@ -186,17 +151,6 @@ pub fn run_all(b: Benchmark, scale: &Scale) -> Result<Vec<AblationSweep>, SimErr
         page_policy(b, scale)?,
         extensions(b, scale)?,
     ])
-}
-
-/// Also exercises the S-App's view: how the ablations move the ORAM
-/// access latency (not just NS-App time).
-pub fn oram_latency_for(
-    b: Benchmark,
-    scale: &Scale,
-    scheme: Scheme,
-) -> Result<f64, SimError> {
-    let r = run_scheme(b, scheme, scale)?;
-    Ok(r.oram.map(|o| o.access_latency).unwrap_or(0.0))
 }
 
 /// Renders the sweeps.
@@ -255,12 +209,5 @@ mod tests {
         ];
         let text = render(Benchmark::Black, &sweeps);
         assert!(text.contains("x:") && text.contains("1.000"));
-    }
-
-    #[test]
-    fn oram_latency_accessor() {
-        let v = oram_latency_for(Benchmark::Mummer, &scale(), Scheme::DOram { k: 0, c: 7 })
-            .unwrap();
-        assert!(v > 0.0);
     }
 }

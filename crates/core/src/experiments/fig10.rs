@@ -5,10 +5,9 @@
 //! — the point being that capacity can be added on normal channels almost
 //! for free.
 
-use super::{run_scheme, Scale};
+use super::{run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_trace::Benchmark;
 
 /// One benchmark's +k sweep, normalized to plain D-ORAM (k = 0).
@@ -33,7 +32,7 @@ impl Fig10Row {
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<Fig10Row>, SimError> {
+pub fn run(scale: &Scale) -> Result<Vec<Fig10Row>, ExperimentError> {
     super::par_over_benchmarks(scale, |b| {
         let d0 = run_scheme(b, Scheme::DOram { k: 0, c: 7 }, scale)?.ns_exec_mean();
         let mut norm_by_k = [1.0; 4];

@@ -6,10 +6,9 @@
 //! sharing configurations* — some benchmarks are best with c < 4, others
 //! with c ≥ 4 — and the profiled ratio of Figure 12 predicts the side.
 
-use super::{run_scheme, Scale};
+use super::{run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_trace::Benchmark;
 
 /// One benchmark's sweep, all normalized to its Baseline run.
@@ -44,26 +43,33 @@ impl Fig11Row {
     }
 }
 
-/// Runs the Figure 11 sweep (10 simulations per benchmark).
+/// Runs the Figure 11 sweep (11 simulations per benchmark).
 ///
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<Fig11Row>, SimError> {
-    super::par_over_benchmarks(scale, |b| {
-        let baseline = run_scheme(b, Scheme::Baseline, scale)?.ns_exec_mean();
-        let mut norm_by_c = [0.0; 8];
-        for (c, slot) in norm_by_c.iter_mut().enumerate() {
-            let r = run_scheme(b, Scheme::DOram { k: 0, c: c as u32 }, scale)?;
-            *slot = r.ns_exec_mean() / baseline;
-        }
-        Ok(Fig11Row {
-            benchmark: b,
-            baseline_cycles: baseline,
-            norm_by_c,
-            ns7_3ch: run_scheme(b, Scheme::Ns7on3, scale)?.ns_exec_mean() / baseline,
-            ns7_4ch: run_scheme(b, Scheme::Ns7on4, scale)?.ns_exec_mean() / baseline,
-        })
+pub fn run(scale: &Scale) -> Result<Vec<Fig11Row>, ExperimentError> {
+    super::par_over_benchmarks(scale, |b| row(b, scale))
+}
+
+/// One benchmark's sweep; Figures 9 and 12 read theirs from here.
+///
+/// # Errors
+///
+/// Propagates the first simulation error.
+pub(crate) fn row(b: Benchmark, scale: &Scale) -> Result<Fig11Row, ExperimentError> {
+    let baseline = run_scheme(b, Scheme::Baseline, scale)?.ns_exec_mean();
+    let mut norm_by_c = [0.0; 8];
+    for (c, slot) in norm_by_c.iter_mut().enumerate() {
+        let r = run_scheme(b, Scheme::DOram { k: 0, c: c as u32 }, scale)?;
+        *slot = r.ns_exec_mean() / baseline;
+    }
+    Ok(Fig11Row {
+        benchmark: b,
+        baseline_cycles: baseline,
+        norm_by_c,
+        ns7_3ch: run_scheme(b, Scheme::Ns7on3, scale)?.ns_exec_mean() / baseline,
+        ns7_4ch: run_scheme(b, Scheme::Ns7on4, scale)?.ns_exec_mean() / baseline,
     })
 }
 

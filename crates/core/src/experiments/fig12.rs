@@ -7,11 +7,8 @@
 //! paper, 14 of 15 benchmarks classify correctly (`c2` is the exception,
 //! with r ≈ 1).
 
-use super::fig11::Fig11Row;
-use super::Scale;
-use crate::profiling::{profile, ProfileScale};
+use super::{fig11, fig8, ExperimentError, Scale};
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_trace::Benchmark;
 
 /// One benchmark's prediction check.
@@ -27,34 +24,25 @@ pub struct Fig12Row {
     pub correct: bool,
 }
 
-/// Computes Figure 12 from an existing Figure 11 sweep.
+/// Runs Figure 12: the ratio from the benchmark's Figure 8 profile, the
+/// best c from its Figure 11 sweep.
 ///
 /// # Errors
 ///
-/// Propagates profiling simulation errors.
-pub fn run(scale: &Scale, sweep: &[Fig11Row]) -> Result<Vec<Fig12Row>, SimError> {
-    let mut rows = Vec::new();
-    for r in sweep {
-        let p = profile(
-            r.benchmark,
-            ProfileScale {
-                accesses: scale.ns_accesses.min(1_500),
-                seed: scale.seed,
-                stream: 7,
-            },
-        )?;
-        let ratio = p.ratio();
-        let best_c = r.best_c();
+/// Propagates the first simulation error.
+pub fn run(scale: &Scale) -> Result<Vec<Fig12Row>, ExperimentError> {
+    super::par_over_benchmarks(scale, |b| {
+        let ratio = fig8::profile(b, scale)?.ratio();
+        let best_c = fig11::row(b, scale)?.best_c();
         let predict_small = ratio > 1.0;
         let actually_small = best_c < 4;
-        rows.push(Fig12Row {
-            benchmark: r.benchmark,
+        Ok(Fig12Row {
+            benchmark: b,
             ratio,
             best_c,
             correct: predict_small == actually_small,
-        });
-    }
-    Ok(rows)
+        })
+    })
 }
 
 /// Fraction of benchmarks the ratio classifies correctly.
@@ -110,15 +98,13 @@ pub fn render_csv(rows: &[Fig12Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::fig11;
 
     #[test]
     fn ratio_and_prediction_computed() {
         let mut scale = Scale::quick();
         scale.benchmarks = vec![Benchmark::Mummer];
         scale.ns_accesses = 600;
-        let sweep = fig11::run(&scale).unwrap();
-        let rows = run(&scale, &sweep).unwrap();
+        let rows = run(&scale).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].ratio > 0.0);
         let _ = accuracy(&rows);

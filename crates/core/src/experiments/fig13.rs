@@ -6,10 +6,9 @@
 //! Baseline's path write-back phases monopolize the write drains of all
 //! four channels.
 
-use super::{run_scheme, Scale};
+use super::{run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_trace::Benchmark;
 
 /// One benchmark's latency ratios.
@@ -32,7 +31,7 @@ pub struct Fig13Row {
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<Fig13Row>, SimError> {
+pub fn run(scale: &Scale) -> Result<Vec<Fig13Row>, ExperimentError> {
     super::par_over_benchmarks(scale, |b| {
         let base = run_scheme(b, Scheme::Baseline, scale)?;
         let p1 = run_scheme(b, Scheme::DOram { k: 1, c: 7 }, scale)?;

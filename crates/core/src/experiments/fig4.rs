@@ -5,10 +5,9 @@
 //! time with a worst case of 5.26×; 7NS-3ch averages +57%; 7NS-4ch +43%;
 //! the secure-memory model lands between Path ORAM and the partitions.
 
-use super::{run_scheme, Scale};
+use super::{run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_sim::stats::geometric_mean;
 use doram_trace::Benchmark;
 
@@ -53,16 +52,18 @@ fn summarize(values: impl Iterator<Item = f64> + Clone) -> Fig4Summary {
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<Fig4Row>, SimError> {
+pub fn run(scale: &Scale) -> Result<Vec<Fig4Row>, ExperimentError> {
     super::par_over_benchmarks(scale, |b| {
         let solo = run_scheme(b, Scheme::SoloNs, scale)?.ns_exec_mean();
-        let norm = |r: crate::metrics::RunReport| r.ns_exec_mean() / solo;
+        let norm = |scheme| -> Result<f64, ExperimentError> {
+            Ok(run_scheme(b, scheme, scale)?.ns_exec_mean() / solo)
+        };
         Ok(Fig4Row {
             benchmark: b,
-            oram_1s7ns: norm(run_scheme(b, Scheme::Baseline, scale)?),
-            secmem_1s7ns: norm(run_scheme(b, Scheme::SecureMemory, scale)?),
-            ns7_4ch: norm(run_scheme(b, Scheme::Ns7on4, scale)?),
-            ns7_3ch: norm(run_scheme(b, Scheme::Ns7on3, scale)?),
+            oram_1s7ns: norm(Scheme::Baseline)?,
+            secmem_1s7ns: norm(Scheme::SecureMemory)?,
+            ns7_4ch: norm(Scheme::Ns7on4)?,
+            ns7_3ch: norm(Scheme::Ns7on3)?,
         })
     })
 }

@@ -6,10 +6,9 @@
 //! slowdowns `T33`, `T25`, `T25mix` per benchmark and their ratio — the
 //! numbers Figure 12 consumes.
 
-use super::Scale;
-use crate::profiling::{profile, ProfileScale};
+use super::{ExperimentError, Scale};
+use crate::profiling::{ChannelProfile, ProfileScale};
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_trace::Benchmark;
 
 /// One benchmark's profile.
@@ -34,21 +33,31 @@ impl Fig8Row {
     }
 }
 
+/// Profiles `b` as Figures 8 and 12 do: on its own trace segment, with
+/// at most 1,500 accesses per NS-App.
+///
+/// # Errors
+///
+/// Propagates the first simulation error.
+pub(crate) fn profile(b: Benchmark, scale: &Scale) -> Result<ChannelProfile, ExperimentError> {
+    crate::profiling::profile(
+        b,
+        ProfileScale {
+            accesses: scale.ns_accesses.min(1_500),
+            seed: scale.seed,
+            stream: 7,
+        },
+    )
+}
+
 /// Runs the Figure 8 profiling pass.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<Fig8Row>, SimError> {
+pub fn run(scale: &Scale) -> Result<Vec<Fig8Row>, ExperimentError> {
     super::par_over_benchmarks(scale, |b| {
-        let p = profile(
-            b,
-            ProfileScale {
-                accesses: scale.ns_accesses.min(1_500),
-                seed: scale.seed,
-                stream: 7,
-            },
-        )?;
+        let p = profile(b, scale)?;
         Ok(Fig8Row {
             benchmark: b,
             solo_latency: p.solo_latency,

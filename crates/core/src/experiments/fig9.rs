@@ -5,11 +5,9 @@
 //! D-ORAM 0.875, D-ORAM/X 0.775 (the headline 22.5% improvement),
 //! D-ORAM+1 0.886, D-ORAM+1/4 0.814.
 
-use super::fig11::{self, Fig11Row};
-use super::{run_scheme, Scale};
+use super::{fig11, run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_sim::stats::geometric_mean;
 use doram_trace::Benchmark;
 
@@ -30,30 +28,28 @@ pub struct Fig9Row {
     pub doram_p1_c4: f64,
 }
 
-/// Runs Figure 9 (reusing a Figure 11 sweep for the /X values).
+/// Runs Figure 9: D-ORAM, its best c (D-ORAM/X) and the Baseline come
+/// from the benchmark's Figure 11 sweep.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<(Vec<Fig9Row>, Vec<Fig11Row>), SimError> {
-    let sweep = fig11::run(scale)?;
-    let mut rows = Vec::new();
-    for r in &sweep {
-        let b = r.benchmark;
-        let p1 = run_scheme(b, Scheme::DOram { k: 1, c: 7 }, scale)?.ns_exec_mean()
-            / r.baseline_cycles;
-        let p1_c4 = run_scheme(b, Scheme::DOram { k: 1, c: 4 }, scale)?.ns_exec_mean()
-            / r.baseline_cycles;
-        rows.push(Fig9Row {
+pub fn run(scale: &Scale) -> Result<Vec<Fig9Row>, ExperimentError> {
+    super::par_over_benchmarks(scale, |b| {
+        let sweep = fig11::row(b, scale)?;
+        let norm = |k, c| -> Result<f64, ExperimentError> {
+            let r = run_scheme(b, Scheme::DOram { k, c }, scale)?;
+            Ok(r.ns_exec_mean() / sweep.baseline_cycles)
+        };
+        Ok(Fig9Row {
             benchmark: b,
-            doram: r.norm_by_c[7],
-            doram_x: r.best_norm(),
-            best_c: r.best_c(),
-            doram_p1: p1,
-            doram_p1_c4: p1_c4,
-        });
-    }
-    Ok((rows, sweep))
+            doram: sweep.norm_by_c[7],
+            doram_x: sweep.best_norm(),
+            best_c: sweep.best_c(),
+            doram_p1: norm(1, 7)?,
+            doram_p1_c4: norm(1, 4)?,
+        })
+    })
 }
 
 /// Geometric means of each bar across benchmarks.
@@ -128,9 +124,8 @@ mod tests {
     fn doram_family_beats_baseline_on_oram_heavy_benchmarks() {
         let mut scale = Scale::quick();
         scale.benchmarks = vec![Benchmark::Mummer];
-        let (rows, sweep) = run(&scale).unwrap();
+        let rows = run(&scale).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(sweep.len(), 1);
         let r = &rows[0];
         // Delegation relieves NS-Apps...
         assert!(r.doram < 1.0, "D-ORAM {}", r.doram);

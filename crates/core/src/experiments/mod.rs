@@ -6,6 +6,14 @@
 //! around these functions, so the tests exercise the binaries' code
 //! paths.
 //!
+//! Every simulation goes through one runner, [`simulate`], which runs
+//! each configuration once per process and hands the same report to
+//! every exhibit that asks for it again. The exhibits compare a small
+//! set of runs per benchmark (1NS, 7NS-3ch/4ch, Baseline, SecMem,
+//! D-ORAM/c, D-ORAM+k), so each one asks for the runs it needs and the
+//! runner does the sharing: Figure 9 reads its /X values from the
+//! Figure 11 sweep, and Figure 12 reads Figure 8's profiles.
+//!
 //! | Module | Exhibit | Content |
 //! |---|---|---|
 //! | [`fig4`] | Figure 4 | NS-App degradation under co-run settings |
@@ -38,10 +46,13 @@ pub mod table1;
 pub mod table3;
 pub mod validation;
 
-use crate::config::{Scheme, SystemConfig};
+use crate::config::{Scheme, SystemConfig, SystemConfigBuilder};
 use crate::metrics::RunReport;
 use crate::system::{SimError, Simulation};
+use doram_sim::ConfigError;
 use doram_trace::Benchmark;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Scale of an experiment sweep.
 #[derive(Debug, Clone)]
@@ -123,6 +134,38 @@ impl Scale {
     }
 }
 
+/// Why an experiment produced no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExperimentError {
+    /// The builder rejected a configuration (for example zero accesses).
+    Config(ConfigError),
+    /// A simulation failed.
+    Sim(SimError),
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::Config(e) => e.fmt(f),
+            ExperimentError::Sim(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {}
+
+impl From<ConfigError> for ExperimentError {
+    fn from(e: ConfigError) -> ExperimentError {
+        ExperimentError::Config(e)
+    }
+}
+
+impl From<SimError> for ExperimentError {
+    fn from(e: SimError) -> ExperimentError {
+        ExperimentError::Sim(e)
+    }
+}
+
 /// Maps `f` over the benchmarks of `scale`, running up to
 /// `std::thread::available_parallelism()` simulations concurrently
 /// (each simulation is single-threaded and deterministic, so parallel
@@ -133,10 +176,10 @@ impl Scale {
 /// Propagates the first error in benchmark order.
 pub fn par_over_benchmarks<T: Send>(
     scale: &Scale,
-    f: impl Fn(Benchmark) -> Result<T, SimError> + Sync,
-) -> Result<Vec<T>, SimError> {
+    f: impl Fn(Benchmark) -> Result<T, ExperimentError> + Sync,
+) -> Result<Vec<T>, ExperimentError> {
     let benches = &scale.benchmarks;
-    let mut results: Vec<Option<Result<T, SimError>>> = Vec::new();
+    let mut results: Vec<Option<Result<T, ExperimentError>>> = Vec::new();
     results.resize_with(benches.len(), || None);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots = std::sync::Mutex::new(&mut results);
@@ -162,31 +205,50 @@ pub fn par_over_benchmarks<T: Send>(
         .collect()
 }
 
-/// Runs one D-ORAM configuration and returns the mean NS-App execution
-/// time in CPU cycles — a convenience for callers composing custom
-/// sweeps (e.g. the `all_figures` binary re-deriving Figure 9 from a
-/// shared Figure 11 sweep).
+/// Runs the configuration `cfg` builds, once per process: every later
+/// call whose configuration has the same `Debug` text (every field, the
+/// text checkpoint config hashes cover) gets the first call's report.
+/// Simulations are deterministic, so a shared report equals a fresh
+/// run's. Concurrent calls for one configuration wait for a single run.
 ///
 /// # Errors
 ///
-/// Propagates the simulation error.
-pub fn run_one(benchmark: Benchmark, k: u32, c: u32, scale: &Scale) -> Result<f64, SimError> {
-    Ok(run_scheme(benchmark, Scheme::DOram { k, c }, scale)?.ns_exec_mean())
+/// Returns the builder's [`ConfigError`] for an invalid configuration and
+/// the simulation's error for a failed run.
+pub fn simulate(cfg: SystemConfigBuilder) -> Result<Arc<RunReport>, ExperimentError> {
+    type Slot = Arc<OnceLock<Result<Arc<RunReport>, ExperimentError>>>;
+    static MEMO: Mutex<BTreeMap<String, Slot>> = Mutex::new(BTreeMap::new());
+    let cfg = cfg.build()?;
+    let slot = Arc::clone(
+        MEMO.lock()
+            .expect("no panics hold the lock")
+            .entry(format!("{cfg:?}"))
+            .or_default(),
+    );
+    slot.get_or_init(|| Ok(Arc::new(Simulation::new(cfg)?.run()?)))
+        .clone()
 }
 
-/// Runs one scheme for one benchmark at the given scale.
-pub(crate) fn run_scheme(
-    benchmark: Benchmark,
-    scheme: Scheme,
-    scale: &Scale,
-) -> Result<RunReport, SimError> {
-    let cfg = SystemConfig::builder(benchmark)
+/// The configuration the exhibits run: `scheme` on `benchmark` at
+/// `scale`, every other knob at the paper's setting.
+pub fn config_for(benchmark: Benchmark, scheme: Scheme, scale: &Scale) -> SystemConfigBuilder {
+    SystemConfig::builder(benchmark)
         .scheme(scheme)
         .ns_accesses(scale.ns_accesses)
         .seed(scale.seed)
-        .build()
-        .expect("experiment configuration is valid");
-    Simulation::new(cfg).expect("validated").run()
+}
+
+/// Runs `scheme` on `benchmark` at `scale` through [`simulate`].
+///
+/// # Errors
+///
+/// As [`simulate`].
+pub fn run_scheme(
+    benchmark: Benchmark,
+    scheme: Scheme,
+    scale: &Scale,
+) -> Result<Arc<RunReport>, ExperimentError> {
+    simulate(config_for(benchmark, scheme, scale))
 }
 
 #[cfg(test)]

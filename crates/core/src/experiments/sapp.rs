@@ -7,10 +7,9 @@
 //! achieved access rate under the Baseline (on-chip controller, four
 //! shared channels) versus D-ORAM (SD on the secure channel).
 
-use super::{run_scheme, Scale};
+use super::{run_scheme, ExperimentError, Scale};
 use crate::config::Scheme;
 use crate::report::{fmt3, render_table};
-use crate::system::SimError;
 use doram_sim::clock::TCK_PICOS;
 use doram_trace::Benchmark;
 
@@ -39,7 +38,7 @@ fn to_ns(mem_cycles: f64) -> f64 {
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn run(scale: &Scale) -> Result<Vec<SappRow>, SimError> {
+pub fn run(scale: &Scale) -> Result<Vec<SappRow>, ExperimentError> {
     super::par_over_benchmarks(scale, |b| {
         let base = run_scheme(b, Scheme::Baseline, scale)?;
         let doram = run_scheme(b, Scheme::DOram { k: 0, c: 7 }, scale)?;

@@ -7,8 +7,7 @@
 //! numbers, only meaningful at full scale over all fifteen benchmarks).
 //! The `repro_check` binary prints the scorecard.
 
-use super::{fig10, fig11, fig12, fig4, fig9, table1, table3, Scale};
-use crate::system::SimError;
+use super::{fig10, fig11, fig12, fig4, fig9, table1, table3, ExperimentError, Scale};
 use doram_sim::stats::geometric_mean;
 
 /// One graded claim.
@@ -77,7 +76,7 @@ impl Scorecard {
 /// # Errors
 ///
 /// Propagates the first simulation error.
-pub fn validate(scale: &Scale) -> Result<Scorecard, SimError> {
+pub fn validate(scale: &Scale) -> Result<Scorecard, ExperimentError> {
     let mut card = Scorecard::default();
     let full_scale = scale.benchmarks.len() >= 15 && scale.ns_accesses >= 1_500;
 
@@ -127,10 +126,11 @@ pub fn validate(scale: &Scale) -> Result<Scorecard, SimError> {
         );
     }
 
-    // Figures 9/11/12 share a sweep.
+    // Figures 9, 11 and 12: the runner simulates the sweep once for all
+    // three.
     {
+        let rows = fig9::run(scale)?;
         let sweep = fig11::run(scale)?;
-        let (rows, _) = fig9_from_sweep(&sweep, scale)?;
         let dor: Vec<f64> = rows.iter().map(|r| r.doram).collect();
         let dor_g = geometric_mean(&dor);
         let x: Vec<f64> = rows.iter().map(|r| r.doram_x).collect();
@@ -160,7 +160,7 @@ pub fn validate(scale: &Scale) -> Result<Scorecard, SimError> {
                 sweep.iter().map(|r| r.best_c()).collect::<Vec<_>>()
             ),
         );
-        let f12 = fig12::run(scale, &sweep)?;
+        let f12 = fig12::run(scale)?;
         let acc = fig12::accuracy(&f12);
         card.push(
             "Fig 12 ratio predicts the c side (paper 14/15)",
@@ -195,28 +195,6 @@ pub fn validate(scale: &Scale) -> Result<Scorecard, SimError> {
     }
 
     Ok(card)
-}
-
-/// Rebuilds Figure 9 rows from a Figure 11 sweep (shared-sweep variant of
-/// [`fig9::run`]).
-fn fig9_from_sweep(
-    sweep: &[fig11::Fig11Row],
-    scale: &Scale,
-) -> Result<(Vec<fig9::Fig9Row>, ()), SimError> {
-    let mut rows = Vec::new();
-    for r in sweep {
-        let p1 = super::run_one(r.benchmark, 1, 7, scale)? / r.baseline_cycles;
-        let p1_c4 = super::run_one(r.benchmark, 1, 4, scale)? / r.baseline_cycles;
-        rows.push(fig9::Fig9Row {
-            benchmark: r.benchmark,
-            doram: r.norm_by_c[7],
-            doram_x: r.best_norm(),
-            best_c: r.best_c(),
-            doram_p1: p1,
-            doram_p1_c4: p1_c4,
-        });
-    }
-    Ok((rows, ()))
 }
 
 #[cfg(test)]

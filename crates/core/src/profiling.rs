@@ -17,7 +17,7 @@
 //! channels (large `c`).
 
 use crate::config::{Scheme, SystemConfig};
-use crate::system::{SimError, Simulation};
+use crate::experiments::{simulate, ExperimentError};
 use doram_trace::Benchmark;
 
 /// Scale of a profiling pass.
@@ -81,19 +81,19 @@ impl ChannelProfile {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] if any of the four profiling runs exceeds the
-/// cycle cap.
-pub fn profile(benchmark: Benchmark, scale: ProfileScale) -> Result<ChannelProfile, SimError> {
-    let lat = |scheme: Scheme| -> Result<f64, SimError> {
+/// Returns the builder's error for an invalid scale (zero accesses) and
+/// the first failed run's error.
+pub fn profile(
+    benchmark: Benchmark,
+    scale: ProfileScale,
+) -> Result<ChannelProfile, ExperimentError> {
+    let lat = |scheme: Scheme| -> Result<f64, ExperimentError> {
         let cfg = SystemConfig::builder(benchmark)
             .scheme(scheme)
             .ns_accesses(scale.accesses)
             .seed(scale.seed)
-            .trace_stream(scale.stream)
-            .build()
-            .expect("profiling configuration is valid");
-        let report = Simulation::new(cfg).expect("validated").run()?;
-        Ok(report.ns_read_latency.mean())
+            .trace_stream(scale.stream);
+        Ok(simulate(cfg)?.ns_read_latency.mean())
     };
     let solo = lat(Scheme::SoloNs)?;
     let t33 = lat(Scheme::DOram { k: 0, c: 0 })? / solo;

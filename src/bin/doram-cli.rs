@@ -7,6 +7,7 @@
 //! doram-cli list
 //! ```
 
+use doram::core::experiments::{run_scheme, validation, Scale};
 use doram::core::profiling::{profile, ProfileScale};
 use doram::core::secure_channel::hostile_sub_plan;
 use doram::core::{RunOptions, RunReport, Scheme, SimError, Simulation, SystemConfig};
@@ -473,25 +474,16 @@ fn cmd_run(opts: &Opts) -> Result<(), Box<dyn Error>> {
 
 fn cmd_sweep_c(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let bench = parse_benchmark(opts)?;
-    let accesses = opts.get_u64("accesses", 1_500)?;
-    let seed = opts.get_u64("seed", 1)?;
-    let base = {
-        let cfg = SystemConfig::builder(bench)
-            .scheme(Scheme::Baseline)
-            .ns_accesses(accesses)
-            .seed(seed)
-            .build()?;
-        Simulation::new(cfg)?.run()?.ns_exec_mean()
+    let scale = Scale {
+        ns_accesses: opts.get_u64("accesses", 1_500)?,
+        seed: opts.get_u64("seed", 1)?,
+        benchmarks: vec![bench],
     };
+    let base = run_scheme(bench, Scheme::Baseline, &scale)?.ns_exec_mean();
     println!("{bench}: normalized NS execution time vs Baseline");
     let mut best = (0u32, f64::INFINITY);
     for c in 0..=7u32 {
-        let cfg = SystemConfig::builder(bench)
-            .scheme(Scheme::DOram { k: 0, c })
-            .ns_accesses(accesses)
-            .seed(seed)
-            .build()?;
-        let t = Simulation::new(cfg)?.run()?.ns_exec_mean() / base;
+        let t = run_scheme(bench, Scheme::DOram { k: 0, c }, &scale)?.ns_exec_mean() / base;
         if t < best.1 {
             best = (c, t);
         }
@@ -737,7 +729,6 @@ fn compare_json(
 }
 
 fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    use doram::core::experiments::{validation, Scale};
     let scale = Scale {
         ns_accesses: opts.get_u64("accesses", 800)?,
         seed: opts.get_u64("seed", 1)?,
@@ -914,6 +905,16 @@ mod tests {
         ] {
             let err = cmd_check(&opts(&args)).unwrap_err().to_string();
             assert!(err.starts_with(&format!("{key} expects")), "{err}");
+        }
+    }
+
+    #[test]
+    fn experiment_commands_reject_zero_accesses() {
+        // `check` and `profile` used to panic on the builder's error.
+        let zero = opts(&["--accesses", "0"]);
+        for command in [cmd_check, cmd_profile, cmd_sweep_c] {
+            let err = command(&zero).unwrap_err().to_string();
+            assert_eq!(err, "invalid configuration: NS traces must be non-empty");
         }
     }
 

@@ -1,10 +1,14 @@
 //! Integration of the experiment pipeline: every figure module's run /
 //! render / CSV path exercised end to end at tiny scale, with structural
-//! checks on the outputs.
+//! checks on the outputs, and the memoizing runner checked against
+//! unmemoized simulations.
 
 use doram::core::experiments::{
-    ablations, fig10, fig11, fig12, fig13, fig4, fig8, fig9, sapp, table1, table3, Scale,
+    ablations, config_for, fig10, fig11, fig12, fig13, fig4, fig8, fig9, sapp, simulate, table1,
+    table3, Scale,
 };
+use doram::core::report::report_json;
+use doram::core::{Scheme, Simulation, SystemConfigBuilder};
 use doram::trace::Benchmark;
 
 fn tiny() -> Scale {
@@ -57,18 +61,21 @@ fn fig8_pipeline() {
 #[test]
 fn fig9_to_12_pipeline_shares_the_sweep() {
     let scale = tiny();
-    let (f9, sweep) = fig9::run(&scale).unwrap();
+    let f9 = fig9::run(&scale).unwrap();
+    let sweep = fig11::run(&scale).unwrap();
+    let f12 = fig12::run(&scale).unwrap();
     assert_eq!(f9.len(), 2);
     assert_eq!(sweep.len(), 2);
     check_csv(&fig9::render_csv(&f9), 2);
     check_csv(&fig11::render_csv(&sweep), 2);
-    let f12 = fig12::run(&scale, &sweep).unwrap();
     check_csv(&fig12::render_csv(&f12), 2);
-    // Consistency: fig9's /X equals the sweep's best.
-    for (nine, eleven) in f9.iter().zip(sweep.iter()) {
+    // Consistency: fig9's /X and fig12's best c equal the sweep's best.
+    for ((nine, eleven), twelve) in f9.iter().zip(&sweep).zip(&f12) {
         assert_eq!(nine.benchmark, eleven.benchmark);
+        assert_eq!(twelve.benchmark, eleven.benchmark);
         assert!((nine.doram_x - eleven.best_norm()).abs() < 1e-12);
         assert_eq!(nine.best_c, eleven.best_c());
+        assert_eq!(twelve.best_c, eleven.best_c());
     }
 }
 
@@ -94,14 +101,60 @@ fn sapp_and_one_ablation() {
     assert!(ablations::render(Benchmark::Mummer, &[sweep]).contains("tree-top"));
 }
 
+/// `cfg` run directly, bypassing the runner's memo.
+fn unmemoized(cfg: SystemConfigBuilder) -> doram::core::RunReport {
+    Simulation::new(cfg.build().unwrap())
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
 #[test]
 fn parallel_sweep_is_deterministic() {
-    // par_over_benchmarks must produce identical results across runs.
-    let a = fig4::run(&tiny()).unwrap();
-    let b = fig4::run(&tiny()).unwrap();
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.benchmark, y.benchmark);
-        assert_eq!(x.oram_1s7ns.to_bits(), y.oram_1s7ns.to_bits());
-        assert_eq!(x.ns7_3ch.to_bits(), y.ns7_3ch.to_bits());
+    // A parallel sweep must equal sequential runs that share nothing
+    // with it: the runner's memo holds the sweep's reports, so the
+    // reference runs bypass it.
+    let scale = tiny();
+    let rows = fig4::run(&scale).unwrap();
+    assert_eq!(rows.len(), scale.benchmarks.len());
+    for (row, &b) in rows.iter().zip(&scale.benchmarks) {
+        let exec = |scheme| unmemoized(config_for(b, scheme, &scale)).ns_exec_mean();
+        let solo = exec(Scheme::SoloNs);
+        assert_eq!(row.benchmark, b);
+        assert_eq!(
+            row.oram_1s7ns.to_bits(),
+            (exec(Scheme::Baseline) / solo).to_bits()
+        );
+        assert_eq!(
+            row.ns7_3ch.to_bits(),
+            (exec(Scheme::Ns7on3) / solo).to_bits()
+        );
+    }
+}
+
+#[test]
+fn runner_reports_equal_direct_runs() {
+    let scale = tiny();
+    for scheme in [Scheme::DOram { k: 1, c: 4 }, Scheme::Baseline] {
+        let cfg = config_for(Benchmark::Mummer, scheme, &scale);
+        let memoized = simulate(cfg.clone()).unwrap();
+        assert_eq!(
+            report_json(&memoized),
+            report_json(&unmemoized(cfg.clone()))
+        );
+        // A second call with an equal configuration is served from the memo.
+        assert!(std::sync::Arc::ptr_eq(&memoized, &simulate(cfg).unwrap()));
+    }
+}
+
+#[test]
+fn runner_keys_on_every_config_field() {
+    // One field apart is a different run, including the two knobs the
+    // experiments vary away from the figures' configurations: the
+    // tree-top cache depth (ablations) and the trace segment (profiling).
+    let base = config_for(Benchmark::Mummer, Scheme::DOram { k: 0, c: 7 }, &tiny());
+    let report = report_json(&simulate(base.clone()).unwrap());
+    for other in [base.clone().tree_top_levels(0), base.trace_stream(7)] {
+        assert_ne!(report_json(&simulate(other).unwrap()), report);
     }
 }
