@@ -17,10 +17,9 @@
 //! files byte for byte.
 use doram_core::experiments::{config_for, simulate, ExperimentError, Scale};
 use doram_core::metrics::OramSummary;
-use doram_core::secure_channel::{hostile_sub_plan, SD_SUB_SITE_BASE};
+use doram_core::secure_channel::{adversary_sub_plan, hostile_sub_plan};
 use doram_core::{FaultReport, RunReport, Scheme};
-use doram_sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind, FaultPlan};
-use doram_sim::MemCycle;
+use doram_sim::fault::{FaultKind, FaultPlan};
 use doram_trace::Benchmark;
 use std::sync::Arc;
 
@@ -226,39 +225,24 @@ impl Exhibit {
     }
 }
 
-/// Staggered, repeating bursts of all three active attacks against secure
-/// sub-channel 0: the kinds tile the timeline (later windows win within a
-/// site, so they must not overlap).
-fn adversary_plan(seed: u64) -> FaultPlan {
-    let mut plan = AdversaryPlan::new(seed).jitter(400);
-    for (i, kind) in [
-        FaultKind::ReplayStale,
-        FaultKind::RelocateBucket,
-        FaultKind::RollbackBurst,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        plan = plan.burst(AdversaryBurst {
-            site: SD_SUB_SITE_BASE,
-            kind,
-            start: MemCycle(2_000 + i as u64 * 4_000),
-            len: 3_000,
-            period: 12_000,
-            repeats: 200,
-            ppm: 300_000,
-        });
-    }
-    plan.validate().expect("valid schedule");
-    plan.compile()
-}
-
 fn main() {
     let scale = doram_bench::announce("fault_baselines");
     let bench = scale.benchmarks[0];
     doram_bench::emit("fault_baselines", || {
         let clean = run(bench, &scale, FaultPlan::none())?;
-        let attacked = run(bench, &scale, adversary_plan(scale.seed))?;
+        // Staggered, repeating bursts of all three active attacks against
+        // secure sub-channel 0.
+        let attacks = [
+            FaultKind::ReplayStale,
+            FaultKind::RelocateBucket,
+            FaultKind::RollbackBurst,
+        ];
+        let attacked = run(
+            bench,
+            &scale,
+            adversary_sub_plan(scale.seed, &attacks, 0, 2_000, 200, 300_000)
+                .expect("valid schedule"),
+        )?;
         // Sub-channel 1 forges every MAC from warm-up on, so the
         // quarantine trips mid-run.
         let degraded = run(

@@ -58,7 +58,7 @@ pub struct BobChannel {
     /// Trace recorder shared with the link and sub-channels; `None` keeps
     /// the hot path silent.
     obs: Option<SharedRecorder>,
-    /// Blame row for the SimpleMC holding buffer (`ch{i}.mc`), registered
+    /// Blame row for the SimpleMC holding buffer (`{name}.mc`), registered
     /// by [`BobChannel::set_obs`] when the recorder traces DRAM.
     mc_blame_res: Option<usize>,
 }
@@ -83,20 +83,20 @@ impl BobChannel {
         }
     }
 
-    /// Attaches a trace recorder end to end: the link's serializers
-    /// (blame rows `ch{idx}.link.to_mem` / `.to_cpu`), each sub-channel
-    /// (`ch{idx}.sub{j}`), and the SimpleMC holding buffer (`ch{idx}.mc`,
-    /// an aggregate row charged head-of-line per tick).
-    pub fn set_obs(&mut self, obs: Option<SharedRecorder>, chan_idx: usize) {
-        self.link
-            .set_obs_named(obs.clone(), &format!("ch{chan_idx}.link"));
+    /// Attaches a trace recorder end to end under the channel's name
+    /// (`ch{n}`): the link's serializers (blame rows `{name}.link.to_mem` /
+    /// `.to_cpu`), each sub-channel (`{name}.sub{j}`), and the SimpleMC
+    /// holding buffer (`{name}.mc`, an aggregate row charged head-of-line
+    /// per tick).
+    pub fn set_obs(&mut self, obs: Option<SharedRecorder>, name: &str) {
+        self.link.set_obs(obs.clone(), &format!("{name}.link"));
         for (j, sub) in self.subs.iter_mut().enumerate() {
-            sub.set_obs_named(obs.clone(), j as u64, &format!("ch{chan_idx}.sub{j}"));
+            sub.set_obs(obs.clone(), j as u64, &format!("{name}.sub{j}"));
         }
         self.mc_blame_res = obs.as_ref().and_then(|r| {
             let mut r = r.borrow_mut();
             r.wants(doram_obs::Subsystem::Dram)
-                .then(|| r.blame.resource(&format!("ch{chan_idx}.mc")))
+                .then(|| r.blame.resource(&format!("{name}.mc")))
         });
         self.obs = obs;
     }
@@ -484,7 +484,7 @@ mod tests {
         use doram_obs::{Recorder, FILTER_ALL};
         let mut ch = BobChannel::new(BobChannelConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000_000);
-        ch.set_obs(Some(rec.clone()), 1);
+        ch.set_obs(Some(rec.clone()), "ch1");
         // Same-bank reads (addr stride within one row-buffer region) queue
         // up behind each other at every layer.
         let mut done = Vec::new();

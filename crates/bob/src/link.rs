@@ -33,35 +33,10 @@
 //! installed with [`Link::set_fault_plan`].
 
 use doram_obs::{EventKind, SharedRecorder, Subsystem};
-use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRates};
+use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState};
-use doram_sim::rng::Xoshiro256;
-use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{MemCycle, SimError};
 use std::collections::VecDeque;
-
-/// Salt separating the backoff-jitter RNG streams from fault-injection
-/// streams derived from the same seed.
-const JITTER_STREAM_SALT: u64 = 0xBAC0_FF01_BAC0_FF01;
-
-/// The plan an unarmed link keys its injector and jitter streams from. It
-/// never fires, so neither stream is drawn from until
-/// [`Link::set_fault_plan`] arms the link; both are checkpointed, so the
-/// fixed seed keeps a fresh link's state bytes stable.
-const UNARMED: FaultPlan = FaultPlan {
-    seed: 0x11_4B,
-    base: FaultRates::none(),
-    site_windows: Vec::new(),
-};
-
-/// A direction's fault injector and backoff-jitter stream, both keyed on
-/// `(plan.seed, stream)` under distinct salts.
-fn fault_streams(plan: &FaultPlan, stream: u64) -> (FaultInjector, Xoshiro256) {
-    (
-        plan.injector(stream),
-        Xoshiro256::stream(plan.seed ^ JITTER_STREAM_SALT, stream),
-    )
-}
 
 /// Link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,13 +57,6 @@ pub struct LinkConfig {
     /// Base of the exponential backoff added per replay attempt
     /// (attempt `k` waits `backoff_base * 2^(k-1)`, capped at 2^6).
     pub backoff_base: MemCycle,
-    /// Jitter added on top of each backoff wait, as a percentage of the
-    /// exponential term (`0..=100`). `0` (the default) disables jitter
-    /// entirely — no randomness is consumed, so legacy runs are
-    /// bit-identical. The jitter stream is seeded from the plan installed
-    /// by [`Link::set_fault_plan`], so the schedule is deterministic per
-    /// (plan seed, direction).
-    pub backoff_jitter_pct: u8,
 }
 
 impl Default for LinkConfig {
@@ -105,7 +73,6 @@ impl Default for LinkConfig {
             // > 2 * latency + worst-case serialization (5 cycles for 72 B).
             retry_timeout: MemCycle(32),
             backoff_base: MemCycle(4),
-            backoff_jitter_pct: 0,
         }
     }
 }
@@ -184,9 +151,6 @@ struct Direction<M> {
     bytes_sent: u64,
     /// Fault-injection state for this direction.
     injector: FaultInjector,
-    /// Deterministic jitter stream for backoff waits (only drawn from
-    /// when [`LinkConfig::backoff_jitter_pct`] is non-zero).
-    jitter_rng: Xoshiro256,
     /// Circuit-breaker bookkeeping for this direction's condition.
     health: HealthMonitor,
     /// Recovery accounting.
@@ -201,7 +165,7 @@ struct Direction<M> {
     /// Trace recorder; `None` (the default) keeps the hot path silent.
     obs: Option<SharedRecorder>,
     /// Blame-matrix row for this direction's serializer, registered by
-    /// [`Link::set_obs_named`] when the recorder traces the link.
+    /// [`Link::set_obs`] when the recorder traces the link.
     blame_res: Option<usize>,
     /// Blame class of the frame currently occupying the serializer (the
     /// resource occupant charged for other classes' waits), or `None`
@@ -214,15 +178,13 @@ struct Direction<M> {
 
 impl<M> Direction<M> {
     fn new(cfg: LinkConfig, stream: u64, label: &'static str) -> Direction<M> {
-        let (injector, jitter_rng) = fault_streams(&UNARMED, stream);
         Direction {
             cfg,
             tx: VecDeque::new(),
             tx_busy_until: MemCycle::ZERO,
             flying: VecDeque::new(),
             bytes_sent: 0,
-            injector,
-            jitter_rng,
+            injector: FaultInjector::disabled(),
             health: HealthMonitor::new(HealthPolicy::default()),
             stats: LinkStats::default(),
             fault: None,
@@ -258,19 +220,9 @@ impl<M> Direction<M> {
         Ok(())
     }
 
-    /// Exponential backoff for replay attempt `attempt` (1-based), plus
-    /// deterministic seeded jitter when configured. With jitter disabled
-    /// (the default) no randomness is consumed.
-    fn backoff(&mut self, attempt: u32) -> u64 {
-        let base = self.cfg.backoff_base.0 << (attempt.saturating_sub(1)).min(6);
-        if self.cfg.backoff_jitter_pct == 0 {
-            return base;
-        }
-        let span = base * u64::from(self.cfg.backoff_jitter_pct) / 100;
-        if span == 0 {
-            return base;
-        }
-        base + self.jitter_rng.gen_below(span + 1)
+    /// Exponential backoff for replay attempt `attempt` (1-based).
+    fn backoff(&self, attempt: u32) -> u64 {
+        self.cfg.backoff_base.0 << (attempt.saturating_sub(1)).min(6)
     }
 
     /// Forwards a health transition (if one happened) to the trace
@@ -421,32 +373,16 @@ impl<M> Direction<M> {
 
 doram_sim::impl_codec!(struct TxEntry<M> { bytes, msg, blame, enq, busy_snap });
 
-/// The serializer's class always travels as a busy flag plus a class byte
-/// (0 when idle), unlike `Option`'s codec.
-fn save_serializing(class: &Option<u8>, w: &mut SnapshotWriter) {
-    (class.is_some(), class.unwrap_or(0)).put(w);
-}
-
-fn load_serializing(
-    class: &mut Option<u8>,
-    r: &mut SnapshotReader<'_>,
-) -> Result<(), SnapshotError> {
-    let (busy, tag) = <(bool, u8)>::get(r)?;
-    *class = busy.then_some(tag);
-    Ok(())
-}
-
 // The recorder wiring (`obs`, `blame_res`) is redone by the host after
 // restore.
 doram_sim::impl_snapshot!(Direction<M> {
     tx,
     tx_busy_until,
-    serializing: via(save_serializing, load_serializing),
+    serializing,
     last_tick,
     flying,
     bytes_sent,
     injector: state,
-    jitter_rng,
     health: state,
     stats,
     fault,
@@ -470,46 +406,33 @@ impl<M> Link<M> {
     }
 
     /// Arms the link with a system-wide fault plan, the only source of
-    /// link faults. Both directions' injectors and jitter streams are
-    /// keyed off the plan; `site` distinguishes this link from others
-    /// sharing it (two streams per link). A plan that can never fire
-    /// leaves the link unarmed, so its state stays a fresh link's.
+    /// link faults. Each direction's injector is keyed off the plan;
+    /// `site` distinguishes this link from others sharing it (two streams
+    /// per link). A plan that can never fire leaves the link unarmed, so
+    /// its state stays a fresh link's.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, site: u64) {
         if plan.is_zero() {
             return;
         }
-        for (dir, stream) in [
-            (&mut self.to_mem, site * 2),
-            (&mut self.to_cpu, site * 2 + 1),
-        ] {
-            (dir.injector, dir.jitter_rng) = fault_streams(plan, stream);
-        }
+        self.to_mem.injector = plan.injector(site * 2);
+        self.to_cpu.injector = plan.injector(site * 2 + 1);
     }
 
-    /// Attaches (or detaches) a trace recorder. Both directions emit
-    /// `link_tx` when a frame enters the serializer and `link_rx` when it
-    /// is delivered. No blame rows are registered — use
-    /// [`Link::set_obs_named`] for interference attribution.
-    pub fn set_obs(&mut self, obs: Option<SharedRecorder>) {
-        self.to_mem.obs = obs.clone();
-        self.to_mem.blame_res = None;
-        self.to_cpu.obs = obs;
-        self.to_cpu.blame_res = None;
-    }
-
-    /// Attaches a trace recorder under a stable dotted name, registering
-    /// per-direction blame rows (`{name}.to_mem` / `{name}.to_cpu`) when
-    /// the recorder's filter includes the link subsystem. With blame rows
-    /// live, every cycle a frame waits for the serializer is attributed
-    /// to the class of the frame occupying it.
-    pub fn set_obs_named(&mut self, obs: Option<SharedRecorder>, name: &str) {
-        self.set_obs(obs);
+    /// Attaches (or detaches) a trace recorder under a stable dotted
+    /// name. Both directions emit `link_tx` when a frame enters the
+    /// serializer and `link_rx` when it is delivered. When the recorder's
+    /// filter includes the link subsystem, per-direction blame rows
+    /// (`{name}.to_mem` / `{name}.to_cpu`) register too, and every cycle a
+    /// frame waits for the serializer is attributed to the class of the
+    /// frame occupying it.
+    pub fn set_obs(&mut self, obs: Option<SharedRecorder>, name: &str) {
         for (dir, suffix) in [(&mut self.to_mem, "to_mem"), (&mut self.to_cpu, "to_cpu")] {
-            dir.blame_res = dir.obs.as_ref().and_then(|r| {
+            dir.blame_res = obs.as_ref().and_then(|r| {
                 let mut r = r.borrow_mut();
                 r.wants(Subsystem::Link)
                     .then(|| r.blame.resource(&format!("{name}.{suffix}")))
             });
+            dir.obs = obs.clone();
         }
     }
 
@@ -624,6 +547,7 @@ doram_sim::impl_snapshot!(Link<M> { to_mem: state, to_cpu: state });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doram_sim::fault::FaultRates;
 
     fn drain(link: &mut Link<u32>, upto: u64) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
@@ -818,7 +742,7 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially() {
         let cfg = LinkConfig::default();
-        let mut dir: Direction<u32> = Direction::new(cfg, 0, "test");
+        let dir: Direction<u32> = Direction::new(cfg, 0, "test");
         assert_eq!(dir.backoff(1), cfg.backoff_base.0);
         assert_eq!(dir.backoff(2), cfg.backoff_base.0 * 2);
         assert_eq!(dir.backoff(4), cfg.backoff_base.0 * 8);
@@ -827,64 +751,9 @@ mod tests {
     }
 
     #[test]
-    fn jittered_backoff_stays_in_bounds_and_respects_the_cap() {
-        let cfg = LinkConfig {
-            backoff_jitter_pct: 25,
-            ..LinkConfig::default()
-        };
-        let mut dir: Direction<u32> = Direction::new(cfg, 0, "test");
-        for attempt in 1..=80u32 {
-            let base = cfg.backoff_base.0 << (attempt.saturating_sub(1)).min(6);
-            let b = dir.backoff(attempt);
-            assert!(b >= base, "attempt {attempt}: {b} < base {base}");
-            assert!(
-                b <= base + base / 4,
-                "attempt {attempt}: {b} above jitter bound"
-            );
-        }
-        // The max-backoff clamp holds with jitter too: never beyond
-        // base*64 * (1 + pct/100).
-        let cap = cfg.backoff_base.0 * 64;
-        for _ in 0..100 {
-            assert!(dir.backoff(1000) <= cap + cap / 4);
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let cfg = LinkConfig {
-            backoff_jitter_pct: 50,
-            ..LinkConfig::default()
-        };
-        let plan = lossy(0x11_4B, 200_000, 0);
-        let (got_a, stats_a) = run_lossy(cfg, &plan);
-        let (got_b, stats_b) = run_lossy(cfg, &plan);
-        assert_eq!(got_a, got_b, "same seed must give the same schedule");
-        assert_eq!(stats_a, stats_b);
-        // A different seed shifts both the fault schedule and the jitter.
-        let (got_c, _) = run_lossy(cfg, &lossy(0xBEEF, 200_000, 0));
-        assert_ne!(got_a, got_c, "seed must matter");
-        // Jitter costs extra cycles relative to the un-jittered run
-        // whenever any retransmission happened.
-        let plain = LinkConfig {
-            backoff_jitter_pct: 0,
-            ..cfg
-        };
-        let (_, stats_plain) = run_lossy(plain, &plan);
-        assert_eq!(stats_a.retransmissions, stats_plain.retransmissions);
-        assert!(
-            stats_a.recovery_cycles >= stats_plain.recovery_cycles,
-            "jitter only ever adds wait"
-        );
-    }
-
-    #[test]
     fn snapshot_resume_mid_backoff_is_bit_identical() {
         use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
-        let cfg = LinkConfig {
-            backoff_jitter_pct: 50,
-            ..LinkConfig::default()
-        };
+        let cfg = LinkConfig::default();
         // The plan is configuration, not state: the resumed link is armed
         // with it before its state loads.
         let plan = lossy(0x11_4B, 300_000, 100_000);
@@ -946,7 +815,7 @@ mod tests {
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         link.set_fault_plan(&lossy(0x11_4B, 1_000_000, 0), 0);
         let rec = Recorder::shared(256, FILTER_ALL, 1_000_000);
-        link.set_obs(Some(rec.clone()));
+        link.set_obs(Some(rec.clone()), "sec.link");
         link.send_to_mem(72, 1).unwrap();
         link.send_to_mem(72, 2).unwrap();
         let got = drain(&mut link, 100_000);
@@ -999,8 +868,8 @@ mod tests {
     #[test]
     fn zero_plan_leaves_the_link_unarmed() {
         use doram_sim::snapshot::{Snapshot, SnapshotWriter};
-        // A plan that can never fire re-keys neither the checkpointed
-        // injectors nor the jitter streams, whatever its seed or site.
+        // A plan that can never fire re-keys neither checkpointed
+        // injector, whatever its seed or site.
         let snap = |l: &Link<u32>| {
             let mut w = SnapshotWriter::new();
             l.save_state(&mut w);
@@ -1051,7 +920,7 @@ mod tests {
         use doram_obs::{EventKind, Recorder, FILTER_ALL};
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000);
-        link.set_obs(Some(rec.clone()));
+        link.set_obs(Some(rec.clone()), "sec.link");
         link.send_to_mem(72, 1u32).unwrap();
         link.send_to_cpu(8, 2u32).unwrap();
         drain(&mut link, 40);
@@ -1076,7 +945,7 @@ mod tests {
         use doram_obs::{BlameClass, Recorder, FILTER_ALL};
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000_000);
-        link.set_obs_named(Some(rec.clone()), "sec.link");
+        link.set_obs(Some(rec.clone()), "sec.link");
         // Alternate S-App and NS-App frames: every later frame waits on an
         // earlier occupant of the other class, so cross-class blame accrues
         // in both directions of the matrix row.
@@ -1111,22 +980,23 @@ mod tests {
     }
 
     #[test]
-    fn blame_rows_register_only_via_set_obs_named() {
+    fn blame_rows_register_only_when_the_filter_traces_the_link() {
         use doram_obs::{Recorder, FILTER_ALL};
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000);
-        link.set_obs(Some(rec.clone()));
-        link.send_to_mem(72, 1u32).unwrap();
-        link.send_to_mem(72, 2u32).unwrap();
-        drain(&mut link, 60);
-        assert!(
-            rec.borrow().blame.is_empty(),
-            "plain set_obs keeps the legacy no-blame behavior"
-        );
-        // A filter excluding the link also suppresses registration.
+        link.set_obs(Some(rec.clone()), "ch2.link");
+        let names: Vec<String> = rec
+            .borrow()
+            .blame
+            .resources()
+            .iter()
+            .map(|r| r.name.clone())
+            .collect();
+        assert_eq!(names, ["ch2.link.to_mem", "ch2.link.to_cpu"]);
+        // A filter excluding the link suppresses registration.
         let mut link2: Link<u32> = Link::new(LinkConfig::default());
         let filtered = Recorder::shared(64, doram_obs::parse_filter("sd").unwrap(), 1_000);
-        link2.set_obs_named(Some(filtered.clone()), "sec.link");
+        link2.set_obs(Some(filtered.clone()), "sec.link");
         link2.send_to_mem(72, 1u32).unwrap();
         drain(&mut link2, 60);
         assert!(filtered.borrow().blame.is_empty());
@@ -1135,10 +1005,10 @@ mod tests {
     #[test]
     fn blame_state_survives_snapshot_resume() {
         use doram_obs::{BlameClass, Recorder, FILTER_ALL};
-        use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Codec, Snapshot, SnapshotReader, SnapshotWriter};
         let mut link: Link<u32> = Link::new(LinkConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000_000);
-        link.set_obs_named(Some(rec.clone()), "sec.link");
+        link.set_obs(Some(rec.clone()), "sec.link");
         for i in 0..8u32 {
             link.send_to_mem_classed(72, i, BlameClass::SAppRead as u8).unwrap();
         }
@@ -1162,7 +1032,7 @@ mod tests {
             let b = w.into_bytes();
             rec2.borrow_mut().blame = Codec::get(&mut SnapshotReader::new(&b)).unwrap();
         }
-        resumed.set_obs_named(Some(rec2.clone()), "sec.link");
+        resumed.set_obs(Some(rec2.clone()), "sec.link");
         let mut r = SnapshotReader::new(&bytes);
         resumed.load_state(&mut r).unwrap();
         for c in 10..400u64 {

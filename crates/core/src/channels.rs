@@ -167,12 +167,13 @@ impl Channel {
     }
 
     /// Attaches a trace recorder, registering interference-blame rows
-    /// under `ch{idx}.*` names (direct channels expose one `ch{idx}.sub0`
-    /// row; BOB channels add their link serializers and SimpleMC buffer).
-    pub fn set_obs(&mut self, obs: Option<doram_obs::SharedRecorder>, idx: usize) {
+    /// under the paper's channel number `n` as `ch{n}.*` (direct channels
+    /// expose one `ch{n}.sub0` row; BOB channels add their link
+    /// serializers and SimpleMC buffer).
+    pub fn set_obs(&mut self, obs: Option<doram_obs::SharedRecorder>, n: usize) {
         match self {
-            Channel::Direct(sc) => sc.set_obs_named(obs, idx as u64, &format!("ch{idx}.sub0")),
-            Channel::Bob(ch) => ch.set_obs(obs, idx),
+            Channel::Direct(sc) => sc.set_obs(obs, n as u64, &format!("ch{n}.sub0")),
+            Channel::Bob(ch) => ch.set_obs(obs, &format!("ch{n}")),
         }
     }
 }
@@ -306,19 +307,21 @@ impl ChannelFabric {
         self.channels.iter().map(Channel::column_ops).sum()
     }
 
-    /// Attaches a trace recorder to every channel (blame rows `ch{i}.*`).
-    pub fn set_obs(&mut self, obs: Option<doram_obs::SharedRecorder>) {
+    /// Attaches a trace recorder to every channel; channel `i` is the
+    /// paper's channel `first + i` (blame rows `ch{first + i}.*`).
+    pub fn set_obs(&mut self, obs: Option<doram_obs::SharedRecorder>, first: usize) {
         for (i, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_obs(obs.clone(), i);
+            ch.set_obs(obs.clone(), first + i);
         }
     }
 
-    /// One-line summary per channel, for watchdog diagnostics.
-    pub fn debug_states(&self) -> Vec<String> {
+    /// One-line summary per channel, for watchdog diagnostics, named as
+    /// in [`ChannelFabric::set_obs`].
+    pub fn debug_states(&self, first: usize) -> Vec<String> {
         self.channels
             .iter()
             .enumerate()
-            .map(|(i, ch)| format!("ch{i}[{}]", ch.debug_state()))
+            .map(|(i, ch)| format!("ch{}[{}]", first + i, ch.debug_state()))
             .collect()
     }
 

@@ -23,9 +23,11 @@ use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubCha
 use doram_obs::{BlameClass, SharedRecorder, Subsystem};
 use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
-use doram_sim::fault::{FaultCounts, FaultPlan, FaultRates, FaultWindow};
+use doram_sim::fault::{
+    AdversaryBurst, AdversaryPlan, FaultCounts, FaultKind, FaultPlan, FaultRates, FaultWindow,
+};
 use doram_sim::health::HealthState;
-use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
 use std::collections::VecDeque;
 use verifier::SdVerifier;
@@ -54,6 +56,41 @@ pub fn hostile_sub_plan(seed: u64, sub: u64, start: u64, end: u64) -> FaultPlan 
             },
         },
     )
+}
+
+/// Staggered, repeating attack bursts against secure sub-channel `sub`:
+/// the `i`-th of `kinds` starts at `start + 4,000·i` cycles and runs for
+/// 3,000 cycles at `ppm`, every 12,000 cycles, `repeats` times, with up
+/// to 400 cycles of seeded onset jitter. The kinds tile the timeline
+/// without overlapping (later windows win within a site, so overlap
+/// would mask earlier kinds).
+///
+/// # Errors
+///
+/// [`SimError::Config`] if the schedule is invalid (say, `ppm` above
+/// 1,000,000).
+pub fn adversary_sub_plan(
+    seed: u64,
+    kinds: &[FaultKind],
+    sub: u64,
+    start: u64,
+    repeats: u32,
+    ppm: u32,
+) -> Result<FaultPlan, SimError> {
+    let mut plan = AdversaryPlan::new(seed).jitter(400);
+    for (i, &kind) in kinds.iter().enumerate() {
+        plan = plan.burst(AdversaryBurst {
+            site: SD_SUB_SITE_BASE + sub,
+            kind,
+            start: MemCycle(start + i as u64 * 4_000),
+            len: 3_000,
+            period: 12_000,
+            repeats,
+            ppm,
+        });
+    }
+    plan.validate()?;
+    Ok(plan.compile())
 }
 
 /// A split-level block operation forwarded through the CPU.
@@ -282,7 +319,8 @@ pub struct SecureChannel {
     local_ids: RequestIdGen,
     scratch: Vec<Completion>,
     /// Read-merging state: per normal channel (index 0 unused), the batch
-    /// being accumulated this tick. `None` disables merging.
+    /// being accumulated this tick, flushed before the tick ends. `None`
+    /// disables merging.
     merge_bufs: Option<Vec<SplitBatch>>,
     /// Bucket verification and every recovery path around the datapath.
     verifier: SdVerifier,
@@ -345,9 +383,9 @@ impl SecureChannel {
     /// (arrival, read-phase done, access done); the verifier emits the
     /// integrity fault/recovery instants.
     pub fn set_obs(&mut self, obs: Option<SharedRecorder>) {
-        self.link.set_obs_named(obs.clone(), "sec.link");
+        self.link.set_obs(obs.clone(), "sec.link");
         for (i, sub) in self.subs.iter_mut().enumerate() {
-            sub.set_obs(obs.clone(), i as u64);
+            sub.set_obs(obs.clone(), i as u64, &format!("sd.sub{i}"));
         }
         self.fsm.set_obs(obs.clone());
         // Aggregate blame rows for the SD-side holding queues; the
@@ -720,21 +758,6 @@ impl Codec for SplitBatch {
     }
 }
 
-/// A read-merging buffer is checkpointed as the link message it becomes.
-impl Snapshot for SplitBatch {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        SecMsg::SplitReadBatch(*self).put(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        match SecMsg::get(r)? {
-            SecMsg::SplitReadBatch(batch) => *self = batch,
-            _ => return Err(SnapshotError::new("expected split batch")),
-        }
-        Ok(())
-    }
-}
-
 doram_sim::impl_codec!(
     enum SecMsg {
         NsReq(req) = 0,
@@ -748,9 +771,8 @@ doram_sim::impl_codec!(
     }
 );
 
-// Merge buffers exist per configuration; their contents drain every tick
-// but are checkpointed for safety. The recorder wiring is redone by the
-// host after restore.
+// The merge buffers are empty between ticks (the tick that fills them
+// flushes them). The recorder wiring is redone by the host after restore.
 doram_sim::impl_snapshot!(SecureChannel {
     link: state,
     subs: state,
@@ -759,11 +781,11 @@ doram_sim::impl_snapshot!(SecureChannel {
     resp_pending,
     out_pending,
     local_ids,
-    merge_bufs: state,
     verifier: state,
 } skip {
     s_app,
     scratch,
+    merge_bufs,
     obs,
     mc_blame_res,
     out_blame_res,
@@ -860,7 +882,6 @@ mod tests {
     use super::*;
     use doram_oram::split::SplitConfig;
     use doram_oram::tree::TreeGeometry;
-    use doram_sim::fault::FaultKind;
 
     fn cfg(k: u32) -> SecureChannelConfig {
         SecureChannelConfig {
@@ -1259,7 +1280,7 @@ mod tests {
 
     #[test]
     fn degraded_run_snapshot_round_trips() {
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
         let mk = || {
             SecureChannel::new(SecureChannelConfig {
                 parity: true,
@@ -1403,7 +1424,7 @@ mod tests {
 
     #[test]
     fn adversary_run_snapshot_round_trips() {
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+        use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
         let mk = || {
             SecureChannel::new(SecureChannelConfig {
                 fault_plan: FaultPlan::with_rates(

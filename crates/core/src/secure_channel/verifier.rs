@@ -776,8 +776,8 @@ fn load_tags(
 
 // The freshness tree is rebuilt from `leaves` + `versions`; health
 // transitions drain within every tick, so none are pending between ticks.
-// The three queues come last: checkpoint version 5 carries them after the
-// rest of this state.
+// The three queues come last, after the rest of this state, as the golden
+// checkpoint table pins.
 doram_sim::impl_snapshot!(SdVerifier {
     integrity: via(save_tags, load_tags),
     versions,

@@ -477,8 +477,10 @@ impl Delegated {
 }
 
 impl Backend {
-    /// NS channel number of fabric channel 0: D-ORAM's secure channel is
-    /// NS channel 0 and its normal channels follow.
+    /// The paper's channel number of fabric channel 0: D-ORAM's secure
+    /// channel is channel #0 and its normal channels are #1–#3 (§III-C).
+    /// Metrics, blame rows and the stall dump all name fabric channels
+    /// by this number.
     fn fabric_base(&self) -> usize {
         usize::from(matches!(self.sapp, SAppPath::Delegated(_)))
     }
@@ -532,14 +534,15 @@ impl Backend {
                 ),
             ],
         };
-        lines.extend(self.fabric.debug_states());
+        lines.extend(self.fabric.debug_states(self.fabric_base()));
         lines
     }
 
     /// Hands the shared recorder to every instrumented component: the
     /// D-ORAM access path end to end (engine → secure link → SD →
     /// sub-channels), every fabric channel (links, SimpleMCs, sub-channels
-    /// — the `ch{i}.*` blame rows), and D-ORAM's channel-mux holding queues
+    /// — the `ch{n}.*` blame rows, `n` the paper's channel number), and
+    /// D-ORAM's channel-mux holding queues
     /// (`cpu.mux.*`). Safe to call again after a filter change: blame-row
     /// registration re-evaluates against the recorder's current subsystem
     /// mask.
@@ -548,7 +551,7 @@ impl Backend {
             d.secure.set_obs(Some(obs.clone()));
             d.engine.set_obs(Some(obs.clone()));
         }
-        self.fabric.set_obs(Some(obs.clone()));
+        self.fabric.set_obs(Some(obs.clone()), self.fabric_base());
         if let SAppPath::Delegated(d) = &mut self.sapp {
             let mut rec = obs.borrow_mut();
             d.mux_blame = rec.wants(Subsystem::Engine).then(|| {
@@ -1629,6 +1632,7 @@ fn tick_memory(mem: &mut MemoryState, now: MemCycle) {
 mod tests {
     use super::*;
     use doram_trace::Benchmark;
+    use std::collections::BTreeSet;
 
     fn quick(scheme: Scheme) -> RunReport {
         let cfg = SystemConfig::builder(Benchmark::Libq)
@@ -2107,7 +2111,7 @@ mod tests {
     }
 
     /// Every scheme's dump lists its S-App path's lines first, then one
-    /// `ch{i}[…]` line per fabric channel.
+    /// `ch{n}[…]` line per fabric channel, `n` its paper channel number.
     #[test]
     fn stall_dump_lists_sapp_path_then_fabric_channels() {
         // Sub-channel state: queues, in-flight, drain, refresh, and reads/writes issued.
@@ -2164,11 +2168,64 @@ mod tests {
                     secure_subs.join(" | ")
                 ),
                 "engine[sent=5/1 resp=5] split_fwd=0 pending_split=0 pending_deliver=0".to_string(),
-                bob(0, sub(0, 8, 1, true, 57, 18)),
-                bob(1, sub(1, 7, 1, false, 57, 17)),
-                bob(2, sub(5, 8, 0, false, 55, 21)),
+                bob(1, sub(0, 8, 1, true, 57, 18)),
+                bob(2, sub(1, 7, 1, false, 57, 17)),
+                bob(3, sub(5, 8, 0, false, 55, 21)),
             ]
         );
+    }
+
+    /// The `ch{n}` prefixes of a finished traced run's blame rows, stall
+    /// dump lines and metric names, in that order.
+    fn channel_prefixes(scheme: Scheme) -> [BTreeSet<String>; 3] {
+        let cfg = SystemConfig::builder(Benchmark::Libq)
+            .scheme(scheme)
+            .ns_accesses(200)
+            .tree_l_max(12)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::new(cfg).unwrap();
+        let rec = sim.enable_tracing(1 << 10, doram_obs::FILTER_ALL, 1_000);
+        sim.advance(&RunOptions::default()).unwrap();
+        let dump = sim.stall_dump();
+        let prefixes = |names: Vec<&str>| -> BTreeSet<String> {
+            names
+                .into_iter()
+                .filter_map(|n| n.split(['.', '[']).next())
+                .filter(|p| {
+                    p.strip_prefix("ch")
+                        .is_some_and(|d| d.parse::<usize>().is_ok())
+                })
+                .map(str::to_string)
+                .collect()
+        };
+        let rec = rec.borrow();
+        let blame = rec.blame.resources();
+        [
+            prefixes(blame.iter().map(|r| r.name.as_str()).collect()),
+            prefixes(dump.components.iter().map(String::as_str).collect()),
+            prefixes(dump.metrics.iter().map(|(n, _)| n.as_str()).collect()),
+        ]
+    }
+
+    /// Blame rows, the stall dump and metrics all name a fabric channel by
+    /// its paper channel number: D-ORAM's normal channels are #1–#3 (the
+    /// secure channel is #0), Baseline's four channels #0–#3.
+    #[test]
+    fn every_view_names_channels_by_paper_number() {
+        let names =
+            |ns: &[usize]| -> BTreeSet<String> { ns.iter().map(|n| format!("ch{n}")).collect() };
+        for (scheme, want) in [
+            (Scheme::DOram { k: 1, c: 4 }, names(&[1, 2, 3])),
+            (Scheme::Baseline, names(&[0, 1, 2, 3])),
+        ] {
+            for (view, got) in ["blame rows", "stall dump", "metrics"]
+                .into_iter()
+                .zip(channel_prefixes(scheme))
+            {
+                assert_eq!(got, want, "{scheme:?} {view}");
+            }
+        }
     }
 
     #[test]

@@ -187,17 +187,9 @@ impl SubChannel {
     /// Attaches (or detaches) a trace recorder; ORAM-class requests emit
     /// `dram_issue`/`dram_done` events tagged with `sub_idx`, and (when
     /// the DRAM subsystem passes the filter) queue waits are attributed
-    /// in the blame matrix under the resource name `sd.sub{sub_idx}`.
-    pub fn set_obs(&mut self, rec: Option<doram_obs::SharedRecorder>, sub_idx: u64) {
-        let name = format!("sd.sub{sub_idx}");
-        self.set_obs_named(rec, sub_idx, &name);
-    }
-
-    /// Like [`set_obs`], but registering the blame-matrix row under an
-    /// explicit `resource` name (normal BOB channels use `ch{i}.sub{j}`).
-    ///
-    /// [`set_obs`]: SubChannel::set_obs
-    pub fn set_obs_named(
+    /// in the blame matrix under the row `resource` (the SD's
+    /// sub-channels are `sd.sub{i}`, a fabric channel's `ch{n}.sub{j}`).
+    pub fn set_obs(
         &mut self,
         rec: Option<doram_obs::SharedRecorder>,
         sub_idx: u64,
@@ -1033,7 +1025,7 @@ mod tests {
         use doram_obs::{EventKind, Recorder, FILTER_ALL};
         let mut sc = SubChannel::new(SubChannelConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000);
-        sc.set_obs(Some(rec.clone()), 3);
+        sc.set_obs(Some(rec.clone()), 3, "sd.sub3");
         let mut oram = req(0, MemOp::Read, 0, 0);
         oram.class = RequestClass::Oram;
         sc.enqueue(oram).unwrap();
@@ -1051,7 +1043,7 @@ mod tests {
         use doram_obs::{BlameClass, Recorder, FILTER_ALL};
         let mut sc = SubChannel::new(SubChannelConfig::default());
         let rec = Recorder::shared(64, FILTER_ALL, 1_000);
-        sc.set_obs(Some(rec.clone()), 0);
+        sc.set_obs(Some(rec.clone()), 0, "sd.sub0");
         // Interleave ORAM and normal reads so each class queues behind
         // the other's bursts.
         let mut done = Vec::new();
@@ -1097,7 +1089,7 @@ mod tests {
         use doram_obs::{parse_filter, Recorder};
         let mut sc = SubChannel::new(SubChannelConfig::default());
         let rec = Recorder::shared(64, parse_filter("sd").unwrap(), 1_000);
-        sc.set_obs(Some(rec.clone()), 0);
+        sc.set_obs(Some(rec.clone()), 0, "sd.sub0");
         sc.enqueue(req(0, MemOp::Read, 0, 0)).unwrap();
         run_until_n(&mut sc, 1, 1000);
         assert!(rec.borrow().blame.is_empty(), "filtered-out subsystem stays silent");

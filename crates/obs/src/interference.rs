@@ -9,7 +9,7 @@
 //! `doram-cli obs report` re-reads and renders it, and the CI schema
 //! check round-trips it through [`InterferenceReport::from_json`].
 
-use crate::blame::{BlameClass, ALL_BLAME_CLASSES, BLAME_CLASSES};
+use crate::blame::{ALL_BLAME_CLASSES, BLAME_CLASSES};
 use crate::histogram::{LogHistogram, REPORT_QUANTILES};
 use crate::json::{self, JsonValue};
 use crate::recorder::Recorder;
@@ -93,7 +93,7 @@ impl QuantileSummary {
 pub struct BlameRowReport {
     /// Resource name (`"sd.sub0"`, `"sec.link.to_mem"`, …).
     pub name: String,
-    /// Attributed wait cycles, indexed by [`BlameClass`] tag.
+    /// Attributed wait cycles, indexed by [`BlameClass`](crate::BlameClass) tag.
     pub waits: [u64; BLAME_CLASSES],
     /// Total queueing delay the waits telescope to.
     pub queue_delay: u64,
@@ -496,15 +496,10 @@ impl InterferenceReport {
     }
 }
 
-/// Converts a class tag into its report row name (a convenience for the
-/// instrumentation sites that carry `u8` tags).
-pub fn class_name(tag: u8) -> &'static str {
-    BlameClass::from_tag(tag).name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blame::BlameClass;
     use crate::event::FILTER_ALL;
 
     fn sample_recorder() -> Recorder {

@@ -59,20 +59,26 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// field to the header, and extended several component payloads with
 /// adversarial-fault state.
 ///
-/// Version 5 (this build) extended the payloads with the interference
-/// observatory: per-class blame tags and enqueue-time busy snapshots on
-/// queued DRAM/link entries, and the recorder's blame matrix, latency
+/// Version 5 extended the payloads with the interference observatory:
+/// per-class blame tags and enqueue-time busy snapshots on queued
+/// DRAM/link entries, and the recorder's blame matrix, latency
 /// histograms, and in-flight access ledger — so a resumed traced run
-/// continues its telemetry exactly. Older files are rejected with
-/// [`SnapshotErrorKind::BadVersion`] — re-run from the start rather than
-/// resuming across the format change.
+/// continues its telemetry exactly.
+///
+/// Version 6 (this build) dropped each link direction's backoff-jitter
+/// stream, wrote the link serializer's class with `Option`'s codec, left
+/// the SD's read-merging buffers (empty between ticks) out of the
+/// payload, and renamed D-ORAM's normal channels in checkpointed blame
+/// rows to their paper numbers (`ch1`–`ch3`). Older files are rejected
+/// with [`SnapshotErrorKind::BadVersion`] — re-run from the start rather
+/// than resuming across the format change.
 ///
 /// Changing any encoded field — adding, removing, reordering or retyping
 /// one in an [`impl_snapshot!`](crate::impl_snapshot) or
 /// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
 /// changes the payload: bump this version and re-bless the golden
 /// checkpoint table (`tests/golden_checkpoints.rs`).
-pub const CHECKPOINT_VERSION: u32 = 5;
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
 /// layer that owns the key; all-zero when the run is unkeyed).

@@ -155,11 +155,12 @@ fn build_config(opts: &Opts) -> Result<SystemConfig, String> {
     b.build().map_err(|e| e.to_string())
 }
 
-/// `--adversary MODE`: a seeded
-/// [`AdversaryPlan`](doram::sim::fault::AdversaryPlan) of repeating attack
-/// bursts against secure sub-channel `sub`, compiled down to the ordinary
-/// site-window fault plan. `mix` mounts all three active attacks with
-/// staggered onsets so their bursts interleave.
+/// `--adversary MODE`: a seeded schedule of repeating attack bursts
+/// against secure sub-channel `sub`
+/// ([`adversary_sub_plan`](doram::core::secure_channel::adversary_sub_plan)),
+/// sized to land several times inside a default-scale run (a few tens of
+/// thousands of memory cycles). `mix` mounts all three active attacks
+/// with staggered onsets so their bursts interleave.
 fn adversary_fault_plan(
     mode: &str,
     seed: u64,
@@ -167,9 +168,7 @@ fn adversary_fault_plan(
     start: u64,
     ppm: u32,
 ) -> Result<doram::sim::fault::FaultPlan, String> {
-    use doram::core::secure_channel::SD_SUB_SITE_BASE;
-    use doram::sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind};
-    use doram::sim::MemCycle;
+    use doram::sim::fault::FaultKind;
     let kinds: &[FaultKind] = match mode {
         "replay" => &[FaultKind::ReplayStale],
         "relocate" => &[FaultKind::RelocateBucket],
@@ -185,24 +184,8 @@ fn adversary_fault_plan(
             ))
         }
     };
-    // Bursts are sized to land several times inside a default-scale run
-    // (a few tens of thousands of memory cycles): staggered 4k-cycle
-    // onsets, 3k-cycle bursts repeating every 12k cycles. Later windows
-    // win within a site, so the kinds must tile without overlapping.
-    let mut plan = AdversaryPlan::new(seed).jitter(400);
-    for (i, &kind) in kinds.iter().enumerate() {
-        plan = plan.burst(AdversaryBurst {
-            site: SD_SUB_SITE_BASE + sub,
-            kind,
-            start: MemCycle(start + i as u64 * 4_000),
-            len: 3_000,
-            period: 12_000,
-            repeats: 50,
-            ppm,
-        });
-    }
-    plan.validate().map_err(|e| e.to_string())?;
-    Ok(plan.compile())
+    doram::core::secure_channel::adversary_sub_plan(seed, kinds, sub, start, 50, ppm)
+        .map_err(|e| e.to_string())
 }
 
 fn print_report(r: &RunReport) {
@@ -568,21 +551,17 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 const OBS_USAGE: &str = "usage: doram-cli obs report FILE
        doram-cli obs check-prom FILE
-       doram-cli obs check-jsonl FILE
-       doram-cli obs compare BASELINE CURRENT [--tolerance-pct P]";
+       doram-cli obs check-jsonl FILE";
 
-/// `doram-cli obs <report|check-prom|check-jsonl|compare>`: offline
-/// inspection of the telemetry artifacts written by `run --obs-out` /
-/// `--prom-out` / `--trace-out`, plus the tolerance-band comparison the
-/// CI perf-trajectory gate runs against the checked-in bench baseline.
+/// `doram-cli obs <report|check-prom|check-jsonl>`: offline inspection of
+/// the telemetry artifacts written by `run --obs-out` / `--prom-out` /
+/// `--trace-out`.
 fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (Some(sub), Some(file)) = (args.first(), args.get(1)) else {
         return Err(OBS_USAGE.into());
     };
     let path = Path::new(file);
-    if sub != "compare" {
-        Opts::parse(&args[2..])?.only(&[])?;
-    }
+    Opts::parse(&args[2..])?.only(&[])?;
     match sub.as_str() {
         "report" => {
             let text = std::fs::read_to_string(path)?;
@@ -612,38 +591,6 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
             println!("{}: {lines} metric samples OK", path.display());
             Ok(())
         }
-        "compare" => {
-            let Some(current) = args.get(2) else {
-                return Err(format!("obs compare needs BASELINE and CURRENT files\n{OBS_USAGE}").into());
-            };
-            let opts = Opts::parse(&args[3..])?.only(&["tolerance-pct"])?;
-            let tol: f64 = match opts.get("tolerance-pct") {
-                None => 0.0,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| format!("--tolerance-pct expects a number, got '{v}'"))?,
-            };
-            let base = obs::json::parse(&std::fs::read_to_string(path)?)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            let cur = obs::json::parse(&std::fs::read_to_string(Path::new(current))?)
-                .map_err(|e| format!("{current}: {e}"))?;
-            let mut diffs = Vec::new();
-            compare_json(&base, &cur, tol, "$", &mut diffs);
-            if diffs.is_empty() {
-                println!("{} vs {current}: within {tol}% tolerance", path.display());
-                Ok(())
-            } else {
-                for d in &diffs {
-                    eprintln!("  {d}");
-                }
-                Err(format!(
-                    "{} difference(s) beyond {tol}% tolerance (baseline {}, current {current})",
-                    diffs.len(),
-                    path.display()
-                )
-                .into())
-            }
-        }
         other => Err(format!("unknown obs subcommand '{other}'\n{OBS_USAGE}").into()),
     }
 }
@@ -672,60 +619,6 @@ fn check_metrics_jsonl(text: &str) -> Result<usize, String> {
         samples += 1;
     }
     Ok(samples)
-}
-
-/// Structurally compares two JSON documents, collecting the paths where
-/// they differ. Numeric leaves may differ by up to `tol_pct` percent
-/// (relative to the larger magnitude); everything else must match
-/// exactly, with identical key sets and array lengths. Subtrees under a
-/// `"host"` key are skipped — they hold wall-clock self-profile data
-/// that legitimately varies between machines.
-fn compare_json(
-    base: &obs::json::JsonValue,
-    cur: &obs::json::JsonValue,
-    tol_pct: f64,
-    path: &str,
-    diffs: &mut Vec<String>,
-) {
-    use doram::obs::json::JsonValue as V;
-    if diffs.len() >= 20 {
-        return;
-    }
-    match (base, cur) {
-        (V::Object(b), V::Object(c)) => {
-            for (k, bv) in b {
-                if k == "host" {
-                    continue;
-                }
-                match c.get(k) {
-                    Some(cv) => compare_json(bv, cv, tol_pct, &format!("{path}.{k}"), diffs),
-                    None => diffs.push(format!("{path}.{k}: missing in current")),
-                }
-            }
-            for k in c.keys() {
-                if k != "host" && !b.contains_key(k) {
-                    diffs.push(format!("{path}.{k}: not in baseline"));
-                }
-            }
-        }
-        (V::Array(b), V::Array(c)) => {
-            if b.len() != c.len() {
-                diffs.push(format!("{path}: array length {} vs {}", b.len(), c.len()));
-                return;
-            }
-            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                compare_json(bv, cv, tol_pct, &format!("{path}[{i}]"), diffs);
-            }
-        }
-        (V::Number(b), V::Number(c)) => {
-            let scale = b.abs().max(c.abs());
-            if (b - c).abs() > tol_pct / 100.0 * scale {
-                diffs.push(format!("{path}: {b} vs {c} (beyond {tol_pct}%)"));
-            }
-        }
-        _ if base == cur => {}
-        _ => diffs.push(format!("{path}: value kind or content differs")),
-    }
 }
 
 fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
@@ -793,8 +686,7 @@ const USAGE: &str = "usage: doram-cli <run|sweep-c|profile|check|trace|obs|list>
     [--trace-out FILE] [--trace-filter SUBS] [--metrics-every N] [--metrics-window N] [--trace-ring N]
     [--obs-out FILE] [--prom-out FILE]
        doram-cli trace <summarize|validate> FILE [--min-accesses N]
-       doram-cli obs <report|check-prom|check-jsonl> FILE
-       doram-cli obs compare BASELINE CURRENT [--tolerance-pct P]";
+       doram-cli obs <report|check-prom|check-jsonl> FILE";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1023,36 +915,6 @@ mod tests {
         assert!(check_metrics_jsonl("{\"cycle\":-1,\"metric\":\"m\",\"value\":0}\n")
             .unwrap_err()
             .contains("cycle"));
-    }
-
-    #[test]
-    fn json_compare_tolerance_and_structure() {
-        let cmp = |a: &str, b: &str, tol: f64| {
-            let mut diffs = Vec::new();
-            compare_json(
-                &obs::json::parse(a).unwrap(),
-                &obs::json::parse(b).unwrap(),
-                tol,
-                "$",
-                &mut diffs,
-            );
-            diffs
-        };
-        // Identical documents always match; numbers get the tolerance band.
-        assert!(cmp(r#"{"a": 100, "b": [1, 2]}"#, r#"{"a": 100, "b": [1, 2]}"#, 0.0).is_empty());
-        assert!(cmp(r#"{"a": 100}"#, r#"{"a": 104}"#, 5.0).is_empty());
-        assert_eq!(cmp(r#"{"a": 100}"#, r#"{"a": 110}"#, 5.0).len(), 1);
-        // Structure is exact: missing keys and length drift are failures.
-        assert_eq!(cmp(r#"{"a": 1}"#, r#"{"b": 1}"#, 50.0).len(), 2);
-        assert_eq!(cmp(r#"{"a": [1]}"#, r#"{"a": [1, 2]}"#, 50.0).len(), 1);
-        // The host self-profile is wall-clock noise: always skipped.
-        assert!(cmp(
-            r#"{"a": 1, "host": {"wall_seconds": 0.5}}"#,
-            r#"{"a": 1, "host": null}"#,
-            0.0
-        )
-        .is_empty());
-        assert!(cmp(r#"{"a": 1}"#, r#"{"a": 1, "host": {"x": 9}}"#, 0.0).is_empty());
     }
 
     #[test]

@@ -1,46 +1,30 @@
 //! Active-adversary soak: the full stack under a seeded, bursty attack
 //! schedule, plus the authenticated-checkpoint resume gate.
 //!
-//! An [`AdversaryPlan`] mounts staggered replay, relocation, and rollback
-//! bursts against a secure sub-channel. The SD's freshness machinery must
-//! detect every class (nonzero per-class counters), recovery must hide all
-//! of it (the run drains; the functional oracle sees zero stale reads),
-//! and the whole episode must be a deterministic function of the seed.
+//! A seeded [`adversary_sub_plan`] mounts staggered replay, relocation,
+//! and rollback bursts against a secure sub-channel. The SD's freshness
+//! machinery must detect every class (nonzero per-class counters),
+//! recovery must hide all of it (the run drains; the functional oracle
+//! sees zero stale reads), and the whole episode must be a deterministic
+//! function of the seed.
 //! Separately: keyed checkpoints must reject tampering, key loss, and
 //! rollback substitution with *typed* errors at resume.
 
-use doram::core::secure_channel::SD_SUB_SITE_BASE;
+use doram::core::secure_channel::adversary_sub_plan;
 use doram::core::{RunOptions, Scheme, SimError, Simulation, SystemConfig};
-use doram::sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind, FaultPlan};
-use doram::sim::MemCycle;
+use doram::sim::fault::{FaultKind, FaultPlan};
 use doram::trace::Benchmark;
 use std::path::{Path, PathBuf};
 
 /// Staggered, repeating bursts of all three active attacks against secure
-/// sub-channel 0. The kinds tile the timeline without overlapping (later
-/// windows win inside one site, so overlap would mask earlier kinds).
+/// sub-channel 0.
 fn mixed_adversary(seed: u64) -> FaultPlan {
-    let mut plan = AdversaryPlan::new(seed).jitter(400);
-    for (i, kind) in [
+    let kinds = [
         FaultKind::ReplayStale,
         FaultKind::RelocateBucket,
         FaultKind::RollbackBurst,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        plan = plan.burst(AdversaryBurst {
-            site: SD_SUB_SITE_BASE,
-            kind,
-            start: MemCycle(2_000 + i as u64 * 4_000),
-            len: 3_000,
-            period: 12_000,
-            repeats: 20,
-            ppm: 300_000,
-        });
-    }
-    plan.validate().expect("valid schedule");
-    plan.compile()
+    ];
+    adversary_sub_plan(seed, &kinds, 0, 2_000, 20, 300_000).expect("valid schedule")
 }
 
 fn soak_config(seed: u64) -> SystemConfig {
