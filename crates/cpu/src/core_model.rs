@@ -535,6 +535,90 @@ mod tests {
         assert!(core.finished());
     }
 
+    /// A deterministic port: each read completes 20–32 cycles after issue
+    /// (so out of order), reads are refused every seventh cycle and
+    /// writes every fifth.
+    #[derive(Clone)]
+    struct ScriptPort {
+        now: u64,
+        next_id: u64,
+        inflight: Vec<(u64, RequestId)>,
+    }
+
+    impl MemoryPort for ScriptPort {
+        fn try_read(&mut self, _addr: u64) -> Option<RequestId> {
+            if self.now % 7 == 3 {
+                return None;
+            }
+            let id = RequestId(self.next_id);
+            self.next_id += 1;
+            self.inflight.push((self.now + 20 + id.0 % 13, id));
+            Some(id)
+        }
+        fn try_write(&mut self, _addr: u64) -> bool {
+            !self.now.is_multiple_of(5)
+        }
+    }
+
+    /// Delivers the completions due, then steps the core one cycle.
+    fn script_cycle(core: &mut TraceCore, port: &mut ScriptPort) {
+        let now = port.now;
+        let (due, pending): (Vec<_>, Vec<_>) = port.inflight.iter().partition(|(t, _)| *t <= now);
+        port.inflight = pending;
+        for (_, id) in due {
+            core.complete_read(id);
+        }
+        core.step(port);
+        port.now += 1;
+    }
+
+    fn saved(core: &TraceCore) -> Vec<u8> {
+        let mut w = doram_sim::snapshot::SnapshotWriter::new();
+        doram_sim::snapshot::Snapshot::save_state(core, &mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_with_reads_outstanding_resumes_identically() {
+        let recs: Vec<_> = (0..300u64)
+            .map(|i| {
+                let op = if i % 3 == 0 { AccessOp::Write } else { AccessOp::Read };
+                rec(i * 7 % 11, op, 64 * i)
+            })
+            .collect();
+        let mut original = TraceCore::new(CoreConfig::default(), trace(recs.clone()));
+        let mut port = ScriptPort {
+            now: 0,
+            next_id: 0,
+            inflight: Vec::new(),
+        };
+        while port.now < 200 || original.outstanding_reads().count() < 3 {
+            script_cycle(&mut original, &mut port);
+        }
+
+        let bytes = saved(&original);
+        let mut restored = TraceCore::new(CoreConfig::default(), trace(Vec::new()));
+        let mut r = doram_sim::snapshot::SnapshotReader::new(&bytes);
+        doram_sim::snapshot::Snapshot::load_state(&mut restored, &mut r).expect("loads");
+        r.finish().expect("no trailing bytes");
+        restored.resume_trace(trace(recs)).expect("trace long enough");
+        assert_eq!(
+            restored.outstanding_reads().collect::<Vec<_>>(),
+            original.outstanding_reads().collect::<Vec<_>>()
+        );
+
+        let mut restored_port = port.clone();
+        while !original.finished() {
+            script_cycle(&mut original, &mut port);
+        }
+        while !restored.finished() {
+            script_cycle(&mut restored, &mut restored_port);
+        }
+        assert_eq!(port.now, restored_port.now);
+        assert_eq!(format!("{:?}", original.stats()), format!("{:?}", restored.stats()));
+        assert_eq!(saved(&original), saved(&restored));
+    }
+
     #[test]
     fn debug_is_nonempty() {
         let core = TraceCore::new(CoreConfig::default(), trace(vec![]));

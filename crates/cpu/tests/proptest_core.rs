@@ -94,6 +94,52 @@ proptest! {
         prop_assert_eq!(port.writes, expect_writes);
     }
 
+    /// The MLP tally adds up exactly the reads outstanding before each
+    /// step, however completions arrive: early, twice, or for ids the core
+    /// never issued.
+    #[test]
+    fn outstanding_read_sum_counts_the_rob(
+        trace in gen_trace(),
+        delay in 1u64..60,
+        noise in prop::collection::vec((0u8..4, 0u64..1_000), 1..64),
+    ) {
+        let mut core = TraceCore::new(CoreConfig::default(), Box::new(trace.into_iter()));
+        let mut port = DelayPort::new(delay);
+        let mut completed: Vec<RequestId> = Vec::new();
+        let mut expected = 0u64;
+        let mut cycles = 0usize;
+        while !core.finished() {
+            prop_assert!(cycles < 1_000_000, "liveness");
+            for id in port.ready() {
+                core.complete_read(id);
+                completed.push(id);
+            }
+            let (kind, x) = noise[cycles % noise.len()];
+            match kind {
+                // A duplicate of a completion already delivered.
+                1 if !completed.is_empty() => {
+                    core.complete_read(completed[x as usize % completed.len()]);
+                }
+                // An id the core never issued.
+                2 => core.complete_read(RequestId(1_000_000 + x)),
+                // A read still in flight completes early; its on-time
+                // delivery later is then a duplicate.
+                3 if !port.inflight.is_empty() => {
+                    let (_, id) = port.inflight[x as usize % port.inflight.len()];
+                    core.complete_read(id);
+                    completed.push(id);
+                }
+                _ => {}
+            }
+            expected += core.outstanding_reads().count() as u64;
+            core.step(&mut port);
+            port.now += 1;
+            cycles += 1;
+        }
+        prop_assert_eq!(core.stats().outstanding_read_sum.get(), expected);
+        prop_assert_eq!(core.outstanding_reads().count(), 0);
+    }
+
     /// Slower memory never makes the core finish faster.
     #[test]
     fn monotone_in_memory_latency(trace in gen_trace()) {
