@@ -112,6 +112,9 @@ pub struct TraceCore {
     /// Records ever pulled from `trace` (for checkpoint restore: a fresh
     /// iterator of the same trace is fast-forwarded by this many records).
     consumed: u64,
+    /// Reads in the ROB not yet completed: derived from `rob`, so kept
+    /// out of checkpoints and recounted on load.
+    outstanding: u64,
     stats: CoreStats,
 }
 
@@ -147,6 +150,7 @@ impl TraceCore {
             pending_access: None,
             trace_done: false,
             consumed: 0,
+            outstanding: 0,
             stats: CoreStats::default(),
         }
     }
@@ -182,7 +186,10 @@ impl TraceCore {
         for e in self.rob.iter_mut() {
             if let RobEntry::Read { id: eid, done } = e {
                 if *eid == id {
-                    *done = true;
+                    if !*done {
+                        *done = true;
+                        self.outstanding -= 1;
+                    }
                     return;
                 }
             }
@@ -192,12 +199,7 @@ impl TraceCore {
     /// Advances the core by one CPU cycle: retire, then fetch.
     pub fn step(&mut self, port: &mut dyn MemoryPort) {
         self.stats.cycles.inc();
-        let outstanding = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e, RobEntry::Read { done: false, .. }))
-            .count() as u64;
-        self.stats.outstanding_read_sum.add(outstanding);
+        self.stats.outstanding_read_sum.add(self.outstanding);
         self.retire(port);
         self.fetch(port);
     }
@@ -262,6 +264,7 @@ impl TraceCore {
                 AccessOp::Read => match port.try_read(rec.addr) {
                     Some(id) => {
                         self.rob.push_back(RobEntry::Read { id, done: false });
+                        self.outstanding += 1;
                         self.stats.reads_issued.inc();
                         self.pending_access = None;
                     }
@@ -307,11 +310,17 @@ impl TraceCore {
         }
         Ok(())
     }
+
+    fn recount_outstanding(&mut self) -> Result<(), SnapshotError> {
+        self.outstanding = self.outstanding_reads().count() as u64;
+        Ok(())
+    }
 }
 
 doram_sim::impl_codec!(enum RobEntry { NonMem = 0, Read { id, done } = 1, Write { addr } = 2 });
 
 // The trace position travels as `consumed`; see [`TraceCore::resume_trace`].
+// The outstanding-read count is recounted from the ROB.
 doram_sim::impl_snapshot!(TraceCore {
     consumed,
     rob,
@@ -319,7 +328,7 @@ doram_sim::impl_snapshot!(TraceCore {
     pending_access,
     trace_done,
     stats,
-} skip { cfg, trace });
+} skip { cfg, trace, outstanding } after_load TraceCore::recount_outstanding);
 
 #[cfg(test)]
 mod tests {

@@ -480,13 +480,16 @@ impl SubChannel {
     /// Issues at most one DRAM command for this cycle.
     fn schedule(&mut self, now: MemCycle) {
         let serve_writes = self.draining;
+        let queue = if serve_writes { &self.write_q } else { &self.read_q };
+        if queue.is_empty() {
+            return;
+        }
         // Bandwidth preallocation is a *preference* over which class's
         // ready requests are served first, computed from the classes
         // present in the active queue. It must stay work-conserving: a
         // hard veto can deadlock against row-buffer state (a starved
         // request pinning a row everyone else needs).
         let preferred = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
             let oram_waiting = queue.iter().any(|p| p.req.class == RequestClass::Oram);
             let normal_waiting = queue.iter().any(|p| p.req.class == RequestClass::Normal);
             self.cfg.arbiter.preferred_at(now, oram_waiting, normal_waiting)
@@ -496,19 +499,20 @@ impl SubChannel {
         // epoch owner's requests are served; the other class only issues
         // when the owner has been unable to make progress for a while
         // (work-conserving valve — a strict veto can deadlock against
-        // row-buffer state).
+        // row-buffer state). Every request in a queue has the queue's
+        // direction, so the buses allow a column command to all or none.
+        let op = if serve_writes { MemOp::Write } else { MemOp::Read };
         let starved = self.stall_cycles > 2 * self.cfg.timing.t_rc;
-        let hit_idx = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
-            let ready = |p: &Pending| {
-                self.banks[p.bank].can_column(p.row, now) && self.column_allowed(p.req.op, now)
-            };
+        let hit_idx = if self.column_allowed(op, now) {
+            let ready = |p: &Pending| self.banks[p.bank].can_column(p.row, now);
             match preferred {
                 Some(class) if !starved => queue
                     .iter()
                     .position(|p| p.req.class == class && ready(p)),
                 _ => queue.iter().position(ready),
             }
+        } else {
+            None
         };
         if let Some(idx) = hit_idx {
             let p = if serve_writes {
@@ -523,61 +527,57 @@ impl SubChannel {
         // Pass 2: row management for the oldest serviceable request (FCFS
         // part), visiting the preferred class's requests first. The first
         // request whose bank can make progress gets it.
+        let Some((i, command)) = self.row_command(queue, preferred, now) else {
+            return;
+        };
+        let (bank, row) = (queue[i].bank, queue[i].row);
         let t = self.cfg.timing;
-        let order: Vec<usize> = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
-            match preferred {
-                Some(class) => {
-                    let (pref, rest): (Vec<usize>, Vec<usize>) =
-                        (0..queue.len()).partition(|&i| queue[i].req.class == class);
-                    pref.into_iter().chain(rest).collect()
-                }
-                None => (0..queue.len()).collect(),
+        if command == DeviceCommand::Precharge {
+            let open = self.banks[bank].open_row().expect("conflict on an open row");
+            self.banks[bank].precharge(now, &t);
+            self.stats.precharges.inc();
+            self.record_command(now, command, bank, open);
+        } else {
+            self.banks[bank].activate(row, now, &t);
+            self.note_activate(now);
+            self.stats.activates.inc();
+            self.record_command(now, command, bank, row);
+        }
+        self.mark_managed(serve_writes, i);
+    }
+
+    /// Pass 2's choice: the index in `queue` and the row command
+    /// (PRECHARGE or ACTIVATE) of the first request, `preferred` class
+    /// first and each class in queue order, whose bank can act now.
+    fn row_command(
+        &self,
+        queue: &VecDeque<Pending>,
+        preferred: Option<RequestClass>,
+        now: MemCycle,
+    ) -> Option<(usize, DeviceCommand)> {
+        let act = |(i, p): (usize, &Pending)| {
+            let bank = &self.banks[p.bank];
+            match bank.open_row() {
+                Some(open) if open == p.row => None, // waits on tRCD/tCCD/bus
+                // Conflict: precharge, unless a request in the *currently
+                // served* queue still wants the open row (keep it open —
+                // FR-FCFS). Only the active queue counts: honoring the idle
+                // queue's row wishes can deadlock (the write would pin a
+                // row that read service never releases).
+                Some(open) => (bank.can_precharge(now)
+                    && !queue.iter().any(|q| q.bank == p.bank && q.row == open))
+                    .then_some((i, DeviceCommand::Precharge)),
+                None => (bank.can_activate(now) && self.activate_allowed(now))
+                    .then_some((i, DeviceCommand::Activate)),
             }
         };
-        for i in order {
-            let (bank_idx, row) = {
-                let p = if serve_writes {
-                    &self.write_q[i]
-                } else {
-                    &self.read_q[i]
-                };
-                (p.bank, p.row)
-            };
-            match self.banks[bank_idx].open_row() {
-                Some(open) if open == row => continue, // waits on tRCD/tCCD/bus
-                Some(open) => {
-                    // Conflict: precharge, unless a request in the
-                    // *currently served* queue still wants the open row
-                    // (keep it open — FR-FCFS). Only the active queue
-                    // counts: honoring the idle queue's row wishes can
-                    // deadlock (the write would pin a row that read
-                    // service never releases).
-                    let active: &VecDeque<Pending> = if serve_writes {
-                        &self.write_q
-                    } else {
-                        &self.read_q
-                    };
-                    let hit_wanted = active.iter().any(|q| q.bank == bank_idx && q.row == open);
-                    if !hit_wanted && self.banks[bank_idx].can_precharge(now) {
-                        self.banks[bank_idx].precharge(now, &t);
-                        self.stats.precharges.inc();
-                        self.record_command(now, DeviceCommand::Precharge, bank_idx, open);
-                        self.mark_managed(serve_writes, i);
-                        return;
-                    }
-                }
-                None => {
-                    if self.banks[bank_idx].can_activate(now) && self.activate_allowed(now) {
-                        self.banks[bank_idx].activate(row, now, &t);
-                        self.note_activate(now);
-                        self.stats.activates.inc();
-                        self.record_command(now, DeviceCommand::Activate, bank_idx, row);
-                        self.mark_managed(serve_writes, i);
-                        return;
-                    }
-                }
-            }
+        let requests = || queue.iter().enumerate();
+        match preferred {
+            Some(class) => requests()
+                .filter(|(_, p)| p.req.class == class)
+                .chain(requests().filter(|(_, p)| p.req.class != class))
+                .find_map(act),
+            None => requests().find_map(act),
         }
     }
 

@@ -508,7 +508,13 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (Some(sub), Some(file)) = (args.first(), args.get(1)) else {
         return Err(TRACE_USAGE.into());
     };
-    let known: &[&str] = if sub == "validate" { &["min-accesses"] } else { &[] };
+    // The name is checked before the options, so a misspelt subcommand
+    // is reported as such whatever follows it.
+    let known: &[&str] = match sub.as_str() {
+        "summarize" => &[],
+        "validate" => &["min-accesses"],
+        other => return Err(format!("unknown trace subcommand '{other}'\n{TRACE_USAGE}").into()),
+    };
     let opts = Opts::parse(&args[2..])?.only(known)?;
     let path = Path::new(file);
     match sub.as_str() {
@@ -545,7 +551,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
             }
             Ok(())
         }
-        other => Err(format!("unknown trace subcommand '{other}'\n{TRACE_USAGE}").into()),
+        _ => unreachable!("subcommand checked above"),
     }
 }
 
@@ -560,6 +566,9 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
     let (Some(sub), Some(file)) = (args.first(), args.get(1)) else {
         return Err(OBS_USAGE.into());
     };
+    if !matches!(sub.as_str(), "report" | "check-prom" | "check-jsonl") {
+        return Err(format!("unknown obs subcommand '{sub}'\n{OBS_USAGE}").into());
+    }
     let path = Path::new(file);
     Opts::parse(&args[2..])?.only(&[])?;
     match sub.as_str() {
@@ -591,7 +600,7 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
             println!("{}: {lines} metric samples OK", path.display());
             Ok(())
         }
-        other => Err(format!("unknown obs subcommand '{other}'\n{OBS_USAGE}").into()),
+        _ => unreachable!("subcommand checked above"),
     }
 }
 
@@ -775,6 +784,24 @@ mod tests {
             .map(|t| t.split([' ', ']']).next().unwrap())
             .collect();
         assert_eq!(listed, RUN_OPTIONS);
+    }
+
+    #[test]
+    fn unknown_subcommands_are_named_before_options_are_parsed() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for extra in [&[][..], &["B"], &["--min-accesses", "1"]] {
+            let obs = [&["compare", "A"][..], extra].concat();
+            let err = cmd_obs(&args(&obs)).unwrap_err().to_string();
+            assert!(err.starts_with("unknown obs subcommand 'compare'\n"), "{err}");
+            assert!(err.ends_with(OBS_USAGE), "{err}");
+            let trace = [&["bogus", "A"][..], extra].concat();
+            let err = cmd_trace(&args(&trace)).unwrap_err().to_string();
+            assert!(err.starts_with("unknown trace subcommand 'bogus'\n"), "{err}");
+            assert!(err.ends_with(TRACE_USAGE), "{err}");
+        }
+        // A known subcommand still rejects what it does not read.
+        let err = cmd_trace(&args(&["summarize", "A", "B"])).unwrap_err().to_string();
+        assert!(err.contains("'B'"), "{err}");
     }
 
     #[test]
