@@ -33,7 +33,9 @@ struct Outcome {
     commands: Vec<CommandRecord>,
     completions: Vec<Completion>,
     writes_enqueued: u64,
-    max_write_queue: usize,
+    /// Whether the write queue was ever full (so past the drain
+    /// watermark).
+    write_queue_filled: bool,
 }
 
 fn drive(arbiter: ShareArbiter, page_policy: PagePolicy, seed: u64) -> Outcome {
@@ -46,7 +48,7 @@ fn drive(arbiter: ShareArbiter, page_policy: PagePolicy, seed: u64) -> Outcome {
     sc.enable_command_trace();
     let mut rng = Xoshiro256::seed_from(seed);
     let mut completions = Vec::new();
-    let (mut next_id, mut writes_enqueued, mut writes_queued, mut max_write_queue) = (0, 0, 0, 0);
+    let (mut next_id, mut writes_enqueued, mut write_queue_filled) = (0, 0, false);
     for now in 0..CYCLES {
         let heavy = (now / 1_500) % 2 == 0;
         if rng.gen_bool(if heavy { 0.22 } else { 0.04 }) {
@@ -71,25 +73,17 @@ fn drive(arbiter: ShareArbiter, page_policy: PagePolicy, seed: u64) -> Outcome {
             };
             if sc.enqueue(req).is_ok() {
                 next_id += 1;
-                if op == MemOp::Write {
-                    writes_enqueued += 1;
-                    writes_queued += 1;
-                }
+                writes_enqueued += u64::from(op == MemOp::Write);
             }
         }
-        let before = completions.len();
+        write_queue_filled |= !sc.can_accept_write();
         sc.tick(MemCycle(now), &mut completions);
-        writes_queued -= completions[before..]
-            .iter()
-            .filter(|c| c.request.op == MemOp::Write)
-            .count() as u64;
-        max_write_queue = max_write_queue.max(writes_queued as usize);
     }
     Outcome {
         commands: sc.take_command_trace(),
         completions,
         writes_enqueued,
-        max_write_queue,
+        write_queue_filled,
     }
 }
 
@@ -145,10 +139,7 @@ fn scheduler_decisions_are_pinned() {
         assert!(count(DeviceCommand::Refresh) >= 4, "{name}/{policy:?}: too few refreshes");
         assert!(count(DeviceCommand::Precharge) > 50, "{name}/{policy:?}: too few precharges");
         assert!(out.writes_enqueued > 300, "{name}/{policy:?}: too few writes");
-        assert!(
-            out.max_write_queue >= SubChannelConfig::default().drain_high,
-            "{name}/{policy:?}: the write queue never reached the drain watermark"
-        );
+        assert!(out.write_queue_filled, "{name}/{policy:?}: the write queue never filled");
         let got = (
             out.commands.len(),
             command_digest(&out.commands),
