@@ -543,7 +543,8 @@ impl SubChannel {
             self.stats.activates.inc();
             self.record_command(now, command, bank, row);
         }
-        self.mark_managed(serve_writes, i);
+        let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+        queue[i].managed = true;
     }
 
     /// Pass 2's choice: the index in `queue` and the row command
@@ -578,14 +579,6 @@ impl SubChannel {
                 .chain(requests().filter(|(_, p)| p.req.class != class))
                 .find_map(act),
             None => requests().find_map(act),
-        }
-    }
-
-    fn mark_managed(&mut self, serve_writes: bool, i: usize) {
-        if serve_writes {
-            self.write_q[i].managed = true;
-        } else {
-            self.read_q[i].managed = true;
         }
     }
 
