@@ -883,7 +883,7 @@ mod tests {
     use doram_oram::split::SplitConfig;
     use doram_oram::tree::TreeGeometry;
 
-    fn cfg(k: u32) -> SecureChannelConfig {
+    pub(super) fn cfg(k: u32) -> SecureChannelConfig {
         SecureChannelConfig {
             link: LinkConfig::default(),
             sub_channels: vec![SubChannelConfig::default(); 4],

@@ -817,3 +817,105 @@ doram_sim::impl_snapshot!(SdVerifier {
     obs,
     blame_res,
 } after_load SdVerifier::rebuild_freshness);
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::cfg;
+    use super::*;
+    use doram_sim::fault::{FaultPlan, FaultRates, FaultWindow};
+    use doram_sim::snapshot::Snapshot;
+
+    /// An armed verifier whose sub-channel 0 replays every bucket read
+    /// over cycles [0, 1,000) and flips a bit in every read over
+    /// [1,000, 2,000).
+    fn armed() -> SdVerifier {
+        let window = |start: u64, kind| FaultWindow {
+            start: MemCycle(start),
+            end: MemCycle(start + 1_000),
+            rates: FaultRates::only(kind, 1_000_000),
+        };
+        let plan = FaultPlan {
+            seed: 3,
+            ..FaultPlan::none()
+        }
+        .site_window(SD_SUB_SITE_BASE, window(0, FaultKind::ReplayStale))
+        .site_window(SD_SUB_SITE_BASE, window(1_000, FaultKind::BitFlip));
+        assert!(plan.has_adversary());
+        SdVerifier::new(&SecureChannelConfig {
+            fault_plan: plan,
+            ..cfg(0)
+        })
+    }
+
+    /// Passes one bucket operation on sub-channel 0 through `verify`,
+    /// returning the new request's id and the verdict.
+    fn op(
+        v: &mut SdVerifier,
+        ids: &mut RequestIdGen,
+        op: MemOp,
+        addr: u64,
+        now: u64,
+    ) -> (RequestId, Option<RequestId>) {
+        let id = ids.next_id();
+        let request = MemRequest {
+            id,
+            app: AppId(0),
+            op,
+            addr,
+            class: RequestClass::Oram,
+            arrival: MemCycle(now),
+        };
+        let c = Completion {
+            request,
+            finished: MemCycle(now),
+        };
+        (id, v.verify(0, &c, MemCycle(now), ids))
+    }
+
+    /// SECURITY.md's leaf-exhaustion limitation: once every freshness
+    /// leaf is taken, a newly touched bucket keeps MAC-only cover, so a
+    /// replay of it goes through while a bit flip is still caught.
+    #[test]
+    fn exhausted_leaves_leave_overflow_buckets_mac_only() {
+        let mut v = armed();
+        let mut ids = RequestIdGen::new();
+        let cap = 1u64 << FRESHNESS_DEPTH;
+        for addr in 0..cap {
+            op(&mut v, &mut ids, MemOp::Write, addr, 0);
+        }
+        let walks = v.stats().freshness_ops;
+        assert_eq!(walks, cap, "every leafed write walks the tree");
+        // One bucket past the cap, written once so a stale image exists.
+        op(&mut v, &mut ids, MemOp::Write, cap, 0);
+        assert_eq!(v.stats().freshness_ops, walks, "no leaf, no walk");
+
+        let (id, verdict) = op(&mut v, &mut ids, MemOp::Read, cap, 500);
+        assert_eq!(verdict, Some(id), "the replayed bucket is delivered");
+        assert_eq!(v.fault_counts().replays, 1, "a stale image was served");
+        let s = v.stats();
+        assert_eq!((s.integrity_failures, s.replay_detected), (0, 0));
+        assert_eq!(s.freshness_ops, walks, "the read charges no walk");
+
+        let (_, verdict) = op(&mut v, &mut ids, MemOp::Read, cap, 1_500);
+        assert_eq!(verdict, None, "the flipped bucket is re-fetched");
+        assert_eq!(v.fault_counts().bit_flips, 1);
+        let s = v.stats();
+        assert_eq!((s.integrity_failures, s.refetches), (1, 1));
+        assert_eq!(s.freshness_ops, walks, "the read charges no walk");
+    }
+
+    #[test]
+    fn restore_rejects_leaves_on_an_unarmed_config() {
+        let mut v = armed();
+        op(&mut v, &mut RequestIdGen::new(), MemOp::Write, 7, 0);
+        let mut w = SnapshotWriter::new();
+        v.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut unarmed = SdVerifier::new(&cfg(0));
+        let err = unarmed
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap_err();
+        let want = "checkpoint carries freshness leaves but the config arms no tree";
+        assert!(err.to_string().contains(want), "{err}");
+    }
+}
