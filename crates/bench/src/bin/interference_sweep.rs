@@ -110,7 +110,10 @@ fn main() {
             .iter()
             .map(|c| c.name())
             .collect();
-        out.push_str(&format!("{:<12} {:>12} {:>12}", "config", "mem cycles", "queue delay"));
+        out.push_str(&format!(
+            "{:<12} {:>12} {:>12}",
+            "config", "mem cycles", "queue delay"
+        ));
         for n in &class_names {
             out.push_str(&format!(" {n:>16}"));
         }

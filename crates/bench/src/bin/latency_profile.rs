@@ -26,7 +26,10 @@ fn main() {
                 r.ns_read_percentile(0.95).unwrap_or(0),
                 r.ns_read_percentile(0.99).unwrap_or(0),
             ));
-            p99s.push((scheme.label().to_string(), r.ns_read_percentile(0.99).unwrap_or(0) as f64));
+            p99s.push((
+                scheme.label().to_string(),
+                r.ns_read_percentile(0.99).unwrap_or(0) as f64,
+            ));
         }
         out.push_str("\np99 comparison:\n");
         out.push_str(&render_bars(&p99s, 40));

@@ -19,9 +19,7 @@ fn main() {
     let scale = doram_bench::announce("seed_sensitivity");
     doram_bench::emit("seed_sensitivity", || {
         let seeds: Vec<u64> = (1..=5).collect();
-        let mut out = String::from(
-            "D-ORAM / Baseline NS execution-time ratio across seeds\n\n",
-        );
+        let mut out = String::from("D-ORAM / Baseline NS execution-time ratio across seeds\n\n");
         let benches = if scale.benchmarks.len() > 4 {
             // Keep the default run short: one per behaviour class.
             vec![
@@ -38,10 +36,7 @@ fn main() {
                 .map(|&seed| ratio(b, &scale, seed))
                 .collect::<Result<Vec<f64>, _>>()?;
             let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-            let var = ratios
-                .iter()
-                .map(|r| (r - mean) * (r - mean))
-                .sum::<f64>()
+            let var = ratios.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>()
                 / (ratios.len() - 1) as f64;
             out.push_str(&format!(
                 "{:<8} {:.3} ± {:.3}   (seeds: {})\n",

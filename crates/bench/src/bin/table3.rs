@@ -2,6 +2,8 @@
 use doram_core::experiments::table3;
 
 fn main() {
-    doram_bench::emit::<std::convert::Infallible>("table3", || Ok(table3::render(&table3::run(50_000))))
-        .expect("infallible");
+    doram_bench::emit::<std::convert::Infallible>("table3", || {
+        Ok(table3::render(&table3::run(50_000)))
+    })
+    .expect("infallible");
 }

@@ -70,7 +70,10 @@ impl BobChannel {
     ///
     /// Panics if no sub-channel is configured.
     pub fn new(cfg: BobChannelConfig) -> BobChannel {
-        assert!(!cfg.sub_channels.is_empty(), "need at least one sub-channel");
+        assert!(
+            !cfg.sub_channels.is_empty(),
+            "need at least one sub-channel"
+        );
         BobChannel {
             link: Link::new(cfg.link),
             subs: cfg.sub_channels.into_iter().map(SubChannel::new).collect(),
@@ -157,7 +160,10 @@ impl BobChannel {
 
     /// Takes each sub-channel's recorded command trace.
     pub fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        self.subs.iter_mut().map(|s| s.take_command_trace()).collect()
+        self.subs
+            .iter_mut()
+            .map(|s| s.take_command_trace())
+            .collect()
     }
 
     /// Whether all queues, buses, and sub-channels are drained.
@@ -391,7 +397,8 @@ mod tests {
         let mut ch = BobChannel::new(cfg);
         assert_eq!(ch.sub_channel_count(), 4);
         for i in 0..8 {
-            ch.try_send(req(i, MemOp::Read, 64 * i), MemCycle(0)).unwrap();
+            ch.try_send(req(i, MemOp::Read, 64 * i), MemCycle(0))
+                .unwrap();
         }
         run(&mut ch, 8, 4000);
         for s in 0..4 {
@@ -414,7 +421,8 @@ mod tests {
             };
             let mut ch = BobChannel::new(cfg);
             for (i, &a) in addrs.iter().enumerate() {
-                ch.try_send(req(i as u64, MemOp::Read, a), MemCycle(0)).unwrap();
+                ch.try_send(req(i as u64, MemOp::Read, a), MemCycle(0))
+                    .unwrap();
             }
             run(&mut ch, 32, 50_000)
                 .iter()
@@ -502,7 +510,12 @@ mod tests {
         rec.blame
             .check_conservation()
             .expect("every layer's rows must telescope");
-        let names: Vec<&str> = rec.blame.resources().iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = rec
+            .blame
+            .resources()
+            .iter()
+            .map(|r| r.name.as_str())
+            .collect();
         assert!(names.contains(&"ch1.link.to_mem"));
         assert!(names.contains(&"ch1.link.to_cpu"));
         assert!(names.contains(&"ch1.sub0"));

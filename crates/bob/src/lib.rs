@@ -49,4 +49,6 @@ pub mod packet;
 
 pub use channel::{BobChannel, BobChannelConfig};
 pub use link::{Link, LinkConfig, LinkStats};
-pub use packet::{decode_payload, encode_payload, PacketKind, Payload, FULL_PACKET_BYTES, SHORT_PACKET_BYTES};
+pub use packet::{
+    decode_payload, encode_payload, PacketKind, Payload, FULL_PACKET_BYTES, SHORT_PACKET_BYTES,
+};

@@ -856,7 +856,10 @@ mod tests {
         }
         let got_clean = drain(&mut clean, 2_000);
         let got_attacked = drain(&mut attacked, 2_000);
-        assert_eq!(got_clean, got_attacked, "stale copies never perturb delivery");
+        assert_eq!(
+            got_clean, got_attacked,
+            "stale copies never perturb delivery"
+        );
         let stats = attacked.stats();
         assert!(stats.stale_drops > 0, "stale drops {}", stats.stale_drops);
         assert_eq!(stats.retransmissions, 0);
@@ -935,7 +938,11 @@ mod tests {
             .filter(|e| e.kind == EventKind::LinkRx)
             .map(|e| e.value)
             .collect();
-        assert_eq!(tx, vec![72, 8], "one tx event per frame, wire bytes as value");
+        assert_eq!(
+            tx,
+            vec![72, 8],
+            "one tx event per frame, wire bytes as value"
+        );
         assert_eq!(rx.len(), 2, "every frame is delivered exactly once");
         assert!(rx.contains(&72) && rx.contains(&8));
     }
@@ -1010,7 +1017,8 @@ mod tests {
         let rec = Recorder::shared(64, FILTER_ALL, 1_000_000);
         link.set_obs(Some(rec.clone()), "sec.link");
         for i in 0..8u32 {
-            link.send_to_mem_classed(72, i, BlameClass::SAppRead as u8).unwrap();
+            link.send_to_mem_classed(72, i, BlameClass::SAppRead as u8)
+                .unwrap();
         }
         // Stop mid-queue: some frames settled, some still waiting with
         // live busy snapshots.

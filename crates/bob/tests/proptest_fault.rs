@@ -29,10 +29,7 @@ fn drive(plan: &FaultPlan, schedule: &[(u64, u64)]) -> (Vec<u64>, Link<usize>) {
     let mut delivered = 0;
     while delivered < schedule.len() {
         assert!(now < 2_000_000, "liveness under faults");
-        if next < schedule.len()
-            && now >= due
-            && link.send_to_mem(schedule[next].1, next).is_ok()
-        {
+        if next < schedule.len() && now >= due && link.send_to_mem(schedule[next].1, next).is_ok() {
             next += 1;
             if next < schedule.len() {
                 due = now + schedule[next].0;
@@ -49,7 +46,10 @@ fn drive(plan: &FaultPlan, schedule: &[(u64, u64)]) -> (Vec<u64>, Link<usize>) {
         }
         now += 1;
     }
-    (arrival.into_iter().map(|a| a.expect("delivered")).collect(), link)
+    (
+        arrival.into_iter().map(|a| a.expect("delivered")).collect(),
+        link,
+    )
 }
 
 fn plan(seed: u64, corrupt_ppm: u32, drop_ppm: u32) -> FaultPlan {

@@ -21,23 +21,26 @@ fn drive(cfg: LinkConfig, schedule: &[(u64, u64)]) -> Vec<(u64, u64, u64)> {
     let mut now = 0u64;
     while arrivals.len() < schedule.len() {
         assert!(now < 1_000_000, "liveness");
-        if next < schedule.len()
-            && sent_at[next].is_none() && now >= due {
-                let bytes = schedule[next].1;
-                if link.send_to_mem(bytes, next).is_ok() {
-                    sent_at[next] = Some(now);
-                    next += 1;
-                    if next < schedule.len() {
-                        due = now + schedule[next].0;
-                    }
+        if next < schedule.len() && sent_at[next].is_none() && now >= due {
+            let bytes = schedule[next].1;
+            if link.send_to_mem(bytes, next).is_ok() {
+                sent_at[next] = Some(now);
+                next += 1;
+                if next < schedule.len() {
+                    due = now + schedule[next].0;
                 }
             }
+        }
         let mut at_mem = Vec::new();
         let mut at_cpu = Vec::new();
         link.tick(MemCycle(now), &mut at_mem, &mut at_cpu);
         assert!(at_cpu.is_empty(), "nothing sent toward the CPU");
         for id in at_mem {
-            arrivals.push((sent_at[id].expect("sent before arrival"), now, schedule[id].1));
+            arrivals.push((
+                sent_at[id].expect("sent before arrival"),
+                now,
+                schedule[id].1,
+            ));
         }
         now += 1;
     }

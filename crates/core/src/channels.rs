@@ -70,7 +70,10 @@ impl Channel {
             Channel::Direct(sc) => sc.stats().bus_utilization(),
             Channel::Bob(ch) => {
                 let n = ch.sub_channel_count();
-                (0..n).map(|i| ch.sub_channel(i).stats().bus_utilization()).sum::<f64>() / n as f64
+                (0..n)
+                    .map(|i| ch.sub_channel(i).stats().bus_utilization())
+                    .sum::<f64>()
+                    / n as f64
             }
         }
     }
@@ -121,7 +124,10 @@ impl Channel {
             Channel::Direct(sc) => sc.stats().row_hit_rate(),
             Channel::Bob(ch) => {
                 let n = ch.sub_channel_count();
-                (0..n).map(|i| ch.sub_channel(i).stats().row_hit_rate()).sum::<f64>() / n as f64
+                (0..n)
+                    .map(|i| ch.sub_channel(i).stats().row_hit_rate())
+                    .sum::<f64>()
+                    / n as f64
             }
         }
     }

@@ -43,10 +43,7 @@ impl Scheme {
     pub fn has_sapp(self) -> bool {
         matches!(
             self,
-            Scheme::Baseline
-                | Scheme::SecureMemory
-                | Scheme::Partition1S
-                | Scheme::DOram { .. }
+            Scheme::Baseline | Scheme::SecureMemory | Scheme::Partition1S | Scheme::DOram { .. }
         )
     }
 
@@ -516,7 +513,9 @@ mod tests {
             .scheme(Scheme::DOram { k: 0, c: 8 })
             .build();
         assert!(bad_c.is_err());
-        let bad_ns = SystemConfig::builder(Benchmark::Black).ns_accesses(0).build();
+        let bad_ns = SystemConfig::builder(Benchmark::Black)
+            .ns_accesses(0)
+            .build();
         assert!(bad_ns.is_err());
     }
 

@@ -107,7 +107,8 @@ impl CpuEngine {
             OramJob::Dummy => self.stats.dummies_sent.inc(),
         }
         if let Some(obs) = &self.obs {
-            obs.borrow_mut().engine_send(now.0, matches!(job, OramJob::Real { .. }));
+            obs.borrow_mut()
+                .engine_send(now.0, matches!(job, OramJob::Real { .. }));
         }
         self.awaiting = true;
         Some(job)
@@ -121,7 +122,8 @@ impl CpuEngine {
         self.next_send_at = now + self.interval;
         self.stats.responses.inc();
         if let Some(obs) = &self.obs {
-            obs.borrow_mut().engine_response(now.0, matches!(job, OramJob::Real { .. }));
+            obs.borrow_mut()
+                .engine_response(now.0, matches!(job, OramJob::Real { .. }));
         }
         match job {
             OramJob::Real { id, .. } => id,

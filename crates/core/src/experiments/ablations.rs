@@ -155,7 +155,8 @@ pub fn run_all(b: Benchmark, scale: &Scale) -> Result<Vec<AblationSweep>, Experi
 
 /// Renders the sweeps.
 pub fn render(benchmark: Benchmark, sweeps: &[AblationSweep]) -> String {
-    let mut out = format!("Ablations on {benchmark} (NS exec normalized to the paper's setting)\n\n");
+    let mut out =
+        format!("Ablations on {benchmark} (NS exec normalized to the paper's setting)\n\n");
     for s in sweeps {
         let body: Vec<Vec<String>> = s
             .points
@@ -201,12 +202,10 @@ mod tests {
 
     #[test]
     fn render_lists_every_knob() {
-        let sweeps = vec![
-            AblationSweep {
-                knob: "x",
-                points: vec![("a".into(), 1.0)],
-            },
-        ];
+        let sweeps = vec![AblationSweep {
+            knob: "x",
+            points: vec![("a".into(), 1.0)],
+        }];
         let text = render(Benchmark::Black, &sweeps);
         assert!(text.contains("x:") && text.contains("1.000"));
     }

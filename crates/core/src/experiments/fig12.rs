@@ -62,7 +62,12 @@ pub fn render(rows: &[Fig12Row]) -> String {
                 r.benchmark.to_string(),
                 fmt3(r.ratio),
                 format!("c={}", r.best_c),
-                if r.best_c < 4 { "●(c<4)" } else { "■(c>=4)" }.into(),
+                if r.best_c < 4 {
+                    "●(c<4)"
+                } else {
+                    "■(c>=4)"
+                }
+                .into(),
                 if r.correct { "yes" } else { "NO" }.into(),
             ]
         })

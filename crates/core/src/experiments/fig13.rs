@@ -71,8 +71,7 @@ pub fn render(rows: &[Fig13Row]) -> String {
             ]
         })
         .collect();
-    let mut out =
-        String::from("Figure 13 — NS-App memory latency normalized to Baseline\n");
+    let mut out = String::from("Figure 13 — NS-App memory latency normalized to Baseline\n");
     out.push_str(&render_table(
         &["bench", "rd +1", "rd /4", "wr +1", "wr /4"],
         &body,
@@ -103,7 +102,10 @@ pub fn render_csv(rows: &[Fig13Row]) -> String {
             ]
         })
         .collect();
-    crate::report::render_csv(&["bench", "read_p1", "read_c4", "write_p1", "write_c4"], &body)
+    crate::report::render_csv(
+        &["bench", "read_p1", "read_c4", "write_p1", "write_c4"],
+        &body,
+    )
 }
 
 #[cfg(test)]

@@ -100,7 +100,13 @@ pub fn render(rows: &[Fig4Row]) -> String {
         .collect();
     let mut out = String::from("Figure 4 — NS-App slowdown vs 1NS (lower is better)\n");
     out.push_str(&render_table(
-        &["bench", "1S7NS(ORAM)", "1S7NS(SecMem)", "7NS-4ch", "7NS-3ch"],
+        &[
+            "bench",
+            "1S7NS(ORAM)",
+            "1S7NS(SecMem)",
+            "7NS-4ch",
+            "7NS-3ch",
+        ],
         &body,
     ));
     out.push('\n');
@@ -112,9 +118,7 @@ pub fn render(rows: &[Fig4Row]) -> String {
             fmt3(s.gmean)
         ));
     }
-    out.push_str(
-        "paper: 1S7NS(ORAM) gmean 1.906 worst 5.26; 7NS-4ch ~1.43; 7NS-3ch ~1.57\n",
-    );
+    out.push_str("paper: 1S7NS(ORAM) gmean 1.906 worst 5.26; 7NS-4ch ~1.43; 7NS-3ch ~1.57\n");
     out
 }
 

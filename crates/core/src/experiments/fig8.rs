@@ -83,9 +83,7 @@ pub fn render(rows: &[Fig8Row]) -> String {
             ]
         })
         .collect();
-    let mut out = String::from(
-        "Figure 8 — profiled memory-latency slowdowns (vs solo run)\n",
-    );
+    let mut out = String::from("Figure 8 — profiled memory-latency slowdowns (vs solo run)\n");
     out.push_str(&render_table(
         &["bench", "solo lat", "T33", "T25", "T25mix", "r"],
         &body,
@@ -112,7 +110,10 @@ pub fn render_csv(rows: &[Fig8Row]) -> String {
             ]
         })
         .collect();
-    crate::report::render_csv(&["bench", "solo_latency", "t33", "t25", "t25mix", "ratio"], &body)
+    crate::report::render_csv(
+        &["bench", "solo_latency", "t33", "t25", "t25mix", "ratio"],
+        &body,
+    )
 }
 
 #[cfg(test)]

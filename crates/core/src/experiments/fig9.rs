@@ -80,9 +80,8 @@ pub fn render(rows: &[Fig9Row]) -> String {
             ]
         })
         .collect();
-    let mut out = String::from(
-        "Figure 9 — execution time normalized to Baseline (lower is better)\n",
-    );
+    let mut out =
+        String::from("Figure 9 — execution time normalized to Baseline (lower is better)\n");
     out.push_str(&render_table(
         &["bench", "D-ORAM", "D-ORAM/X", "D-ORAM+1", "D-ORAM+1/4"],
         &body,
@@ -91,7 +90,9 @@ pub fn render(rows: &[Fig9Row]) -> String {
     for (name, g) in gmeans(rows) {
         out.push_str(&format!("{name:>11} gmean: {}\n", fmt3(g)));
     }
-    out.push_str("paper averages: D-ORAM 0.875, D-ORAM/X 0.775, D-ORAM+1 0.886, D-ORAM+1/4 0.814\n");
+    out.push_str(
+        "paper averages: D-ORAM 0.875, D-ORAM/X 0.775, D-ORAM+1 0.886, D-ORAM+1/4 0.814\n",
+    );
     out
 }
 
@@ -111,7 +112,14 @@ pub fn render_csv(rows: &[Fig9Row]) -> String {
         })
         .collect();
     crate::report::render_csv(
-        &["bench", "doram", "doram_x", "best_c", "doram_p1", "doram_p1_c4"],
+        &[
+            "bench",
+            "doram",
+            "doram_x",
+            "best_c",
+            "doram_p1",
+            "doram_p1_c4",
+        ],
         &body,
     )
 }
@@ -132,7 +140,12 @@ mod tests {
         // ...and the best sharing setting can only help further.
         assert!(r.doram_x <= r.doram);
         // Splitting one level costs little relative to plain D-ORAM.
-        assert!(r.doram_p1 < 1.1 * r.doram, "+1 {} vs {}", r.doram_p1, r.doram);
+        assert!(
+            r.doram_p1 < 1.1 * r.doram,
+            "+1 {} vs {}",
+            r.doram_p1,
+            r.doram
+        );
         let text = render(&rows);
         assert!(text.contains("D-ORAM/X") && text.contains("paper"));
     }

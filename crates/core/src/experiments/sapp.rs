@@ -69,11 +69,17 @@ pub fn render(rows: &[SappRow]) -> String {
             ]
         })
         .collect();
-    let mut out = String::from(
-        "S-App impact (§V-E) — ORAM access latency and throughput per scheme\n",
-    );
+    let mut out =
+        String::from("S-App impact (§V-E) — ORAM access latency and throughput per scheme\n");
     out.push_str(&render_table(
-        &["bench", "base ns", "d-oram ns", "ratio", "base acc/Mcyc", "d-oram acc/Mcyc"],
+        &[
+            "bench",
+            "base ns",
+            "d-oram ns",
+            "ratio",
+            "base acc/Mcyc",
+            "d-oram acc/Mcyc",
+        ],
         &body,
     ));
     out.push_str(

@@ -6,7 +6,7 @@
 
 use crate::onchip_oram::{OramFsm, OramJob};
 use crate::report::{fmt_pct, render_table};
-use doram_oram::plan::{PlanConfig, Placement, Planner};
+use doram_oram::plan::{Placement, PlanConfig, Planner};
 use doram_oram::split::SplitConfig;
 use doram_oram::tree::TreeGeometry;
 use doram_sim::rng::Xoshiro256;
@@ -88,7 +88,13 @@ pub fn render(rows: &[Table1Row]) -> String {
         .collect();
     let mut out = String::from("Table I — space demand and extra messages vs split depth k\n");
     out.push_str(&render_table(
-        &["k", "ch#0 data", "ch#1-3 data (each)", "ch#0 extra pkts", "normal extra pkts"],
+        &[
+            "k",
+            "ch#0 data",
+            "ch#1-3 data (each)",
+            "ch#0 extra pkts",
+            "normal extra pkts",
+        ],
         &body,
     ));
     out.push_str("paper: k=1 → 50.0%/16.7%; k=2 → 25.0%/25.0%; k=3 → 12.5%/29.2%\n");

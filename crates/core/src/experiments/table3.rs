@@ -55,7 +55,13 @@ pub fn render(rows: &[Table3Row]) -> String {
         .collect();
     let mut out = String::from("Table III — benchmarks and MPKI (spec = paper's value)\n");
     out.push_str(&render_table(
-        &["suite", "bench", "MPKI (paper)", "MPKI (measured)", "read frac"],
+        &[
+            "suite",
+            "bench",
+            "MPKI (paper)",
+            "MPKI (measured)",
+            "read frac",
+        ],
         &body,
     ));
     out
@@ -71,7 +77,13 @@ mod tests {
         assert_eq!(rows.len(), 15);
         for r in &rows {
             let err = (r.measured_mpki - r.spec_mpki).abs() / r.spec_mpki;
-            assert!(err < 0.06, "{}: {} vs {}", r.benchmark, r.measured_mpki, r.spec_mpki);
+            assert!(
+                err < 0.06,
+                "{}: {} vs {}",
+                r.benchmark,
+                r.measured_mpki,
+                r.spec_mpki
+            );
         }
         assert!(render(&rows).contains("MPKI"));
     }

@@ -42,7 +42,10 @@ impl Scorecard {
 
     /// Whether every structural check passed.
     pub fn structural_ok(&self) -> bool {
-        self.checks.iter().filter(|c| c.structural).all(|c| c.passed)
+        self.checks
+            .iter()
+            .filter(|c| c.structural)
+            .all(|c| c.passed)
     }
 
     /// `(passed, total)` over all checks.
@@ -61,7 +64,11 @@ impl Scorecard {
                 "  [{}] {:<44} {} — {}\n",
                 if c.passed { "PASS" } else { "FAIL" },
                 c.name,
-                if c.structural { "(structural)" } else { "(magnitude) " },
+                if c.structural {
+                    "(structural)"
+                } else {
+                    "(magnitude) "
+                },
                 c.detail
             ));
         }
@@ -87,7 +94,12 @@ pub fn validate(scale: &Scale) -> Result<Scorecard, ExperimentError> {
             && (rows[1].ch0_frac - 0.25).abs() < 1e-3
             && (rows[2].per_normal_frac - 0.292).abs() < 1e-3
             && rows.iter().all(|r| r.ch0_packets == 4 * r.k as u64);
-        card.push("Table I split accounting exact", true, ok, format!("{rows:?}"));
+        card.push(
+            "Table I split accounting exact",
+            true,
+            ok,
+            format!("{rows:?}"),
+        );
     }
 
     // Table III: generator calibration.
@@ -108,9 +120,9 @@ pub fn validate(scale: &Scale) -> Result<Scorecard, ExperimentError> {
     // Figure 4.
     {
         let rows = fig4::run(scale)?;
-        let orderings = rows.iter().all(|r| {
-            r.ns7_4ch > 1.0 && r.ns7_3ch > r.ns7_4ch && r.oram_1s7ns > r.ns7_4ch
-        });
+        let orderings = rows
+            .iter()
+            .all(|r| r.ns7_4ch > 1.0 && r.ns7_3ch > r.ns7_4ch && r.oram_1s7ns > r.ns7_4ch);
         card.push(
             "Fig 4 orderings (solo < 4ch < 3ch; ORAM worst)",
             true,

@@ -156,10 +156,7 @@ impl FaultReport {
     pub fn degraded_episode(&self) -> bool {
         self.parity_rebuilds > 0
             || self.quarantine_entries.iter().any(|&e| e > 0)
-            || self
-                .sub_health
-                .iter()
-                .any(|&h| h != HealthState::Healthy)
+            || self.sub_health.iter().any(|&h| h != HealthState::Healthy)
     }
 }
 

@@ -100,7 +100,9 @@ impl PathOp {
     /// Ends this read phase at `now`: records its latency and releases
     /// the response.
     fn finish_read(&self, now: MemCycle, stats: &mut OramStats, events: &mut Vec<FsmEvent>) {
-        stats.read_phase_latency.record((now.0 - self.started.0) as f64);
+        stats
+            .read_phase_latency
+            .record((now.0 - self.started.0) as f64);
         events.push(FsmEvent::ReadPhaseDone(self.job));
     }
 
@@ -114,7 +116,12 @@ impl PathOp {
     }
 
     fn progress(&self) -> String {
-        format!("{}/{} out={}", self.next, self.blocks.len(), self.outstanding.len())
+        format!(
+            "{}/{} out={}",
+            self.next,
+            self.blocks.len(),
+            self.outstanding.len()
+        )
     }
 }
 
@@ -251,7 +258,10 @@ impl OramFsm {
             None => "-".to_string(),
             Some(o) => format!("read {} emitted={}", o.read.progress(), o.response_emitted),
         };
-        format!("queue={} phase=[{phase}] overlap=[{overlap}]", self.queue.len())
+        format!(
+            "queue={} phase=[{phase}] overlap=[{overlap}]",
+            self.queue.len()
+        )
     }
 
     /// Notifies the FSM of a completed tracked block; returns whether the
@@ -350,7 +360,9 @@ impl OramFsm {
                 self.phase = Phase::Write(p.write_back());
             }
             Phase::Write(p) if p.done() => {
-                self.stats.access_latency.record((now.0 - p.started.0) as f64);
+                self.stats
+                    .access_latency
+                    .record((now.0 - p.started.0) as f64);
                 match p.job {
                     OramJob::Real { .. } => self.stats.real_accesses.inc(),
                     OramJob::Dummy => self.stats.dummy_accesses.inc(),
@@ -365,7 +377,13 @@ impl OramFsm {
 
 doram_sim::impl_codec!(enum OramJob { Dummy = 0, Real { id, op, block } = 1 });
 doram_sim::impl_codec!(struct PathOp { job, started, blocks, next, outstanding });
-doram_sim::impl_codec!(enum Phase { Idle = 0, Read(p) = 1, Write(p) = 2 });
+doram_sim::impl_codec!(
+    enum Phase {
+        Idle = 0,
+        Read(p) = 1,
+        Write(p) = 2,
+    }
+);
 doram_sim::impl_codec!(struct OverlapRead { read, response_emitted });
 
 doram_sim::impl_snapshot!(OramStats {

@@ -56,7 +56,10 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// assert!(s.lines().count() == 2);
 /// ```
 pub fn render_bars(rows: &[(String, f64)], width: usize) -> String {
-    let max = rows.iter().map(|(_, v)| *v).fold(f64::MIN_POSITIVE, f64::max);
+    let max = rows
+        .iter()
+        .map(|(_, v)| *v)
+        .fold(f64::MIN_POSITIVE, f64::max);
     let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let mut out = String::new();
     for (label, v) in rows {
@@ -133,9 +136,7 @@ pub fn report_json(r: &crate::metrics::RunReport) -> String {
         None => out.push_str("\"oram\":null,"),
     }
     match r.secure_link_bytes {
-        Some((up, down)) => out.push_str(&format!(
-            "\"secure_link_bytes\":[{up},{down}],"
-        )),
+        Some((up, down)) => out.push_str(&format!("\"secure_link_bytes\":[{up},{down}],")),
         None => out.push_str("\"secure_link_bytes\":null,"),
     }
     match &r.faults {
@@ -147,8 +148,11 @@ pub fn report_json(r: &crate::metrics::RunReport) -> String {
                 .iter()
                 .map(|h| format!("\"{}\"", h.name()))
                 .collect();
-            let entries: Vec<String> =
-                fr.quarantine_entries.iter().map(|e| e.to_string()).collect();
+            let entries: Vec<String> = fr
+                .quarantine_entries
+                .iter()
+                .map(|e| e.to_string())
+                .collect();
             let unhealthy: Vec<String> =
                 fr.unhealthy_cycles.iter().map(|c| c.to_string()).collect();
             let latched = match &fr.latched_fault {
@@ -256,7 +260,10 @@ mod tests {
     fn csv_rendering() {
         let csv = render_csv(
             &["bench", "v"],
-            &[vec!["libq".into(), "0.9".into()], vec!["mu".into(), "1.1".into()]],
+            &[
+                vec!["libq".into(), "0.9".into()],
+                vec!["mu".into(), "1.1".into()],
+            ],
         );
         assert_eq!(csv, "bench,v\nlibq,0.9\nmu,1.1\n");
     }
@@ -361,8 +368,14 @@ mod tests {
             faults: Some(crate::metrics::FaultReport::default()),
         };
         let j = report_json(&r);
-        assert!(j.contains("\"freshness_ops\":0"), "missing zero freshness_ops: {j}");
-        assert!(j.contains("\"freshness_cycles\":0"), "missing zero freshness_cycles: {j}");
+        assert!(
+            j.contains("\"freshness_ops\":0"),
+            "missing zero freshness_ops: {j}"
+        );
+        assert!(
+            j.contains("\"freshness_cycles\":0"),
+            "missing zero freshness_cycles: {j}"
+        );
         assert!(j.contains("\"replay_detected\":0"));
         assert!(j.contains("\"degraded_episode\":false"));
     }

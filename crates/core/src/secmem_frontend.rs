@@ -98,7 +98,13 @@ impl SecMemFrontend {
                 continue;
             }
             if r.is_real {
-                self.pending.insert(id, PendingReal { core_id, issued: now });
+                self.pending.insert(
+                    id,
+                    PendingReal {
+                        core_id,
+                        issued: now,
+                    },
+                );
             } else {
                 self.dummies.insert(id);
             }
@@ -125,8 +131,7 @@ impl SecMemFrontend {
 
     /// Returns core read-ids whose (overhead-adjusted) data is ready.
     pub fn poll_ready(&mut self, now: MemCycle) -> Vec<RequestId> {
-        let (ready, rest): (Vec<_>, Vec<_>) =
-            self.delayed.drain(..).partition(|&(t, _)| t <= now);
+        let (ready, rest): (Vec<_>, Vec<_>) = self.delayed.drain(..).partition(|&(t, _)| t <= now);
         self.delayed = rest;
         ready.into_iter().map(|(_, id)| id).collect()
     }
@@ -172,7 +177,14 @@ mod tests {
         let mut f = fabric();
         let mut fe = SecMemFrontend::new(4, AppId(0), 1);
         let mut ids = RequestIdGen::new();
-        assert!(fe.try_submit(Some(RequestId(9)), MemOp::Read, 0, MemCycle(0), &mut f, &mut ids));
+        assert!(fe.try_submit(
+            Some(RequestId(9)),
+            MemOp::Read,
+            0,
+            MemCycle(0),
+            &mut f,
+            &mut ids
+        ));
         // Drive until 4 completions observed.
         let mut done = Vec::new();
         let mut now = MemCycle(0);
@@ -198,7 +210,14 @@ mod tests {
         let mut f = fabric();
         let mut fe = SecMemFrontend::new(4, AppId(0), 1);
         let mut ids = RequestIdGen::new();
-        fe.try_submit(Some(RequestId(1)), MemOp::Read, 64, MemCycle(0), &mut f, &mut ids);
+        fe.try_submit(
+            Some(RequestId(1)),
+            MemOp::Read,
+            64,
+            MemCycle(0),
+            &mut f,
+            &mut ids,
+        );
         let mut done = Vec::new();
         let mut now = MemCycle(0);
         while done.len() < 4 && now.0 < 5_000 {

@@ -367,9 +367,7 @@ impl SecureChannel {
             out_pending: VecDeque::new(),
             local_ids: RequestIdGen::new(),
             scratch: Vec::new(),
-            merge_bufs: cfg
-                .merge_split_reads
-                .then(|| vec![SplitBatch::new(); 8]),
+            merge_bufs: cfg.merge_split_reads.then(|| vec![SplitBatch::new(); 8]),
             verifier,
             obs: None,
             mc_blame_res: None,
@@ -501,7 +499,10 @@ impl SecureChannel {
 
     /// Takes each sub-channel's recorded command trace.
     pub fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        self.subs.iter_mut().map(|s| s.take_command_trace()).collect()
+        self.subs
+            .iter_mut()
+            .map(|s| s.take_command_trace())
+            .collect()
     }
 
     /// DRAM energy consumed by the channel's four sub-channels.
@@ -583,7 +584,10 @@ impl SecureChannel {
                             .sd_arrival(now.0, matches!(job, OramJob::Real { .. }));
                     }
                     let accepted = self.fsm.submit(job);
-                    debug_assert!(accepted, "SD buffer overflow: protocol allows at most one buffered request");
+                    debug_assert!(
+                        accepted,
+                        "SD buffer overflow: protocol allows at most one buffered request"
+                    );
                 }
                 SecMsg::SplitReadResp(f) => {
                     self.fsm.on_block_complete(RequestId(f.tag));
@@ -926,7 +930,13 @@ mod tests {
             sw: Vec::new(),
         };
         for c in 0..cycles {
-            ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            ch.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
         }
         out
     }
@@ -963,7 +973,13 @@ mod tests {
             sw: vec![],
         };
         for c in 0..5_000u64 {
-            ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            ch.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if !out.resp.is_empty() && got_resp_at.is_none() {
                 got_resp_at = Some(c);
                 // At response time the write phase has not finished.
@@ -991,7 +1007,13 @@ mod tests {
         };
         let mut c = 0u64;
         while out.sr.len() < 8 && c < 5_000 {
-            ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            ch.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             c += 1;
         }
         assert_eq!(out.sr.len(), 8, "4k short read packets (k=2)");
@@ -1004,7 +1026,13 @@ mod tests {
             ch.try_deliver_split_read(f).unwrap();
         }
         while ch.oram_stats().real_accesses.get() == 0 && c < 20_000 {
-            ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            ch.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             c += 1;
         }
         assert_eq!(out.resp.len(), 1);
@@ -1063,7 +1091,13 @@ mod tests {
             };
             let mut c = 0u64;
             while ch.oram_stats().real_accesses.get() == 0 && c < 20_000 {
-                ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+                ch.tick(
+                    MemCycle(c),
+                    &mut out.ns,
+                    &mut out.resp,
+                    &mut out.sr,
+                    &mut out.sw,
+                );
                 // The CPU answers split fetches promptly.
                 for f in out.sr.drain(..) {
                     ch.try_deliver_split_read(f).unwrap();
@@ -1108,7 +1142,13 @@ mod tests {
             let mut sent = 1usize;
             ch.send_secure(OramJob::Dummy);
             for c in 0..60_000u64 {
-                ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+                ch.tick(
+                    MemCycle(c),
+                    &mut out.ns,
+                    &mut out.resp,
+                    &mut out.sr,
+                    &mut out.sw,
+                );
                 if out.resp.len() == sent && sent < 8 {
                     ch.send_secure(OramJob::Dummy);
                     sent += 1;
@@ -1122,7 +1162,10 @@ mod tests {
         assert!(stats.integrity_failures > 0, "faults must have fired");
         assert!(stats.refetches > 0, "recovery must have re-fetched");
         assert!(stats.recovery_cycles > 0, "recovery costs latency");
-        assert!(stats.quarantined_subs.is_empty(), "rates stay sub-threshold");
+        assert!(
+            stats.quarantined_subs.is_empty(),
+            "rates stay sub-threshold"
+        );
         assert!(ch.fault().is_none());
         assert!(ch.fault_counts().bit_flips > 0);
         // Same seed ⇒ identical fault schedule and recovery accounting.
@@ -1170,7 +1213,13 @@ mod tests {
         let mut sent = 1usize;
         ch.send_secure(OramJob::Dummy);
         for c in 0..cycles {
-            ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            ch.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if out.resp.len() == sent && sent < jobs {
                 ch.send_secure(OramJob::Dummy);
                 sent += 1;
@@ -1198,7 +1247,10 @@ mod tests {
         assert!(stats.unhealthy_cycles[1] > 0);
         assert_eq!(stats.health[1], HealthState::Quarantined);
         // Healthy siblings absorbed the quarantined sub's writes.
-        assert!(ch.sub_channel(1).stats().reads.get() > 0, "pre-trip traffic");
+        assert!(
+            ch.sub_channel(1).stats().reads.get() > 0,
+            "pre-trip traffic"
+        );
     }
 
     #[test]
@@ -1307,7 +1359,13 @@ mod tests {
         a.send_secure(OramJob::Dummy);
         let split = 20_000u64;
         for c in 0..split {
-            a.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            a.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if out.resp.len() == sent && sent < 12 {
                 a.send_secure(OramJob::Dummy);
                 sent += 1;
@@ -1324,7 +1382,13 @@ mod tests {
         let mut b = mk();
         b.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
         for c in split..120_000 {
-            b.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            b.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if out.resp.len() == sent && sent < 12 {
                 b.send_secure(OramJob::Dummy);
                 sent += 1;
@@ -1448,7 +1512,13 @@ mod tests {
         a.send_secure(OramJob::Dummy);
         let split = 30_000u64;
         for c in 0..split {
-            a.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            a.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if out.resp.len() == sent && sent < 8 {
                 a.send_secure(OramJob::Dummy);
                 sent += 1;
@@ -1460,7 +1530,13 @@ mod tests {
         let mut b = mk();
         b.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
         for c in split..120_000 {
-            b.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
+            b.tick(
+                MemCycle(c),
+                &mut out.ns,
+                &mut out.resp,
+                &mut out.sr,
+                &mut out.sw,
+            );
             if out.resp.len() == sent && sent < 8 {
                 b.send_secure(OramJob::Dummy);
                 sent += 1;

@@ -14,12 +14,12 @@ use crate::onchip_oram::{FabricSink, FsmEvent, OramFsm, OramJob};
 use crate::secmem_frontend::SecMemFrontend;
 use crate::secure_channel::{SecureChannel, SecureChannelConfig, SplitFetch};
 use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
+use doram_crypto::Cmac;
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass};
 use doram_obs::{CoreStall, Recorder, SharedRecorder, StallDump, Subsystem};
 use doram_oram::plan::PlanConfig;
 use doram_oram::split::SplitConfig;
 use doram_oram::tree::TreeGeometry;
-use doram_crypto::Cmac;
 use doram_sim::snapshot::{
     checkpoint_auth_message, fnv1a64, read_checkpoint, write_atomic, write_checkpoint,
     CheckpointData, Codec, Snapshot, SnapshotError, SnapshotErrorKind, SnapshotReader,
@@ -96,7 +96,10 @@ impl std::fmt::Display for SimError {
             SimError::CycleCapExceeded { cap } => {
                 write!(f, "simulation exceeded the {cap}-memory-cycle cap")
             }
-            SimError::JedecViolation { sub_channel, detail } => {
+            SimError::JedecViolation {
+                sub_channel,
+                detail,
+            } => {
                 write!(f, "JEDEC violation on sub-channel {sub_channel}: {detail}")
             }
             SimError::IntegrityFailStop { detail } => {
@@ -114,7 +117,10 @@ impl std::fmt::Display for SimError {
                     "interrupted at memory cycle {at}; checkpoint written to {}",
                     p.display()
                 ),
-                None => write!(f, "interrupted at memory cycle {at} (no checkpoint directory)"),
+                None => write!(
+                    f,
+                    "interrupted at memory cycle {at} (no checkpoint directory)"
+                ),
             },
         }
     }
@@ -417,8 +423,10 @@ impl Delegated {
                 ledger.wake(core_read);
             }
         }
-        self.pending_split.extend(sreads.into_iter().map(|f| (f, MemOp::Read)));
-        self.pending_split.extend(swrites.into_iter().map(|f| (f, MemOp::Write)));
+        self.pending_split
+            .extend(sreads.into_iter().map(|f| (f, MemOp::Read)));
+        self.pending_split
+            .extend(swrites.into_iter().map(|f| (f, MemOp::Write)));
 
         // Forward split operations onto normal channels.
         while let Some(&(f, op)) = self.pending_split.front() {
@@ -431,7 +439,11 @@ impl Delegated {
                 class: RequestClass::Oram,
                 arrival: now,
             };
-            if fabric.channel_mut(f.channel - 1).try_enqueue(req, now).is_err() {
+            if fabric
+                .channel_mut(f.channel - 1)
+                .try_enqueue(req, now)
+                .is_err()
+            {
                 break;
             }
             if op == MemOp::Read {
@@ -490,7 +502,11 @@ impl Backend {
         let base = self.fabric_base();
         match &mut self.sapp {
             SAppPath::Delegated(d) if ch == 0 => d.secure.try_send_ns(req).is_ok(),
-            _ => self.fabric.channel_mut(ch - base).try_enqueue(req, now).is_ok(),
+            _ => self
+                .fabric
+                .channel_mut(ch - base)
+                .try_enqueue(req, now)
+                .is_ok(),
         }
     }
 
@@ -820,12 +836,7 @@ impl Simulation {
 
         // NS routing tables.
         let routers: Vec<NsRouter> = (0..n_ns)
-            .map(|ns| {
-                NsRouter::new(
-                    AppId(ns + usize::from(sapp)),
-                    cfg.allowed_channels(ns),
-                )
-            })
+            .map(|ns| NsRouter::new(AppId(ns + usize::from(sapp)), cfg.allowed_channels(ns)))
             .collect();
 
         // Memory backend.
@@ -861,9 +872,11 @@ impl Simulation {
                 tree_units: 1,
                 ..plan
             }),
-            Scheme::SecureMemory => {
-                SAppPath::SecMem(SecMemFrontend::new(cfg.channels, AppId(0), cfg.seed ^ 0x5EC))
-            }
+            Scheme::SecureMemory => SAppPath::SecMem(SecMemFrontend::new(
+                cfg.channels,
+                AppId(0),
+                cfg.seed ^ 0x5EC,
+            )),
             Scheme::DOram { k, .. } => {
                 let split = if k == 0 {
                     SplitConfig::none()
@@ -1122,7 +1135,11 @@ impl Simulation {
             // `enable_tracing` overrides these defaults when the resumed
             // run passes its own.
             let rec = obs.take().unwrap_or_else(|| {
-                Recorder::shared(capacity, doram_obs::FILTER_ALL, doram_obs::DEFAULT_METRICS_EVERY)
+                Recorder::shared(
+                    capacity,
+                    doram_obs::FILTER_ALL,
+                    doram_obs::DEFAULT_METRICS_EVERY,
+                )
             });
             rec.borrow_mut().load_state(&mut r)?;
             mem.backend.set_obs(&rec);
@@ -1232,7 +1249,10 @@ impl Simulation {
         }
         let base = self.mem.backend.fabric_base();
         for i in 0..fabric.len() {
-            metrics.set(&format!("ch{}.util", i + base), fabric.channel(i).bus_utilization());
+            metrics.set(
+                &format!("ch{}.util", i + base),
+                fabric.channel(i).bus_utilization(),
+            );
         }
         if let Some(d) = delegated {
             let secure = &d.secure;
@@ -1340,9 +1360,12 @@ impl Simulation {
             if opts.handle_signals && SHUTDOWN.load(Ordering::SeqCst) {
                 SHUTDOWN.store(false, Ordering::SeqCst);
                 let checkpoint = match &opts.checkpoint_dir {
-                    Some(dir) => {
-                        Some(self.write_checkpoint_file(dir, ckpt_hash, ckpt_epoch, opts.ckpt_key)?)
-                    }
+                    Some(dir) => Some(self.write_checkpoint_file(
+                        dir,
+                        ckpt_hash,
+                        ckpt_epoch,
+                        opts.ckpt_key,
+                    )?),
                     None => None,
                 };
                 return Err(SimError::Interrupted { at: m, checkpoint });
@@ -1463,7 +1486,10 @@ impl Simulation {
             .filter(|c| !c.is_sapp)
             .map(|c| c.first_finish_cpu.expect("run ended with all NS done"))
             .collect();
-        let s_exec = cores.iter().find(|c| c.is_sapp).and_then(|c| c.first_finish_cpu);
+        let s_exec = cores
+            .iter()
+            .find(|c| c.is_sapp)
+            .and_then(|c| c.first_finish_cpu);
 
         // Per-channel figures in NS channel order: D-ORAM's secure channel
         // (the mean over its sub-channels) first, then the fabric.
@@ -1780,7 +1806,11 @@ mod tests {
         let r = Simulation::new(cfg).unwrap().run().unwrap();
         assert_eq!(r.ns_exec_cpu_cycles.len(), 7);
         // Different MPKIs must produce visibly different execution times.
-        assert!(r.ns_exec_worst() > 2 * r.ns_exec_best(), "{:?}", r.ns_exec_cpu_cycles);
+        assert!(
+            r.ns_exec_worst() > 2 * r.ns_exec_best(),
+            "{:?}",
+            r.ns_exec_cpu_cycles
+        );
     }
 
     #[test]
@@ -1834,7 +1864,10 @@ mod tests {
         assert!(!cr.any_activity(), "no faults without a plan: {cr:?}");
         // Same work got done either way (same accesses, same ORAM protocol
         // work); the runs differ only in time.
-        assert_eq!(faulty.ns_exec_cpu_cycles.len(), clean.ns_exec_cpu_cycles.len());
+        assert_eq!(
+            faulty.ns_exec_cpu_cycles.len(),
+            clean.ns_exec_cpu_cycles.len()
+        );
         let co = clean.oram.as_ref().unwrap();
         let fo = faulty.oram.as_ref().unwrap();
         assert!(fo.real_accesses > 0);
@@ -2122,7 +2155,8 @@ mod tests {
             )
         };
         let direct = |i, s: String| format!("ch{i}[{s}]");
-        let bob = |i, s: String| format!("ch{i}[link_pending=0 mc_pending=0 resp_pending=0 subs=[{s}]]");
+        let bob =
+            |i, s: String| format!("ch{i}[link_pending=0 mc_pending=0 resp_pending=0 subs=[{s}]]");
         assert_eq!(
             components_at_cycle_1000(Scheme::SoloNs, "dump-solo"),
             [

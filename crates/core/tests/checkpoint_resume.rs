@@ -45,10 +45,7 @@ fn config(faulty: bool) -> SystemConfig {
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "doram-ckpt-prop-{}-{tag}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("doram-ckpt-prop-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -83,10 +80,7 @@ fn assert_reports_identical(what: &str, got: &RunReport, want: &RunReport) {
 /// one of the checkpoints and resume from it; both the checkpointed run
 /// and the resumed run must match the uninterrupted baseline exactly.
 fn check_resume_identity(tag: &str, faulty: bool, every: u64, pick: usize) {
-    let baseline = Simulation::new(config(faulty))
-        .unwrap()
-        .run()
-        .unwrap();
+    let baseline = Simulation::new(config(faulty)).unwrap().run().unwrap();
 
     let dir = fresh_dir(tag);
     let opts = RunOptions {

@@ -89,7 +89,10 @@ fn traced_run_produces_complete_telescoping_spans() {
     );
 
     // The metrics registry sampled on the configured cadence.
-    assert!(rec.metrics.samples_taken() >= 2, "expected periodic samples");
+    assert!(
+        rec.metrics.samples_taken() >= 2,
+        "expected periodic samples"
+    );
     let series = rec.metrics.series();
     for name in ["engine.queue", "sd.queue", "sd.sub0.util"] {
         assert!(
@@ -191,7 +194,11 @@ fn resumed_run_continues_the_trace() {
 
     // The continued trace is indistinguishable from the uninterrupted one.
     let rec = rec.borrow();
-    assert_eq!(rec.events(), baseline_events, "event log diverged across resume");
+    assert_eq!(
+        rec.events(),
+        baseline_events,
+        "event log diverged across resume"
+    );
     assert_eq!(rec.metrics.samples_taken(), baseline_samples);
     std::fs::remove_dir_all(&dir).ok();
 }

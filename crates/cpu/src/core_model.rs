@@ -134,10 +134,7 @@ impl TraceCore {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero widths or ROB).
-    pub fn new(
-        cfg: CoreConfig,
-        trace: Box<dyn Iterator<Item = TraceRecord> + Send>,
-    ) -> TraceCore {
+    pub fn new(cfg: CoreConfig, trace: Box<dyn Iterator<Item = TraceRecord> + Send>) -> TraceCore {
         assert!(
             cfg.rob_size > 0 && cfg.fetch_width > 0 && cfg.retire_width > 0,
             "core configuration must be non-degenerate"
@@ -167,7 +164,10 @@ impl TraceCore {
 
     /// Whether the trace is fully fetched *and* the ROB has drained.
     pub fn finished(&self) -> bool {
-        self.trace_done && self.rob.is_empty() && self.pending_access.is_none() && self.gap_left == 0
+        self.trace_done
+            && self.rob.is_empty()
+            && self.pending_access.is_none()
+            && self.gap_left == 0
     }
 
     /// Identifiers of reads issued but not yet completed.
@@ -404,7 +404,10 @@ mod tests {
 
     #[test]
     fn read_blocks_retirement_until_completed() {
-        let mut core = TraceCore::new(CoreConfig::default(), trace(vec![rec(0, AccessOp::Read, 64)]));
+        let mut core = TraceCore::new(
+            CoreConfig::default(),
+            trace(vec![rec(0, AccessOp::Read, 64)]),
+        );
         let mut port = TestPort::new();
         for _ in 0..10 {
             core.step(&mut port);
@@ -425,7 +428,10 @@ mod tests {
         // completes (memory-level parallelism through the ROB window).
         let mut core = TraceCore::new(
             CoreConfig::default(),
-            trace(vec![rec(0, AccessOp::Read, 64), rec(0, AccessOp::Read, 128)]),
+            trace(vec![
+                rec(0, AccessOp::Read, 64),
+                rec(0, AccessOp::Read, 128),
+            ]),
         );
         let mut port = TestPort::new();
         core.step(&mut port);
@@ -451,7 +457,10 @@ mod tests {
     fn write_backpressure_stalls_retirement() {
         let mut core = TraceCore::new(
             CoreConfig::default(),
-            trace(vec![rec(0, AccessOp::Write, 0), rec(3, AccessOp::Write, 64)]),
+            trace(vec![
+                rec(0, AccessOp::Write, 0),
+                rec(3, AccessOp::Write, 64),
+            ]),
         );
         let mut port = TestPort::new();
         port.accept_writes = false;
@@ -470,7 +479,10 @@ mod tests {
 
     #[test]
     fn read_backpressure_stalls_fetch() {
-        let mut core = TraceCore::new(CoreConfig::default(), trace(vec![rec(0, AccessOp::Read, 0)]));
+        let mut core = TraceCore::new(
+            CoreConfig::default(),
+            trace(vec![rec(0, AccessOp::Read, 0)]),
+        );
         let mut port = TestPort::new();
         port.accept_reads = false;
         for _ in 0..3 {
@@ -502,7 +514,10 @@ mod tests {
 
     #[test]
     fn unknown_completion_is_ignored() {
-        let mut core = TraceCore::new(CoreConfig::default(), trace(vec![rec(0, AccessOp::Read, 0)]));
+        let mut core = TraceCore::new(
+            CoreConfig::default(),
+            trace(vec![rec(0, AccessOp::Read, 0)]),
+        );
         let mut port = TestPort::new();
         core.step(&mut port);
         core.complete_read(RequestId(999));
@@ -521,7 +536,10 @@ mod tests {
             core.step(&mut port);
         }
         let ipc = core.stats().ipc();
-        assert!(ipc > 2.0, "gap-dominated code should run near width, got {ipc}");
+        assert!(
+            ipc > 2.0,
+            "gap-dominated code should run near width, got {ipc}"
+        );
     }
 
     #[test]
@@ -529,7 +547,10 @@ mod tests {
         // Two reads outstanding for ~10 cycles → mean MLP near 2.
         let mut core = TraceCore::new(
             CoreConfig::default(),
-            trace(vec![rec(0, AccessOp::Read, 64), rec(0, AccessOp::Read, 128)]),
+            trace(vec![
+                rec(0, AccessOp::Read, 64),
+                rec(0, AccessOp::Read, 128),
+            ]),
         );
         let mut port = TestPort::new();
         for _ in 0..10 {
@@ -591,7 +612,11 @@ mod tests {
     fn checkpoint_with_reads_outstanding_resumes_identically() {
         let recs: Vec<_> = (0..300u64)
             .map(|i| {
-                let op = if i % 3 == 0 { AccessOp::Write } else { AccessOp::Read };
+                let op = if i % 3 == 0 {
+                    AccessOp::Write
+                } else {
+                    AccessOp::Read
+                };
                 rec(i * 7 % 11, op, 64 * i)
             })
             .collect();
@@ -610,7 +635,9 @@ mod tests {
         let mut r = doram_sim::snapshot::SnapshotReader::new(&bytes);
         doram_sim::snapshot::Snapshot::load_state(&mut restored, &mut r).expect("loads");
         r.finish().expect("no trailing bytes");
-        restored.resume_trace(trace(recs)).expect("trace long enough");
+        restored
+            .resume_trace(trace(recs))
+            .expect("trace long enough");
         assert_eq!(
             restored.outstanding_reads().collect::<Vec<_>>(),
             original.outstanding_reads().collect::<Vec<_>>()
@@ -624,7 +651,10 @@ mod tests {
             script_cycle(&mut restored, &mut restored_port);
         }
         assert_eq!(port.now, restored_port.now);
-        assert_eq!(format!("{:?}", original.stats()), format!("{:?}", restored.stats()));
+        assert_eq!(
+            format!("{:?}", original.stats()),
+            format!("{:?}", restored.stats())
+        );
         assert_eq!(saved(&original), saved(&restored));
     }
 

@@ -197,7 +197,10 @@ impl Llc {
 /// Filters a raw access stream through a cache, yielding the main-memory
 /// traffic (misses + writebacks). Returns `(miss_reads, writebacks)` as
 /// line-aligned addresses in stream order.
-pub fn filter_through_llc(llc: &mut Llc, accesses: impl Iterator<Item = (u64, bool)>) -> (Vec<u64>, Vec<u64>) {
+pub fn filter_through_llc(
+    llc: &mut Llc,
+    accesses: impl Iterator<Item = (u64, bool)>,
+) -> (Vec<u64>, Vec<u64>) {
     let mut reads = Vec::new();
     let mut writebacks = Vec::new();
     for (addr, is_write) in accesses {
@@ -296,7 +299,9 @@ mod tests {
         let mut llc = Llc::new(64 << 10, 8, 64);
         let mut x = 12345u64;
         for _ in 0..50_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let addr = (x >> 16) & ((1 << 22) - 1);
             llc.access(addr, x & 1 == 0);
         }

@@ -53,12 +53,8 @@ fn build_sboxes() -> ([u8; 256], [u8; 256]) {
     for x in 0..256u16 {
         let b = gf_inv(x as u8);
         // Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
-        let s = b
-            ^ b.rotate_left(1)
-            ^ b.rotate_left(2)
-            ^ b.rotate_left(3)
-            ^ b.rotate_left(4)
-            ^ 0x63;
+        let s =
+            b ^ b.rotate_left(1) ^ b.rotate_left(2) ^ b.rotate_left(3) ^ b.rotate_left(4) ^ 0x63;
         sbox[x as usize] = s;
         inv[s as usize] = x as u8;
     }
@@ -270,7 +266,10 @@ mod tests {
         // FIPS-197 Appendix B.
         let aes = Aes128::new(hex16("2b7e151628aed2a6abf7158809cf4f3c"));
         let pt = hex16("3243f6a8885a308d313198a2e0370734");
-        assert_eq!(aes.encrypt_block(pt), hex16("3925841d02dc09fbdc118597196a0b32"));
+        assert_eq!(
+            aes.encrypt_block(pt),
+            hex16("3925841d02dc09fbdc118597196a0b32")
+        );
     }
 
     #[test]

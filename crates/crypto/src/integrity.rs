@@ -369,10 +369,16 @@ mod tests {
     #[test]
     fn adopt_on_first_sight_then_enforce() {
         let mut store = BucketIntegrity::new([10; 16]);
-        assert!(store.verify_or_adopt(7, b"initial dummy"), "first sight adopts");
+        assert!(
+            store.verify_or_adopt(7, b"initial dummy"),
+            "first sight adopts"
+        );
         assert!(store.is_tracked(7));
         assert!(store.verify_or_adopt(7, b"initial dummy"));
-        assert!(!store.verify_or_adopt(7, b"forged"), "later tampering fails");
+        assert!(
+            !store.verify_or_adopt(7, b"forged"),
+            "later tampering fails"
+        );
         assert_eq!(store.tracked(), 1);
     }
 

@@ -77,8 +77,9 @@ impl AddressMapper {
     ///
     /// [`decode`]: AddressMapper::decode
     pub fn encode(&self, d: DecodedAddress) -> u64 {
-        let line =
-            (d.row << (self.col_bits + self.bank_bits)) | ((d.bank as u64) << self.col_bits) | d.col;
+        let line = (d.row << (self.col_bits + self.bank_bits))
+            | ((d.bank as u64) << self.col_bits)
+            | d.col;
         line << self.line_bits
     }
 
@@ -133,7 +134,14 @@ mod tests {
     fn row_increments_after_all_banks() {
         let m = AddressMapper::ddr3_default();
         let d = m.decode(8192 * 8);
-        assert_eq!(d, DecodedAddress { bank: 0, row: 1, col: 0 });
+        assert_eq!(
+            d,
+            DecodedAddress {
+                bank: 0,
+                row: 1,
+                col: 0
+            }
+        );
     }
 
     #[test]

@@ -50,7 +50,11 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} violated at cycle {}: {}", self.rule, self.at, self.detail)
+        write!(
+            f,
+            "{} violated at cycle {}: {}",
+            self.rule, self.at, self.detail
+        )
     }
 }
 
@@ -73,10 +77,7 @@ struct BankState {
 /// # Errors
 ///
 /// Returns every violation found, in command order.
-pub fn check_conformance(
-    records: &[CommandRecord],
-    t: &DramTiming,
-) -> Result<(), Vec<Violation>> {
+pub fn check_conformance(records: &[CommandRecord], t: &DramTiming) -> Result<(), Vec<Violation>> {
     let mut violations = Vec::new();
     let mut banks = vec![BankState::default(); 64];
     let mut recent_acts: Vec<u64> = Vec::new();
@@ -91,7 +92,11 @@ pub fn check_conformance(
     for r in records {
         let now = r.cycle;
         if now < refresh_block_until {
-            violate("tRFC", now, format!("command during refresh (until {refresh_block_until})"));
+            violate(
+                "tRFC",
+                now,
+                format!("command during refresh (until {refresh_block_until})"),
+            );
         }
         if r.bank >= banks.len() {
             banks.resize(r.bank + 1, BankState::default());
@@ -118,10 +123,7 @@ pub fn check_conformance(
                     }
                 }
                 recent_acts.push(now);
-                let w = recent_acts
-                    .iter()
-                    .filter(|&&a| a + t.t_faw > now)
-                    .count();
+                let w = recent_acts.iter().filter(|&&a| a + t.t_faw > now).count();
                 if w > 4 {
                     violate("tFAW", now, format!("{w} ACTs within the window"));
                 }
@@ -173,11 +175,7 @@ pub fn check_conformance(
                 if r.command == DeviceCommand::Read {
                     if let Some(end) = last_write_data_end {
                         if now < end + t.t_wtr {
-                            violate(
-                                "tWTR",
-                                now,
-                                format!("RD at {now}, WR data ends {end}"),
-                            );
+                            violate("tWTR", now, format!("RD at {now}, WR data ends {end}"));
                         }
                     }
                     banks[r.bank].last_read = Some(now);

@@ -42,9 +42,9 @@
 
 pub mod address;
 pub mod arbiter;
+pub mod bank;
 pub mod conformance;
 pub mod energy;
-pub mod bank;
 pub mod request;
 pub mod stats;
 pub mod subchannel;

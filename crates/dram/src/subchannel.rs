@@ -253,7 +253,10 @@ impl SubChannel {
 
     /// Whether any request of `class` is queued.
     pub fn has_queued_class(&self, class: RequestClass) -> bool {
-        self.read_q.iter().chain(self.write_q.iter()).any(|p| p.req.class == class)
+        self.read_q
+            .iter()
+            .chain(self.write_q.iter())
+            .any(|p| p.req.class == class)
     }
 
     /// Whether the sub-channel has no queued or in-flight work.
@@ -354,10 +357,9 @@ impl SubChannel {
         if let Some(res) = self.blame_res {
             if self.last_burst_op.is_some() && self.data_busy_until >= now {
                 if let Some((rec, _)) = &self.obs {
-                    rec.borrow_mut().blame.busy_cycle(
-                        res,
-                        doram_obs::BlameClass::from_tag(self.last_burst_blame),
-                    );
+                    rec.borrow_mut()
+                        .blame
+                        .busy_cycle(res, doram_obs::BlameClass::from_tag(self.last_burst_blame));
                 }
             }
         }
@@ -415,12 +417,10 @@ impl SubChannel {
                 self.refresh_pending = false;
                 self.stats.refreshes.inc();
                 self.record_command(now, DeviceCommand::Refresh, 0, 0);
-            } else if let Some(bank) = self
-                .banks
-                .iter()
-                .position(|b| b.can_precharge(now))
-            {
-                let row = self.banks[bank].open_row().expect("precharging an open row");
+            } else if let Some(bank) = self.banks.iter().position(|b| b.can_precharge(now)) {
+                let row = self.banks[bank]
+                    .open_row()
+                    .expect("precharging an open row");
                 self.banks[bank].precharge(now, &self.cfg.timing);
                 self.stats.precharges.inc();
                 self.record_command(now, DeviceCommand::Precharge, bank, row);
@@ -480,7 +480,11 @@ impl SubChannel {
     /// Issues at most one DRAM command for this cycle.
     fn schedule(&mut self, now: MemCycle) {
         let serve_writes = self.draining;
-        let queue = if serve_writes { &self.write_q } else { &self.read_q };
+        let queue = if serve_writes {
+            &self.write_q
+        } else {
+            &self.read_q
+        };
         if queue.is_empty() {
             return;
         }
@@ -492,7 +496,9 @@ impl SubChannel {
         let preferred = {
             let oram_waiting = queue.iter().any(|p| p.req.class == RequestClass::Oram);
             let normal_waiting = queue.iter().any(|p| p.req.class == RequestClass::Normal);
-            self.cfg.arbiter.preferred_at(now, oram_waiting, normal_waiting)
+            self.cfg
+                .arbiter
+                .preferred_at(now, oram_waiting, normal_waiting)
         };
 
         // Pass 1: first ready row hit in the active queue (FR part). The
@@ -501,14 +507,18 @@ impl SubChannel {
         // (work-conserving valve — a strict veto can deadlock against
         // row-buffer state). Every request in a queue has the queue's
         // direction, so the buses allow a column command to all or none.
-        let op = if serve_writes { MemOp::Write } else { MemOp::Read };
+        let op = if serve_writes {
+            MemOp::Write
+        } else {
+            MemOp::Read
+        };
         let starved = self.stall_cycles > 2 * self.cfg.timing.t_rc;
         let hit_idx = if self.column_allowed(op, now) {
             let ready = |p: &Pending| self.banks[p.bank].can_column(p.row, now);
             match preferred {
-                Some(class) if !starved => queue
-                    .iter()
-                    .position(|p| p.req.class == class && ready(p)),
+                Some(class) if !starved => {
+                    queue.iter().position(|p| p.req.class == class && ready(p))
+                }
                 _ => queue.iter().position(ready),
             }
         } else {
@@ -533,7 +543,9 @@ impl SubChannel {
         let (bank, row) = (queue[i].bank, queue[i].row);
         let t = self.cfg.timing;
         if command == DeviceCommand::Precharge {
-            let open = self.banks[bank].open_row().expect("conflict on an open row");
+            let open = self.banks[bank]
+                .open_row()
+                .expect("conflict on an open row");
             self.banks[bank].precharge(now, &t);
             self.stats.precharges.inc();
             self.record_command(now, command, bank, open);
@@ -543,7 +555,11 @@ impl SubChannel {
             self.stats.activates.inc();
             self.record_command(now, command, bank, row);
         }
-        let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
+        let queue = if serve_writes {
+            &mut self.write_q
+        } else {
+            &mut self.read_q
+        };
         queue[i].managed = true;
     }
 
@@ -567,7 +583,7 @@ impl SubChannel {
                 // row that read service never releases).
                 Some(open) => (bank.can_precharge(now)
                     && !queue.iter().any(|q| q.bank == p.bank && q.row == open))
-                    .then_some((i, DeviceCommand::Precharge)),
+                .then_some((i, DeviceCommand::Precharge)),
                 None => (bank.can_activate(now) && self.activate_allowed(now))
                     .then_some((i, DeviceCommand::Activate)),
             }
@@ -768,7 +784,11 @@ mod tests {
             sc.tick(now, &mut done);
             now += MemCycle(1);
         }
-        assert!(done.len() >= n, "only {} of {n} completed by {limit}", done.len());
+        assert!(
+            done.len() >= n,
+            "only {} of {n} completed by {limit}",
+            done.len()
+        );
         done
     }
 
@@ -887,7 +907,10 @@ mod tests {
             sc.tick(MemCycle(c), &mut done);
         }
         assert!(sc.stats().refreshes.get() >= 1, "refresh must have run");
-        assert!(done.len() as u64 >= id - 5, "traffic keeps flowing after refresh");
+        assert!(
+            done.len() as u64 >= id - 5,
+            "traffic keeps flowing after refresh"
+        );
     }
 
     #[test]
@@ -906,7 +929,10 @@ mod tests {
                 acts_in_window = sc.stats().activates.get();
             }
         }
-        assert!(acts_in_window <= 4, "{acts_in_window} ACTs within tFAW window");
+        assert!(
+            acts_in_window <= 4,
+            "{acts_in_window} ACTs within tFAW window"
+        );
         assert!(
             sc.stats().activates.get() >= 5,
             "later ACTs proceed once the window slides"
@@ -990,7 +1016,11 @@ mod tests {
                 finish = c;
             }
         }
-        assert!(finish - start <= 26, "closed bank: ACT+RD path, got {}", finish - start);
+        assert!(
+            finish - start <= 26,
+            "closed bank: ACT+RD path, got {}",
+            finish - start
+        );
     }
 
     #[test]
@@ -1025,10 +1055,19 @@ mod tests {
         sc.enqueue(req(1, MemOp::Read, 64, 0)).unwrap(); // Normal: silent
         run_until_n(&mut sc, 2, 1000);
         let events = rec.borrow().events();
-        let issues = events.iter().filter(|e| e.kind == EventKind::DramIssue).count();
-        let dones = events.iter().filter(|e| e.kind == EventKind::DramDone).count();
+        let issues = events
+            .iter()
+            .filter(|e| e.kind == EventKind::DramIssue)
+            .count();
+        let dones = events
+            .iter()
+            .filter(|e| e.kind == EventKind::DramDone)
+            .count();
         assert_eq!((issues, dones), (1, 1), "only the ORAM request traces");
-        assert!(events.iter().all(|e| e.value == 3), "tagged with the sub index");
+        assert!(
+            events.iter().all(|e| e.value == 3),
+            "tagged with the sub index"
+        );
     }
 
     #[test]
@@ -1060,10 +1099,15 @@ mod tests {
             sc.tick(MemCycle(c), &mut done);
         }
         let rec = rec.borrow();
-        rec.blame.check_conservation().expect("waits telescope to delay");
+        rec.blame
+            .check_conservation()
+            .expect("waits telescope to delay");
         let row = &rec.blame.resources()[0];
         assert_eq!(row.name, "sd.sub0");
-        assert!(row.queue_delay > 0, "contended run must record queueing delay");
+        assert!(
+            row.queue_delay > 0,
+            "contended run must record queueing delay"
+        );
         // Cross-class interference shows up: the normal co-runner gets
         // blamed for some of the S-App's waiting (and vice versa).
         assert!(
@@ -1085,7 +1129,10 @@ mod tests {
         sc.set_obs(Some(rec.clone()), 0, "sd.sub0");
         sc.enqueue(req(0, MemOp::Read, 0, 0)).unwrap();
         run_until_n(&mut sc, 1, 1000);
-        assert!(rec.borrow().blame.is_empty(), "filtered-out subsystem stays silent");
+        assert!(
+            rec.borrow().blame.is_empty(),
+            "filtered-out subsystem stays silent"
+        );
     }
 
     #[test]

@@ -10,7 +10,11 @@ use doram_sim::rng::Xoshiro256;
 use doram_sim::{AppId, MemCycle, RequestId};
 use proptest::prelude::*;
 
-fn drive_traced(cfg: SubChannelConfig, seed: u64, n_requests: u64) -> Vec<doram_dram::CommandRecord> {
+fn drive_traced(
+    cfg: SubChannelConfig,
+    seed: u64,
+    n_requests: u64,
+) -> Vec<doram_dram::CommandRecord> {
     let mut sc = SubChannel::new(cfg);
     sc.enable_command_trace();
     let mut rng = Xoshiro256::seed_from(seed);

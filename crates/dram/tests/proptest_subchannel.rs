@@ -45,7 +45,11 @@ fn drive(cfg: SubChannelConfig, reqs: &[Gen]) -> Vec<Completion> {
             MemRequest {
                 id: RequestId(i as u64),
                 app: AppId(0),
-                op: if g.is_write { MemOp::Write } else { MemOp::Read },
+                op: if g.is_write {
+                    MemOp::Write
+                } else {
+                    MemOp::Read
+                },
                 addr: g.line * 64,
                 class: if g.is_oram {
                     RequestClass::Oram
@@ -60,7 +64,12 @@ fn drive(cfg: SubChannelConfig, reqs: &[Gen]) -> Vec<Completion> {
     let mut now = 0u64;
     let limit = 1_000_000u64;
     while done.len() < reqs.len() {
-        assert!(now < limit, "liveness: only {} of {} done", done.len(), reqs.len());
+        assert!(
+            now < limit,
+            "liveness: only {} of {} done",
+            done.len(),
+            reqs.len()
+        );
         while idx < pending.len() && pending[idx].0 <= now {
             let (_, mut r) = pending[idx];
             r.arrival = MemCycle(now);

@@ -112,12 +112,54 @@ fn completion_digest(completions: &[Completion]) -> u64 {
 type Pin = (&'static str, PagePolicy, usize, u64, usize, u64);
 
 const PINS: [Pin; 6] = [
-    ("disabled", PagePolicy::Open, 6255, 0xfc1fb5c8ddd459a6, 3333, 0x987d5ba11d89d886),
-    ("disabled", PagePolicy::Closed, 6568, 0x3c4a3688916be5c9, 3363, 0x634b9007f8416d77),
-    ("paper_default", PagePolicy::Open, 4829, 0x6c1e5b7a006dbf6b, 2547, 0xed0cd56354000e79),
-    ("paper_default", PagePolicy::Closed, 4910, 0x3b346568af6fb125, 2528, 0x3e5e3fc52fdd413f),
-    ("oram_priority", PagePolicy::Open, 895, 0x1656e3c8e6f8712a, 599, 0xb3d97341ea91203c),
-    ("oram_priority", PagePolicy::Closed, 858, 0xab51f7fda294570b, 570, 0x4dfdfdfa0b264cce),
+    (
+        "disabled",
+        PagePolicy::Open,
+        6255,
+        0xfc1fb5c8ddd459a6,
+        3333,
+        0x987d5ba11d89d886,
+    ),
+    (
+        "disabled",
+        PagePolicy::Closed,
+        6568,
+        0x3c4a3688916be5c9,
+        3363,
+        0x634b9007f8416d77,
+    ),
+    (
+        "paper_default",
+        PagePolicy::Open,
+        4829,
+        0x6c1e5b7a006dbf6b,
+        2547,
+        0xed0cd56354000e79,
+    ),
+    (
+        "paper_default",
+        PagePolicy::Closed,
+        4910,
+        0x3b346568af6fb125,
+        2528,
+        0x3e5e3fc52fdd413f,
+    ),
+    (
+        "oram_priority",
+        PagePolicy::Open,
+        895,
+        0x1656e3c8e6f8712a,
+        599,
+        0xb3d97341ea91203c,
+    ),
+    (
+        "oram_priority",
+        PagePolicy::Closed,
+        858,
+        0xab51f7fda294570b,
+        570,
+        0x4dfdfdfa0b264cce,
+    ),
 ];
 
 fn arbiter(name: &str) -> ShareArbiter {
@@ -136,10 +178,22 @@ fn scheduler_decisions_are_pinned() {
         let out = drive(arbiter(name), policy, 0x5eed);
         // The stream must reach the paths it is meant to pin.
         let count = |kind: DeviceCommand| out.commands.iter().filter(|c| c.command == kind).count();
-        assert!(count(DeviceCommand::Refresh) >= 4, "{name}/{policy:?}: too few refreshes");
-        assert!(count(DeviceCommand::Precharge) > 50, "{name}/{policy:?}: too few precharges");
-        assert!(out.writes_enqueued > 300, "{name}/{policy:?}: too few writes");
-        assert!(out.write_queue_filled, "{name}/{policy:?}: the write queue never filled");
+        assert!(
+            count(DeviceCommand::Refresh) >= 4,
+            "{name}/{policy:?}: too few refreshes"
+        );
+        assert!(
+            count(DeviceCommand::Precharge) > 50,
+            "{name}/{policy:?}: too few precharges"
+        );
+        assert!(
+            out.writes_enqueued > 300,
+            "{name}/{policy:?}: too few writes"
+        );
+        assert!(
+            out.write_queue_filled,
+            "{name}/{policy:?}: the write queue never filled"
+        );
         let got = (
             out.commands.len(),
             command_digest(&out.commands),

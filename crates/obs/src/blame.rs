@@ -16,7 +16,6 @@
 //! enqueue and takes the difference on issue, so attribution costs
 //! O(classes) per request instead of O(queue length) per cycle.
 
-
 /// Requestor classes competing for shared resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -316,7 +315,10 @@ mod tests {
         // Re-registration after restore finds the same row.
         assert_eq!(restored.resource("sd.sub0"), r);
         assert_eq!(restored.resources()[r].queue_delay, 4);
-        assert_eq!(restored.resources()[r].busy_prefix[BlameClass::NsApp as usize], 1);
+        assert_eq!(
+            restored.resources()[r].busy_prefix[BlameClass::NsApp as usize],
+            1
+        );
         assert!(restored.check_conservation().is_ok());
     }
 

@@ -220,7 +220,11 @@ impl fmt::Display for TraceSummary {
                 0.0
             }
         };
-        writeln!(f, "mean access latency: {:.1} memory cycles", self.mean_total)?;
+        writeln!(
+            f,
+            "mean access latency: {:.1} memory cycles",
+            self.mean_total
+        )?;
         if let Some(p) = &self.percentiles {
             let mut line = String::from("percentiles:");
             for ((name, _), v) in crate::histogram::REPORT_QUANTILES.iter().zip(p.quantiles) {
@@ -228,21 +232,36 @@ impl fmt::Display for TraceSummary {
             }
             writeln!(f, "{line}  (log-bucketed, \u{2264}6.25% relative error)")?;
         }
-        writeln!(f, "  link  {:>10.1}  ({:>5.1}%)", self.mean_link, pct(self.mean_link))?;
+        writeln!(
+            f,
+            "  link  {:>10.1}  ({:>5.1}%)",
+            self.mean_link,
+            pct(self.mean_link)
+        )?;
         writeln!(
             f,
             "  sd    {:>10.1}  ({:>5.1}%)  = dram + integrity + stash/ctrl",
             self.mean_sd,
             pct(self.mean_sd)
         )?;
-        writeln!(f, "  dram  {:>10.1}  ({:>5.1}%)", self.mean_dram, pct(self.mean_dram))?;
+        writeln!(
+            f,
+            "  dram  {:>10.1}  ({:>5.1}%)",
+            self.mean_dram,
+            pct(self.mean_dram)
+        )?;
         writeln!(
             f,
             "  intgr {:>10.1}  ({:>5.1}%)",
             self.mean_integrity,
             pct(self.mean_integrity)
         )?;
-        writeln!(f, "  stash {:>10.1}  ({:>5.1}%)", self.mean_stash, pct(self.mean_stash))?;
+        writeln!(
+            f,
+            "  stash {:>10.1}  ({:>5.1}%)",
+            self.mean_stash,
+            pct(self.mean_stash)
+        )?;
         write!(
             f,
             "  sum   {:>10.1}  (link + dram + integrity + stash; {:+.3}% vs mean latency)",
@@ -324,7 +343,14 @@ pub fn chrome_trace_json(events: &[Event], series: &[TimeSeries], dropped: u64) 
             parts.push(std::mem::take(&mut buf));
         }
         if s.integrity_cycles() > 0 {
-            x_event(&mut buf, "sd.integrity", TID_SD, t1, s.integrity_cycles(), s.id);
+            x_event(
+                &mut buf,
+                "sd.integrity",
+                TID_SD,
+                t1,
+                s.integrity_cycles(),
+                s.id,
+            );
             parts.push(std::mem::take(&mut buf));
         }
         if let Some(wb) = s.writeback_done {
@@ -347,7 +373,11 @@ pub fn chrome_trace_json(events: &[Event], series: &[TimeSeries], dropped: u64) 
                 | EventKind::DummyIssued
         );
         if keep {
-            let tid = if e.kind == EventKind::DummyIssued { TID_ENGINE } else { TID_MISC };
+            let tid = if e.kind == EventKind::DummyIssued {
+                TID_ENGINE
+            } else {
+                TID_MISC
+            };
             parts.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\
                  \"ts\":{},\"args\":{{\"value\":{}}}}}",
@@ -490,7 +520,12 @@ fn parse_trace(doc: &JsonValue) -> Result<ParsedTrace, String> {
                     .and_then(|a| a.get("access"))
                     .and_then(JsonValue::as_u64)
                     .ok_or("span without args.access")?;
-                spans.push(SpanRec { name, ts, dur, access });
+                spans.push(SpanRec {
+                    name,
+                    ts,
+                    dur,
+                    access,
+                });
             }
             Some("C") => counters += 1,
             Some("i") if e.get("name").and_then(JsonValue::as_str) == Some("dummy_issued") => {
@@ -537,12 +572,13 @@ pub fn validate_file(path: &Path) -> Result<ValidateReport, String> {
         let Some(&(t0, total)) = parts.get("oram-access") else {
             continue; // dummy instants / dram-only groups are not accesses
         };
-        let ok = match (parts.get("link.req"), parts.get("sd.read"), parts.get("link.resp")) {
+        let ok = match (
+            parts.get("link.req"),
+            parts.get("sd.read"),
+            parts.get("link.resp"),
+        ) {
             (Some(&(rq_ts, rq)), Some(&(sd_ts, sd)), Some(&(rs_ts, rs))) => {
-                rq + sd + rs == total
-                    && rq_ts == t0
-                    && sd_ts == t0 + rq
-                    && rs_ts == t0 + rq + sd
+                rq + sd + rs == total && rq_ts == t0 && sd_ts == t0 + rq && rs_ts == t0 + rq + sd
             }
             _ => false,
         };
@@ -581,9 +617,11 @@ pub fn summarize_file(path: &Path) -> Result<TraceSummary, String> {
         let Some(&(t0, total)) = parts.get("oram-access") else {
             continue;
         };
-        let (Some(&(_, rq)), Some(&(sd_ts, _sd)), Some(&(rs_ts, _))) =
-            (parts.get("link.req"), parts.get("sd.read"), parts.get("link.resp"))
-        else {
+        let (Some(&(_, rq)), Some(&(sd_ts, _sd)), Some(&(rs_ts, _))) = (
+            parts.get("link.req"),
+            parts.get("sd.read"),
+            parts.get("link.resp"),
+        ) else {
             continue;
         };
         let dram = parts.get("dram").map(|&(_, d)| d).unwrap_or(0);
@@ -601,7 +639,11 @@ pub fn summarize_file(path: &Path) -> Result<TraceSummary, String> {
         };
         rebuilt.push(span);
     }
-    Ok(TraceSummary::from_spans(&rebuilt, parsed.dummies as u64, dropped))
+    Ok(TraceSummary::from_spans(
+        &rebuilt,
+        parsed.dummies as u64,
+        dropped,
+    ))
 }
 
 #[cfg(test)]
@@ -646,7 +688,10 @@ mod tests {
         assert_eq!(sum.mean_stash, 40.0 - 33.0);
         // Both accesses took exactly 70 cycles, so every percentile is 70
         // and the rendered summary prints them next to the mean.
-        let p = sum.percentiles.as_ref().expect("completed accesses have percentiles");
+        let p = sum
+            .percentiles
+            .as_ref()
+            .expect("completed accesses have percentiles");
         assert_eq!(p.quantiles, [70; 4]);
         let text = sum.to_string();
         assert!(text.contains("p50 70"), "{text}");
@@ -723,8 +768,11 @@ mod tests {
         let json = chrome_trace_json(&rec.events(), &[], 0);
         let doc = parse(&json).unwrap();
         let parsed = parse_trace(&doc).unwrap();
-        let accesses: Vec<&SpanRec> =
-            parsed.spans.iter().filter(|s| s.name == "oram-access").collect();
+        let accesses: Vec<&SpanRec> = parsed
+            .spans
+            .iter()
+            .filter(|s| s.name == "oram-access")
+            .collect();
         assert_eq!(accesses.len(), 1);
         assert_eq!(accesses[0].access, 0);
     }
@@ -755,7 +803,10 @@ mod tests {
         rec.sd_read_done(41, false);
         rec.engine_response(55, false);
         let spans = spans_from_events(&rec.events());
-        assert!(spans.is_empty(), "dummies must not produce spans: {spans:?}");
+        assert!(
+            spans.is_empty(),
+            "dummies must not produce spans: {spans:?}"
+        );
         let _ = NO_ACCESS;
     }
 }

@@ -355,7 +355,9 @@ mod tests {
         h.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = LogHistogram::new();
-        restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
         assert_eq!(restored.count(), h.count());
         assert_eq!(restored.saturated(), h.saturated());
         assert_eq!(restored.min(), h.min());

@@ -125,8 +125,7 @@ pub struct HostReport {
 impl HostReport {
     /// Simulated cycles per wall second, if anything was measured.
     pub fn cycles_per_second(&self) -> Option<f64> {
-        (self.wall_seconds > 0.0 && self.cycles > 0)
-            .then(|| self.cycles as f64 / self.wall_seconds)
+        (self.wall_seconds > 0.0 && self.cycles > 0).then(|| self.cycles as f64 / self.wall_seconds)
     }
 }
 
@@ -224,7 +223,11 @@ impl InterferenceReport {
                 r.queue_delay,
                 waits.join(", ")
             );
-            s.push_str(if i + 1 < self.blame.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.blame.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         let _ = writeln!(s, "  ],");
         let _ = writeln!(s, "  \"latency\": {{");
@@ -239,7 +242,11 @@ impl InterferenceReport {
         let _ = writeln!(s, "    \"by_class\": {{");
         for (i, (name, sum)) in self.classes.iter().enumerate() {
             let _ = write!(s, "      \"{}\": {}", json::escape(name), sum.to_json());
-            s.push_str(if i + 1 < self.classes.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.classes.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         let _ = writeln!(s, "    }}");
         let _ = writeln!(s, "  }},");
@@ -262,7 +269,11 @@ impl InterferenceReport {
                         c.samples,
                         c.nanos_per_sample
                     );
-                    s.push_str(if i + 1 < h.components.len() { ",\n" } else { "\n" });
+                    s.push_str(if i + 1 < h.components.len() {
+                        ",\n"
+                    } else {
+                        "\n"
+                    });
                 }
                 let _ = writeln!(s, "    ]");
                 let _ = writeln!(s, "  }}");
@@ -394,7 +405,10 @@ impl InterferenceReport {
     /// `doram-cli obs report`).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "Interference blame matrix (wait cycles by occupying class)");
+        let _ = writeln!(
+            out,
+            "Interference blame matrix (wait cycles by occupying class)"
+        );
         if self.blame.is_empty() {
             let _ = writeln!(out, "  (no shared-resource waits recorded)");
         } else {
@@ -436,7 +450,10 @@ impl InterferenceReport {
             let _ = writeln!(out, " {grand:>12} {delay:>12}");
             match self.check_conservation() {
                 Ok(()) => {
-                    let _ = writeln!(out, "  conservation: OK (attributed waits == queueing delay on every resource)");
+                    let _ = writeln!(
+                        out,
+                        "  conservation: OK (attributed waits == queueing delay on every resource)"
+                    );
                 }
                 Err((name, attributed, delay)) => {
                     let _ = writeln!(
@@ -548,17 +565,19 @@ mod tests {
     #[test]
     fn from_json_rejects_bad_documents() {
         assert!(InterferenceReport::from_json("{}").is_err());
-        assert!(
-            InterferenceReport::from_json(r#"{"schema": "other", "blame": [], "latency": {}}"#)
-                .unwrap_err()
-                .contains("schema mismatch")
-        );
+        assert!(InterferenceReport::from_json(
+            r#"{"schema": "other", "blame": [], "latency": {}}"#
+        )
+        .unwrap_err()
+        .contains("schema mismatch"));
         // A blame row with the wrong wait arity is structural, not silent.
         let bad = format!(
             "{{\"schema\": \"{}\", \"blame\": [{{\"resource\": \"x\", \"queue_delay\": 1, \"waits\": [1, 2]}}], \"latency\": {{}}}}",
             InterferenceReport::SCHEMA
         );
-        assert!(InterferenceReport::from_json(&bad).unwrap_err().contains("wait entries"));
+        assert!(InterferenceReport::from_json(&bad)
+            .unwrap_err()
+            .contains("wait entries"));
     }
 
     #[test]

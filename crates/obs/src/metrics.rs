@@ -58,7 +58,10 @@ impl MetricsRegistry {
     ///
     /// Panics if `window` is `Some(0)`.
     pub fn set_window(&mut self, window: Option<usize>) {
-        assert!(window != Some(0), "metrics window must hold at least one point");
+        assert!(
+            window != Some(0),
+            "metrics window must hold at least one point"
+        );
         self.window = window;
     }
 
@@ -196,7 +199,9 @@ mod tests {
         reg.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = MetricsRegistry::new(10);
-        restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
         assert_eq!(restored.series()[0].points, reg.series()[0].points);
         assert_eq!(restored.samples_taken(), 2);
     }

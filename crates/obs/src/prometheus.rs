@@ -131,8 +131,11 @@ pub fn prometheus_text(rec: &Recorder) -> String {
 
 fn valid_metric_name(s: &str) -> bool {
     !s.is_empty()
-        && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        && s.chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 fn valid_label_set(s: &str) -> bool {
@@ -140,13 +143,17 @@ fn valid_label_set(s: &str) -> bool {
     // quotes as pair boundaries.
     let mut rest = s;
     loop {
-        let Some(eq) = rest.find('=') else { return false };
+        let Some(eq) = rest.find('=') else {
+            return false;
+        };
         let (name, after) = rest.split_at(eq);
         if !valid_metric_name(name.trim_end_matches(|c: char| c.is_ascii_whitespace())) {
             return false;
         }
         let after = &after[1..];
-        let Some(stripped) = after.strip_prefix('"') else { return false };
+        let Some(stripped) = after.strip_prefix('"') else {
+            return false;
+        };
         // Find the closing unescaped quote.
         let mut close = None;
         let mut escaped = false;
@@ -165,7 +172,9 @@ fn valid_label_set(s: &str) -> bool {
         if rest.is_empty() {
             return true;
         }
-        let Some(next) = rest.strip_prefix(',') else { return false };
+        let Some(next) = rest.strip_prefix(',') else {
+            return false;
+        };
         rest = next;
     }
 }
@@ -198,7 +207,10 @@ pub fn validate_prometheus(text: &str) -> Result<usize, (usize, String)> {
                 if !valid_metric_name(name) {
                     return Err((lineno, format!("bad metric name in TYPE: '{name}'")));
                 }
-                if !matches!(kind, "counter" | "gauge" | "summary" | "histogram" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "summary" | "histogram" | "untyped"
+                ) {
                     return Err((lineno, format!("unknown metric type '{kind}'")));
                 }
             }
@@ -264,9 +276,9 @@ mod tests {
     fn exports_expected_families_and_validates() {
         let rec = sample_recorder();
         let text = prometheus_text(&rec);
-        assert!(text.contains(
-            "doram_blame_wait_cycles_total{resource=\"sd.sub0\",class=\"ns_app\"} 4"
-        ));
+        assert!(
+            text.contains("doram_blame_wait_cycles_total{resource=\"sd.sub0\",class=\"ns_app\"} 4")
+        );
         assert!(text.contains(
             "doram_blame_wait_cycles_total{resource=\"sd.sub0\",class=\"s_app_read\"} 5"
         ));
@@ -276,7 +288,10 @@ mod tests {
         assert!(text.contains("doram_class_latency_cycles{class=\"ns_app\",quantile=\"0.99\"}"));
         assert!(text.contains("doram_metric{name=\"sd.sub0.queue\"} 3"));
         let samples = validate_prometheus(&text).expect("own output validates");
-        assert!(samples >= 12, "expected a full export, got {samples} samples");
+        assert!(
+            samples >= 12,
+            "expected a full export, got {samples} samples"
+        );
     }
 
     #[test]
@@ -296,7 +311,10 @@ mod tests {
         assert!(validate_prometheus("ok{a=nope} 3\n").is_err());
         // And accepts the corrected forms.
         assert_eq!(validate_prometheus("ok{a=\"x\"} 3\n").unwrap(), 1);
-        assert_eq!(validate_prometheus("# TYPE ok gauge\nok 1\nok2 +Inf\n").unwrap(), 2);
+        assert_eq!(
+            validate_prometheus("# TYPE ok gauge\nok 1\nok2 +Inf\n").unwrap(),
+            2
+        );
     }
 
     #[test]

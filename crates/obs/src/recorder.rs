@@ -92,7 +92,11 @@ impl Recorder {
 
     /// Wraps a fresh recorder in the shared handle.
     pub fn shared(ring_capacity: usize, filter: u8, metrics_every: u64) -> SharedRecorder {
-        Rc::new(RefCell::new(Recorder::new(ring_capacity, filter, metrics_every)))
+        Rc::new(RefCell::new(Recorder::new(
+            ring_capacity,
+            filter,
+            metrics_every,
+        )))
     }
 
     /// The subsystem filter mask.
@@ -136,7 +140,11 @@ impl Recorder {
         let id = self.seq.engine_sent;
         self.seq.engine_sent += 1;
         self.inflight_sends.push_back((cycle, real));
-        let kind = if real { EventKind::AccessBegin } else { EventKind::DummyIssued };
+        let kind = if real {
+            EventKind::AccessBegin
+        } else {
+            EventKind::DummyIssued
+        };
         self.push(Subsystem::Engine, kind, cycle, id, 0);
         id
     }
@@ -219,12 +227,24 @@ impl Recorder {
 
     /// An ORAM-class request entered SD sub-channel `sub_idx`.
     pub fn dram_issue(&mut self, cycle: u64, sub_idx: u64) {
-        self.push(Subsystem::Dram, EventKind::DramIssue, cycle, self.seq.sd_current, sub_idx);
+        self.push(
+            Subsystem::Dram,
+            EventKind::DramIssue,
+            cycle,
+            self.seq.sd_current,
+            sub_idx,
+        );
     }
 
     /// An ORAM-class request completed on SD sub-channel `sub_idx`.
     pub fn dram_done(&mut self, cycle: u64, sub_idx: u64) {
-        self.push(Subsystem::Dram, EventKind::DramDone, cycle, self.seq.sd_current, sub_idx);
+        self.push(
+            Subsystem::Dram,
+            EventKind::DramDone,
+            cycle,
+            self.seq.sd_current,
+            sub_idx,
+        );
     }
 
     /// The SD freshness tree verified a bucket for the current access;
@@ -375,7 +395,9 @@ mod tests {
             .map(|e| e.access)
             .collect();
         assert_eq!(begins, vec![1]);
-        assert!(events.iter().any(|e| e.kind == EventKind::DummyIssued && e.access == 0));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == EventKind::DummyIssued && e.access == 0));
     }
 
     #[test]
@@ -401,12 +423,17 @@ mod tests {
         rec.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = Recorder::new(64, FILTER_ALL, 1000);
-        restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
         // The restored recorder continues the same sequences.
         assert_eq!(restored.engine_send(20, true), rec.engine_send(20, true));
         restored.sd_access_started(21);
         rec.sd_access_started(21);
         assert_eq!(restored.events().len(), rec.events().len());
-        assert_eq!(restored.metrics.series()[0].points, rec.metrics.series()[0].points);
+        assert_eq!(
+            restored.metrics.series()[0].points,
+            rec.metrics.series()[0].points
+        );
     }
 }

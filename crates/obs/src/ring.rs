@@ -77,7 +77,9 @@ impl EventRing {
 
     /// Iterates oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
+        self.buf[self.head..]
+            .iter()
+            .chain(self.buf[..self.head].iter())
     }
 
     /// Clears the ring (capacity and allocation are kept).
@@ -166,7 +168,9 @@ mod tests {
         ring.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = EventRing::new(4);
-        restored.load_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
         assert_eq!(restored.dropped(), ring.dropped());
         let a: Vec<u64> = ring.iter().map(|e| e.cycle).collect();
         let b: Vec<u64> = restored.iter().map(|e| e.cycle).collect();

@@ -74,8 +74,11 @@ impl fmt::Display for StallDump {
             line(f, c)?;
         }
         if !self.metrics.is_empty() {
-            let rendered: Vec<String> =
-                self.metrics.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let rendered: Vec<String> = self
+                .metrics
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
             line(f, &format!("metrics: {}", rendered.join(" ")))?;
         }
         if !self.recent_events.is_empty() {
@@ -112,7 +115,10 @@ mod tests {
                 },
             ],
             blocked_reads: 7,
-            components: vec!["secure[fsm=[idle]]".into(), "engine[sent=1/2 resp=0]".into()],
+            components: vec![
+                "secure[fsm=[idle]]".into(),
+                "engine[sent=1/2 resp=0]".into(),
+            ],
             metrics: vec![("sd.sub0.queue".into(), "3.000".into())],
             recent_events: vec!["[12] link.link_tx access=- value=72".into()],
         };

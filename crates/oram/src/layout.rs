@@ -216,8 +216,8 @@ mod tests {
         let g = TreeGeometry::paper_default();
         let lay = SubtreeLayout::new(g, 7);
         assert_eq!(lay.regions_per_path(), 4); // 24 levels / 7 = 4 strata
-        // With the top 3 levels cached, the cached levels all live in
-        // stratum 0, so DRAM sees at most 4 regions per path.
+                                               // With the top 3 levels cached, the cached levels all live in
+                                               // stratum 0, so DRAM sees at most 4 regions per path.
         let cache = TreeTopCache::new(3);
         assert!(cache.covers(0) && cache.covers(2) && !cache.covers(3));
     }

@@ -57,7 +57,7 @@ pub use plan::{AccessPlan, BlockRef, Placement, PlanConfig, Planner};
 pub use position::PositionMap;
 pub use protocol::PathOram;
 pub use recursive::{RecursiveOram, RecursivePosMap};
-pub use split::{SplitConfig, SplitAccounting};
+pub use split::{SplitAccounting, SplitConfig};
 pub use stash::Stash;
 pub use tree::TreeGeometry;
 pub use verified::{RecoveryPolicy, RecoveryStats, VerifiedOram};

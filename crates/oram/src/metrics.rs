@@ -59,8 +59,7 @@ impl OccupancyProfile {
         }
         let half = n / 2;
         let top: f64 = self.mean_per_level[..half].iter().sum::<f64>() / half as f64;
-        let bottom: f64 =
-            self.mean_per_level[half..].iter().sum::<f64>() / (n - half) as f64;
+        let bottom: f64 = self.mean_per_level[half..].iter().sum::<f64>() / (n - half) as f64;
         bottom >= top
     }
 }

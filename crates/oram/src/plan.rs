@@ -146,8 +146,7 @@ impl Planner {
         let layout = SubtreeLayout::new(cfg.geometry, cfg.subtree_levels);
         let cache = TreeTopCache::new(cfg.cached_levels);
         let blocks_per_unit_per_bucket = (cfg.geometry.z as usize / cfg.tree_units) as u64;
-        let unit_region_bytes =
-            cfg.geometry.total_buckets() * blocks_per_unit_per_bucket * 64;
+        let unit_region_bytes = cfg.geometry.total_buckets() * blocks_per_unit_per_bucket * 64;
         Planner {
             cfg,
             layout,
@@ -168,9 +167,7 @@ impl Planner {
 
     /// Blocks per access (both phases touch this many).
     pub fn blocks_per_phase(&self) -> u64 {
-        self.cfg
-            .geometry
-            .blocks_per_phase(self.cfg.cached_levels)
+        self.cfg.geometry.blocks_per_phase(self.cfg.cached_levels)
     }
 
     /// Plans the access to `leaf`.

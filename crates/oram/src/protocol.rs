@@ -130,8 +130,13 @@ impl<V: Clone> PathOram<V> {
         self.do_access(block, leaf, new_leaf, new_value)
     }
 
-    fn do_access(&mut self, block: u64, leaf: u64, new_leaf: u64, new_value: Option<V>) -> Option<V> {
-
+    fn do_access(
+        &mut self,
+        block: u64,
+        leaf: u64,
+        new_leaf: u64,
+        new_value: Option<V>,
+    ) -> Option<V> {
         // 1. Read the whole path into the stash.
         for bucket in self.geometry.path(leaf).collect::<Vec<_>>() {
             if let Some(resident) = self.buckets.remove(&bucket) {
@@ -161,9 +166,9 @@ impl<V: Clone> PathOram<V> {
         for level in (0..=self.geometry.l_max).rev() {
             let bucket = self.geometry.bucket_on_path(leaf, level);
             let geometry = self.geometry;
-            let chosen =
-                self.stash
-                    .take_eligible(z, |block_leaf| geometry.paths_agree(block_leaf, leaf, level));
+            let chosen = self.stash.take_eligible(z, |block_leaf| {
+                geometry.paths_agree(block_leaf, leaf, level)
+            });
             if !chosen.is_empty() {
                 self.buckets.insert(bucket, chosen);
             }
@@ -181,9 +186,11 @@ impl<V: Clone> PathOram<V> {
             .values()
             .flatten()
             .map(|(b, _, v)| (*b, v.clone()))
-            .chain(self.stash.iter().filter_map(|(b, _)| {
-                self.stash.get(b).map(|(_, v)| (b, v.clone()))
-            }))
+            .chain(
+                self.stash
+                    .iter()
+                    .filter_map(|(b, _)| self.stash.get(b).map(|(_, v)| (b, v.clone()))),
+            )
             .collect();
         out.sort_by_key(|&(b, _)| b);
         out

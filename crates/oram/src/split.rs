@@ -186,7 +186,9 @@ mod tests {
         let g = g();
         for k in 1..=3u32 {
             let cfg = SplitConfig::new(k, 3);
-            let split_levels = (0..g.levels()).filter(|&l| cfg.is_split_level(&g, l)).count();
+            let split_levels = (0..g.levels())
+                .filter(|&l| cfg.is_split_level(&g, l))
+                .count();
             assert_eq!(split_levels as u32, k);
             assert_eq!(split_levels as u64 * g.z as u64, 4 * k as u64);
         }

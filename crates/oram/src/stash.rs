@@ -64,7 +64,8 @@ impl<V> Stash<V> {
 
     fn emit(&mut self, kind: EventKind, value: u64) {
         if let Some(obs) = &self.obs {
-            obs.borrow_mut().instant(Subsystem::Stash, kind, self.obs_now, value);
+            obs.borrow_mut()
+                .instant(Subsystem::Stash, kind, self.obs_now, value);
         }
     }
 

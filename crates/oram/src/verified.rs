@@ -278,10 +278,7 @@ impl VerifiedOram {
         }
         Err(SimError::integrity(
             bucket,
-            format!(
-                "re-fetch budget ({}) exhausted",
-                self.policy.refetch_limit
-            ),
+            format!("re-fetch budget ({}) exhausted", self.policy.refetch_limit),
         ))
     }
 
@@ -332,9 +329,9 @@ impl VerifiedOram {
         for level in (0..=self.geometry.l_max).rev() {
             let bucket = self.geometry.bucket_on_path(leaf, level);
             let geometry = self.geometry;
-            let chosen = self
-                .stash
-                .take_eligible(z, |block_leaf| geometry.paths_agree(block_leaf, leaf, level));
+            let chosen = self.stash.take_eligible(z, |block_leaf| {
+                geometry.paths_agree(block_leaf, leaf, level)
+            });
             if !chosen.is_empty() {
                 let bytes = encode(&chosen);
                 self.integrity.record(bucket, &bytes);
@@ -505,7 +502,10 @@ mod tests {
         let counts = faulty.fault_counts();
         assert!(counts.replays > 0, "replays must fire: {counts:?}");
         assert!(counts.relocations > 0, "relocations must fire: {counts:?}");
-        assert!(counts.rollback_bursts > 0, "rollbacks must fire: {counts:?}");
+        assert!(
+            counts.rollback_bursts > 0,
+            "rollbacks must fire: {counts:?}"
+        );
         assert!(faulty.recovery_stats().integrity_failures > 0);
         assert!(!faulty.is_quarantined());
         faulty.check_invariants().unwrap();
@@ -527,7 +527,10 @@ mod tests {
         }
         let err = tripped.expect("forged MACs must trip fail-stop");
         assert!(
-            matches!(err, SimError::Fault { .. } | SimError::IntegrityViolation { .. }),
+            matches!(
+                err,
+                SimError::Fault { .. } | SimError::IntegrityViolation { .. }
+            ),
             "unexpected error {err:?}"
         );
         assert!(oram.is_quarantined() || oram.recovery_stats().integrity_failures > 0);

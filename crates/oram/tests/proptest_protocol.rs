@@ -1,11 +1,11 @@
 //! Property-based tests of the Path ORAM protocol and its layout/split
 //! machinery.
 
-use doram_oram::plan::{PlanConfig, Planner, Placement};
+use doram_oram::layout::SubtreeLayout;
+use doram_oram::plan::{Placement, PlanConfig, Planner};
 use doram_oram::protocol::PathOram;
 use doram_oram::split::SplitConfig;
 use doram_oram::tree::TreeGeometry;
-use doram_oram::layout::SubtreeLayout;
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -568,7 +568,11 @@ impl AdversaryPlan {
                 } else {
                     rng.gen_below(self.jitter + 1)
                 };
-                let start = b.start.0.saturating_add(r * b.period).saturating_add(offset);
+                let start = b
+                    .start
+                    .0
+                    .saturating_add(r * b.period)
+                    .saturating_add(offset);
                 plan = plan.site_window(
                     b.site,
                     FaultWindow {
@@ -768,7 +772,9 @@ mod tests {
             },
         );
         assert!(empty_window.validate().is_err());
-        assert!(FaultPlan::with_rates(0, link_rates(1_000_000)).validate().is_ok());
+        assert!(FaultPlan::with_rates(0, link_rates(1_000_000))
+            .validate()
+            .is_ok());
     }
 
     #[test]
@@ -860,16 +866,15 @@ mod tests {
         assert!(compiled.has_adversary());
         // The repeating burst hits only its target site.
         assert_eq!(
-            compiled
-                .rates_at_site(0x5D11, MemCycle(1_100))
-                .replay_ppm,
+            compiled.rates_at_site(0x5D11, MemCycle(1_100)).replay_ppm,
             1_000_000
         );
-        assert_eq!(compiled.rates_at_site(0x5D12, MemCycle(1_100)), FaultRates::none());
         assert_eq!(
-            compiled
-                .rates_at_site(0x5D12, MemCycle(2_100))
-                .relocate_ppm,
+            compiled.rates_at_site(0x5D12, MemCycle(1_100)),
+            FaultRates::none()
+        );
+        assert_eq!(
+            compiled.rates_at_site(0x5D12, MemCycle(2_100)).relocate_ppm,
             800_000
         );
         // Deterministic: recompiling yields the identical schedule.

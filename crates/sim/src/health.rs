@@ -304,8 +304,14 @@ mod tests {
         let mut m = HealthMonitor::new(policy(3, 0, 1));
         assert_eq!(m.state(), HealthState::Healthy);
         let t = m.on_failure(MemCycle(10)).expect("degrades");
-        assert_eq!((t.from, t.to), (HealthState::Healthy, HealthState::Degraded));
-        assert!(m.on_failure(MemCycle(11)).is_none(), "still below threshold");
+        assert_eq!(
+            (t.from, t.to),
+            (HealthState::Healthy, HealthState::Degraded)
+        );
+        assert!(
+            m.on_failure(MemCycle(11)).is_none(),
+            "still below threshold"
+        );
         let t = m.on_failure(MemCycle(12)).expect("quarantines");
         assert_eq!(t.to, HealthState::Quarantined);
         assert!(!m.is_serving());
@@ -354,7 +360,10 @@ mod tests {
         m.on_failure(MemCycle(1));
         m.tick(MemCycle(20)).expect("probation");
         let t = m.on_failure(MemCycle(21)).expect("re-quarantined");
-        assert_eq!((t.from, t.to), (HealthState::Probation, HealthState::Quarantined));
+        assert_eq!(
+            (t.from, t.to),
+            (HealthState::Probation, HealthState::Quarantined)
+        );
         assert_eq!(m.quarantine_entries(), 2);
         // The second window starts from the re-entry cycle.
         assert!(m.tick(MemCycle(25)).is_none());

@@ -1027,10 +1027,7 @@ mod tests {
     use crate::error::SimError;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "doram-snap-{}-{name}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("doram-snap-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
@@ -1294,8 +1291,11 @@ mod tests {
     #[test]
     fn wrong_magic_and_version_are_rejected() {
         let path = tmp_path("magic.ckpt");
-        std::fs::write(&path, b"NOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPT")
-            .unwrap();
+        std::fs::write(
+            &path,
+            b"NOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPTNOTACKPT",
+        )
+        .unwrap();
         assert!(read_checkpoint(&path).is_err());
 
         // Valid checksum but wrong version.

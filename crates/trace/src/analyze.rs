@@ -93,10 +93,26 @@ mod tests {
     #[test]
     fn hand_built_trace() {
         let recs = [
-            TraceRecord { gap: 9, op: AccessOp::Read, addr: 0 },
-            TraceRecord { gap: 9, op: AccessOp::Read, addr: 64 }, // sequential
-            TraceRecord { gap: 9, op: AccessOp::Write, addr: 0 }, // reuse + near
-            TraceRecord { gap: 9, op: AccessOp::Read, addr: 1 << 20 },
+            TraceRecord {
+                gap: 9,
+                op: AccessOp::Read,
+                addr: 0,
+            },
+            TraceRecord {
+                gap: 9,
+                op: AccessOp::Read,
+                addr: 64,
+            }, // sequential
+            TraceRecord {
+                gap: 9,
+                op: AccessOp::Write,
+                addr: 0,
+            }, // reuse + near
+            TraceRecord {
+                gap: 9,
+                op: AccessOp::Read,
+                addr: 1 << 20,
+            },
         ];
         let s = analyze(recs.iter());
         assert_eq!(s.accesses, 4);

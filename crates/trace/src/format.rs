@@ -25,7 +25,11 @@ pub struct ParseTraceError {
 
 impl std::fmt::Display for ParseTraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "trace parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -119,9 +123,18 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bad op"));
         assert!(e.to_string().contains("line 2"));
-        assert!(parse_trace("0 R").unwrap_err().message.contains("missing address"));
-        assert!(parse_trace("0 R 0x40 junk").unwrap_err().message.contains("trailing"));
-        assert!(parse_trace("0 R 0xZZ").unwrap_err().message.contains("bad address"));
+        assert!(parse_trace("0 R")
+            .unwrap_err()
+            .message
+            .contains("missing address"));
+        assert!(parse_trace("0 R 0x40 junk")
+            .unwrap_err()
+            .message
+            .contains("trailing"));
+        assert!(parse_trace("0 R 0xZZ")
+            .unwrap_err()
+            .message
+            .contains("bad address"));
         assert!(parse_trace("0").unwrap_err().message.contains("missing op"));
     }
 

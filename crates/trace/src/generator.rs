@@ -96,8 +96,7 @@ impl TraceGenerator {
         // Phase behaviour: in the alternate phase the streaming mass goes
         // to the uniform-random component (and vice versa is implicit in
         // the smaller stream share), flipping the row-buffer profile.
-        let in_alt_phase = spec.phase_period > 0
-            && (self.generated / spec.phase_period) % 2 == 1;
+        let in_alt_phase = spec.phase_period > 0 && (self.generated / spec.phase_period) % 2 == 1;
         let stream_frac = if in_alt_phase { 0.0 } else { spec.stream_frac };
 
         let roll = self.rng.gen_f64();
@@ -192,10 +191,9 @@ impl Iterator for FiniteTrace {
 /// Stable tiny hash of the workload name, to decorrelate same-seed
 /// generators of different benchmarks.
 fn hash_name(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-        })
+    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 #[cfg(test)]

@@ -41,7 +41,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let doram = run(Scheme::DOram { k: 0, c: 7 })?;
 
     println!("per-tenant execution time, D-ORAM normalized to Baseline:\n");
-    println!("{:<8} {:>6} {:>12} {:>12} {:>8}", "tenant", "MPKI", "baseline", "d-oram", "ratio");
+    println!(
+        "{:<8} {:>6} {:>12} {:>12} {:>8}",
+        "tenant", "MPKI", "baseline", "d-oram", "ratio"
+    );
     for (i, b) in tenants.iter().enumerate() {
         println!(
             "{:<8} {:>6.1} {:>12} {:>12} {:>8.3}",

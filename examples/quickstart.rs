@@ -20,7 +20,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or(Benchmark::Mummer);
     let accesses: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2_000);
 
-    println!("benchmark: {bench} (MPKI {}), {accesses} accesses/NS-App\n", bench.spec().mpki);
+    println!(
+        "benchmark: {bench} (MPKI {}), {accesses} accesses/NS-App\n",
+        bench.spec().mpki
+    );
 
     let run = |scheme: Scheme| -> Result<f64, Box<dyn Error>> {
         let cfg = SystemConfig::builder(bench)
@@ -32,7 +35,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
 
     let solo = run(Scheme::SoloNs)?;
-    println!("{:>12}: {solo:>12.0} CPU cycles (the 1NS reference)", "solo");
+    println!(
+        "{:>12}: {solo:>12.0} CPU cycles (the 1NS reference)",
+        "solo"
+    );
     for scheme in [
         Scheme::Ns7on4,
         Scheme::Baseline,

@@ -49,7 +49,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         // Judge by the p99 tail: the peak includes a cold-start transient
         // while the first writes populate an empty tree.
         let status = if p99 < 20 { "bounded" } else { "heavy tail" };
-        println!("{z:>4} {:>11.0}% {mean:>10.2} {p99:>8} {peak:>8} {status:>8}", util * 100.0);
+        println!(
+            "{z:>4} {:>11.0}% {mean:>10.2} {p99:>8} {peak:>8} {status:>8}",
+            util * 100.0
+        );
     }
     println!(
         "\nAt the paper's Z = 4 / 50%-utilization point the stash stays in the\n\

@@ -79,6 +79,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("replayed stale block 9 rejected by the Merkle root");
 
     // And the root is all the TCB had to remember:
-    println!("trusted state: one {}-byte root", store.integrity.root().len());
+    println!(
+        "trusted state: one {}-byte root",
+        store.integrity.root().len()
+    );
     Ok(())
 }

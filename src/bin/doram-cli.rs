@@ -35,7 +35,8 @@ impl Opts {
             };
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {
-                    opts.pairs.push((key.to_string(), it.next().expect("peeked").clone()));
+                    opts.pairs
+                        .push((key.to_string(), it.next().expect("peeked").clone()));
                 }
                 _ => opts.flags.push(key.to_string()),
             }
@@ -54,7 +55,9 @@ impl Opts {
     fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} expects a number, got '{v}'")),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key} expects a number, got '{v}'")),
         }
     }
 
@@ -84,14 +87,39 @@ impl Opts {
 
 /// The options `doram-cli run` reads, in usage order.
 const RUN_OPTIONS: &[&str] = &[
-    "bench", "scheme", "k", "c", "accesses", "seed", "dummy-interval",
-    "merge", "pipeline", "json", "out",
-    "parity", "scrub-every", "probation-window", "probation-successes",
-    "chaos-sub", "chaos-at",
-    "adversary", "adversary-sub", "adversary-at", "adversary-ppm",
-    "checkpoint-every", "checkpoint-dir", "resume", "watchdog", "ckpt-key",
-    "trace-out", "trace-filter", "metrics-every", "metrics-window", "trace-ring",
-    "obs-out", "prom-out",
+    "bench",
+    "scheme",
+    "k",
+    "c",
+    "accesses",
+    "seed",
+    "dummy-interval",
+    "merge",
+    "pipeline",
+    "json",
+    "out",
+    "parity",
+    "scrub-every",
+    "probation-window",
+    "probation-successes",
+    "chaos-sub",
+    "chaos-at",
+    "adversary",
+    "adversary-sub",
+    "adversary-at",
+    "adversary-ppm",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "resume",
+    "watchdog",
+    "ckpt-key",
+    "trace-out",
+    "trace-filter",
+    "metrics-every",
+    "metrics-window",
+    "trace-ring",
+    "obs-out",
+    "prom-out",
 ];
 
 fn parse_benchmark(opts: &Opts) -> Result<Benchmark, String> {
@@ -311,7 +339,12 @@ struct ObsOpts {
 fn parse_obs_options(opts: &Opts) -> Result<Option<ObsOpts>, String> {
     const OUTS: [&str; 3] = ["trace-out", "obs-out", "prom-out"];
     if OUTS.iter().all(|k| opts.get(k).is_none()) {
-        for key in ["trace-filter", "metrics-every", "metrics-window", "trace-ring"] {
+        for key in [
+            "trace-filter",
+            "metrics-every",
+            "metrics-window",
+            "trace-ring",
+        ] {
             if opts.get(key).is_some() {
                 return Err(format!(
                     "--{key} requires --trace-out, --obs-out, or --prom-out"
@@ -399,7 +432,13 @@ fn emit_output(opts: &Opts, text: &str) -> Result<(), Box<dyn Error>> {
 /// for an orchestrator to find the checkpoint and resume.
 fn partial_report_json(at: u64, checkpoint: Option<&Path>) -> String {
     let ckpt = match checkpoint {
-        Some(p) => format!("\"{}\"", p.display().to_string().replace('\\', "\\\\").replace('"', "\\\"")),
+        Some(p) => format!(
+            "\"{}\"",
+            p.display()
+                .to_string()
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+        ),
         None => "null".to_string(),
     };
     format!("{{\"status\":\"interrupted\",\"mem_cycles\":{at},\"checkpoint\":{ckpt}}}")
@@ -596,7 +635,8 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
         "check-jsonl" => {
             let text = std::fs::read_to_string(path)?;
-            let lines = check_metrics_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+            let lines =
+                check_metrics_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
             println!("{}: {lines} metric samples OK", path.display());
             Ok(())
         }
@@ -616,13 +656,22 @@ fn check_metrics_jsonl(text: &str) -> Result<usize, String> {
         }
         let lineno = i + 1;
         let v = obs::json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        if v.get("cycle").and_then(obs::json::JsonValue::as_u64).is_none() {
+        if v.get("cycle")
+            .and_then(obs::json::JsonValue::as_u64)
+            .is_none()
+        {
             return Err(format!("line {lineno}: missing integer 'cycle'"));
         }
-        if v.get("metric").and_then(obs::json::JsonValue::as_str).is_none() {
+        if v.get("metric")
+            .and_then(obs::json::JsonValue::as_str)
+            .is_none()
+        {
             return Err(format!("line {lineno}: missing string 'metric'"));
         }
-        if v.get("value").and_then(obs::json::JsonValue::as_f64).is_none() {
+        if v.get("value")
+            .and_then(obs::json::JsonValue::as_f64)
+            .is_none()
+        {
             return Err(format!("line {lineno}: missing numeric 'value'"));
         }
         samples += 1;
@@ -648,7 +697,12 @@ fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
 fn cmd_list(_: &Opts) -> Result<(), Box<dyn Error>> {
     println!("benchmarks (Table III):");
     for b in Benchmark::ALL {
-        println!("  {:<8} MPKI {:>5.1}  {:?}", b.spec().name, b.spec().mpki, b.suite());
+        println!(
+            "  {:<8} MPKI {:>5.1}  {:?}",
+            b.spec().name,
+            b.spec().mpki,
+            b.suite()
+        );
     }
     println!("\nschemes: solo | 7ns-4ch | 7ns-3ch | baseline | secmem | partition | doram (--k 0..3 --c 0..7)");
     println!("flags  : --merge (split-read merging) --pipeline (SD pipelining)");
@@ -676,7 +730,9 @@ fn cmd_list(_: &Opts) -> Result<(), Box<dyn Error>> {
         "tracing: --trace-out FILE (Perfetto JSON + metrics sidecars) \
          --trace-filter SUBS --metrics-every N --metrics-window N --trace-ring N"
     );
-    println!("         subsystems: engine, link, sd, dram, stash, fault (comma-separated, or all/none)");
+    println!(
+        "         subsystems: engine, link, sd, dram, stash, fault (comma-separated, or all/none)"
+    );
     println!(
         "observability: --obs-out FILE (interference report JSON: blame matrix + percentiles) \
          --prom-out FILE (Prometheus text snapshot); \
@@ -774,8 +830,12 @@ mod tests {
     fn rejects_options_a_command_does_not_read() {
         let err = opts(&["--ns-accesses", "5"]).only(RUN_OPTIONS).unwrap_err();
         assert!(err.contains("'--ns-accesses'"), "{err}");
-        assert!(opts(&["--parity", "--accesses", "5"]).only(RUN_OPTIONS).is_ok());
-        assert!(opts(&["--merge"]).only(&["bench", "accesses", "seed"]).is_err());
+        assert!(opts(&["--parity", "--accesses", "5"])
+            .only(RUN_OPTIONS)
+            .is_ok());
+        assert!(opts(&["--merge"])
+            .only(&["bench", "accesses", "seed"])
+            .is_err());
         // `run` accepts exactly the options its usage text lists.
         let run_usage = USAGE.split("doram-cli trace").next().unwrap();
         let listed: Vec<&str> = run_usage
@@ -792,15 +852,23 @@ mod tests {
         for extra in [&[][..], &["B"], &["--min-accesses", "1"]] {
             let obs = [&["compare", "A"][..], extra].concat();
             let err = cmd_obs(&args(&obs)).unwrap_err().to_string();
-            assert!(err.starts_with("unknown obs subcommand 'compare'\n"), "{err}");
+            assert!(
+                err.starts_with("unknown obs subcommand 'compare'\n"),
+                "{err}"
+            );
             assert!(err.ends_with(OBS_USAGE), "{err}");
             let trace = [&["bogus", "A"][..], extra].concat();
             let err = cmd_trace(&args(&trace)).unwrap_err().to_string();
-            assert!(err.starts_with("unknown trace subcommand 'bogus'\n"), "{err}");
+            assert!(
+                err.starts_with("unknown trace subcommand 'bogus'\n"),
+                "{err}"
+            );
             assert!(err.ends_with(TRACE_USAGE), "{err}");
         }
         // A known subcommand still rejects what it does not read.
-        let err = cmd_trace(&args(&["summarize", "A", "B"])).unwrap_err().to_string();
+        let err = cmd_trace(&args(&["summarize", "A", "B"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("'B'"), "{err}");
     }
 
@@ -839,18 +907,27 @@ mod tests {
 
     #[test]
     fn scheme_parsing() {
-        assert_eq!(parse_scheme(&opts(&[])).unwrap(), Scheme::DOram { k: 0, c: 7 });
+        assert_eq!(
+            parse_scheme(&opts(&[])).unwrap(),
+            Scheme::DOram { k: 0, c: 7 }
+        );
         assert_eq!(
             parse_scheme(&opts(&["--scheme", "doram", "--k", "2", "--c", "1"])).unwrap(),
             Scheme::DOram { k: 2, c: 1 }
         );
-        assert_eq!(parse_scheme(&opts(&["--scheme", "baseline"])).unwrap(), Scheme::Baseline);
+        assert_eq!(
+            parse_scheme(&opts(&["--scheme", "baseline"])).unwrap(),
+            Scheme::Baseline
+        );
         assert!(parse_scheme(&opts(&["--scheme", "nope"])).is_err());
     }
 
     #[test]
     fn benchmark_parsing() {
-        assert_eq!(parse_benchmark(&opts(&["--bench", "tigr"])).unwrap(), Benchmark::Tigr);
+        assert_eq!(
+            parse_benchmark(&opts(&["--bench", "tigr"])).unwrap(),
+            Benchmark::Tigr
+        );
         assert!(parse_benchmark(&opts(&["--bench", "nope"])).is_err());
     }
 
@@ -925,8 +1002,9 @@ mod tests {
         assert_eq!(t.metrics_window, Some(64));
         assert_eq!(t.filter, obs::FILTER_ALL);
         // A zero window would panic inside the registry; reject it here.
-        assert!(parse_obs_options(&opts(&["--obs-out", "r.json", "--metrics-window", "0"]))
-            .is_err());
+        assert!(
+            parse_obs_options(&opts(&["--obs-out", "r.json", "--metrics-window", "0"])).is_err()
+        );
     }
 
     #[test]
@@ -939,9 +1017,11 @@ mod tests {
         assert!(check_metrics_jsonl("{\"cycle\":1,\"metric\":\"m\"}\n")
             .unwrap_err()
             .contains("value"));
-        assert!(check_metrics_jsonl("{\"cycle\":-1,\"metric\":\"m\",\"value\":0}\n")
-            .unwrap_err()
-            .contains("cycle"));
+        assert!(
+            check_metrics_jsonl("{\"cycle\":-1,\"metric\":\"m\",\"value\":0}\n")
+                .unwrap_err()
+                .contains("cycle")
+        );
     }
 
     #[test]
@@ -1006,7 +1086,10 @@ mod tests {
         use doram::sim::fault::FaultKind;
         let cfg = build_config(&opts(&["--adversary", "replay", "--seed", "9"])).unwrap();
         assert!(cfg.fault_plan.has_adversary());
-        assert_eq!(cfg.fault_plan, adversary_fault_plan("replay", 9, 0, 10_000, 30_000).unwrap());
+        assert_eq!(
+            cfg.fault_plan,
+            adversary_fault_plan("replay", 9, 0, 10_000, 30_000).unwrap()
+        );
 
         // `mix` mounts all three attack kinds somewhere in the schedule.
         let mix = adversary_fault_plan("mix", 1, 0, 10_000, 30_000).unwrap();
@@ -1034,7 +1117,13 @@ mod tests {
         assert_eq!(cfg.fault_plan, doram::sim::fault::FaultPlan::none());
 
         let cfg = build_config(&opts(&[
-            "--seed", "7", "--chaos-sub", "2", "--chaos-at", "5000", "--parity",
+            "--seed",
+            "7",
+            "--chaos-sub",
+            "2",
+            "--chaos-at",
+            "5000",
+            "--parity",
         ]))
         .unwrap();
         assert_eq!(cfg.fault_plan, hostile_sub_plan(7, 2, 5_000, u64::MAX));

@@ -54,10 +54,19 @@ fn adversary_soak_detects_every_attack_class_and_drains() {
     // Every attack class fired and every class was caught.
     assert!(fr.injected.replays > 0, "replays must fire: {fr:?}");
     assert!(fr.injected.relocations > 0, "relocations must fire: {fr:?}");
-    assert!(fr.injected.rollback_bursts > 0, "rollbacks must fire: {fr:?}");
+    assert!(
+        fr.injected.rollback_bursts > 0,
+        "rollbacks must fire: {fr:?}"
+    );
     assert!(fr.replay_detected > 0, "replays must be detected: {fr:?}");
-    assert!(fr.relocation_detected > 0, "relocations must be detected: {fr:?}");
-    assert!(fr.rollback_rejected > 0, "rollbacks must be rejected: {fr:?}");
+    assert!(
+        fr.relocation_detected > 0,
+        "relocations must be detected: {fr:?}"
+    );
+    assert!(
+        fr.rollback_rejected > 0,
+        "rollbacks must be rejected: {fr:?}"
+    );
     // Detection ran through the armed freshness tree and was paid for.
     assert!(fr.freshness_ops > 0, "tree must be armed: {fr:?}");
     assert!(fr.freshness_cycles > 0);
@@ -104,8 +113,7 @@ fn adversary_knobs_off_is_bit_identical_to_legacy() {
 }
 
 fn ckpt_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("doram-advsoak-{}-{name}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("doram-advsoak-{}-{name}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -10,7 +10,10 @@ fn run(bench: Benchmark, scheme: Scheme, accesses: u64) -> doram::core::RunRepor
         .ns_accesses(accesses)
         .build()
         .expect("valid config");
-    Simulation::new(cfg).expect("valid").run().expect("completes")
+    Simulation::new(cfg)
+        .expect("valid")
+        .run()
+        .expect("completes")
 }
 
 #[test]
@@ -23,7 +26,10 @@ fn interference_ordering_matches_figure4() {
     let three = run(b, Scheme::Ns7on3, 700).ns_exec_mean();
     let oram = run(b, Scheme::Baseline, 700).ns_exec_mean();
     assert!(solo < four, "co-run must cost: {solo} vs {four}");
-    assert!(four < three, "losing a channel must cost: {four} vs {three}");
+    assert!(
+        four < three,
+        "losing a channel must cost: {four} vs {three}"
+    );
     assert!(four < oram, "the ORAM S-App must cost: {four} vs {oram}");
 }
 
@@ -95,7 +101,10 @@ fn energy_accounting_tracks_architecture() {
     // D-ORAM powers seven DRAM sub-channels (4 secure + 3 normal) against
     // the Baseline's four, so its *background* energy per cycle is higher.
     let bg = |r: &doram::core::RunReport| {
-        r.channel_energy.iter().map(|e| e.background_mj).sum::<f64>()
+        r.channel_energy
+            .iter()
+            .map(|e| e.background_mj)
+            .sum::<f64>()
             / r.total_mem_cycles as f64
     };
     assert!(

@@ -48,7 +48,10 @@ fn leaf_sequence_is_uniform_for_any_pattern() {
         }
         // 63 degrees of freedom: mean 63, std ~11.2; 150 is > 7 sigma.
         let x2 = chi_square(&counts);
-        assert!(x2 < 150.0, "{name}: chi-square {x2:.1} — leaves not uniform");
+        assert!(
+            x2 < 150.0,
+            "{name}: chi-square {x2:.1} — leaves not uniform"
+        );
     }
 }
 
@@ -83,7 +86,10 @@ fn secure_link_rate_is_workload_independent() {
             .ns_benchmarks(vec![Benchmark::Libq; 7])
             .build()
             .expect("valid");
-        let r = Simulation::new(cfg).expect("valid").run().expect("completes");
+        let r = Simulation::new(cfg)
+            .expect("valid")
+            .run()
+            .expect("completes");
         let (to_sd, _) = r.secure_link_bytes.expect("D-ORAM");
         // Only count the CPU→SD direction: it carries exactly the paced
         // secure request stream plus NS traffic — compare against ORAM
@@ -115,7 +121,10 @@ fn dummies_fill_idle_sapp_time() {
         .ns_accesses(600)
         .build()
         .expect("valid");
-    let r = Simulation::new(cfg).expect("valid").run().expect("completes");
+    let r = Simulation::new(cfg)
+        .expect("valid")
+        .run()
+        .expect("completes");
     let oram = r.oram.expect("SD ran");
     assert!(
         oram.dummy_accesses > 0,

@@ -35,7 +35,10 @@ fn kitchen_sink(seed: u64) -> RunReport {
         .max_mem_cycles(100_000_000)
         .build()
         .expect("valid configuration");
-    Simulation::new(cfg).expect("valid").run().expect("completes")
+    Simulation::new(cfg)
+        .expect("valid")
+        .run()
+        .expect("completes")
 }
 
 #[test]
@@ -68,10 +71,7 @@ fn kitchen_sink_is_deterministic() {
     let b = kitchen_sink(7);
     assert_eq!(a.ns_exec_cpu_cycles, b.ns_exec_cpu_cycles);
     assert_eq!(a.total_mem_cycles, b.total_mem_cycles);
-    assert_eq!(
-        a.oram.unwrap().real_accesses,
-        b.oram.unwrap().real_accesses
-    );
+    assert_eq!(a.oram.unwrap().real_accesses, b.oram.unwrap().real_accesses);
 }
 
 #[test]
@@ -188,7 +188,10 @@ fn faulty_soak_recovers_everything_and_stays_deterministic() {
             .max_mem_cycles(100_000_000)
             .build()
             .expect("valid");
-        Simulation::new(cfg).expect("valid").run().expect("recovers")
+        Simulation::new(cfg)
+            .expect("valid")
+            .run()
+            .expect("recovers")
     };
     let r = soak();
     let fr = r.faults.clone().expect("D-ORAM reports fault activity");
@@ -196,7 +199,10 @@ fn faulty_soak_recovers_everything_and_stays_deterministic() {
     assert!(fr.injected.bit_flips > 0, "DRAM plan active");
     assert!(fr.crc_errors > 0, "frames were corrupted");
     assert!(fr.retransmissions > 0, "link recovery ran");
-    assert!(fr.integrity_failures > 0 && fr.refetches > 0, "SD recovery ran");
+    assert!(
+        fr.integrity_failures > 0 && fr.refetches > 0,
+        "SD recovery ran"
+    );
     assert!(fr.total_recovery_cycles() > 0, "recovery costs latency");
     assert!(fr.quarantined_subs.is_empty(), "rates stay sub-threshold");
     // All NS tenants and the S-App made progress despite the faults.
