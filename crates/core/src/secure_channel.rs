@@ -1544,8 +1544,8 @@ mod tests {
         }
         assert_eq!(out.resp, full_out.resp, "resumed run matches uninterrupted");
         assert_eq!(b.sd_fault_stats(), full.sd_fault_stats());
-        // The rebuilt freshness tree re-serializes bit-identically, so a
-        // second save proves the tree state survived the round trip.
+        // The resumed state re-serializes bit-identically, so a second
+        // save proves the freshness leaves survived the round trip.
         let mut w_full = SnapshotWriter::new();
         full.save_state(&mut w_full);
         let mut w_b = SnapshotWriter::new();

@@ -2,22 +2,24 @@
 //! the paper's Path ORAM datapath (path read, stash, write-back).
 
 use super::{blame_held, SdFaultStats, SecureChannelConfig, SD_SUB_SITE_BASE};
-use doram_crypto::{BucketIntegrity, MerkleTree, DIGEST_BYTES};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel};
 use doram_obs::{BlameClass, EventKind, SharedRecorder, Subsystem};
 use doram_oram::verified::RecoveryPolicy;
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
-use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::SnapshotError;
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Depth of the SD's freshness Merkle tree when armed: `2^14` leaves,
-/// one per distinct bucket address, assigned on first touch. Runs that
-/// touch more buckets than there are leaves gracefully fall back to
-/// per-bucket CMAC protection for the overflow addresses (freshness is
-/// then only best-effort there — noted in SECURITY.md).
+/// one per distinct bucket address, assigned on first touch. The
+/// simulator builds no tree: it models one by its verdict and by
+/// [`FRESHNESS_COST`]. Buckets first touched after the leaves run out
+/// keep MAC-only cover, so a replay of them goes undetected (SECURITY.md,
+/// "leaf exhaustion").
 const FRESHNESS_DEPTH: u32 = 14;
+/// Leaves of the freshness tree: the most buckets it can hold.
+const FRESHNESS_LEAVES: usize = 1 << FRESHNESS_DEPTH;
 /// Modeled memory cycles per tree level walked when verifying or
 /// re-hashing a bucket's freshness leaf.
 const FRESHNESS_HOP_CYCLES: u64 = 1;
@@ -36,34 +38,37 @@ struct RefetchTicket {
     attempts: u32,
 }
 
-/// The SD's verifier: a per-bucket CMAC tag store over a version-per-write
-/// payload model, the freshness tree (armed only under an adversarial
-/// fault plan), the injectors faulting reads in transit, the per-sub
-/// health breakers and every recovery queue. Each ORAM completion passes
-/// through [`SdVerifier::verify`]; a failure climbs re-fetch → quarantine
-/// → parity rebuild, or latches fail-stop.
+/// The SD's verifier. It models the two §III-B integrity checks by their
+/// verdicts: the per-bucket CMAC tag, and the freshness Merkle tree whose
+/// root stays on chip (armed only under an adversarial fault plan). Both
+/// only ever hold a bucket's current image, its address and write version
+/// ([`SdVerifier::payload_bytes`]), so a checked read is intact iff its
+/// wire image equals that image; each tree walk costs [`FRESHNESS_COST`]
+/// cycles. The verifier also owns the injectors faulting reads in
+/// transit, the per-sub health breakers and every recovery queue. Each
+/// ORAM completion passes through [`SdVerifier::verify`]; a failure
+/// climbs re-fetch → quarantine → parity rebuild, or latches fail-stop.
 #[derive(Debug)]
 pub(super) struct SdVerifier {
-    integrity: BucketIntegrity,
     /// Write counter per bucket address — the authenticated payload. A
     /// timing simulation carries no data, so the version stands in for
-    /// the bucket contents: every write re-tags, every read re-verifies.
+    /// the bucket contents: every write bumps it, every checked read is
+    /// compared against it.
     versions: HashMap<u64, u64>,
     /// Previous version per bucket: the stale-but-once-authentic image a
     /// replay or rollback adversary re-supplies. Tracked only while the
     /// freshness tree is armed.
     prev_versions: HashMap<u64, u64>,
-    /// Freshness Merkle tree, armed iff the fault plan carries any
-    /// adversarial rates ([`doram_sim::fault::FaultPlan::has_adversary`]).
-    /// The root models the SD's tamper-proof on-chip freshness register;
-    /// since the per-bucket CMAC tag store lives in the same untrusted
-    /// DRAM as the buckets, replayed (tag, payload) pairs verify under
-    /// CMAC alone and only the tree catches them. `None` on legacy plans:
-    /// no allocation, no modeled cost, no behavioural change.
-    freshness: Option<MerkleTree>,
-    /// Bucket address → freshness leaf, assigned on first touch.
-    leaves: HashMap<u64, u64>,
-    next_leaf: u64,
+    /// Freshness tree armed: the fault plan carries adversarial rates
+    /// ([`doram_sim::fault::FaultPlan::has_adversary`]). The CMAC tag
+    /// lives in the same untrusted DRAM as its bucket, so a replayed
+    /// (tag, payload) pair passes the MAC and only the tree catches it.
+    /// Unarmed runs assign no leaves and charge no walks.
+    armed: bool,
+    /// Buckets holding a freshness leaf, at most [`FRESHNESS_LEAVES`],
+    /// assigned on first touch. Which leaf a bucket holds never decides a
+    /// verdict, so only the set is kept.
+    leaves: HashSet<u64>,
     injector: FaultInjector,
     /// Per-sub overlay injectors rolling *only* site-scoped bursts at
     /// site `SD_SUB_SITE_BASE + i`. A plan without site windows leaves
@@ -128,10 +133,6 @@ pub(super) struct SdVerifier {
 impl SdVerifier {
     pub(super) fn new(cfg: &SecureChannelConfig) -> SdVerifier {
         let n_subs = cfg.sub_channels.len();
-        let seed = cfg.seed;
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&(seed ^ 0x5D_1234_5678).to_le_bytes());
         let plan = &cfg.fault_plan;
         let sub_policy = HealthPolicy {
             degrade_threshold: 1,
@@ -140,14 +141,10 @@ impl SdVerifier {
             probation_successes: cfg.probation_successes,
         };
         SdVerifier {
-            integrity: BucketIntegrity::new(key),
             versions: HashMap::new(),
             prev_versions: HashMap::new(),
-            freshness: plan
-                .has_adversary()
-                .then(|| MerkleTree::new(FRESHNESS_DEPTH, key)),
-            leaves: HashMap::new(),
-            next_leaf: 0,
+            armed: plan.has_adversary(),
+            leaves: HashSet::new(),
             // Site 0x5D00: the SD's DRAM bus, distinct from link sites.
             injector: plan.injector(0x5D00),
             sub_injectors: (0..n_subs)
@@ -404,10 +401,10 @@ impl SdVerifier {
 
     // --- Verification and recovery.
 
-    /// Checks one completion's bucket: writes re-tag it, reads verify its
-    /// CMAC and freshness leaf against the (possibly faulted) wire image.
-    /// Returns whether the bucket is intact, plus the modeled
-    /// freshness-walk cycles to charge.
+    /// Checks one completion's bucket: a write bumps its version (the SD
+    /// re-tags it), a read compares the (possibly faulted) wire image with
+    /// the bucket's current image. Returns whether the bucket is intact,
+    /// plus the modeled freshness-walk cycles to charge.
     fn authenticate(
         &mut self,
         sub: usize,
@@ -416,36 +413,25 @@ impl SdVerifier {
         ticket: Option<RefetchTicket>,
     ) -> (bool, u64) {
         let addr = req.addr;
-        let armed = self.freshness.is_some();
         if req.op == MemOp::Write {
-            // Every path write bumps the bucket version and re-tags it.
             let v = self.versions.entry(addr).or_insert(0);
             *v += 1;
-            let version = *v;
-            if armed {
-                self.prev_versions.insert(addr, version - 1);
+            if self.armed {
+                self.prev_versions.insert(addr, *v - 1);
             }
-            let mut cost = 0;
-            if self.retag(addr, version) {
-                cost = self.charge_walk();
-            }
-            return (true, cost);
+            // A leafed bucket's write re-hashes its tree path.
+            let leafed = self.leaf(addr);
+            return (true, if leafed { self.charge_walk() } else { 0 });
         }
         let overlay_on = !self.sub_injectors[sub].is_disabled();
-        if (!armed && self.injector.is_disabled() && !overlay_on) || !self.is_serving(sub) {
+        if (!self.armed && self.injector.is_disabled() && !overlay_on) || !self.is_serving(sub) {
             return (true, 0);
         }
         let current = self.versions.get(&addr).copied().unwrap_or(0);
-        let payload = Self::payload_bytes(addr, current);
-        // First sight of an unwritten bucket: adopt its tag, then hold
-        // every later read to it.
-        self.integrity.verify_or_adopt(addr, &payload);
-        let mut cost = 0;
-        let leaf = self.leaf_for(addr, &payload);
-        if leaf.is_some() {
-            cost = self.charge_walk();
-        }
-        let mut wire = payload.to_vec();
+        let image = Self::payload_bytes(addr, current);
+        let leafed = self.leaf(addr);
+        let cost = if leafed { self.charge_walk() } else { 0 };
+        let mut wire = image;
         if self.injector.roll(FaultKind::BitFlip, now) {
             self.injector.flip_bit(&mut wire);
         }
@@ -475,34 +461,29 @@ impl SdVerifier {
                 .filter(|&(&a, _)| a != addr)
                 .max_by_key(|&(&a, _)| a)
             {
-                Some((&oa, &ov)) => wire = Self::payload_bytes(oa, ov).to_vec(),
+                Some((&oa, &ov)) => wire = Self::payload_bytes(oa, ov),
                 // No other bucket exists yet: nothing to splice from.
                 None => relocated = false,
             }
         } else if replayed || rewound {
             let stale = self.prev_versions.get(&addr).copied().unwrap_or(current);
             if stale != current {
-                wire = Self::payload_bytes(addr, stale).to_vec();
+                wire = Self::payload_bytes(addr, stale);
             } else {
                 // Replaying the current image serves nothing stale.
                 replayed = false;
                 rewound = false;
             }
         }
-        // CMAC alone: the tag store shares the untrusted DRAM, so a
-        // replayed/rolled-back (payload, tag) pair still verifies — only
-        // the relocation (address-bound tag) and garbling classes fail.
-        let mac_ok = if forged || relocated {
-            false
-        } else if replayed || rewound {
-            true
-        } else {
-            self.integrity.verify(addr, &wire)
-        };
-        let fresh_ok = match (leaf, self.freshness.as_ref()) {
-            (Some(l), Some(tree)) => tree.verify(l, &wire),
-            _ => true,
-        };
+        // The tag and the leaf both hold the current image, so each check
+        // reduces to comparing the wire image with it. The MAC fails a
+        // forged tag or a relocated bucket (the tag is address-bound) but
+        // passes a replayed or rolled-back (payload, tag) pair, whose tag
+        // shares the untrusted DRAM; the on-chip root fails any other
+        // image of a leafed bucket.
+        let current_image = wire == image;
+        let mac_ok = !(forged || relocated) && (replayed || rewound || current_image);
+        let fresh_ok = !leafed || current_image;
         if mac_ok && fresh_ok {
             let t = self.health[sub].on_success(now);
             self.note(sub, t);
@@ -629,7 +610,9 @@ impl SdVerifier {
     /// sub-channels. Returns the repaired bucket's owning sub, if any.
     fn scrub(&mut self, now: MemCycle) -> Option<usize> {
         let repaired = if let Some(addr) = self.corrupt.pop_first() {
-            self.retag(addr, self.versions.get(&addr).copied().unwrap_or(0));
+            // The repair re-tags the bucket at its current version, which
+            // gives it a freshness leaf on first touch; no walk is charged.
+            self.leaf(addr);
             self.scrub_repairs += 1;
             self.owners.get(&addr).copied()
         } else {
@@ -660,19 +643,6 @@ impl SdVerifier {
         repaired
     }
 
-    /// Records `addr`'s CMAC tag at `version` and re-hashes its freshness
-    /// leaf, if it has one. Returns whether a leaf was re-hashed.
-    fn retag(&mut self, addr: u64, version: u64) -> bool {
-        let payload = Self::payload_bytes(addr, version);
-        self.integrity.record(addr, &payload);
-        let Some(leaf) = self.leaf_for(addr, &payload) else {
-            return false;
-        };
-        let tree = self.freshness.as_mut().expect("leaf implies tree");
-        tree.update(leaf, &payload);
-        true
-    }
-
     /// The authenticated bucket image: address ‖ version, both LE. The
     /// address half makes two buckets at the same version distinct, so
     /// a relocated copy never aliases the expected image.
@@ -683,24 +653,13 @@ impl SdVerifier {
         p
     }
 
-    /// The freshness leaf for `addr`, assigning (and adopting the current
-    /// image into) one on first touch. `None` when the tree is unarmed or
-    /// its leaves are exhausted (the bucket then keeps CMAC-only cover).
-    fn leaf_for(&mut self, addr: u64, current: &[u8; 16]) -> Option<u64> {
-        self.freshness.as_ref()?;
-        if let Some(&l) = self.leaves.get(&addr) {
-            return Some(l);
-        }
-        let tree = self.freshness.as_mut().expect("checked above");
-        if self.next_leaf >= tree.num_leaves() {
-            return None;
-        }
-        let l = self.next_leaf;
-        self.next_leaf += 1;
-        self.leaves.insert(addr, l);
-        // First sight: adopt, mirroring BucketIntegrity::verify_or_adopt.
-        tree.update(l, current);
-        Some(l)
+    /// Whether `addr` holds a freshness leaf, assigning one on first touch
+    /// while any remain. Always `false` when the tree is unarmed; a bucket
+    /// first touched after the leaves run out keeps MAC-only cover.
+    fn leaf(&mut self, addr: u64) -> bool {
+        self.armed
+            && (self.leaves.contains(&addr)
+                || (self.leaves.len() < FRESHNESS_LEAVES && self.leaves.insert(addr)))
     }
 
     /// Charges one modeled root-to-leaf walk.
@@ -722,25 +681,19 @@ impl SdVerifier {
         }
     }
 
-    /// Rebuilds the freshness tree from its authoritative inputs after a
-    /// restore: every leaf holds the hash of its bucket's *current* image
-    /// (each write re-hashes), so replaying one update per mapping restores
-    /// the exact state.
-    fn rebuild_freshness(&mut self) -> Result<(), SnapshotError> {
-        let Some(tree) = self.freshness.as_mut() else {
-            if self.leaves.is_empty() {
-                return Ok(());
-            }
+    /// Checks a restored leaf set against the config: only an armed tree
+    /// has leaves, and never more than [`FRESHNESS_LEAVES`].
+    fn check_leaves(&self) -> Result<(), SnapshotError> {
+        if !self.armed && !self.leaves.is_empty() {
             return Err(SnapshotError::new(
                 "checkpoint carries freshness leaves but the config arms no tree",
             ));
-        };
-        for (&addr, &leaf) in &self.leaves {
-            if leaf >= tree.num_leaves() {
-                return Err(SnapshotError::new("freshness leaf out of range"));
-            }
-            let version = self.versions.get(&addr).copied().unwrap_or(0);
-            tree.update(leaf, &Self::payload_bytes(addr, version));
+        }
+        if self.leaves.len() > FRESHNESS_LEAVES {
+            return Err(SnapshotError::new(format!(
+                "checkpoint carries {} freshness leaves but the tree has {FRESHNESS_LEAVES}",
+                self.leaves.len()
+            )));
         }
         Ok(())
     }
@@ -748,42 +701,13 @@ impl SdVerifier {
 
 doram_sim::impl_codec!(struct RefetchTicket { orig, detect, attempts });
 
-/// The CMAC tag store travels as address-sorted `(addr, tag)` pairs, each
-/// tag length-prefixed and checked to be one digest long on load.
-fn save_tags(integrity: &BucketIntegrity, w: &mut SnapshotWriter) {
-    let tags: Vec<(u64, Vec<u8>)> = integrity
-        .export_tags()
-        .into_iter()
-        .map(|(addr, tag)| (addr, tag.to_vec()))
-        .collect();
-    tags.put(w);
-}
-
-fn load_tags(
-    integrity: &mut BucketIntegrity,
-    r: &mut SnapshotReader<'_>,
-) -> Result<(), SnapshotError> {
-    let mut tags = Vec::new();
-    for (addr, tag) in Vec::<(u64, Vec<u8>)>::get(r)? {
-        let tag: [u8; DIGEST_BYTES] = tag
-            .try_into()
-            .map_err(|_| SnapshotError::new("bad integrity tag length"))?;
-        tags.push((addr, tag));
-    }
-    integrity.import_tags(tags);
-    Ok(())
-}
-
-// The freshness tree is rebuilt from `leaves` + `versions`; health
-// transitions drain within every tick, so none are pending between ticks.
-// The three queues come last, after the rest of this state, as the golden
-// checkpoint table pins.
+// Health transitions drain within every tick, so none are pending between
+// ticks. The three queues come last, after the rest of this state, as the
+// golden checkpoint table pins.
 doram_sim::impl_snapshot!(SdVerifier {
-    integrity: via(save_tags, load_tags),
     versions,
     prev_versions,
     leaves,
-    next_leaf,
     replay_detected,
     relocation_detected,
     rollback_rejected,
@@ -809,21 +733,21 @@ doram_sim::impl_snapshot!(SdVerifier {
     pending_refetch,
     pending_rebuild,
 } skip {
-    freshness,
+    armed,
     policy,
     parity,
     scrub_every,
     transitions,
     obs,
     blame_res,
-} after_load SdVerifier::rebuild_freshness);
+} after_load SdVerifier::check_leaves);
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::cfg;
     use super::*;
     use doram_sim::fault::{FaultPlan, FaultRates, FaultWindow};
-    use doram_sim::snapshot::Snapshot;
+    use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
 
     /// An armed verifier whose sub-channel 0 replays every bucket read
     /// over cycles [0, 1,000) and flips a bit in every read over
@@ -916,6 +840,20 @@ mod tests {
             .load_state(&mut SnapshotReader::new(&bytes))
             .unwrap_err();
         let want = "checkpoint carries freshness leaves but the config arms no tree";
+        assert!(err.to_string().contains(want), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_more_leaves_than_the_tree_has() {
+        let mut v = armed();
+        v.leaves.extend(0..=FRESHNESS_LEAVES as u64);
+        let mut w = SnapshotWriter::new();
+        v.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let err = armed()
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .unwrap_err();
+        let want = "checkpoint carries 16385 freshness leaves but the tree has 16384";
         assert!(err.to_string().contains(want), "{err}");
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! The node function is CMAC-based (keyed), so the whole construction
 //! reuses the crate's verified AES core. The tree is dense and in-memory
-//! — suitable for the SD's metadata over the ORAM region (one hash per
-//! bucket) and for tests/examples.
+//! — suitable for small metadata regions and for tests/examples. The
+//! timing simulator's SD builds no tree: it models its freshness tree by
+//! verdict and walk cost.
 
 use crate::mac::Cmac;
 
@@ -169,11 +170,13 @@ impl MerkleTree {
 ///
 /// The dense [`MerkleTree`] is right for small metadata regions, but an
 /// L=23 Path ORAM tree has 2^24 buckets — far too many to hash eagerly.
-/// The Secure Delegator instead keeps one CMAC tag per *touched* bucket:
-/// a bucket's tag is recorded on write-back and checked on every path
-/// read, which is exactly the integrity guarantee the SD needs (the
+/// The store instead keeps one CMAC tag per *touched* bucket: a bucket's
+/// tag is recorded on write-back and checked on every path read, which is
+/// exactly the integrity guarantee the Secure Delegator needs (the
 /// position map and stash are on-chip and trusted; only DRAM contents can
-/// be tampered with).
+/// be tampered with). The functional Path ORAM model in `doram-oram`
+/// computes these tags for real; the timing simulator's SD models the
+/// same check by its verdict.
 ///
 /// Tags are domain-separated from both Merkle node kinds and bound to the
 /// bucket address, so a valid (payload, tag) pair for bucket A cannot be
@@ -220,46 +223,11 @@ impl BucketIntegrity {
     }
 
     /// Whether `payload` matches the recorded tag for `addr`. A bucket
-    /// that was never recorded fails — reads of untracked buckets should
-    /// use [`BucketIntegrity::verify_or_adopt`].
+    /// that was never recorded fails.
     pub fn verify(&self, addr: u64, payload: &[u8]) -> bool {
         self.tags
             .get(&addr)
             .is_some_and(|t| *t == self.tag(addr, payload))
-    }
-
-    /// Verifies `payload` against the recorded tag, adopting it as
-    /// authentic if this is the first time `addr` is seen. Models the
-    /// initialization handshake: the first fetch of an untouched bucket
-    /// (all-dummy contents, written during tree setup) defines its tag.
-    pub fn verify_or_adopt(&mut self, addr: u64, payload: &[u8]) -> bool {
-        let tag = self.tag(addr, payload);
-        *self.tags.entry(addr).or_insert(tag) == tag
-    }
-
-    /// Whether `addr` has a recorded tag.
-    pub fn is_tracked(&self, addr: u64) -> bool {
-        self.tags.contains_key(&addr)
-    }
-
-    /// Number of buckets currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// All recorded `(addr, tag)` pairs sorted by address, for
-    /// checkpointing. The key is configuration and is not exported.
-    pub fn export_tags(&self) -> Vec<(u64, [u8; DIGEST_BYTES])> {
-        let mut out: Vec<(u64, Digest)> = self.tags.iter().map(|(&a, &t)| (a, t)).collect();
-        out.sort_unstable_by_key(|&(a, _)| a);
-        out
-    }
-
-    /// Replaces the recorded tags with `tags` (a checkpoint restore). The
-    /// store must have been built with the same key the tags were recorded
-    /// under, or subsequent verifies will fail.
-    pub fn import_tags(&mut self, tags: impl IntoIterator<Item = (u64, [u8; DIGEST_BYTES])>) {
-        self.tags = tags.into_iter().collect();
     }
 }
 
@@ -367,27 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn adopt_on_first_sight_then_enforce() {
-        let mut store = BucketIntegrity::new([10; 16]);
-        assert!(
-            store.verify_or_adopt(7, b"initial dummy"),
-            "first sight adopts"
-        );
-        assert!(store.is_tracked(7));
-        assert!(store.verify_or_adopt(7, b"initial dummy"));
-        assert!(
-            !store.verify_or_adopt(7, b"forged"),
-            "later tampering fails"
-        );
-        assert_eq!(store.tracked(), 1);
-    }
-
-    #[test]
     fn bucket_store_is_sparse() {
         let mut store = BucketIntegrity::new([11; 16]);
         // Addresses far beyond any dense tree's reach are fine.
         store.record(1 << 60, b"far");
         assert!(store.verify(1 << 60, b"far"));
-        assert_eq!(store.tracked(), 1);
     }
 }

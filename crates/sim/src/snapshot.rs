@@ -65,11 +65,16 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// histograms, and in-flight access ledger — so a resumed traced run
 /// continues its telemetry exactly.
 ///
-/// Version 6 (this build) dropped each link direction's backoff-jitter
-/// stream, wrote the link serializer's class with `Option`'s codec, left
-/// the SD's read-merging buffers (empty between ticks) out of the
-/// payload, and renamed D-ORAM's normal channels in checkpointed blame
-/// rows to their paper numbers (`ch1`–`ch3`). Older files are rejected
+/// Version 6 dropped each link direction's backoff-jitter stream, wrote
+/// the link serializer's class with `Option`'s codec, left the SD's
+/// read-merging buffers (empty between ticks) out of the payload, and
+/// renamed D-ORAM's normal channels in checkpointed blame rows to their
+/// paper numbers (`ch1`–`ch3`).
+///
+/// Version 7 (this build) dropped the SD verifier's CMAC tag section and
+/// its leaf counter, and writes its freshness leaves as a set of bucket
+/// addresses: the verifier models its checks by verdict and cost, so no
+/// behaviour read the tags or the leaf numbers. Older files are rejected
 /// with [`SnapshotErrorKind::BadVersion`] — re-run from the start rather
 /// than resuming across the format change.
 ///
@@ -78,7 +83,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
 /// changes the payload: bump this version and re-bless the golden
 /// checkpoint table (`tests/golden_checkpoints.rs`).
-pub const CHECKPOINT_VERSION: u32 = 6;
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
 /// layer that owns the key; all-zero when the run is unkeyed).

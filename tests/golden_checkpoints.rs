@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint format version the table below was blessed under.
-const GOLDEN_VERSION: u32 = 6;
+const GOLDEN_VERSION: u32 = 7;
 
 /// Checkpoint interval of every case, in memory cycles.
 const CHECKPOINT_EVERY: u64 = 1_500;
@@ -55,14 +55,14 @@ const GOLDEN: &[Golden] = &[
     ("baseline", 6000, 0x07bf0f4bd3e20c04, 0x5603d2b867431f98),
     ("secure-memory", 6000, 0x486112ac3a4cdc1c, 0x945ebc7c5b51cf21),
     ("partition1s", 6000, 0xb6c4338630df56da, 0x39d5811259c35e58),
-    ("doram-k0c7", 4500, 0x5c72ba5eaec9c7e8, 0x2caf9f6073d3e7b1),
-    ("doram-k2c7-merge-pipeline", 6000, 0x7e307794ffcd7d15, 0x86d22924f264ecf4),
-    ("doram-k1c4-degraded-faults", 6000, 0x111ff2fab3ba12a9, 0x9e6fe60d661b75e4),
-    ("doram-k1c4-hostile-sub", 6000, 0xc5eec820f6ca9849, 0xf960a8ea5ab506aa),
-    ("doram-k0c7-adversary", 4500, 0xddfbc18b99c5b89b, 0xcbb42ad7e641456c),
-    ("doram-k0c7-recorder", 4500, 0x8aa6f8e0f5150689, 0x2caf9f6073d3e7b1),
+    ("doram-k0c7", 4500, 0x679380050f52a3da, 0x2caf9f6073d3e7b1),
+    ("doram-k2c7-merge-pipeline", 6000, 0xf52a984fce287726, 0x86d22924f264ecf4),
+    ("doram-k1c4-degraded-faults", 6000, 0x2da7fb1638d50fe9, 0x9e6fe60d661b75e4),
+    ("doram-k1c4-hostile-sub", 6000, 0x2a5546876b019c93, 0xf960a8ea5ab506aa),
+    ("doram-k0c7-adversary", 4500, 0x6d1402da2df1654b, 0xcbb42ad7e641456c),
+    ("doram-k0c7-recorder", 4500, 0x158c644d8f07dd57, 0x2caf9f6073d3e7b1),
     ("baseline-recorder", 6000, 0xbdcf5f065cbff2f8, 0x5603d2b867431f98),
-    ("doram-k1c4-recovery-recorder", 6000, 0x8213f8466c908783, 0x5d5868f3a9f6c8e7),
+    ("doram-k1c4-recovery-recorder", 6000, 0x4145ec6581aecca7, 0x5d5868f3a9f6c8e7),
 ];
 
 struct Case {
