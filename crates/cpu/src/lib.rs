@@ -10,9 +10,10 @@
 //! posted at retirement and only stall the core through write-queue
 //! back-pressure.
 //!
-//! The [`Llc`] is the 4 MB last-level cache of Table II, used by examples
-//! and by trace post-processing; the default experiments feed the cores
-//! post-LLC traces exactly as USIMM does.
+//! The [`Llc`] is the 4 MB last-level cache of Table II. No simulation,
+//! trace path or example uses it: the experiments feed the cores post-LLC
+//! traces exactly as USIMM does. Only this crate's property tests and
+//! the workspace's protocol-stack test exercise it.
 //!
 //! # Examples
 //!

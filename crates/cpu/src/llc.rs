@@ -1,9 +1,10 @@
 //! Shared last-level cache (Table II: 4 MB).
 //!
-//! Set-associative, true-LRU, write-back + write-allocate. Used by the LLC
-//! filtering example and available for trace pipelines; the default co-run
-//! experiments use post-LLC traces (the MPKI of Table III already counts
-//! LLC misses), matching USIMM's methodology.
+//! Set-associative, true-LRU, write-back + write-allocate. No simulation,
+//! trace path or example uses it; only this crate's property tests and
+//! the workspace's protocol-stack test do. The co-run experiments use
+//! post-LLC traces (the MPKI of Table III already counts LLC misses),
+//! matching USIMM's methodology.
 
 /// Outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
