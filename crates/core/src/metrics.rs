@@ -22,7 +22,7 @@ pub struct OramSummary {
 
 /// Fault-injection and recovery activity of a run, aggregated over every
 /// serial link and the SD's verifier.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Faults injected, by kind (links + SD DRAM).
     pub injected: FaultCounts,
@@ -43,7 +43,8 @@ pub struct FaultReport {
     pub refetches: u64,
     /// Memory cycles between integrity-failure detection and recovery.
     pub sd_recovery_cycles: u64,
-    /// Secure sub-channels latched into fail-stop quarantine.
+    /// Secure sub-channels latched into fail-stop quarantine, in ascending
+    /// index order.
     pub quarantined_subs: Vec<usize>,
     /// Bucket reads reconstructed from parity shares after a sub-channel
     /// loss (degraded-mode operation).
@@ -74,64 +75,6 @@ pub struct FaultReport {
     /// traces *and* have hit an unrecoverable link retry, for example).
     pub latched_fault: Option<String>,
 }
-
-/// `quarantined_subs` is a *set* of sub-channel indices; aggregation
-/// order must not affect equality, so comparison sorts both sides.
-impl PartialEq for FaultReport {
-    fn eq(&self, other: &FaultReport) -> bool {
-        let FaultReport {
-            injected,
-            retransmissions,
-            crc_errors,
-            timeouts,
-            exhausted_retries,
-            link_recovery_cycles,
-            integrity_failures,
-            refetches,
-            sd_recovery_cycles,
-            quarantined_subs,
-            parity_rebuilds,
-            scrub_repairs,
-            replay_detected,
-            relocation_detected,
-            rollback_rejected,
-            freshness_ops,
-            freshness_cycles,
-            sub_health,
-            quarantine_entries,
-            unhealthy_cycles,
-            latched_fault,
-        } = self;
-        let sorted = |v: &[usize]| {
-            let mut s = v.to_vec();
-            s.sort_unstable();
-            s
-        };
-        *injected == other.injected
-            && *retransmissions == other.retransmissions
-            && *crc_errors == other.crc_errors
-            && *timeouts == other.timeouts
-            && *exhausted_retries == other.exhausted_retries
-            && *link_recovery_cycles == other.link_recovery_cycles
-            && *integrity_failures == other.integrity_failures
-            && *refetches == other.refetches
-            && *sd_recovery_cycles == other.sd_recovery_cycles
-            && sorted(quarantined_subs) == sorted(&other.quarantined_subs)
-            && *parity_rebuilds == other.parity_rebuilds
-            && *scrub_repairs == other.scrub_repairs
-            && *replay_detected == other.replay_detected
-            && *relocation_detected == other.relocation_detected
-            && *rollback_rejected == other.rollback_rejected
-            && *freshness_ops == other.freshness_ops
-            && *freshness_cycles == other.freshness_cycles
-            && *sub_health == other.sub_health
-            && *quarantine_entries == other.quarantine_entries
-            && *unhealthy_cycles == other.unhealthy_cycles
-            && *latched_fault == other.latched_fault
-    }
-}
-
-impl Eq for FaultReport {}
 
 impl FaultReport {
     /// Whether any fault fired or any recovery ran.
@@ -281,20 +224,6 @@ mod tests {
         assert_eq!(r.ns_exec_worst(), 0);
         assert_eq!(r.ns_read_percentile(0.5), None);
         assert_eq!(r.total_energy_mj(), 0.0);
-    }
-
-    #[test]
-    fn fault_report_equality_ignores_quarantine_order() {
-        let report = |subs: Vec<usize>| FaultReport {
-            quarantined_subs: subs,
-            ..FaultReport::default()
-        };
-        assert_eq!(report(vec![2, 1]), report(vec![1, 2]));
-        assert_ne!(report(vec![1]), report(vec![1, 2]));
-        // Non-set fields still participate.
-        let mut other = report(vec![1, 2]);
-        other.refetches = 1;
-        assert_ne!(report(vec![2, 1]), other);
     }
 
     #[test]

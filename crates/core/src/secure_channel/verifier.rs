@@ -53,7 +53,7 @@ pub(super) struct SdVerifier {
     /// Write counter per bucket address — the authenticated payload. A
     /// timing simulation carries no data, so the version stands in for
     /// the bucket contents: every write bumps it, every checked read is
-    /// compared against it.
+    /// compared against it. Empty unless reads are `checked`.
     versions: HashMap<u64, u64>,
     /// Previous version per bucket: the stale-but-once-authentic image a
     /// replay or rollback adversary re-supplies. Tracked only while the
@@ -65,6 +65,12 @@ pub(super) struct SdVerifier {
     /// (tag, payload) pair passes the MAC and only the tree catches it.
     /// Unarmed runs assign no leaves and charge no walks.
     armed: bool,
+    /// Reads are checked: the plan can fire somewhere, so the SD injector
+    /// can (its [`FaultInjector::is_disabled`] answers for the whole
+    /// plan), and so can any adversary or per-sub overlay. Unchecked runs
+    /// deliver every read as intact and never quarantine, so they keep
+    /// neither `versions` nor `owners`.
+    checked: bool,
     /// Buckets holding a freshness leaf, at most [`FRESHNESS_LEAVES`],
     /// assigned on first touch. Which leaf a bucket holds never decides a
     /// verdict, so only the set is kept.
@@ -106,8 +112,8 @@ pub(super) struct SdVerifier {
     /// Group key → (FSM id to complete, shares outstanding).
     rebuild_groups: HashMap<u64, (RequestId, u32)>,
     next_group: u64,
-    /// Bucket address → sub-channel that last served it (parity only;
-    /// the scrubber's work-discovery map).
+    /// Bucket address → sub-channel that last served it (parity on
+    /// checked runs only; the scrubber's work-discovery map).
     owners: BTreeMap<u64, usize>,
     /// Buckets marked for scrub repair when their home sub quarantined,
     /// repaired in address order.
@@ -144,6 +150,7 @@ impl SdVerifier {
             versions: HashMap::new(),
             prev_versions: HashMap::new(),
             armed: plan.has_adversary(),
+            checked: !plan.is_zero(),
             leaves: HashSet::new(),
             // Site 0x5D00: the SD's DRAM bus, distinct from link sites.
             injector: plan.injector(0x5D00),
@@ -245,7 +252,7 @@ impl SdVerifier {
     ) -> Option<RequestId> {
         let ticket = self.inflight.remove(&c.request.id);
         let orig = ticket.map_or(c.request.id, |t| t.orig);
-        if self.parity {
+        if self.parity && self.checked {
             self.owners.insert(c.request.addr, sub);
         }
         let (intact, cost) = self.authenticate(sub, &c.request, now, ticket);
@@ -414,19 +421,21 @@ impl SdVerifier {
     ) -> (bool, u64) {
         let addr = req.addr;
         if req.op == MemOp::Write {
-            let v = self.versions.entry(addr).or_insert(0);
-            *v += 1;
-            if self.armed {
-                self.prev_versions.insert(addr, *v - 1);
+            if self.checked {
+                let v = self.versions.entry(addr).or_insert(0);
+                *v += 1;
+                if self.armed {
+                    self.prev_versions.insert(addr, *v - 1);
+                }
             }
             // A leafed bucket's write re-hashes its tree path.
             let leafed = self.leaf(addr);
             return (true, if leafed { self.charge_walk() } else { 0 });
         }
-        let overlay_on = !self.sub_injectors[sub].is_disabled();
-        if (!self.armed && self.injector.is_disabled() && !overlay_on) || !self.is_serving(sub) {
+        if !self.checked || !self.is_serving(sub) {
             return (true, 0);
         }
+        let overlay_on = !self.sub_injectors[sub].is_disabled();
         let current = self.versions.get(&addr).copied().unwrap_or(0);
         let image = Self::payload_bytes(addr, current);
         let leafed = self.leaf(addr);
@@ -681,9 +690,10 @@ impl SdVerifier {
         }
     }
 
-    /// Checks a restored leaf set against the config: only an armed tree
-    /// has leaves, and never more than [`FRESHNESS_LEAVES`].
-    fn check_leaves(&self) -> Result<(), SnapshotError> {
+    /// Checks restored state against the config: only an armed tree has
+    /// leaves, never more than [`FRESHNESS_LEAVES`], and only a checked
+    /// run keeps versions and owners.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
         if !self.armed && !self.leaves.is_empty() {
             return Err(SnapshotError::new(
                 "checkpoint carries freshness leaves but the config arms no tree",
@@ -694,6 +704,11 @@ impl SdVerifier {
                 "checkpoint carries {} freshness leaves but the tree has {FRESHNESS_LEAVES}",
                 self.leaves.len()
             )));
+        }
+        if !self.checked && (!self.versions.is_empty() || !self.owners.is_empty()) {
+            return Err(SnapshotError::new(
+                "checkpoint carries bucket versions or owners but the config checks no read",
+            ));
         }
         Ok(())
     }
@@ -734,13 +749,14 @@ doram_sim::impl_snapshot!(SdVerifier {
     pending_rebuild,
 } skip {
     armed,
+    checked,
     policy,
     parity,
     scrub_every,
     transitions,
     obs,
     blame_res,
-} after_load SdVerifier::check_leaves);
+} after_load SdVerifier::check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -796,6 +812,45 @@ mod tests {
         (id, v.verify(0, &c, MemCycle(now), ids))
     }
 
+    /// A verifier with parity on, a 100-cycle scrub period and `plan`.
+    fn with_parity(plan: FaultPlan) -> SdVerifier {
+        SdVerifier::new(&SecureChannelConfig {
+            fault_plan: plan,
+            parity: true,
+            scrub_every: 100,
+            ..cfg(0)
+        })
+    }
+
+    /// A plan that flips a bit in about one SD read per million.
+    fn rare_flips() -> FaultPlan {
+        FaultPlan::with_rates(3, FaultRates::only(FaultKind::BitFlip, 1))
+    }
+
+    /// Writes then reads buckets 0..8 on sub-channel 0, and runs one scrub
+    /// period.
+    fn write_read_scrub(v: &mut SdVerifier) {
+        let mut ids = RequestIdGen::new();
+        for addr in 0..8 {
+            op(v, &mut ids, MemOp::Write, addr, 10);
+            let (id, verdict) = op(v, &mut ids, MemOp::Read, addr, 20);
+            assert_eq!(verdict, Some(id), "bucket {addr} is delivered");
+        }
+        v.end_tick(MemCycle(100));
+    }
+
+    #[test]
+    fn only_checked_runs_keep_versions_and_owners() {
+        let mut v = with_parity(FaultPlan::none());
+        write_read_scrub(&mut v);
+        assert!(v.versions.is_empty(), "no read is checked");
+        assert!(v.owners.is_empty(), "no sub can quarantine");
+
+        let mut v = with_parity(rare_flips());
+        write_read_scrub(&mut v);
+        assert_eq!((v.versions.len(), v.owners.len()), (8, 8));
+    }
+
     /// SECURITY.md's leaf-exhaustion limitation: once every freshness
     /// leaf is taken, a newly touched bucket keeps MAC-only cover, so a
     /// replay of it goes through while a bit flip is still caught.
@@ -841,6 +896,25 @@ mod tests {
             .unwrap_err();
         let want = "checkpoint carries freshness leaves but the config arms no tree";
         assert!(err.to_string().contains(want), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_versions_or_owners_on_an_unchecked_config() {
+        let mut v = with_parity(rare_flips());
+        write_read_scrub(&mut v);
+        let want = "checkpoint carries bucket versions or owners but the config checks no read";
+        for clear_versions in [false, true] {
+            if clear_versions {
+                v.versions.clear();
+            }
+            let mut w = SnapshotWriter::new();
+            v.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let err = with_parity(FaultPlan::none())
+                .load_state(&mut SnapshotReader::new(&bytes))
+                .unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Processor-side models: the trace-driven ROB core and a shared LLC.
+//! Processor-side model: the trace-driven ROB core.
 //!
 //! The core reproduces USIMM's processor front-end (the paper's Table II):
 //! a 128-entry reorder buffer, 4-wide fetch and 4-wide in-order retirement.
@@ -10,10 +10,8 @@
 //! posted at retirement and only stall the core through write-queue
 //! back-pressure.
 //!
-//! The [`Llc`] is the 4 MB last-level cache of Table II. No simulation,
-//! trace path or example uses it: the experiments feed the cores post-LLC
-//! traces exactly as USIMM does. Only this crate's property tests and
-//! the workspace's protocol-stack test exercise it.
+//! There is no cache model: the experiments feed the cores post-LLC
+//! traces, as USIMM does.
 //!
 //! # Examples
 //!
@@ -47,7 +45,5 @@
 //! ```
 
 pub mod core_model;
-pub mod llc;
 
 pub use core_model::{CoreConfig, CoreStats, MemoryPort, TraceCore};
-pub use llc::{filter_through_llc, Llc, LlcAccess};

@@ -1,6 +1,6 @@
-//! Property tests for the ROB core and the LLC.
+//! Property tests for the ROB core.
 
-use doram_cpu::{CoreConfig, Llc, MemoryPort, TraceCore};
+use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
 use doram_sim::RequestId;
 use doram_trace::{AccessOp, TraceRecord};
 use proptest::prelude::*;
@@ -162,40 +162,4 @@ proptest! {
         prop_assert!(slow >= fast, "slow memory finished sooner: {slow} < {fast}");
     }
 
-    /// The LLC agrees with a brute-force LRU reference model.
-    #[test]
-    fn llc_matches_reference_lru(
-        accesses in prop::collection::vec((0u64..512, any::<bool>()), 1..400)
-    ) {
-        // 2-way, 4-set toy cache; reference keeps explicit LRU lists.
-        let mut llc = Llc::new(512, 2, 64);
-        let sets = 4usize;
-        let mut reference: Vec<Vec<(u64, bool)>> = vec![Vec::new(); sets]; // (line, dirty) MRU-last
-        for &(line, is_write) in &accesses {
-            let addr = line * 64;
-            let set = (line as usize) % sets;
-            let r = llc.access(addr, is_write);
-            let entry = reference[set].iter().position(|&(l, _)| l == line);
-            match entry {
-                Some(pos) => {
-                    prop_assert!(r.hit, "model hit, Llc missed line {line}");
-                    let (l, d) = reference[set].remove(pos);
-                    reference[set].push((l, d || is_write));
-                    prop_assert_eq!(r.writeback, None);
-                }
-                None => {
-                    prop_assert!(!r.hit, "model miss, Llc hit line {line}");
-                    let expected_wb = if reference[set].len() == 2 {
-                        let (victim, dirty) = reference[set].remove(0);
-                        dirty.then_some(victim * 64)
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(r.writeback, expected_wb);
-                    reference[set].push((line, is_write));
-                }
-            }
-        }
-        llc.check_invariants().map_err(TestCaseError::fail)?;
-    }
 }

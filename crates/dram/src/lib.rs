@@ -14,7 +14,10 @@
 //! occupancy, bank conflicts, row-buffer misses, write drains and refresh.
 //! The bandwidth-preallocation arbiter of Cooperative Path ORAM
 //! (Wang et al., HPCA'17 \[39\]; §IV of this paper sets its threshold to 50%)
-//! lives in [`arbiter`].
+//! lives in [`arbiter`]. It models pre-allocation as epoch ownership: while
+//! both classes wait, the ORAM class owns that share of the 64-cycle epochs
+//! (counted in quarters), and the scheduler serves the epoch's owner first
+//! until the queue has made no progress for 2·tRC.
 //!
 //! # Examples
 //!

@@ -1,9 +1,8 @@
 //! Per-sub-channel statistics.
 
-use doram_sim::stats::{Counter, RunningMean};
+use doram_sim::stats::Counter;
 
-/// Counters and latency accumulators maintained by a
-/// [`SubChannel`](crate::SubChannel).
+/// Counters maintained by a [`SubChannel`](crate::SubChannel).
 #[derive(Debug, Clone, Default)]
 pub struct SubChannelStats {
     /// READ column commands issued.
@@ -24,10 +23,6 @@ pub struct SubChannelStats {
     pub data_bus_busy: Counter,
     /// Cycles observed (for utilization).
     pub cycles: Counter,
-    /// End-to-end read latency (memory cycles).
-    pub read_latency: RunningMean,
-    /// End-to-end write latency (memory cycles).
-    pub write_latency: RunningMean,
 }
 
 impl SubChannelStats {
@@ -61,8 +56,6 @@ doram_sim::impl_snapshot!(SubChannelStats {
     row_misses,
     data_bus_busy,
     cycles,
-    read_latency: state,
-    write_latency: state,
 });
 
 #[cfg(test)]

@@ -21,8 +21,6 @@
 //!   written, invariants are property-tested);
 //! * [`split`] — the D-ORAM+k tree split across memory channels (§III-C,
 //!   Table I) and its space/message accounting;
-//! * [`recursive`] — a recursive position map (extension; the paper's SD
-//!   holds the map flat);
 //! * [`verified`] — Path ORAM over untrusted, MAC-verified memory with
 //!   fault injection and bounded re-fetch recovery (the SD's threat
 //!   model made functional);
@@ -45,7 +43,6 @@ pub mod metrics;
 pub mod plan;
 pub mod position;
 pub mod protocol;
-pub mod recursive;
 pub mod split;
 pub mod stash;
 pub mod tree;
@@ -56,7 +53,6 @@ pub use metrics::OccupancyProfile;
 pub use plan::{AccessPlan, BlockRef, Placement, PlanConfig, Planner};
 pub use position::PositionMap;
 pub use protocol::PathOram;
-pub use recursive::{RecursiveOram, RecursivePosMap};
 pub use split::{SplitAccounting, SplitConfig};
 pub use stash::Stash;
 pub use tree::TreeGeometry;

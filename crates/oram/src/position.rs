@@ -48,8 +48,7 @@ impl PositionMap {
         leaf
     }
 
-    /// Pins `block` to `leaf` (used when an external authority — e.g. a
-    /// recursive position map — owns the mapping).
+    /// Pins `block` to `leaf`, for a caller that owns the mapping.
     ///
     /// # Panics
     ///

@@ -95,48 +95,11 @@ impl<V: Clone> PathOram<V> {
         self.access(block, Some(value))
     }
 
-    /// Performs one access with *caller-supplied* position-map state: the
-    /// block currently lives on the path to `leaf` and must move to
-    /// `new_leaf`. This is the entry point a recursive position map uses
-    /// (the internal map is bypassed entirely); [`read`]/[`write`] remain
-    /// the self-contained convenience API.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if either leaf is out of range.
-    ///
-    /// [`read`]: PathOram::read
-    /// [`write`]: PathOram::write
-    pub fn access_at(
-        &mut self,
-        block: u64,
-        leaf: u64,
-        new_leaf: u64,
-        new_value: Option<V>,
-    ) -> Option<V> {
-        debug_assert!(leaf < self.geometry.num_leaves());
-        debug_assert!(new_leaf < self.geometry.num_leaves());
-        self.accesses += 1;
-        // Keep the internal map coherent so invariant checking still works.
-        self.posmap.set(block, new_leaf);
-        self.do_access(block, leaf, new_leaf, new_value)
-    }
-
-    /// The four protocol steps of one access (internal position map).
+    /// The four protocol steps of one access.
     fn access(&mut self, block: u64, new_value: Option<V>) -> Option<V> {
         self.accesses += 1;
         let leaf = self.posmap.leaf_of(block);
         let new_leaf = self.posmap.remap(block);
-        self.do_access(block, leaf, new_leaf, new_value)
-    }
-
-    fn do_access(
-        &mut self,
-        block: u64,
-        leaf: u64,
-        new_leaf: u64,
-        new_value: Option<V>,
-    ) -> Option<V> {
         // 1. Read the whole path into the stash.
         for bucket in self.geometry.path(leaf).collect::<Vec<_>>() {
             if let Some(resident) = self.buckets.remove(&bucket) {

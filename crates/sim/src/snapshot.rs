@@ -71,19 +71,24 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// renamed D-ORAM's normal channels in checkpointed blame rows to their
 /// paper numbers (`ch1`–`ch3`).
 ///
-/// Version 7 (this build) dropped the SD verifier's CMAC tag section and
-/// its leaf counter, and writes its freshness leaves as a set of bucket
-/// addresses: the verifier models its checks by verdict and cost, so no
-/// behaviour read the tags or the leaf numbers. Older files are rejected
-/// with [`SnapshotErrorKind::BadVersion`] — re-run from the start rather
-/// than resuming across the format change.
+/// Version 7 dropped the SD verifier's CMAC tag section and its leaf
+/// counter, and writes its freshness leaves as a set of bucket addresses:
+/// the verifier models its checks by verdict and cost, so no behaviour
+/// read the tags or the leaf numbers.
+///
+/// Version 8 (this build) dropped each DRAM sub-channel's share-arbiter
+/// tallies and read/write latency means, which no run read, and keeps the
+/// SD verifier's bucket versions and owners only when a read can be
+/// checked. Older files are rejected with
+/// [`SnapshotErrorKind::BadVersion`] — re-run from the start rather than
+/// resuming across the format change.
 ///
 /// Changing any encoded field — adding, removing, reordering or retyping
 /// one in an [`impl_snapshot!`](crate::impl_snapshot) or
 /// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
 /// changes the payload: bump this version and re-bless the golden
 /// checkpoint table (`tests/golden_checkpoints.rs`).
-pub const CHECKPOINT_VERSION: u32 = 7;
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
 /// layer that owns the key; all-zero when the run is unkeyed).

@@ -26,14 +26,12 @@
 //! assert!(rec.addr % 64 == 0, "line-aligned address");
 //! ```
 
-pub mod analyze;
 pub mod benchmarks;
 pub mod format;
 pub mod generator;
 pub mod record;
 pub mod workload;
 
-pub use analyze::{analyze, TraceStats};
 pub use benchmarks::{Benchmark, Suite};
 pub use format::{parse_trace, write_trace, ParseTraceError};
 pub use generator::{FiniteTrace, TraceGenerator};

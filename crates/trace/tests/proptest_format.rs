@@ -1,6 +1,6 @@
 //! Property tests for the trace text format.
 
-use doram_trace::{analyze, parse_trace, write_trace, AccessOp, TraceRecord};
+use doram_trace::{parse_trace, write_trace, AccessOp, TraceRecord};
 use proptest::prelude::*;
 
 fn gen_records() -> impl Strategy<Value = Vec<TraceRecord>> {
@@ -28,14 +28,6 @@ proptest! {
     #[test]
     fn parser_total_on_garbage(text in ".{0,300}") {
         let _ = parse_trace(&text);
-    }
-
-    /// Analysis of a round-tripped trace is unchanged.
-    #[test]
-    fn analysis_stable_under_serialization(records in gen_records()) {
-        let direct = analyze(records.iter());
-        let parsed = parse_trace(&write_trace(&records)).unwrap();
-        prop_assert_eq!(analyze(parsed.iter()), direct);
     }
 
     /// Error line numbers point at the offending line.

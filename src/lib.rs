@@ -42,7 +42,7 @@
 //! | [`sim`] | time base, RNG, queues, statistics |
 //! | [`crypto`] | AES-128, OTP packets, CMAC, the CPU↔SD session |
 //! | [`dram`] | DDR3 sub-channels: JEDEC timing, FR-FCFS, arbitration |
-//! | [`cpu`] | 128-entry-ROB trace-driven cores, the 4 MB LLC |
+//! | [`cpu`] | 128-entry-ROB trace-driven cores |
 //! | [`trace`] | Table III workloads as synthetic trace generators |
 //! | [`bob`] | BOB packets, serial links, normal channels |
 //! | [`oram`] | Path ORAM: protocol, layout, tree split, planning |

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint format version the table below was blessed under.
-const GOLDEN_VERSION: u32 = 7;
+const GOLDEN_VERSION: u32 = 8;
 
 /// Checkpoint interval of every case, in memory cycles.
 const CHECKPOINT_EVERY: u64 = 1_500;
@@ -49,20 +49,20 @@ type Golden = (&'static str, u64, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("solo-ns", 3000, 0x8db37f175ae8d8db, 0x1fabf23a8104bb9e),
-    ("ns7-on4", 4500, 0xc1cf2d9c715da191, 0x7c9ea86b986ca7d2),
-    ("ns7-on3", 6000, 0xfb5dbf7814c8b9f0, 0x42aa7d45264fff91),
-    ("baseline", 6000, 0x07bf0f4bd3e20c04, 0x5603d2b867431f98),
-    ("secure-memory", 6000, 0x486112ac3a4cdc1c, 0x945ebc7c5b51cf21),
-    ("partition1s", 6000, 0xb6c4338630df56da, 0x39d5811259c35e58),
-    ("doram-k0c7", 4500, 0x679380050f52a3da, 0x2caf9f6073d3e7b1),
-    ("doram-k2c7-merge-pipeline", 6000, 0xf52a984fce287726, 0x86d22924f264ecf4),
-    ("doram-k1c4-degraded-faults", 6000, 0x2da7fb1638d50fe9, 0x9e6fe60d661b75e4),
-    ("doram-k1c4-hostile-sub", 6000, 0x2a5546876b019c93, 0xf960a8ea5ab506aa),
-    ("doram-k0c7-adversary", 4500, 0x6d1402da2df1654b, 0xcbb42ad7e641456c),
-    ("doram-k0c7-recorder", 4500, 0x158c644d8f07dd57, 0x2caf9f6073d3e7b1),
-    ("baseline-recorder", 6000, 0xbdcf5f065cbff2f8, 0x5603d2b867431f98),
-    ("doram-k1c4-recovery-recorder", 6000, 0x4145ec6581aecca7, 0x5d5868f3a9f6c8e7),
+    ("solo-ns", 3000, 0xcc04df795e588730, 0x1fabf23a8104bb9e),
+    ("ns7-on4", 4500, 0x45195d368446bb99, 0x7c9ea86b986ca7d2),
+    ("ns7-on3", 6000, 0x815c1cb6e2c517b3, 0x42aa7d45264fff91),
+    ("baseline", 6000, 0x58a48a32270a5d36, 0x5603d2b867431f98),
+    ("secure-memory", 6000, 0x89932144b7c67219, 0x945ebc7c5b51cf21),
+    ("partition1s", 6000, 0xcc288b5de9068d0c, 0x39d5811259c35e58),
+    ("doram-k0c7", 4500, 0xd17a541b2989c01d, 0x2caf9f6073d3e7b1),
+    ("doram-k2c7-merge-pipeline", 6000, 0xcde9cd3201f42884, 0x86d22924f264ecf4),
+    ("doram-k1c4-degraded-faults", 6000, 0xcf634b6f7af88001, 0x9e6fe60d661b75e4),
+    ("doram-k1c4-hostile-sub", 6000, 0xe75a2e66fa13df75, 0xf960a8ea5ab506aa),
+    ("doram-k0c7-adversary", 4500, 0xfebf5e3328111876, 0xcbb42ad7e641456c),
+    ("doram-k0c7-recorder", 4500, 0x43505f0d593fe0d8, 0x2caf9f6073d3e7b1),
+    ("baseline-recorder", 6000, 0x4ab8d8459539df62, 0x5603d2b867431f98),
+    ("doram-k1c4-recovery-recorder", 6000, 0x1181ccce45f5d787, 0x5d5868f3a9f6c8e7),
 ];
 
 struct Case {

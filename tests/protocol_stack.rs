@@ -1,15 +1,13 @@
 //! Integration of the protocol-level pieces across crates: crypto packets
-//! carrying BOB payloads, the functional ORAM behind the planner's
-//! geometry, and trace generation feeding the LLC model.
+//! carrying BOB payloads, and the functional ORAM behind the planner's
+//! geometry.
 
 use doram::bob::{decode_payload, encode_payload, Payload};
-use doram::cpu::{filter_through_llc, Llc};
 use doram::crypto::session::SessionPair;
 use doram::oram::plan::{PlanConfig, Planner};
 use doram::oram::protocol::PathOram;
 use doram::oram::tree::TreeGeometry;
 use doram::sim::rng::Xoshiro256;
-use doram::trace::{AccessOp, Benchmark, TraceGenerator};
 
 #[test]
 fn sealed_bob_packets_round_trip_through_the_session() {
@@ -69,27 +67,6 @@ fn planner_geometry_agrees_with_functional_oram() {
         oram.write(i % 50, i);
     }
     oram.check_invariants().expect("protocol invariants");
-}
-
-#[test]
-fn generated_traces_survive_llc_filtering() {
-    // Feed a raw generated stream through the Table II LLC; misses plus
-    // writebacks form a plausible post-LLC trace.
-    let mut gen = TraceGenerator::new(Benchmark::Swapt.spec(), 5, 0);
-    let accesses: Vec<(u64, bool)> = (0..20_000)
-        .map(|_| {
-            let r = gen.next_record();
-            (r.addr, r.op == AccessOp::Write)
-        })
-        .collect();
-    let mut llc = Llc::paper_default();
-    let (misses, writebacks) = filter_through_llc(&mut llc, accesses.into_iter());
-    assert!(!misses.is_empty());
-    // The hot set gets caught by the cache: some hits must have occurred.
-    assert!(llc.hit_rate() > 0.05, "hit rate {}", llc.hit_rate());
-    // Writebacks only happen after dirty evictions.
-    assert!(writebacks.len() < misses.len());
-    llc.check_invariants().expect("LLC invariants");
 }
 
 #[test]
