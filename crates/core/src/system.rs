@@ -2120,6 +2120,36 @@ mod tests {
         assert!(err.to_string().contains("no forward progress"));
     }
 
+    /// A 1NS run stalls in the first refresh, with the core blocked on
+    /// reads: the watchdog fires at the cycle, and with the dump, that
+    /// stepping every cycle gives, though the budget runs out in a
+    /// stretch of cycles where neither the core nor any channel can act.
+    #[test]
+    fn watchdog_fires_on_time_while_every_component_waits() {
+        let cfg = SystemConfig::builder(Benchmark::Mummer)
+            .scheme(Scheme::SoloNs)
+            .ns_accesses(2_000)
+            .seed(1)
+            .build()
+            .unwrap();
+        let opts = RunOptions {
+            watchdog_budget: Some(100),
+            ..RunOptions::default()
+        };
+        let err = Simulation::new(cfg).unwrap().run_with(&opts).unwrap_err();
+        assert!(matches!(err, SimError::Stalled { at: 6_343, .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "no forward progress for 100 memory cycles (stalled at cycle 6343)\n\
+             core0: retired=26503 finished=false restarts=0\n\
+             blocked reads: 5\n\
+             ch0[rq=0 wq=0 fly=0 drain=false refresh_pending=false refreshing=true rd=99 wr=44]\n\
+             ch1[rq=1 wq=0 fly=0 drain=false refresh_pending=false refreshing=true rd=100 wr=39]\n\
+             ch2[rq=3 wq=1 fly=0 drain=false refresh_pending=false refreshing=true rd=103 wr=48]\n\
+             ch3[rq=1 wq=1 fly=0 drain=false refresh_pending=false refreshing=true rd=108 wr=45]"
+        );
+    }
+
     /// The watchdog dump's component lines, mid-run: restored from the
     /// checkpoint a small run of `scheme` takes at memory cycle 1,000.
     fn components_at_cycle_1000(scheme: Scheme, name: &str) -> Vec<String> {

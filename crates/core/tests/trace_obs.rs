@@ -16,8 +16,13 @@ use doram_trace::Benchmark;
 /// exercises the engine, the serial link, the SD's sub-channels, and the
 /// stash — every instrumented component — in a few seconds.
 fn config() -> SystemConfig {
+    config_of(Scheme::DOram { k: 0, c: 7 })
+}
+
+/// [`config`] under another scheme.
+fn config_of(scheme: Scheme) -> SystemConfig {
     SystemConfig::builder(Benchmark::Libq)
-        .scheme(Scheme::DOram { k: 0, c: 7 })
+        .scheme(scheme)
         .ns_accesses(300)
         .tree_l_max(12)
         .max_mem_cycles(50_000_000)
@@ -102,17 +107,21 @@ fn traced_run_produces_complete_telescoping_spans() {
     }
 }
 
+/// Over D-ORAM and over 1NS, whose loop jumps the cycles where the core
+/// waits on memory, with the recorder attached as without it.
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let plain = Simulation::new(config()).unwrap().run().unwrap();
-    let mut sim = Simulation::new(config()).unwrap();
-    let _rec = sim.enable_tracing(RING, FILTER_ALL, EVERY);
-    let traced = sim.run().unwrap();
-    assert_eq!(
-        format!("{traced:?}"),
-        format!("{plain:?}"),
-        "tracing changed the simulation outcome"
-    );
+    for scheme in [Scheme::DOram { k: 0, c: 7 }, Scheme::SoloNs] {
+        let plain = Simulation::new(config_of(scheme)).unwrap().run().unwrap();
+        let mut sim = Simulation::new(config_of(scheme)).unwrap();
+        let _rec = sim.enable_tracing(RING, FILTER_ALL, EVERY);
+        let traced = sim.run().unwrap();
+        assert_eq!(
+            format!("{traced:?}"),
+            format!("{plain:?}"),
+            "tracing changed the {scheme:?} outcome"
+        );
+    }
 }
 
 #[test]
