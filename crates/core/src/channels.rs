@@ -64,6 +64,15 @@ impl Channel {
         }
     }
 
+    /// A direct channel's wake cycle (see [`SubChannel::wake_at`]);
+    /// `None` for a BOB channel, whose link acts on cycles of its own.
+    pub(crate) fn wake_at(&self) -> Option<MemCycle> {
+        match self {
+            Channel::Direct(sc) => Some(sc.wake_at()),
+            Channel::Bob(_) => None,
+        }
+    }
+
     /// Data-bus utilization over the run (mean across sub-channels).
     pub fn bus_utilization(&self) -> f64 {
         match self {
@@ -273,6 +282,30 @@ impl ChannelFabric {
     pub fn tick(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
         for ch in self.channels.iter_mut() {
             ch.tick(now, completed);
+        }
+    }
+
+    /// The earliest wake cycle over the fabric's channels, or `None` if
+    /// any of them is a BOB channel.
+    pub(crate) fn wake_at(&self) -> Option<MemCycle> {
+        self.channels
+            .iter()
+            .try_fold(MemCycle(u64::MAX), |wake, ch| Some(wake.min(ch.wake_at()?)))
+    }
+
+    /// Applies every channel's ticks of cycles `from..to` at once; `to`
+    /// must not pass [`wake_at`](ChannelFabric::wake_at), so each tick
+    /// only counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a BOB channel.
+    pub(crate) fn skip(&mut self, from: MemCycle, to: MemCycle) {
+        for ch in self.channels.iter_mut() {
+            match ch {
+                Channel::Direct(sc) => sc.skip(from, to),
+                Channel::Bob(_) => panic!("a BOB channel cannot skip cycles"),
+            }
         }
     }
 

@@ -525,6 +525,17 @@ impl Backend {
         self.fabric.column_ops() + secure
     }
 
+    /// The earliest cycle at which the backend can do more than count, if
+    /// its sub-channels' wake cycles bound that: direct channels with no
+    /// S-App path. Every other backend has a link, an SD or an ORAM
+    /// controller that acts on cycles of its own, and answers `None`.
+    fn wake_at(&self) -> Option<MemCycle> {
+        match self.sapp {
+            SAppPath::None => self.fabric.wake_at(),
+            _ => None,
+        }
+    }
+
     /// Per-component state summaries for the watchdog's diagnostic dump:
     /// the S-App path's lines, then one line per fabric channel.
     fn debug_lines(&self) -> Vec<String> {
@@ -1391,6 +1402,28 @@ impl Simulation {
                     });
                 }
             }
+            // Every core waits on memory and no channel can act: take the
+            // cycles up to the next event that must be stepped at once.
+            if let Some(end) = self.quiet_until(m) {
+                let mut end = end.min(cap);
+                if let (Some(every), Some(_)) = (opts.checkpoint_every, &opts.checkpoint_dir) {
+                    end = end.min((m / every + 1) * every);
+                }
+                if let Some(budget) = opts.watchdog_budget {
+                    end = end.min(last_progress_cycle + budget);
+                }
+                if let Some(obs) = &self.obs {
+                    end = end.min(m.next_multiple_of(obs.borrow().metrics.every()));
+                }
+                if end > m {
+                    for slot in self.cores.iter_mut() {
+                        slot.core.step_stalled((end - m) * CPU_CYCLES_PER_MEM_CYCLE);
+                    }
+                    self.mem.backend.fabric.skip(MemCycle(m), MemCycle(end));
+                    self.cycle = end;
+                    continue;
+                }
+            }
             let now = MemCycle(m);
             let prof_now = prof_ids
                 .filter(|_| doram_obs::SelfProfiler::sample_due(m))
@@ -1470,6 +1503,19 @@ impl Simulation {
             }
         }
         Ok(())
+    }
+
+    /// The wake cycle of a stretch from cycle `m` in which every cycle
+    /// only counts: every core is stalled on a read behind a full ROB,
+    /// and no channel can act before the backend's wake cycle. Nothing
+    /// completes inside it, so every core stays stalled. `None` when
+    /// cycle `m` must be stepped.
+    fn quiet_until(&self, m: u64) -> Option<u64> {
+        if !self.cores.iter().all(|slot| slot.core.stalled_on_read()) {
+            return None;
+        }
+        let wake = self.mem.backend.wake_at()?.0;
+        (wake > m).then_some(wake)
     }
 
     /// The report of a run [`advance`](Simulation::advance) finished.

@@ -204,6 +204,24 @@ impl TraceCore {
         self.fetch(port);
     }
 
+    /// Whether a step would only count: the ROB is full behind an
+    /// unfinished read, so retirement stalls at the head, fetch finds no
+    /// slot, and the step calls no port method. It stays so until that
+    /// read completes.
+    pub fn stalled_on_read(&self) -> bool {
+        self.rob.len() >= self.cfg.rob_size
+            && matches!(self.rob.front(), Some(RobEntry::Read { done: false, .. }))
+    }
+
+    /// Applies `n` steps that only count (see
+    /// [`stalled_on_read`](TraceCore::stalled_on_read)) at once.
+    pub fn step_stalled(&mut self, n: u64) {
+        debug_assert!(self.stalled_on_read(), "stepping a core that can act");
+        self.stats.cycles.add(n);
+        self.stats.read_stall_cycles.add(n);
+        self.stats.outstanding_read_sum.add(n * self.outstanding);
+    }
+
     fn retire(&mut self, port: &mut dyn MemoryPort) {
         for _ in 0..self.cfg.retire_width {
             match self.rob.front() {
@@ -656,6 +674,35 @@ mod tests {
             format!("{:?}", restored.stats())
         );
         assert_eq!(saved(&original), saved(&restored));
+    }
+
+    #[test]
+    fn stalled_steps_apply_in_bulk() {
+        let recs: Vec<_> = (0..200)
+            .map(|i| rec(i % 3, AccessOp::Read, 64 * i))
+            .collect();
+        let mut port = TestPort::new();
+        let mut stepped = TraceCore::new(CoreConfig::default(), trace(recs.clone()));
+        while !stepped.stalled_on_read() {
+            assert!(port.reads.len() < 200, "never filled the ROB");
+            stepped.step(&mut port);
+        }
+        let mut bulk = TraceCore::new(CoreConfig::default(), trace(recs));
+        let mut bulk_port = TestPort::new();
+        while !bulk.stalled_on_read() {
+            bulk.step(&mut bulk_port);
+        }
+        let issued = port.reads.len();
+        for _ in 0..37 {
+            stepped.step(&mut port);
+        }
+        bulk.step_stalled(37);
+        assert_eq!(port.reads.len(), issued, "a stalled step issued a read");
+        assert_eq!(saved(&stepped), saved(&bulk));
+        assert!(stepped.stalled_on_read());
+        // Completing the head read ends the stall.
+        stepped.complete_read(port.reads[0].0);
+        assert!(!stepped.stalled_on_read());
     }
 
     #[test]

@@ -111,6 +111,17 @@ impl ShareArbiter {
             Some(RequestClass::Normal)
         }
     }
+
+    /// The first cycle after `now` at which [`preferred_at`] may name
+    /// another owner for the same waiting classes: the next epoch
+    /// boundary, or `None` when ownership does not depend on time
+    /// (disabled, or strict ORAM priority).
+    ///
+    /// [`preferred_at`]: ShareArbiter::preferred_at
+    pub(crate) fn next_epoch(&self, now: doram_sim::MemCycle) -> Option<doram_sim::MemCycle> {
+        (self.enabled && !self.oram_priority)
+            .then(|| doram_sim::MemCycle(((now.0 >> self.epoch_shift) + 1) << self.epoch_shift))
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +183,16 @@ mod tests {
             assert_eq!(a.preferred_at(at, true, false), Some(RequestClass::Oram));
             assert_eq!(a.preferred_at(at, false, true), None);
         }
+    }
+
+    #[test]
+    fn next_epoch_is_the_next_boundary_only_when_owners_rotate() {
+        let a = ShareArbiter::paper_default();
+        for (now, next) in [(0, 64), (63, 64), (64, 128), (200, 256)] {
+            assert_eq!(a.next_epoch(MemCycle(now)), Some(MemCycle(next)));
+        }
+        assert_eq!(ShareArbiter::disabled().next_epoch(MemCycle(5)), None);
+        assert_eq!(ShareArbiter::oram_priority().next_epoch(MemCycle(5)), None);
     }
 
     #[test]

@@ -59,6 +59,21 @@ impl Bank {
         self.open_row == Some(row) && now >= self.ready_col
     }
 
+    /// Earliest cycle an ACTIVATE may be issued, once the bank is closed.
+    pub(crate) fn ready_act(&self) -> MemCycle {
+        self.ready_act
+    }
+
+    /// Earliest cycle a PRECHARGE may be issued, while a row is open.
+    pub(crate) fn ready_pre(&self) -> MemCycle {
+        self.ready_pre
+    }
+
+    /// Earliest cycle a column command may be issued to the open row.
+    pub(crate) fn ready_col(&self) -> MemCycle {
+        self.ready_col
+    }
+
     /// Applies an ACTIVATE issued at `now`.
     pub fn activate(&mut self, row: u64, now: MemCycle, t: &DramTiming) {
         debug_assert!(self.can_activate(now), "illegal ACTIVATE");
@@ -155,6 +170,20 @@ mod tests {
         // PRE >= 11 + CWL(8) + burst(4) + tWR(12) = 35; tRAS would allow 28.
         assert!(!b.can_precharge(MemCycle(34)));
         assert!(b.can_precharge(MemCycle(35)));
+    }
+
+    #[test]
+    fn ready_cycles_are_where_the_legality_checks_flip() {
+        let mut b = Bank::new();
+        b.activate(1, MemCycle(0), &t());
+        b.read(MemCycle(30), &t());
+        // Column: tRCD; PRECHARGE: max(tRAS, read + tRTP).
+        assert_eq!((b.ready_col(), b.ready_pre()), (MemCycle(11), MemCycle(36)));
+        assert!(!b.can_column(1, MemCycle(10)) && b.can_column(1, MemCycle(11)));
+        b.precharge(MemCycle(36), &t());
+        // ACTIVATE: max(tRC, PRE + tRP).
+        assert_eq!(b.ready_act(), MemCycle(47));
+        assert!(!b.can_activate(MemCycle(46)) && b.can_activate(MemCycle(47)));
     }
 
     #[test]

@@ -140,6 +140,10 @@ pub struct SubChannel {
     blame_res: Option<usize>,
     /// Blame class tag of the burst currently owning the data bus.
     last_burst_blame: u8,
+    /// The first cycle whose tick may do more than count (see
+    /// [`SubChannel::wake_at`]). Derived state: not checkpointed, and
+    /// reset by every enqueue and by a restore.
+    wake_at: MemCycle,
 }
 
 impl SubChannel {
@@ -148,13 +152,15 @@ impl SubChannel {
     /// # Panics
     ///
     /// Panics if the timing parameters are inconsistent (see
-    /// [`DramTiming::validate`]) or the drain watermarks are inverted.
+    /// [`DramTiming::validate`]), the drain watermarks are inverted, or
+    /// the rank has more than 64 banks.
     pub fn new(cfg: SubChannelConfig) -> SubChannel {
         cfg.timing.validate().expect("invalid DRAM timing");
         assert!(
             cfg.drain_low < cfg.drain_high && cfg.drain_high <= cfg.write_queue,
             "watermarks must satisfy low < high <= capacity"
         );
+        assert!(cfg.mapper.banks() <= 64, "at most 64 banks per rank");
         let banks = vec![Bank::new(); cfg.mapper.banks()];
         let t_refi = cfg.timing.t_refi;
         SubChannel {
@@ -181,6 +187,7 @@ impl SubChannel {
             obs: None,
             blame_res: None,
             last_burst_blame: doram_obs::BlameClass::NsApp as u8,
+            wake_at: MemCycle::ZERO,
         }
     }
 
@@ -249,14 +256,6 @@ impl SubChannel {
     /// Number of queued (not yet issued) requests.
     pub fn queued(&self) -> usize {
         self.read_q.len() + self.write_q.len()
-    }
-
-    /// Whether any request of `class` is queued.
-    pub fn has_queued_class(&self, class: RequestClass) -> bool {
-        self.read_q
-            .iter()
-            .chain(self.write_q.iter())
-            .any(|p| p.req.class == class)
     }
 
     /// Whether the sub-channel has no queued or in-flight work.
@@ -334,6 +333,7 @@ impl SubChannel {
             MemOp::Read => self.read_q.push_back(p),
             MemOp::Write => self.write_q.push_back(p),
         }
+        self.wake_at = MemCycle::ZERO;
         if req.class == RequestClass::Oram {
             if let Some((rec, sub_idx)) = &self.obs {
                 rec.borrow_mut().dram_issue(req.arrival.0, *sub_idx);
@@ -344,26 +344,75 @@ impl SubChannel {
 
     /// Advances the sub-channel by one memory cycle, appending any requests
     /// whose data burst finished this cycle to `completed`.
+    ///
+    /// A tick before [`wake_at`](SubChannel::wake_at) only counts; any
+    /// other tick acts, then sets the next wake cycle.
     pub fn tick(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
-        self.stats.cycles.inc();
-        if self.data_busy_until > now {
-            self.stats.data_bus_busy.inc();
+        if now < self.wake_at {
+            self.skip(now, now + MemCycle(1));
+            return;
         }
-        // Advance the blame busy prefix for the *previous* cycle: the data
-        // bus was busy during cycle `now − 1` iff a burst finishes at or
-        // after `now`. Waiters snapshot this prefix on enqueue and settle
+        self.count(now, 1);
+        self.act(now, completed);
+        self.wake_at = self.next_wake(now);
+    }
+
+    /// A lower bound on the first cycle whose tick can do more than count:
+    /// every tick of an earlier cycle only advances the cycle, bus-busy,
+    /// stall and blame counters. Enqueueing resets it to zero.
+    pub fn wake_at(&self) -> MemCycle {
+        self.wake_at
+    }
+
+    /// Makes the next tick act: a restored state carries no wake cycle.
+    fn wake_now(&mut self) -> Result<(), doram_sim::snapshot::SnapshotError> {
+        self.wake_at = MemCycle::ZERO;
+        Ok(())
+    }
+
+    /// Applies the ticks of cycles `from..to` at once. Every one of them
+    /// must come before [`wake_at`](SubChannel::wake_at), so each only
+    /// counts.
+    pub fn skip(&mut self, from: MemCycle, to: MemCycle) {
+        debug_assert!(to <= self.wake_at, "skipping past the wake cycle");
+        let n = to.0 - from.0;
+        self.count(from, n);
+        // The stall count of an acting tick that issues nothing; a tick
+        // inside tRFC returns before it.
+        if self.refreshing_until.is_none() {
+            self.stall_cycles = if self.read_q.is_empty() && self.write_q.is_empty() {
+                0
+            } else {
+                self.stall_cycles + n
+            };
+        }
+    }
+
+    /// The counters every tick of cycles `from..from + n` advances.
+    fn count(&mut self, from: MemCycle, n: u64) {
+        let end = from.0 + n;
+        self.stats.cycles.add(n);
+        let busy = self.data_busy_until.0.clamp(from.0, end) - from.0;
+        self.stats.data_bus_busy.add(busy);
+        // Advance the blame busy prefix for each *previous* cycle: the
+        // data bus was busy during cycle `c − 1` iff a burst finishes at
+        // or after `c`. Waiters snapshot this prefix on enqueue and settle
         // against it on issue; settling clamps, so the ±1-cycle overlap at
         // the boundary can never over-attribute.
-        if let Some(res) = self.blame_res {
-            if self.last_burst_op.is_some() && self.data_busy_until >= now {
-                if let Some((rec, _)) = &self.obs {
-                    rec.borrow_mut()
-                        .blame
-                        .busy_cycle(res, doram_obs::BlameClass::from_tag(self.last_burst_blame));
-                }
+        if let (Some(res), Some((rec, _)), true) =
+            (self.blame_res, &self.obs, self.last_burst_op.is_some())
+        {
+            let busy = (self.data_busy_until.0 + 1).clamp(from.0, end) - from.0;
+            if busy > 0 {
+                let class = doram_obs::BlameClass::from_tag(self.last_burst_blame);
+                rec.borrow_mut().blame.busy_cycles(res, class, busy);
             }
         }
+    }
 
+    /// Everything a tick does after counting: retire bursts, refresh,
+    /// auto-precharge, pick the drain mode and schedule.
+    fn act(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
         // Retire finished bursts.
         let mut i = 0;
         while i < self.in_flight.len() {
@@ -443,25 +492,7 @@ impl SubChannel {
             }
         }
 
-        // Write-drain mode hysteresis, with an aging override so writes
-        // cannot starve behind a steady read stream.
-        let oldest_write_aged = self
-            .write_q
-            .front()
-            .is_some_and(|p| now.0.saturating_sub(p.req.arrival.0) > self.cfg.max_write_age);
-        if self.write_q.len() >= self.cfg.drain_high
-            || (self.read_q.is_empty() && !self.write_q.is_empty())
-            || oldest_write_aged
-        {
-            self.draining = true;
-        }
-        if self.draining && (self.write_q.len() <= self.cfg.drain_low && !self.read_q.is_empty()) {
-            self.draining = false;
-        }
-        if self.write_q.is_empty() {
-            self.draining = false;
-        }
-
+        self.draining = self.drain_mode(now);
         let issued_before = self.stats.reads.get() + self.stats.writes.get();
         self.schedule(now);
         let issued_after = self.stats.reads.get() + self.stats.writes.get();
@@ -470,6 +501,113 @@ impl SubChannel {
         } else {
             self.stall_cycles += 1;
         }
+    }
+
+    /// The write-drain mode a tick at `now` picks: hysteresis between the
+    /// watermarks, with an aging override so writes cannot starve behind
+    /// a steady read stream.
+    fn drain_mode(&self, now: MemCycle) -> bool {
+        let (reads, writes) = (self.read_q.len(), self.write_q.len());
+        let oldest_write_aged = self
+            .write_q
+            .front()
+            .is_some_and(|p| now.0.saturating_sub(p.req.arrival.0) > self.cfg.max_write_age);
+        let enter =
+            writes >= self.cfg.drain_high || (reads == 0 && writes > 0) || oldest_write_aged;
+        let leave = (writes <= self.cfg.drain_low && reads > 0) || writes == 0;
+        (self.draining || enter) && !leave
+    }
+
+    /// The wake cycle after an acting tick at `now`: the earliest cycle at
+    /// which a burst retires, a refresh starts or ends, the drain mode
+    /// flips or [`next_issue`](Self::next_issue) allows a command. No
+    /// tick changes the queues, the banks or the bus state before then,
+    /// so each term is the exact cycle its condition comes true.
+    fn next_wake(&self, now: MemCycle) -> MemCycle {
+        let soon = now + MemCycle(1);
+        let retire = self.in_flight.iter().map(|f| f.finish).min();
+        let retire = retire.unwrap_or(MemCycle(u64::MAX));
+        if let Some(until) = self.refreshing_until {
+            return retire.min(until); // tRFC: no commands before `until`
+        }
+        if self.refresh_pending
+            || !self.auto_precharge.is_empty()
+            || self.drain_mode(soon) != self.draining
+        {
+            return soon;
+        }
+        let mut wake = retire.min(self.next_refresh_due).min(self.next_issue(soon));
+        if let Some(p) = self.write_q.front().filter(|_| !self.draining) {
+            // The cycle the oldest write ages into forcing a drain.
+            let aged = MemCycle(p.req.arrival.0.saturating_add(self.cfg.max_write_age + 1));
+            if aged > soon {
+                wake = wake.min(aged);
+            }
+        }
+        wake
+    }
+
+    /// The first cycle from `soon` on at which `schedule` can issue a
+    /// command, with the queues, the banks, the buses and the drain mode
+    /// frozen as they are. A row hit waits on its bank's tRCD and on the
+    /// buses, a hit of the class the arbiter does not prefer also on the
+    /// starvation valve or the next epoch; a conflict waits on its bank's
+    /// PRECHARGE, unless a queued request still wants the open row; a
+    /// closed bank waits on its ACTIVATE and on tRRD and tFAW.
+    fn next_issue(&self, soon: MemCycle) -> MemCycle {
+        let never = MemCycle(u64::MAX);
+        let (queue, op) = if self.draining {
+            (&self.write_q, MemOp::Write)
+        } else {
+            (&self.read_q, MemOp::Read)
+        };
+        let (mut oram_hit, mut normal_hit, mut activate) = (never, never, never);
+        let (mut oram_waiting, mut normal_waiting) = (false, false);
+        // Banks whose open row a queued request hits, and banks a queued
+        // request finds open on another row.
+        let (mut wanted, mut conflicts) = (0u64, 0u64);
+        for p in queue {
+            let oram = p.req.class == RequestClass::Oram;
+            oram_waiting |= oram;
+            normal_waiting |= !oram;
+            let bank = &self.banks[p.bank];
+            match bank.open_row() {
+                Some(open) if open == p.row => {
+                    wanted |= 1 << p.bank;
+                    let hit = if oram { &mut oram_hit } else { &mut normal_hit };
+                    *hit = (*hit).min(bank.ready_col());
+                }
+                Some(_) => conflicts |= 1 << p.bank,
+                None => activate = activate.min(bank.ready_act()),
+            }
+        }
+        let preferred = self
+            .cfg
+            .arbiter
+            .preferred_at(soon, oram_waiting, normal_waiting);
+        let (hit, other_hit) = match preferred {
+            Some(RequestClass::Oram) => (oram_hit, normal_hit),
+            Some(RequestClass::Normal) => (normal_hit, oram_hit),
+            None => (oram_hit.min(normal_hit), never),
+        };
+        // `schedule` at cycle soon + k sees `stall_cycles + k`: every tick
+        // before then issues nothing, so each adds one.
+        let limit = 2 * self.cfg.timing.t_rc;
+        let starved = soon + MemCycle((limit + 1).saturating_sub(self.stall_cycles));
+        let valve = match self.cfg.arbiter.next_epoch(soon) {
+            Some(epoch) => starved.min(epoch),
+            None => starved,
+        };
+        let column = self.column_ready_at(op);
+        let mut wake = hit.min(other_hit.max(valve)).max(column);
+        wake = wake.min(activate.max(self.activate_ready_at()));
+        let mut idle_conflicts = conflicts & !wanted;
+        while idle_conflicts != 0 {
+            let bank = idle_conflicts.trailing_zeros() as usize;
+            wake = wake.min(self.banks[bank].ready_pre());
+            idle_conflicts &= idle_conflicts - 1;
+        }
+        wake
     }
 
     /// Issues at most one DRAM command for this cycle.
@@ -508,7 +646,7 @@ impl SubChannel {
             MemOp::Read
         };
         let starved = self.stall_cycles > 2 * self.cfg.timing.t_rc;
-        let hit_idx = if self.column_allowed(op, now) {
+        let hit_idx = if now >= self.column_ready_at(op) {
             let ready = |p: &Pending| self.banks[p.bank].can_column(p.row, now);
             match preferred {
                 Some(class) if !starved => {
@@ -579,7 +717,7 @@ impl SubChannel {
                 Some(open) => (bank.can_precharge(now)
                     && !queue.iter().any(|q| q.bank == p.bank && q.row == open))
                 .then_some((i, DeviceCommand::Precharge)),
-                None => (bank.can_activate(now) && self.activate_allowed(now))
+                None => (bank.can_activate(now) && now >= self.activate_ready_at())
                     .then_some((i, DeviceCommand::Activate)),
             }
         };
@@ -593,47 +731,43 @@ impl SubChannel {
         }
     }
 
-    /// Channel-level legality of a column command of direction `op` at `now`.
-    fn column_allowed(&self, op: MemOp, now: MemCycle) -> bool {
-        if now < self.next_col_allowed {
-            return false;
-        }
+    /// The first cycle at which the channel allows a column command of
+    /// direction `op`: tCCD, a free data bus with a turnaround gap on a
+    /// direction change, and tWTR before a READ.
+    fn column_ready_at(&self, op: MemOp) -> MemCycle {
         let t = &self.cfg.timing;
-        let start = match op {
-            MemOp::Read => now + MemCycle(t.cl),
-            MemOp::Write => now + MemCycle(t.cwl),
+        let latency = match op {
+            MemOp::Read => t.cl,
+            MemOp::Write => t.cwl,
         };
-        // Data bus must be free, with a turnaround gap on direction change.
+        // The burst may start once the data bus is free.
         let needed = if self.last_burst_op.is_some() && self.last_burst_op != Some(op) {
             self.last_burst_end + MemCycle(t.t_rtrs)
         } else {
             self.data_busy_until
         };
-        if start < needed.max(self.data_busy_until) {
-            return false;
+        let bus = needed.max(self.data_busy_until).0.saturating_sub(latency);
+        let at = self.next_col_allowed.max(MemCycle(bus));
+        match op {
+            // Write-to-read: tWTR from end of write data to READ command.
+            MemOp::Read => at.max(self.last_write_data_end + MemCycle(t.t_wtr)),
+            MemOp::Write => at,
         }
-        // Write-to-read: tWTR from end of write data to READ command.
-        if op == MemOp::Read && now < self.last_write_data_end + MemCycle(t.t_wtr) {
-            return false;
-        }
-        true
     }
 
-    /// Channel-level legality of an ACTIVATE at `now` (tRRD + tFAW).
-    fn activate_allowed(&self, now: MemCycle) -> bool {
+    /// The first cycle at which the channel allows an ACTIVATE: tRRD after
+    /// the last one, and tFAW after the fourth-last (an ACT at cycle a
+    /// occupies the window [a, a + tFAW)).
+    fn activate_ready_at(&self) -> MemCycle {
         let t = &self.cfg.timing;
-        if let Some(last) = self.last_act {
-            if now < last + MemCycle(t.t_rrd) {
-                return false;
-            }
-        }
-        // An ACT at cycle a occupies the window [a, a + tFAW).
-        let in_window = self
-            .recent_acts
-            .iter()
-            .filter(|&&a| a.0 + t.t_faw > now.0)
-            .count();
-        in_window < 4
+        let rrd = self
+            .last_act
+            .map_or(MemCycle::ZERO, |a| a + MemCycle(t.t_rrd));
+        let faw = match self.recent_acts.len() {
+            n if n >= 4 => self.recent_acts[n - 4] + MemCycle(t.t_faw),
+            _ => MemCycle::ZERO,
+        };
+        rrd.max(faw)
     }
 
     fn note_activate(&mut self, now: MemCycle) {
@@ -716,7 +850,8 @@ doram_sim::impl_codec!(struct InFlight { req, finish, blame });
 // `in_flight` retires via swap_remove, so its element order is part of the
 // schedule and is kept as is. The configuration never changes during a run.
 // The command trace is an opt-in debugging aid excluded from checkpoints;
-// the recorder wiring is redone by the host after restore.
+// the recorder wiring is redone by the host after restore. The wake cycle
+// is derived: a restored sub-channel acts on its next tick.
 doram_sim::impl_snapshot!(SubChannel {
     banks: state,
     read_q,
@@ -737,7 +872,7 @@ doram_sim::impl_snapshot!(SubChannel {
     auto_precharge,
     stall_cycles,
     last_burst_blame,
-} skip { cfg, command_trace, obs, blame_res });
+} skip { cfg, command_trace, obs, blame_res, wake_at } after_load SubChannel::wake_now);
 
 #[cfg(test)]
 mod tests {
@@ -963,8 +1098,6 @@ mod tests {
         assert!(sc.is_idle());
         sc.enqueue(req(0, MemOp::Read, 0, 0)).unwrap();
         assert!(!sc.is_idle());
-        assert!(sc.has_queued_class(RequestClass::Normal));
-        assert!(!sc.has_queued_class(RequestClass::Oram));
         run_until_n(&mut sc, 1, 1000);
     }
 
@@ -1111,6 +1244,132 @@ mod tests {
             rec.borrow().blame.is_empty(),
             "filtered-out subsystem stays silent"
         );
+    }
+
+    /// Byte address of a line in the default mapper's layout (64 B lines,
+    /// 128 lines per row, 8 banks).
+    fn line_addr(bank: u64, row: u64, col: u64) -> u64 {
+        ((row * 8 + bank) * 128 + col) * 64
+    }
+
+    /// One cycle's seeded arrival, if any. Phases of 1,500 cycles rotate
+    /// through a heavy mix that fills the write queue past the drain
+    /// watermark, a read stream with a write trickle whose oldest write
+    /// ages into a drain, a light mix, and silence. Requests of both
+    /// classes land on four rows of four banks, so row hits, conflicts
+    /// and closed banks are all common, and some arrive stamped up to 40
+    /// cycles early, as requests that crossed a link do.
+    fn arrival(rng: &mut doram_sim::rng::Xoshiro256, now: u64, id: u64) -> Option<MemRequest> {
+        let (rate, write_share) = match (now / 1_500) % 4 {
+            0 => (0.22, 0.45),
+            1 => (0.14, 0.1),
+            2 => (0.04, 0.45),
+            _ => return None,
+        };
+        if !rng.gen_bool(rate) {
+            return None;
+        }
+        let op = if rng.gen_bool(write_share) {
+            MemOp::Write
+        } else {
+            MemOp::Read
+        };
+        let class = if rng.gen_bool(0.5) {
+            RequestClass::Oram
+        } else {
+            RequestClass::Normal
+        };
+        let addr = line_addr(rng.gen_below(4), rng.gen_below(4), rng.gen_below(16));
+        let early = if rng.gen_bool(0.3) {
+            rng.gen_below(now.min(40) + 1)
+        } else {
+            0
+        };
+        Some(MemRequest {
+            id: RequestId(id),
+            app: AppId(0),
+            op,
+            addr,
+            class,
+            arrival: MemCycle(now - early),
+        })
+    }
+
+    fn saved(sc: &SubChannel) -> Vec<u8> {
+        let mut w = doram_sim::snapshot::SnapshotWriter::new();
+        doram_sim::snapshot::Snapshot::save_state(sc, &mut w);
+        w.into_bytes()
+    }
+
+    /// Drives a wake-gated sub-channel and a clone of it that acts on
+    /// every tick through the same seeded stream, and after every tick
+    /// compares their checkpoint bytes, completions and blame rows. Each
+    /// has its own recorder: a shared one would count busy cycles twice.
+    /// Returns (ticks that only counted, refreshes, drains the write aging
+    /// started).
+    fn drive_gated_and_acting(cfg: SubChannelConfig, seed: u64) -> (u64, u64, u64) {
+        use doram_obs::{Recorder, FILTER_ALL};
+        let mut gated = SubChannel::new(cfg);
+        let mut acting = gated.clone();
+        let (rec_gated, rec_acting) = (
+            Recorder::shared(16, FILTER_ALL, 1_000),
+            Recorder::shared(16, FILTER_ALL, 1_000),
+        );
+        gated.set_obs(Some(rec_gated.clone()), 0, "sub");
+        acting.set_obs(Some(rec_acting.clone()), 0, "sub");
+        let mut rng = doram_sim::rng::Xoshiro256::seed_from(seed);
+        let (mut done_gated, mut done_acting) = (Vec::new(), Vec::new());
+        let (mut counted, mut aged_drains, mut id) = (0, 0, 0);
+        for now in 0..20_000u64 {
+            if let Some(r) = arrival(&mut rng, now, id) {
+                id += 1;
+                assert_eq!(gated.enqueue(r).is_ok(), acting.enqueue(r).is_ok());
+            }
+            let (rq, wq, was_draining) = (gated.read_q.len(), gated.write_q.len(), gated.draining);
+            counted += u64::from(MemCycle(now) < gated.wake_at);
+            gated.tick(MemCycle(now), &mut done_gated);
+            acting.wake_at = MemCycle::ZERO;
+            acting.tick(MemCycle(now), &mut done_acting);
+            assert_eq!(done_gated, done_acting, "completions differ at {now}");
+            assert!(
+                saved(&gated) == saved(&acting),
+                "state differs at {now}: gated {} / acting {}",
+                gated.debug_state(),
+                acting.debug_state()
+            );
+            assert_eq!(
+                format!("{:?}", rec_gated.borrow().blame.resources()),
+                format!("{:?}", rec_acting.borrow().blame.resources()),
+                "blame differs at {now}"
+            );
+            aged_drains +=
+                u64::from(!was_draining && gated.draining && wq < gated.cfg.drain_high && rq > 0);
+        }
+        (counted, gated.stats().refreshes.get(), aged_drains)
+    }
+
+    #[test]
+    fn wake_gated_ticks_match_acting_every_cycle() {
+        let arbiters = [
+            ShareArbiter::disabled(),
+            ShareArbiter::paper_default(),
+            ShareArbiter::oram_priority(),
+        ];
+        for (i, arbiter) in arbiters.into_iter().enumerate() {
+            for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+                let cfg = SubChannelConfig {
+                    arbiter: arbiter.clone(),
+                    page_policy,
+                    ..SubChannelConfig::default()
+                };
+                let seed = 0x5eed + i as u64;
+                let (counted, refreshes, aged_drains) = drive_gated_and_acting(cfg, seed);
+                let case = format!("{arbiter:?} {page_policy:?}");
+                assert!(counted > 2_000, "{case}: only {counted} ticks only counted");
+                assert!(refreshes >= 3, "{case}: {refreshes} refreshes");
+                assert!(aged_drains > 0, "{case}: no write aged into a drain");
+            }
+        }
     }
 
     #[test]

@@ -132,6 +132,13 @@ impl BlameMatrix {
         self.resources[res].busy_prefix[class as usize] += 1;
     }
 
+    /// Marks resource `res` busy with `class` for `cycles` cycles at once:
+    /// [`busy_cycle`](Self::busy_cycle) repeated.
+    #[inline]
+    pub fn busy_cycles(&mut self, res: usize, class: BlameClass, cycles: u64) {
+        self.resources[res].busy_prefix[class as usize] += cycles;
+    }
+
     /// The current busy-prefix vector of `res`, snapshotted by a waiter
     /// on enqueue.
     #[inline]

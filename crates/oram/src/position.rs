@@ -48,16 +48,6 @@ impl PositionMap {
         leaf
     }
 
-    /// Pins `block` to `leaf`, for a caller that owns the mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is out of range.
-    pub fn set(&mut self, block: u64, leaf: u64) {
-        assert!(leaf < self.num_leaves, "leaf out of range");
-        self.map.insert(block, leaf);
-    }
-
     /// Leaf of `block` if it was ever touched.
     pub fn get(&self, block: u64) -> Option<u64> {
         self.map.get(&block).copied()
@@ -121,19 +111,6 @@ mod tests {
         for &c in &counts {
             assert!((1700..2300).contains(&c), "skewed: {counts:?}");
         }
-    }
-
-    #[test]
-    fn set_overrides_mapping() {
-        let mut pm = PositionMap::new(64, 1);
-        pm.set(9, 13);
-        assert_eq!(pm.leaf_of(9), 13);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_validates_leaf() {
-        PositionMap::new(4, 1).set(0, 4);
     }
 
     #[test]
