@@ -64,15 +64,6 @@ impl Channel {
         }
     }
 
-    /// A direct channel's wake cycle (see [`SubChannel::wake_at`]);
-    /// `None` for a BOB channel, whose link acts on cycles of its own.
-    pub(crate) fn wake_at(&self) -> Option<MemCycle> {
-        match self {
-            Channel::Direct(sc) => Some(sc.wake_at()),
-            Channel::Bob(_) => None,
-        }
-    }
-
     /// Data-bus utilization over the run (mean across sub-channels).
     pub fn bus_utilization(&self) -> f64 {
         match self {
@@ -285,12 +276,16 @@ impl ChannelFabric {
         }
     }
 
-    /// The earliest wake cycle over the fabric's channels, or `None` if
-    /// any of them is a BOB channel.
+    /// The earliest wake cycle (see [`SubChannel::wake_at`]) over the
+    /// fabric's channels, or `None` if any of them is a BOB channel, whose
+    /// link acts on cycles of its own.
     pub(crate) fn wake_at(&self) -> Option<MemCycle> {
         self.channels
             .iter()
-            .try_fold(MemCycle(u64::MAX), |wake, ch| Some(wake.min(ch.wake_at()?)))
+            .try_fold(MemCycle(u64::MAX), |wake, ch| match ch {
+                Channel::Direct(sc) => Some(wake.min(sc.wake_at())),
+                Channel::Bob(_) => None,
+            })
     }
 
     /// Applies every channel's ticks of cycles `from..to` at once; `to`
