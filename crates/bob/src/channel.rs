@@ -127,18 +127,14 @@ impl BobChannel {
         self.fault.as_ref().or_else(|| self.link.fault())
     }
 
-    /// Number of sub-channels behind the SimpleMC.
-    pub fn sub_channel_count(&self) -> usize {
-        self.subs.len()
+    /// The sub-channels behind the SimpleMC, in interleave order.
+    pub fn subs(&self) -> &[SubChannel] {
+        &self.subs
     }
 
-    /// Access to a sub-channel's statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn sub_channel(&self, idx: usize) -> &SubChannel {
-        &self.subs[idx]
+    /// The sub-channels, mutably: for device-command tracing only.
+    pub fn subs_mut(&mut self) -> &mut [SubChannel] {
+        &mut self.subs
     }
 
     /// Whether the MainMC can accept another request right now.
@@ -149,21 +145,6 @@ impl BobChannel {
     /// Total bytes accepted on the link (to-mem, to-cpu).
     pub fn link_bytes(&self) -> (u64, u64) {
         self.link.bytes_sent()
-    }
-
-    /// Enables device-command tracing on every sub-channel.
-    pub fn enable_command_traces(&mut self) {
-        for sub in self.subs.iter_mut() {
-            sub.enable_command_trace();
-        }
-    }
-
-    /// Takes each sub-channel's recorded command trace.
-    pub fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        self.subs
-            .iter_mut()
-            .map(|s| s.take_command_trace())
-            .collect()
     }
 
     /// Whether all queues, buses, and sub-channels are drained.
@@ -395,15 +376,15 @@ mod tests {
             sub_channels: vec![SubChannelConfig::default(); 4],
         };
         let mut ch = BobChannel::new(cfg);
-        assert_eq!(ch.sub_channel_count(), 4);
+        assert_eq!(ch.subs().len(), 4);
         for i in 0..8 {
             ch.try_send(req(i, MemOp::Read, 64 * i), MemCycle(0))
                 .unwrap();
         }
         run(&mut ch, 8, 4000);
-        for s in 0..4 {
+        for (s, sub) in ch.subs().iter().enumerate() {
             assert_eq!(
-                ch.sub_channel(s).stats().reads.get(),
+                sub.stats().reads.get(),
                 2,
                 "sub {s} should service exactly 2 of 8 interleaved lines"
             );

@@ -86,8 +86,6 @@ pub struct LinkStats {
     pub crc_errors: u64,
     /// Replays triggered by retransmission timeouts (dropped frames).
     pub timeouts: u64,
-    /// Frames held up by an injected delay (no replay needed).
-    pub delayed_frames: u64,
     /// Frames whose retry budget ran out (each also latches a fault).
     pub exhausted_retries: u64,
     /// Stale duplicate frames re-supplied by an adversary (old,
@@ -105,7 +103,6 @@ impl LinkStats {
         self.retransmissions += other.retransmissions;
         self.crc_errors += other.crc_errors;
         self.timeouts += other.timeouts;
-        self.delayed_frames += other.delayed_frames;
         self.exhausted_retries += other.exhausted_retries;
         self.stale_drops += other.stale_drops;
         self.recovery_cycles += other.recovery_cycles;
@@ -116,7 +113,6 @@ doram_sim::impl_codec!(struct LinkStats {
     retransmissions,
     crc_errors,
     timeouts,
-    delayed_frames,
     exhausted_retries,
     stale_drops,
     recovery_cycles,
@@ -248,7 +244,6 @@ impl<M> Direction<M> {
         // An injected delay holds the frame but needs no replay.
         if self.injector.roll(FaultKind::DelayFrame, now) {
             penalty += self.injector.delay_cycles(now);
-            self.stats.delayed_frames += 1;
         }
         // An adversarial replay re-supplies an old, correctly-MAC'd copy
         // of an earlier frame alongside this one. The link protocol's
@@ -527,13 +522,6 @@ impl<M> Link<M> {
     /// Per-direction health states (to-mem, to-cpu).
     pub fn health(&self) -> (HealthState, HealthState) {
         (self.to_mem.health.state(), self.to_cpu.health.state())
-    }
-
-    /// The worse of the two directions' health states (ordered
-    /// `Healthy < Degraded < Quarantined < Probation`; the non-healthy
-    /// extreme wins for a one-gauge summary).
-    pub fn worst_health(&self) -> HealthState {
-        self.to_mem.health.state().max(self.to_cpu.health.state())
     }
 
     /// Quarantine entries across both directions (degraded-episode count).
@@ -822,7 +810,6 @@ mod tests {
         assert_eq!(got.len(), 2, "quarantine does not stop delivery");
         assert_eq!(link.health().0, HealthState::Quarantined);
         assert_eq!(link.health().1, HealthState::Healthy);
-        assert_eq!(link.worst_health(), HealthState::Quarantined);
         assert_eq!(link.quarantine_entries(), 1);
         let transitions: Vec<u64> = rec
             .borrow()
@@ -865,7 +852,10 @@ mod tests {
         assert_eq!(stats.retransmissions, 0);
         assert_eq!(stats.recovery_cycles, 0);
         assert!(attacked.fault_counts().replays > 0);
-        assert_eq!(attacked.worst_health(), HealthState::Healthy);
+        assert_eq!(
+            attacked.health(),
+            (HealthState::Healthy, HealthState::Healthy)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use doram_bob::{BobChannel, BobChannelConfig, LinkConfig};
 use doram_dram::{
     Completion, EnergyBreakdown, EnergyParams, MemOp, MemRequest, RequestClass, ShareArbiter,
-    SubChannel, SubChannelConfig,
+    SubChannel, SubChannelConfig, SubChannelStats,
 };
 use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId};
@@ -22,6 +22,20 @@ pub const APP_REGION_BYTES: u64 = 1 << 33;
 
 /// Base address of the ORAM split region on normal channels (D-ORAM+k).
 pub const SPLIT_REGION_BASE: u64 = 1 << 41;
+
+/// The mean of a per-sub-channel figure over one channel's sub-channels,
+/// summed in sub-channel order.
+pub(crate) fn sub_mean(subs: &[SubChannel], figure: fn(&SubChannelStats) -> f64) -> f64 {
+    subs.iter().map(|s| figure(s.stats())).sum::<f64>() / subs.len() as f64
+}
+
+/// The DRAM energy of one channel's sub-channels, folded in sub-channel
+/// order.
+pub(crate) fn sub_energy(subs: &[SubChannel], params: &EnergyParams) -> EnergyBreakdown {
+    subs.iter()
+        .map(|s| EnergyBreakdown::from_stats(s.stats(), params))
+        .fold(EnergyBreakdown::default(), |acc, e| acc.add(&e))
+}
 
 /// One memory channel, either direct-attached or behind a BOB link.
 #[derive(Debug)]
@@ -64,71 +78,19 @@ impl Channel {
         }
     }
 
-    /// Data-bus utilization over the run (mean across sub-channels).
-    pub fn bus_utilization(&self) -> f64 {
+    /// The channel's sub-channels: a direct channel is its only one.
+    pub fn subs(&self) -> &[SubChannel] {
         match self {
-            Channel::Direct(sc) => sc.stats().bus_utilization(),
-            Channel::Bob(ch) => {
-                let n = ch.sub_channel_count();
-                (0..n)
-                    .map(|i| ch.sub_channel(i).stats().bus_utilization())
-                    .sum::<f64>()
-                    / n as f64
-            }
+            Channel::Direct(sc) => std::slice::from_ref(sc),
+            Channel::Bob(ch) => ch.subs(),
         }
     }
 
-    /// Enables device-command tracing on all underlying sub-channels.
-    pub fn enable_command_traces(&mut self) {
+    /// The sub-channels, mutably: for device-command tracing only.
+    pub fn subs_mut(&mut self) -> &mut [SubChannel] {
         match self {
-            Channel::Direct(sc) => sc.enable_command_trace(),
-            Channel::Bob(ch) => ch.enable_command_traces(),
-        }
-    }
-
-    /// Takes the recorded traces, one per sub-channel.
-    pub fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        match self {
-            Channel::Direct(sc) => vec![sc.take_command_trace()],
-            Channel::Bob(ch) => ch.take_command_traces(),
-        }
-    }
-
-    /// DRAM energy consumed by this channel's devices.
-    pub fn energy(&self, params: &EnergyParams) -> EnergyBreakdown {
-        match self {
-            Channel::Direct(sc) => EnergyBreakdown::from_stats(sc.stats(), params),
-            Channel::Bob(ch) => (0..ch.sub_channel_count())
-                .map(|i| EnergyBreakdown::from_stats(ch.sub_channel(i).stats(), params))
-                .fold(EnergyBreakdown::default(), |acc, e| acc.add(&e)),
-        }
-    }
-
-    /// Total column commands (READ + WRITE) issued by this channel; a
-    /// monotone counter the liveness watchdog uses as forward progress.
-    pub fn column_ops(&self) -> u64 {
-        match self {
-            Channel::Direct(sc) => sc.stats().reads.get() + sc.stats().writes.get(),
-            Channel::Bob(ch) => (0..ch.sub_channel_count())
-                .map(|i| {
-                    let s = ch.sub_channel(i).stats();
-                    s.reads.get() + s.writes.get()
-                })
-                .sum(),
-        }
-    }
-
-    /// DRAM row-buffer hit rate (mean across sub-channels).
-    pub fn row_hit_rate(&self) -> f64 {
-        match self {
-            Channel::Direct(sc) => sc.stats().row_hit_rate(),
-            Channel::Bob(ch) => {
-                let n = ch.sub_channel_count();
-                (0..n)
-                    .map(|i| ch.sub_channel(i).stats().row_hit_rate())
-                    .sum::<f64>()
-                    / n as f64
-            }
+            Channel::Direct(sc) => std::slice::from_mut(sc),
+            Channel::Bob(ch) => ch.subs_mut(),
         }
     }
 
@@ -269,6 +231,16 @@ impl ChannelFabric {
         &mut self.channels[i]
     }
 
+    /// Each channel's sub-channels, in fabric order.
+    pub(crate) fn subs(&self) -> impl Iterator<Item = &[SubChannel]> {
+        self.channels.iter().map(Channel::subs)
+    }
+
+    /// Every sub-channel in fabric order: for device-command tracing only.
+    pub(crate) fn subs_mut(&mut self) -> impl Iterator<Item = &mut SubChannel> {
+        self.channels.iter_mut().flat_map(Channel::subs_mut)
+    }
+
     /// Ticks every channel.
     pub fn tick(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
         for ch in self.channels.iter_mut() {
@@ -334,11 +306,6 @@ impl ChannelFabric {
     /// The first unrecovered link fault across the fabric, if any.
     pub fn fault(&self) -> Option<&doram_sim::SimError> {
         self.channels.iter().find_map(|ch| ch.fault())
-    }
-
-    /// Total column commands issued across the fabric (watchdog progress).
-    pub fn column_ops(&self) -> u64 {
-        self.channels.iter().map(Channel::column_ops).sum()
     }
 
     /// Attaches a trace recorder to every channel; channel `i` is the
@@ -492,8 +459,9 @@ mod tests {
                 now += MemCycle(1);
             }
             assert_eq!(done.len(), 1);
-            assert!(fabric.channel(1).bus_utilization() > 0.0);
-            let _ = fabric.channel(1).row_hit_rate();
+            let subs = fabric.channel(1).subs();
+            assert!(sub_mean(subs, SubChannelStats::bus_utilization) > 0.0);
+            assert!(sub_energy(subs, &EnergyParams::ddr3_1600()).read_mj > 0.0);
         }
     }
 

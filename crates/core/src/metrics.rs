@@ -112,14 +112,10 @@ pub struct RunReport {
     pub benchmark: Benchmark,
     /// Per-NS-App execution time (CPU cycles to first trace completion).
     pub ns_exec_cpu_cycles: Vec<u64>,
-    /// S-App execution time, if it completed its trace within the run.
-    pub s_exec_cpu_cycles: Option<u64>,
     /// NS-App read latency (memory cycles, arrival → data at CPU).
     pub ns_read_latency: RunningMean,
     /// NS-App write latency (memory cycles, arrival → DRAM write done).
     pub ns_write_latency: RunningMean,
-    /// Read latency per NS-App.
-    pub per_app_read_latency: Vec<RunningMean>,
     /// NS read-latency distribution (8-cycle buckets up to 2048 cycles).
     pub ns_read_histogram: Histogram,
     /// Data-bus utilization per channel.
@@ -132,8 +128,6 @@ pub struct RunReport {
     pub secure_link_bytes: Option<(u64, u64)>,
     /// DRAM energy per channel (secure channel first in D-ORAM).
     pub channel_energy: Vec<EnergyBreakdown>,
-    /// Mean memory-level parallelism per core (S-App first when present).
-    pub per_core_mlp: Vec<f64>,
     /// Total simulated memory cycles.
     pub total_mem_cycles: u64,
     /// Fault-injection / recovery activity (schemes with serial links;
@@ -191,17 +185,14 @@ mod tests {
             scheme: Scheme::Baseline,
             benchmark: Benchmark::Black,
             ns_exec_cpu_cycles: times,
-            s_exec_cpu_cycles: None,
             ns_read_latency: RunningMean::new(),
             ns_write_latency: RunningMean::new(),
-            per_app_read_latency: vec![],
             ns_read_histogram: Histogram::new(8, 256),
             channel_utilization: vec![],
             channel_row_hit: vec![],
             oram: None,
             secure_link_bytes: None,
             channel_energy: vec![],
-            per_core_mlp: vec![],
             total_mem_cycles: 0,
             faults: None,
         }

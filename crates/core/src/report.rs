@@ -278,17 +278,14 @@ mod tests {
             scheme: Scheme::DOram { k: 1, c: 4 },
             benchmark: Benchmark::Libq,
             ns_exec_cpu_cycles: vec![10, 20],
-            s_exec_cpu_cycles: None,
             ns_read_latency: RunningMean::new(),
             ns_write_latency: RunningMean::new(),
-            per_app_read_latency: vec![],
             ns_read_histogram: Histogram::new(8, 4),
             channel_utilization: vec![0.5, 0.25],
             channel_row_hit: vec![0.9],
             oram: None,
             secure_link_bytes: Some((100, 200)),
             channel_energy: vec![],
-            per_core_mlp: vec![],
             total_mem_cycles: 999,
             faults: Some(crate::metrics::FaultReport {
                 retransmissions: 3,
@@ -353,17 +350,14 @@ mod tests {
             scheme: Scheme::Baseline,
             benchmark: Benchmark::Libq,
             ns_exec_cpu_cycles: vec![10],
-            s_exec_cpu_cycles: None,
             ns_read_latency: RunningMean::new(),
             ns_write_latency: RunningMean::new(),
-            per_app_read_latency: vec![],
             ns_read_histogram: Histogram::new(8, 4),
             channel_utilization: vec![],
             channel_row_hit: vec![],
             oram: None,
             secure_link_bytes: None,
             channel_energy: vec![],
-            per_core_mlp: vec![],
             total_mem_cycles: 1,
             faults: Some(crate::metrics::FaultReport::default()),
         };

@@ -415,18 +415,14 @@ impl SecureChannel {
         self.fsm.stats()
     }
 
-    /// Sub-channel accessor (for utilization reporting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sub_channel(&self, i: usize) -> &SubChannel {
-        &self.subs[i]
+    /// The SD's sub-channels, in tree-unit order.
+    pub fn subs(&self) -> &[SubChannel] {
+        &self.subs
     }
 
-    /// Number of sub-channels.
-    pub fn sub_channel_count(&self) -> usize {
-        self.subs.len()
+    /// The sub-channels, mutably: for device-command tracing only.
+    pub fn subs_mut(&mut self) -> &mut [SubChannel] {
+        &mut self.subs
     }
 
     /// Bytes moved over the serial link (to-mem, to-cpu).
@@ -488,29 +484,6 @@ impl SecureChannel {
             self.verifier.debug_state(),
             subs.join(" | ")
         )
-    }
-
-    /// Enables device-command tracing on every sub-channel.
-    pub fn enable_command_traces(&mut self) {
-        for sub in self.subs.iter_mut() {
-            sub.enable_command_trace();
-        }
-    }
-
-    /// Takes each sub-channel's recorded command trace.
-    pub fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        self.subs
-            .iter_mut()
-            .map(|s| s.take_command_trace())
-            .collect()
-    }
-
-    /// DRAM energy consumed by the channel's four sub-channels.
-    pub fn energy(&self, params: &doram_dram::EnergyParams) -> doram_dram::EnergyBreakdown {
-        self.subs
-            .iter()
-            .map(|sc| doram_dram::EnergyBreakdown::from_stats(sc.stats(), params))
-            .fold(doram_dram::EnergyBreakdown::default(), |acc, e| acc.add(&e))
     }
 
     /// Sends an NS-App request down the link.
@@ -955,8 +928,8 @@ mod tests {
         assert_eq!(out.resp, vec![job], "response after the read phase");
         assert_eq!(ch.oram_stats().real_accesses.get(), 1);
         // 9 uncached levels × 4 blocks, read + write.
-        let reads: u64 = (0..4).map(|i| ch.sub_channel(i).stats().reads.get()).sum();
-        let writes: u64 = (0..4).map(|i| ch.sub_channel(i).stats().writes.get()).sum();
+        let reads: u64 = ch.subs().iter().map(|s| s.stats().reads.get()).sum();
+        let writes: u64 = ch.subs().iter().map(|s| s.stats().writes.get()).sum();
         assert_eq!(reads, 36);
         assert_eq!(writes, 36);
     }
@@ -1247,10 +1220,7 @@ mod tests {
         assert!(stats.unhealthy_cycles[1] > 0);
         assert_eq!(stats.health[1], HealthState::Quarantined);
         // Healthy siblings absorbed the quarantined sub's writes.
-        assert!(
-            ch.sub_channel(1).stats().reads.get() > 0,
-            "pre-trip traffic"
-        );
+        assert!(ch.subs()[1].stats().reads.get() > 0, "pre-trip traffic");
     }
 
     #[test]
@@ -1311,15 +1281,15 @@ mod tests {
             off.oram_stats().dummy_accesses.get()
         );
         assert_eq!(on.link_bytes(), off.link_bytes());
-        for i in 0..4 {
+        for (i, (a, b)) in on.subs().iter().zip(off.subs()).enumerate() {
             assert_eq!(
-                on.sub_channel(i).stats().reads.get(),
-                off.sub_channel(i).stats().reads.get(),
+                a.stats().reads.get(),
+                b.stats().reads.get(),
                 "sub {i} reads"
             );
             assert_eq!(
-                on.sub_channel(i).stats().writes.get(),
-                off.sub_channel(i).stats().writes.get(),
+                a.stats().writes.get(),
+                b.stats().writes.get(),
                 "sub {i} writes"
             );
         }

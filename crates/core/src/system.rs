@@ -6,7 +6,7 @@
 //! fresh trace segment so memory pressure stays constant; the reported
 //! execution time is the first completion.
 
-use crate::channels::{ChannelFabric, NsRouter, SPLIT_REGION_BASE};
+use crate::channels::{sub_energy, sub_mean, ChannelFabric, NsRouter, SPLIT_REGION_BASE};
 use crate::config::{Scheme, SystemConfig};
 use crate::cpu_engine::CpuEngine;
 use crate::metrics::{OramSummary, RunReport};
@@ -15,7 +15,7 @@ use crate::secmem_frontend::SecMemFrontend;
 use crate::secure_channel::{SecureChannel, SecureChannelConfig, SplitFetch};
 use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
 use doram_crypto::Cmac;
-use doram_dram::{Completion, MemOp, MemRequest, RequestClass};
+use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubChannelStats};
 use doram_obs::{CoreStall, Recorder, SharedRecorder, StallDump, Subsystem};
 use doram_oram::plan::PlanConfig;
 use doram_oram::split::SplitConfig;
@@ -510,19 +510,34 @@ impl Backend {
         }
     }
 
+    /// Each paper channel's sub-channels, in paper order: D-ORAM's secure
+    /// channel (#0) first, then the fabric's channels.
+    fn channel_subs(&self) -> impl Iterator<Item = &[SubChannel]> {
+        let secure = match &self.sapp {
+            SAppPath::Delegated(d) => Some(d.secure.subs()),
+            _ => None,
+        };
+        secure.into_iter().chain(self.fabric.subs())
+    }
+
+    /// Every sub-channel, in the order of
+    /// [`channel_subs`](Backend::channel_subs): for device-command tracing
+    /// only.
+    fn subs_mut(&mut self) -> impl Iterator<Item = &mut SubChannel> {
+        let secure = match &mut self.sapp {
+            SAppPath::Delegated(d) => d.secure.subs_mut(),
+            _ => &mut [],
+        };
+        secure.iter_mut().chain(self.fabric.subs_mut())
+    }
+
     /// Monotone forward-progress counter: DRAM column commands issued
     /// anywhere in the backend.
     fn column_ops(&self) -> u64 {
-        let secure: u64 = match &self.sapp {
-            SAppPath::Delegated(d) => (0..d.secure.sub_channel_count())
-                .map(|i| {
-                    let s = d.secure.sub_channel(i).stats();
-                    s.reads.get() + s.writes.get()
-                })
-                .sum(),
-            _ => 0,
-        };
-        self.fabric.column_ops() + secure
+        self.channel_subs()
+            .flatten()
+            .map(|s| s.stats().reads.get() + s.stats().writes.get())
+            .sum()
     }
 
     /// The earliest cycle at which the backend can do more than count, if
@@ -587,29 +602,6 @@ impl Backend {
             });
         }
     }
-
-    /// Records every DRAM device command from here on.
-    fn enable_command_traces(&mut self) {
-        if let SAppPath::Delegated(d) = &mut self.sapp {
-            d.secure.enable_command_traces();
-        }
-        for i in 0..self.fabric.len() {
-            self.fabric.channel_mut(i).enable_command_traces();
-        }
-    }
-
-    /// The recorded command traces, one per sub-channel, the secure
-    /// channel's first.
-    fn take_command_traces(&mut self) -> Vec<Vec<doram_dram::CommandRecord>> {
-        let mut all = match &mut self.sapp {
-            SAppPath::Delegated(d) => d.secure.take_command_traces(),
-            _ => Vec::new(),
-        };
-        for i in 0..self.fabric.len() {
-            all.extend(self.fabric.channel_mut(i).take_command_traces());
-        }
-        all
-    }
 }
 
 /// The S-App path's tag guards against restoring into a backend of a
@@ -666,7 +658,6 @@ struct Ledger {
     owners: HashMap<RequestId, usize>,
     ns_read_latency: RunningMean,
     ns_write_latency: RunningMean,
-    per_app_read_latency: Vec<RunningMean>,
     ns_read_histogram: Histogram,
     /// Read ids completed this cycle, to deliver to cores.
     ready_reads: Vec<(usize, RequestId)>,
@@ -680,9 +671,6 @@ impl Ledger {
             MemOp::Read => {
                 self.ns_read_latency.record(lat);
                 self.ns_read_histogram.record(lat as u64);
-                if let Some(m) = self.per_app_read_latency.get_mut(c.request.app.index()) {
-                    m.record(lat);
-                }
                 self.wake(c.request.id);
             }
             MemOp::Write => self.ns_write_latency.record(lat),
@@ -701,7 +689,6 @@ doram_sim::impl_snapshot!(Ledger {
     owners,
     ns_read_latency: state,
     ns_write_latency: state,
-    per_app_read_latency: state,
     ns_read_histogram: state,
     ready_reads,
 });
@@ -950,7 +937,6 @@ impl Simulation {
                 owners: HashMap::new(),
                 ns_read_latency: RunningMean::new(),
                 ns_write_latency: RunningMean::new(),
-                per_app_read_latency: vec![RunningMean::new(); n_cores],
                 ns_read_histogram: Histogram::new(8, 256),
                 ready_reads: Vec::new(),
             },
@@ -1252,18 +1238,20 @@ impl Simulation {
             metrics.set("engine.real_rate", rate);
             metrics.set("sd.queue", secure.sd_queue_len() as f64);
             metrics.set("sd.out_pending", secure.out_pending_len() as f64);
-            for i in 0..secure.sub_channel_count() {
-                let sub = secure.sub_channel(i);
+            for (i, sub) in secure.subs().iter().enumerate() {
                 metrics.set(&format!("sd.sub{i}.queue"), sub.queued() as f64);
                 metrics.set(&format!("sd.sub{i}.util"), sub.stats().bus_utilization());
             }
         }
-        let base = self.mem.backend.fabric_base();
-        for i in 0..fabric.len() {
-            metrics.set(
-                &format!("ch{}.util", i + base),
-                fabric.channel(i).bus_utilization(),
-            );
+        // The secure channel reports per sub-channel above.
+        let backend = &self.mem.backend;
+        for (n, subs) in backend
+            .channel_subs()
+            .enumerate()
+            .skip(backend.fabric_base())
+        {
+            let util = sub_mean(subs, SubChannelStats::bus_utilization);
+            metrics.set(&format!("ch{n}.util"), util);
         }
         if let Some(d) = delegated {
             let secure = &d.secure;
@@ -1296,10 +1284,12 @@ impl Simulation {
     ///
     /// [`SimError::CycleCapExceeded`] or [`SimError::JedecViolation`].
     pub fn run_with_conformance_check(mut self) -> Result<RunReport, SimError> {
-        self.mem.backend.enable_command_traces();
+        for sub in self.mem.backend.subs_mut() {
+            sub.enable_command_trace();
+        }
         self.advance(&RunOptions::default())?;
-        let traces = self.mem.backend.take_command_traces();
-        for (idx, trace) in traces.into_iter().enumerate() {
+        for (idx, sub) in self.mem.backend.subs_mut().enumerate() {
+            let trace = sub.take_command_trace();
             if let Err(v) = doram_dram::check_conformance(&trace, &self.cfg.timing) {
                 return Err(SimError::JedecViolation {
                     sub_channel: idx,
@@ -1416,9 +1406,6 @@ impl Simulation {
                     end = end.min(m.next_multiple_of(obs.borrow().metrics.every()));
                 }
                 if end > m {
-                    for slot in self.cores.iter_mut() {
-                        slot.core.step_stalled((end - m) * CPU_CYCLES_PER_MEM_CYCLE);
-                    }
                     self.mem.backend.fabric.skip(MemCycle(m), MemCycle(end));
                     self.cycle = end;
                     continue;
@@ -1532,62 +1519,41 @@ impl Simulation {
             .filter(|c| !c.is_sapp)
             .map(|c| c.first_finish_cpu.expect("run ended with all NS done"))
             .collect();
-        let s_exec = cores
-            .iter()
-            .find(|c| c.is_sapp)
-            .and_then(|c| c.first_finish_cpu);
 
-        // Per-channel figures in NS channel order: D-ORAM's secure channel
-        // (the mean over its sub-channels) first, then the fabric.
+        // Per-channel figures in paper channel order.
+        let backend = &mem.backend;
         let energy_params = doram_dram::EnergyParams::ddr3_1600();
-        let mut channel_utilization = Vec::new();
-        let mut channel_row_hit = Vec::new();
-        let mut channel_energy = Vec::new();
-        let (mut oram, mut secure_link_bytes, mut faults) = (None, None, None);
-        let Backend { fabric, sapp } = &mem.backend;
-        match sapp {
-            SAppPath::None | SAppPath::SecMem(_) => {}
-            SAppPath::Oram { fsm, .. } => oram = Some(summarize(fsm.stats())),
-            SAppPath::Delegated(d) => {
-                let secure = &d.secure;
-                let n_subs = secure.sub_channel_count();
-                let sub_mean = |f: fn(&doram_dram::SubChannelStats) -> f64| {
-                    (0..n_subs)
-                        .map(|i| f(secure.sub_channel(i).stats()))
-                        .sum::<f64>()
-                        / n_subs as f64
-                };
-                channel_utilization.push(sub_mean(|s| s.bus_utilization()));
-                channel_row_hit.push(sub_mean(|s| s.row_hit_rate()));
-                channel_energy.push(secure.energy(&energy_params));
-                oram = Some(summarize(secure.oram_stats()));
-                secure_link_bytes = Some(secure.link_bytes());
-                faults = Some(fault_report(secure, fabric));
-            }
-        }
-        for i in 0..fabric.len() {
-            let ch = fabric.channel(i);
-            channel_utilization.push(ch.bus_utilization());
-            channel_row_hit.push(ch.row_hit_rate());
-            channel_energy.push(ch.energy(&energy_params));
-        }
+        let per_channel = |f: fn(&SubChannelStats) -> f64| {
+            backend.channel_subs().map(|s| sub_mean(s, f)).collect()
+        };
+        let channel_utilization = per_channel(SubChannelStats::bus_utilization);
+        let channel_row_hit = per_channel(SubChannelStats::row_hit_rate);
+        let channel_energy = backend
+            .channel_subs()
+            .map(|s| sub_energy(s, &energy_params))
+            .collect();
+        let (oram, secure_link_bytes, faults) = match &backend.sapp {
+            SAppPath::None | SAppPath::SecMem(_) => (None, None, None),
+            SAppPath::Oram { fsm, .. } => (Some(summarize(fsm.stats())), None, None),
+            SAppPath::Delegated(d) => (
+                Some(summarize(d.secure.oram_stats())),
+                Some(d.secure.link_bytes()),
+                Some(fault_report(&d.secure, &backend.fabric)),
+            ),
+        };
 
-        let per_core_mlp = cores.iter().map(|c| c.core.stats().mean_mlp()).collect();
         RunReport {
             scheme: cfg.scheme,
             benchmark: cfg.benchmark,
             ns_exec_cpu_cycles: ns_exec,
-            s_exec_cpu_cycles: s_exec,
             ns_read_latency: mem.ledger.ns_read_latency,
             ns_write_latency: mem.ledger.ns_write_latency,
-            per_app_read_latency: mem.ledger.per_app_read_latency,
             ns_read_histogram: mem.ledger.ns_read_histogram,
             channel_utilization,
             channel_row_hit,
             oram,
             secure_link_bytes,
             channel_energy,
-            per_core_mlp,
             total_mem_cycles: cycle + 1,
             faults,
         }

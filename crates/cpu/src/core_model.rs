@@ -1,7 +1,6 @@
 //! The trace-driven ROB core.
 
 use doram_sim::snapshot::SnapshotError;
-use doram_sim::stats::Counter;
 use doram_sim::RequestId;
 use doram_trace::{AccessOp, TraceRecord};
 use std::collections::VecDeque;
@@ -39,59 +38,6 @@ impl Default for CoreConfig {
     }
 }
 
-/// Per-core statistics.
-#[derive(Debug, Clone, Default)]
-pub struct CoreStats {
-    /// Instructions retired.
-    pub retired: Counter,
-    /// CPU cycles stepped.
-    pub cycles: Counter,
-    /// Demand reads issued to memory.
-    pub reads_issued: Counter,
-    /// Writes posted to memory.
-    pub writes_issued: Counter,
-    /// Cycles retirement was blocked by an unresolved read at the head.
-    pub read_stall_cycles: Counter,
-    /// Cycles retirement was blocked by write-queue back-pressure.
-    pub write_stall_cycles: Counter,
-    /// Cycles fetch was blocked by read-queue back-pressure.
-    pub fetch_stall_cycles: Counter,
-    /// Sum over cycles of outstanding reads (for mean MLP).
-    pub outstanding_read_sum: Counter,
-}
-
-impl CoreStats {
-    /// Instructions per cycle achieved so far.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles.get() == 0 {
-            0.0
-        } else {
-            self.retired.get() as f64 / self.cycles.get() as f64
-        }
-    }
-
-    /// Mean memory-level parallelism: average outstanding demand reads
-    /// per cycle (the ROB window is the only MLP source in this model).
-    pub fn mean_mlp(&self) -> f64 {
-        if self.cycles.get() == 0 {
-            0.0
-        } else {
-            self.outstanding_read_sum.get() as f64 / self.cycles.get() as f64
-        }
-    }
-}
-
-doram_sim::impl_codec!(struct CoreStats {
-    retired,
-    cycles,
-    reads_issued,
-    writes_issued,
-    read_stall_cycles,
-    write_stall_cycles,
-    fetch_stall_cycles,
-    outstanding_read_sum,
-});
-
 #[derive(Debug, Clone, Copy)]
 enum RobEntry {
     NonMem,
@@ -112,10 +58,8 @@ pub struct TraceCore {
     /// Records ever pulled from `trace` (for checkpoint restore: a fresh
     /// iterator of the same trace is fast-forwarded by this many records).
     consumed: u64,
-    /// Reads in the ROB not yet completed: derived from `rob`, so kept
-    /// out of checkpoints and recounted on load.
-    outstanding: u64,
-    stats: CoreStats,
+    /// Instructions retired.
+    retired: u64,
 }
 
 impl std::fmt::Debug for TraceCore {
@@ -147,19 +91,13 @@ impl TraceCore {
             pending_access: None,
             trace_done: false,
             consumed: 0,
-            outstanding: 0,
-            stats: CoreStats::default(),
+            retired: 0,
         }
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &CoreStats {
-        &self.stats
     }
 
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
-        self.stats.retired.get()
+        self.retired
     }
 
     /// Whether the trace is fully fetched *and* the ROB has drained.
@@ -186,10 +124,7 @@ impl TraceCore {
         for e in self.rob.iter_mut() {
             if let RobEntry::Read { id: eid, done } = e {
                 if *eid == id {
-                    if !*done {
-                        *done = true;
-                        self.outstanding -= 1;
-                    }
+                    *done = true;
                     return;
                 }
             }
@@ -198,13 +133,11 @@ impl TraceCore {
 
     /// Advances the core by one CPU cycle: retire, then fetch.
     pub fn step(&mut self, port: &mut dyn MemoryPort) {
-        self.stats.cycles.inc();
-        self.stats.outstanding_read_sum.add(self.outstanding);
         self.retire(port);
         self.fetch(port);
     }
 
-    /// Whether a step would only count: the ROB is full behind an
+    /// Whether a step would change nothing: the ROB is full behind an
     /// unfinished read, so retirement stalls at the head, fetch finds no
     /// slot, and the step calls no port method. It stays so until that
     /// read completes.
@@ -213,43 +146,19 @@ impl TraceCore {
             && matches!(self.rob.front(), Some(RobEntry::Read { done: false, .. }))
     }
 
-    /// Applies `n` steps that only count (see
-    /// [`stalled_on_read`](TraceCore::stalled_on_read)) at once.
-    pub fn step_stalled(&mut self, n: u64) {
-        debug_assert!(self.stalled_on_read(), "stepping a core that can act");
-        self.stats.cycles.add(n);
-        self.stats.read_stall_cycles.add(n);
-        self.stats.outstanding_read_sum.add(n * self.outstanding);
-    }
-
     fn retire(&mut self, port: &mut dyn MemoryPort) {
         for _ in 0..self.cfg.retire_width {
             match self.rob.front() {
-                None => return,
-                Some(RobEntry::NonMem) => {
-                    self.rob.pop_front();
-                    self.stats.retired.inc();
-                }
-                Some(RobEntry::Read { done: true, .. }) => {
-                    self.rob.pop_front();
-                    self.stats.retired.inc();
-                }
-                Some(RobEntry::Read { done: false, .. }) => {
-                    self.stats.read_stall_cycles.inc();
-                    return;
-                }
-                Some(RobEntry::Write { addr }) => {
-                    let addr = *addr;
-                    if port.try_write(addr) {
-                        self.rob.pop_front();
-                        self.stats.retired.inc();
-                        self.stats.writes_issued.inc();
-                    } else {
-                        self.stats.write_stall_cycles.inc();
+                None | Some(RobEntry::Read { done: false, .. }) => return,
+                Some(RobEntry::NonMem | RobEntry::Read { done: true, .. }) => {}
+                Some(&RobEntry::Write { addr }) => {
+                    if !port.try_write(addr) {
                         return;
                     }
                 }
             }
+            self.rob.pop_front();
+            self.retired += 1;
         }
     }
 
@@ -282,15 +191,10 @@ impl TraceCore {
                 AccessOp::Read => match port.try_read(rec.addr) {
                     Some(id) => {
                         self.rob.push_back(RobEntry::Read { id, done: false });
-                        self.outstanding += 1;
-                        self.stats.reads_issued.inc();
                         self.pending_access = None;
                     }
-                    None => {
-                        // Read queue full: fetch stalls this cycle.
-                        self.stats.fetch_stall_cycles.inc();
-                        return;
-                    }
+                    // Read queue full: fetch stalls this cycle.
+                    None => return,
                 },
                 AccessOp::Write => {
                     // Writes are posted at retirement; occupy a slot now.
@@ -328,25 +232,19 @@ impl TraceCore {
         }
         Ok(())
     }
-
-    fn recount_outstanding(&mut self) -> Result<(), SnapshotError> {
-        self.outstanding = self.outstanding_reads().count() as u64;
-        Ok(())
-    }
 }
 
 doram_sim::impl_codec!(enum RobEntry { NonMem = 0, Read { id, done } = 1, Write { addr } = 2 });
 
 // The trace position travels as `consumed`; see [`TraceCore::resume_trace`].
-// The outstanding-read count is recounted from the ROB.
 doram_sim::impl_snapshot!(TraceCore {
     consumed,
     rob,
     gap_left,
     pending_access,
     trace_done,
-    stats,
-} skip { cfg, trace, outstanding } after_load TraceCore::recount_outstanding);
+    retired,
+} skip { cfg, trace });
 
 #[cfg(test)]
 mod tests {
@@ -432,7 +330,7 @@ mod tests {
         }
         assert!(!core.finished());
         assert_eq!(core.retired(), 0);
-        assert!(core.stats().read_stall_cycles.get() > 0);
+        assert_eq!(port.reads.len(), 1, "a blocked read is not reissued");
         let id = port.reads[0].0;
         core.complete_read(id);
         core.step(&mut port);
@@ -486,7 +384,7 @@ mod tests {
             core.step(&mut port);
         }
         assert_eq!(core.retired(), 0);
-        assert!(core.stats().write_stall_cycles.get() > 0);
+        assert!(port.writes.is_empty());
         port.accept_writes = true;
         for _ in 0..5 {
             core.step(&mut port);
@@ -507,7 +405,7 @@ mod tests {
             core.step(&mut port);
         }
         assert!(port.reads.is_empty());
-        assert!(core.stats().fetch_stall_cycles.get() > 0);
+        assert_eq!(core.retired(), 0);
         port.accept_reads = true;
         core.step(&mut port);
         assert_eq!(port.reads.len(), 1);
@@ -541,46 +439,6 @@ mod tests {
         core.complete_read(RequestId(999));
         core.step(&mut port);
         assert_eq!(core.retired(), 0, "bogus completion must not unblock");
-    }
-
-    #[test]
-    fn ipc_accounting() {
-        let mut core = TraceCore::new(
-            CoreConfig::default(),
-            trace(vec![rec(39, AccessOp::Write, 0)]),
-        );
-        let mut port = TestPort::new();
-        while !core.finished() {
-            core.step(&mut port);
-        }
-        let ipc = core.stats().ipc();
-        assert!(
-            ipc > 2.0,
-            "gap-dominated code should run near width, got {ipc}"
-        );
-    }
-
-    #[test]
-    fn mlp_counts_outstanding_reads() {
-        // Two reads outstanding for ~10 cycles → mean MLP near 2.
-        let mut core = TraceCore::new(
-            CoreConfig::default(),
-            trace(vec![
-                rec(0, AccessOp::Read, 64),
-                rec(0, AccessOp::Read, 128),
-            ]),
-        );
-        let mut port = TestPort::new();
-        for _ in 0..10 {
-            core.step(&mut port);
-        }
-        let mlp = core.stats().mean_mlp();
-        assert!(mlp > 1.5, "mlp {mlp}");
-        for (id, _) in port.reads.clone() {
-            core.complete_read(id);
-        }
-        core.step(&mut port);
-        assert!(core.finished());
     }
 
     /// A deterministic port: each read completes 20–32 cycles after issue
@@ -669,10 +527,7 @@ mod tests {
             script_cycle(&mut restored, &mut restored_port);
         }
         assert_eq!(port.now, restored_port.now);
-        assert_eq!(
-            format!("{:?}", original.stats()),
-            format!("{:?}", restored.stats())
-        );
+        assert_eq!(original.retired(), restored.retired());
         assert_eq!(saved(&original), saved(&restored));
     }
 

@@ -46,4 +46,4 @@
 
 pub mod core_model;
 
-pub use core_model::{CoreConfig, CoreStats, MemoryPort, TraceCore};
+pub use core_model::{CoreConfig, MemoryPort, TraceCore};

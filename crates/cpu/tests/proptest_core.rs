@@ -94,11 +94,10 @@ proptest! {
         prop_assert_eq!(port.writes, expect_writes);
     }
 
-    /// The MLP tally adds up exactly the reads outstanding before each
-    /// step, however completions arrive: early, twice, or for ids the core
-    /// never issued.
+    /// The core drains, and leaves no read outstanding, however
+    /// completions arrive: early, twice, or for ids the core never issued.
     #[test]
-    fn outstanding_read_sum_counts_the_rob(
+    fn noisy_completions_drain_the_rob(
         trace in gen_trace(),
         delay in 1u64..60,
         noise in prop::collection::vec((0u8..4, 0u64..1_000), 1..64),
@@ -106,7 +105,6 @@ proptest! {
         let mut core = TraceCore::new(CoreConfig::default(), Box::new(trace.into_iter()));
         let mut port = DelayPort::new(delay);
         let mut completed: Vec<RequestId> = Vec::new();
-        let mut expected = 0u64;
         let mut cycles = 0usize;
         while !core.finished() {
             prop_assert!(cycles < 1_000_000, "liveness");
@@ -131,12 +129,10 @@ proptest! {
                 }
                 _ => {}
             }
-            expected += core.outstanding_reads().count() as u64;
             core.step(&mut port);
             port.now += 1;
             cycles += 1;
         }
-        prop_assert_eq!(core.stats().outstanding_read_sum.get(), expected);
         prop_assert_eq!(core.outstanding_reads().count(), 0);
     }
 

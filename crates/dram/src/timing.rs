@@ -66,31 +66,6 @@ impl DramTiming {
         }
     }
 
-    /// JEDEC DDR3-1333 (9-9-9): the slower mainstream bin, for
-    /// sensitivity studies. Note tCK is 1.5 ns at this rate; the workspace
-    /// clocks everything in DDR3-1600 tCK units, so these values are the
-    /// 1333 analog constraints expressed in cycles of its own clock.
-    pub fn ddr3_1333() -> DramTiming {
-        DramTiming {
-            cl: 9,
-            cwl: 7,
-            t_rcd: 9,
-            t_rp: 9,
-            t_ras: 24,
-            t_rc: 33,
-            t_ccd: 4,
-            t_rrd: 4,
-            t_faw: 20,
-            t_rtp: 5,
-            t_wr: 10,
-            t_wtr: 5,
-            t_rtrs: 2,
-            t_burst: 4,
-            t_rfc: 174,
-            t_refi: 5200,
-        }
-    }
-
     /// Idealized zero-latency timing: every command legal immediately, data
     /// still occupies the bus for `t_burst`. Used by unit tests that want to
     /// isolate scheduler policy from device timing.
@@ -139,16 +114,6 @@ impl DramTiming {
         }
         Ok(())
     }
-
-    /// Minimum read latency of an idle, open-row bank: CL + burst.
-    pub fn best_case_read(&self) -> u64 {
-        self.cl + self.t_burst
-    }
-
-    /// Read latency with a row miss: tRP + tRCD + CL + burst.
-    pub fn row_miss_read(&self) -> u64 {
-        self.t_rp + self.t_rcd + self.cl + self.t_burst
-    }
 }
 
 impl Default for DramTiming {
@@ -176,20 +141,9 @@ mod tests {
         assert_eq!(t.t_rp, 11);
         // tRC = tRAS + tRP.
         assert_eq!(t.t_rc, t.t_ras + t.t_rp);
-        assert_eq!(t.best_case_read(), 15);
-        assert_eq!(t.row_miss_read(), 37);
-    }
-
-    #[test]
-    fn ddr3_1333_is_valid_and_slower_per_cycle_count() {
-        let t = DramTiming::ddr3_1333();
-        t.validate().unwrap();
-        let fast = DramTiming::ddr3_1600();
-        // Same-generation parts: fewer cycles per constraint at the lower
-        // clock (absolute nanoseconds are comparable).
-        assert!(t.cl < fast.cl);
-        assert!(t.t_rc < fast.t_rc);
-        assert_eq!(t.t_rc, t.t_ras + t.t_rp);
+        // Open-row read: CL + burst; row miss: tRP + tRCD + CL + burst.
+        assert_eq!(t.cl + t.t_burst, 15);
+        assert_eq!(t.t_rp + t.t_rcd + t.cl + t.t_burst, 37);
     }
 
     #[test]

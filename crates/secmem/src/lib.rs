@@ -61,7 +61,6 @@ impl Default for SecMemConfig {
 pub struct SecureMemoryEngine {
     cfg: SecMemConfig,
     rng: Xoshiro256,
-    expanded: u64,
 }
 
 impl SecureMemoryEngine {
@@ -76,18 +75,12 @@ impl SecureMemoryEngine {
         SecureMemoryEngine {
             cfg,
             rng: Xoshiro256::stream(seed, 0x5EC_3E3),
-            expanded: 0,
         }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &SecMemConfig {
         &self.cfg
-    }
-
-    /// Accesses expanded so far.
-    pub fn expanded(&self) -> u64 {
-        self.expanded
     }
 
     /// Expands one S-App access at `addr` (line-aligned, channel-local)
@@ -99,7 +92,6 @@ impl SecureMemoryEngine {
     /// Panics if `home_channel` is out of range.
     pub fn expand(&mut self, home_channel: usize, addr: u64, op: MemOp) -> Vec<SecMemRequest> {
         assert!(home_channel < self.cfg.channels, "bad home channel");
-        self.expanded += 1;
         (0..self.cfg.channels)
             .map(|ch| {
                 if ch == home_channel {
@@ -120,14 +112,9 @@ impl SecureMemoryEngine {
             })
             .collect()
     }
-
-    /// Applies the constant S-App overhead factor to a latency.
-    pub fn adjusted_latency(&self, raw: f64) -> f64 {
-        raw * self.cfg.sapp_overhead
-    }
 }
 
-doram_sim::impl_snapshot!(SecureMemoryEngine { rng, expanded } skip { cfg });
+doram_sim::impl_snapshot!(SecureMemoryEngine { rng } skip { cfg });
 
 #[cfg(test)]
 mod tests {
@@ -167,7 +154,6 @@ mod tests {
                 assert!(r.addr / 64 < e.config().region_lines);
             }
         }
-        assert_eq!(e.expanded(), 100);
     }
 
     #[test]
@@ -183,12 +169,6 @@ mod tests {
         let mut a = SecureMemoryEngine::new(SecMemConfig::default(), 7);
         let mut b = SecureMemoryEngine::new(SecMemConfig::default(), 7);
         assert_eq!(a.expand(0, 64, MemOp::Read), b.expand(0, 64, MemOp::Read));
-    }
-
-    #[test]
-    fn overhead_factor() {
-        let e = engine();
-        assert!((e.adjusted_latency(100.0) - 110.0).abs() < 1e-9);
     }
 
     #[test]

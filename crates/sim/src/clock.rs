@@ -48,11 +48,6 @@ impl MemCycle {
         CpuCycle(self.0 * CPU_CYCLES_PER_MEM_CYCLE)
     }
 
-    /// This duration in nanoseconds.
-    pub fn to_nanos(self) -> f64 {
-        (self.0 * TCK_PICOS) as f64 / 1000.0
-    }
-
     /// Saturating subtraction; useful for "time since" computations.
     pub fn saturating_sub(self, rhs: MemCycle) -> MemCycle {
         MemCycle(self.0.saturating_sub(rhs.0))
@@ -62,11 +57,6 @@ impl MemCycle {
 impl CpuCycle {
     /// Zero time; the simulation origin.
     pub const ZERO: CpuCycle = CpuCycle(0);
-
-    /// The memory cycle containing this CPU cycle (floor division).
-    pub fn to_mem_cycles(self) -> MemCycle {
-        MemCycle(self.0 / CPU_CYCLES_PER_MEM_CYCLE)
-    }
 
     /// The first memory-cycle boundary at or after this CPU cycle.
     pub fn to_mem_cycles_ceil(self) -> MemCycle {
@@ -122,7 +112,6 @@ mod tests {
     fn nanos_round_trip() {
         // 15 ns (the paper's BOB buffer+link latency) is 12 tCK.
         assert_eq!(MemCycle::from_nanos(15.0), MemCycle(12));
-        assert_eq!(MemCycle(12).to_nanos(), 15.0);
     }
 
     #[test]
@@ -135,7 +124,6 @@ mod tests {
     #[test]
     fn cpu_mem_conversion() {
         assert_eq!(MemCycle(3).to_cpu_cycles(), CpuCycle(12));
-        assert_eq!(CpuCycle(13).to_mem_cycles(), MemCycle(3));
         assert_eq!(CpuCycle(13).to_mem_cycles_ceil(), MemCycle(4));
         assert_eq!(CpuCycle(12).to_mem_cycles_ceil(), MemCycle(3));
     }

@@ -76,10 +76,14 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// the verifier models its checks by verdict and cost, so no behaviour
 /// read the tags or the leaf numbers.
 ///
-/// Version 8 (this build) dropped each DRAM sub-channel's share-arbiter
-/// tallies and read/write latency means, which no run read, and keeps the
-/// SD verifier's bucket versions and owners only when a read can be
-/// checked. Older files are rejected with
+/// Version 8 dropped each DRAM sub-channel's share-arbiter tallies and
+/// read/write latency means, which no run read, and keeps the SD
+/// verifier's bucket versions and owners only when a read can be checked.
+///
+/// Version 9 (this build) dropped the state no report read: each core's
+/// statistics but its retired count, the per-app NS read-latency means,
+/// each link's delayed-frame count, and the secure-memory engine's count
+/// of expanded accesses. Older files are rejected with
 /// [`SnapshotErrorKind::BadVersion`] — re-run from the start rather than
 /// resuming across the format change.
 ///
@@ -88,7 +92,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
 /// changes the payload: bump this version and re-bless the golden
 /// checkpoint table (`tests/golden_checkpoints.rs`).
-pub const CHECKPOINT_VERSION: u32 = 8;
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
 /// layer that owns the key; all-zero when the run is unkeyed).

@@ -64,11 +64,6 @@ impl WorkloadSpec {
         self.phase_period = period;
         self
     }
-
-    /// Expected instructions per memory access implied by the MPKI.
-    pub fn instructions_per_access(&self) -> f64 {
-        1000.0 / self.mpki
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,6 @@ mod tests {
     #[test]
     fn valid_spec_passes() {
         base().validate().unwrap();
-        assert_eq!(base().instructions_per_access(), 100.0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint format version the table below was blessed under.
-const GOLDEN_VERSION: u32 = 8;
+const GOLDEN_VERSION: u32 = 9;
 
 /// Checkpoint interval of every case, in memory cycles.
 const CHECKPOINT_EVERY: u64 = 1_500;
@@ -49,20 +49,20 @@ type Golden = (&'static str, u64, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("solo-ns", 3000, 0xcc04df795e588730, 0x1fabf23a8104bb9e),
-    ("ns7-on4", 4500, 0x45195d368446bb99, 0x7c9ea86b986ca7d2),
-    ("ns7-on3", 6000, 0x815c1cb6e2c517b3, 0x42aa7d45264fff91),
-    ("baseline", 6000, 0x58a48a32270a5d36, 0x5603d2b867431f98),
-    ("secure-memory", 6000, 0x89932144b7c67219, 0x945ebc7c5b51cf21),
-    ("partition1s", 6000, 0xcc288b5de9068d0c, 0x39d5811259c35e58),
-    ("doram-k0c7", 4500, 0xd17a541b2989c01d, 0x2caf9f6073d3e7b1),
-    ("doram-k2c7-merge-pipeline", 6000, 0xcde9cd3201f42884, 0x86d22924f264ecf4),
-    ("doram-k1c4-degraded-faults", 6000, 0xcf634b6f7af88001, 0x9e6fe60d661b75e4),
-    ("doram-k1c4-hostile-sub", 6000, 0xe75a2e66fa13df75, 0xf960a8ea5ab506aa),
-    ("doram-k0c7-adversary", 4500, 0xfebf5e3328111876, 0xcbb42ad7e641456c),
-    ("doram-k0c7-recorder", 4500, 0x43505f0d593fe0d8, 0x2caf9f6073d3e7b1),
-    ("baseline-recorder", 6000, 0x4ab8d8459539df62, 0x5603d2b867431f98),
-    ("doram-k1c4-recovery-recorder", 6000, 0x1181ccce45f5d787, 0x5d5868f3a9f6c8e7),
+    ("solo-ns", 3000, 0x9219956cfbb4b99f, 0x1fabf23a8104bb9e),
+    ("ns7-on4", 4500, 0x6035d20bcb2130f1, 0x7c9ea86b986ca7d2),
+    ("ns7-on3", 6000, 0x60540cd490ba0d4a, 0x42aa7d45264fff91),
+    ("baseline", 6000, 0xedf0a2b8329da868, 0x5603d2b867431f98),
+    ("secure-memory", 6000, 0xb98ea15c7be1ed38, 0x945ebc7c5b51cf21),
+    ("partition1s", 6000, 0xc9fe43f47302c703, 0x39d5811259c35e58),
+    ("doram-k0c7", 4500, 0x6e4b9faedc20fb58, 0x2caf9f6073d3e7b1),
+    ("doram-k2c7-merge-pipeline", 6000, 0xacdc7ed8212befdb, 0x86d22924f264ecf4),
+    ("doram-k1c4-degraded-faults", 6000, 0xe077e84c12171555, 0x9e6fe60d661b75e4),
+    ("doram-k1c4-hostile-sub", 6000, 0x7e0a4e70a7d37206, 0xf960a8ea5ab506aa),
+    ("doram-k0c7-adversary", 4500, 0x982415b1e70a578a, 0xcbb42ad7e641456c),
+    ("doram-k0c7-recorder", 4500, 0x3fab26ae2cf62319, 0x2caf9f6073d3e7b1),
+    ("baseline-recorder", 6000, 0x4965ff8295feb6b0, 0x5603d2b867431f98),
+    ("doram-k1c4-recovery-recorder", 6000, 0xd3c0309b870ac7cf, 0x5d5868f3a9f6c8e7),
 ];
 
 struct Case {

@@ -103,6 +103,4 @@ fn imported_trace_replays_through_core_and_dram() {
     // 4. Conservation: every traced access reached the DRAM.
     assert_eq!(core.retired(), instructions);
     assert_eq!(port.done.len() as u64, accesses);
-    let mlp = core.stats().mean_mlp();
-    assert!(mlp > 0.0, "the ROB window must extract some parallelism");
 }
