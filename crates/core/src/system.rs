@@ -1245,11 +1245,8 @@ impl Simulation {
         }
         // The secure channel reports per sub-channel above.
         let backend = &self.mem.backend;
-        for (n, subs) in backend
-            .channel_subs()
-            .enumerate()
-            .skip(backend.fabric_base())
-        {
+        let base = backend.fabric_base();
+        for (n, subs) in backend.channel_subs().enumerate().skip(base) {
             let util = sub_mean(subs, SubChannelStats::bus_utilization);
             metrics.set(&format!("ch{n}.util"), util);
         }
