@@ -26,7 +26,7 @@ pub enum RequestClass {
 pub struct MemRequest {
     /// Unique identifier (assigned by the issuer).
     pub id: RequestId,
-    /// Application the request belongs to (for per-app latency stats).
+    /// Application the request belongs to.
     pub app: AppId,
     /// Read or write.
     pub op: MemOp,
