@@ -2159,6 +2159,106 @@ mod tests {
         );
     }
 
+    /// The watchdog's text for a 2,000-access 1NS run of `bench`.
+    fn solo_stall(bench: Benchmark, seed: u64, budget: u64) -> String {
+        let cfg = SystemConfig::builder(bench)
+            .scheme(Scheme::SoloNs)
+            .ns_accesses(2_000)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let opts = RunOptions {
+            watchdog_budget: Some(budget),
+            ..RunOptions::default()
+        };
+        match Simulation::new(cfg).unwrap().run_with(&opts) {
+            Err(err @ SimError::Stalled { .. }) => err.to_string(),
+            other => panic!("expected a stall, got {other:?}"),
+        }
+    }
+
+    /// 1NS runs that stall in the first refresh, whose last retirement
+    /// before it falls in a stretch where the core runs on while every
+    /// sub-channel waits: the budget counts from the cycle after that
+    /// retirement, as stepping every cycle does, not from the end of the
+    /// stretch.
+    #[test]
+    fn watchdog_counts_from_the_last_retirement_in_a_busy_stretch() {
+        let text = |budget, at, core: &str, blocked, channels: [(u32, u32, u32, u32); 4]| {
+            let mut text = format!(
+                "no forward progress for {budget} memory cycles (stalled at cycle {at})\n\
+                 core0: {core} finished=false restarts=0\nblocked reads: {blocked}"
+            );
+            for (i, (rq, wq, rd, wr)) in channels.into_iter().enumerate() {
+                text += &format!(
+                    "\nch{i}[rq={rq} wq={wq} fly=0 drain=false refresh_pending=false \
+                     refreshing=true rd={rd} wr={wr}]"
+                );
+            }
+            text
+        };
+        assert_eq!(
+            solo_stall(Benchmark::Libq, 1, 50),
+            text(
+                50,
+                6_300,
+                "retired=37050",
+                2,
+                [
+                    (2, 0, 86, 29),
+                    (0, 0, 71, 37),
+                    (0, 0, 82, 32),
+                    (0, 0, 78, 34)
+                ]
+            )
+        );
+        assert_eq!(
+            solo_stall(Benchmark::Libq, 2, 100),
+            text(
+                100,
+                6_336,
+                "retired=40156",
+                1,
+                [
+                    (1, 1, 77, 37),
+                    (0, 0, 94, 31),
+                    (0, 0, 87, 38),
+                    (0, 0, 81, 38)
+                ]
+            )
+        );
+        assert_eq!(
+            solo_stall(Benchmark::Comm4, 1, 200),
+            text(
+                200,
+                6_439,
+                "retired=54098",
+                1,
+                [
+                    (1, 0, 37, 11),
+                    (0, 0, 24, 16),
+                    (0, 0, 45, 15),
+                    (0, 0, 31, 13)
+                ]
+            )
+        );
+        assert_eq!(
+            solo_stall(Benchmark::Comm4, 2, 75),
+            text(
+                75,
+                6_303,
+                "retired=51726",
+                1,
+                [
+                    (0, 0, 34, 13),
+                    (0, 0, 36, 14),
+                    (1, 0, 36, 15),
+                    (0, 0, 38, 9)
+                ]
+            )
+        );
+    }
+
     /// The watchdog dump's component lines, mid-run: restored from the
     /// checkpoint a small run of `scheme` takes at memory cycle 1,000.
     fn components_at_cycle_1000(scheme: Scheme, name: &str) -> Vec<String> {
