@@ -1348,8 +1348,11 @@ impl Simulation {
             (
                 rec.prof.component("cpu.step"),
                 rec.prof.component("memory.tick"),
+                rec.prof.component("loop.jump"),
             )
         });
+        // Jumps taken while profiling: one in every stride is timed.
+        let mut jumps = 0u64;
         loop {
             let m = self.cycle;
             if m >= cap {
@@ -1389,7 +1392,7 @@ impl Simulation {
                     });
                 }
             }
-            // Every core waits on memory and no channel can act: take the
+            // No core calls the port and no channel can act: take the
             // cycles up to the next event that must be stepped at once.
             if let Some(end) = self.quiet_until(m) {
                 let mut end = end.min(cap);
@@ -1403,15 +1406,36 @@ impl Simulation {
                     end = end.min(m.next_multiple_of(obs.borrow().metrics.every()));
                 }
                 if end > m {
+                    let prof_t0 = prof_ids
+                        .filter(|_| {
+                            jumps += 1;
+                            doram_obs::SelfProfiler::sample_due(jumps - 1)
+                        })
+                        .map(|(_, _, jump_id)| (jump_id, std::time::Instant::now()));
                     self.mem.backend.fabric.skip(MemCycle(m), MemCycle(end));
+                    let cpu_cycles = (end - m) * CPU_CYCLES_PER_MEM_CYCLE;
+                    // CPU cycles of the jump up to its last retirement.
+                    let mut last_retire = 0;
+                    for slot in &mut self.cores {
+                        last_retire = last_retire.max(slot.core.advance_quiet(cpu_cycles));
+                    }
+                    // Stepping would stamp progress in the memory cycle
+                    // after the last one that retired.
+                    if last_retire > 0 && opts.watchdog_budget.is_some() {
+                        last_progress = self.progress_stamp();
+                        last_progress_cycle = m + (last_retire - 1) / CPU_CYCLES_PER_MEM_CYCLE + 1;
+                    }
                     self.cycle = end;
+                    if let (Some((jump_id, t0)), Some(obs)) = (prof_t0, &self.obs) {
+                        obs.borrow_mut().prof.charge(jump_id, t0.elapsed());
+                    }
                     continue;
                 }
             }
             let now = MemCycle(m);
             let prof_now = prof_ids
                 .filter(|_| doram_obs::SelfProfiler::sample_due(m))
-                .map(|ids| (ids, std::time::Instant::now()));
+                .map(|(cpu_id, mem_id, _)| ((cpu_id, mem_id), std::time::Instant::now()));
 
             // CPU: 4 cycles per memory cycle.
             for _ in 0..CPU_CYCLES_PER_MEM_CYCLE {
@@ -1489,17 +1513,19 @@ impl Simulation {
         Ok(())
     }
 
-    /// The wake cycle of a stretch from cycle `m` in which every cycle
-    /// only counts: every core is stalled on a read behind a full ROB,
-    /// and no channel can act before the backend's wake cycle. Nothing
-    /// completes inside it, so every core stays stalled. `None` when
-    /// cycle `m` must be stepped.
+    /// The end of a stretch from cycle `m` in which every cycle only
+    /// counts and every core only retires and fetches non-memory
+    /// instructions: the earlier of the backend's wake cycle, before
+    /// which no channel acts and so no read completes, and the first
+    /// cycle in which some core's quiet horizon ends. `None` when cycle
+    /// `m` must be stepped.
     fn quiet_until(&self, m: u64) -> Option<u64> {
-        if !self.cores.iter().all(|slot| slot.core.stalled_on_read()) {
-            return None;
-        }
-        let wake = self.mem.backend.wake_at()?.0;
-        (wake > m).then_some(wake)
+        let after_m = |end: u64| (end > m).then_some(end);
+        let wake = after_m(self.mem.backend.wake_at()?.0)?;
+        self.cores.iter().try_fold(wake, |end, slot| {
+            let quiet = slot.core.quiet_horizon() / CPU_CYCLES_PER_MEM_CYCLE;
+            after_m(end.min(m.saturating_add(quiet)))
+        })
     }
 
     /// The report of a run [`advance`](Simulation::advance) finished.

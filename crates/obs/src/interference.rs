@@ -102,7 +102,7 @@ pub struct BlameRowReport {
 /// One component's cost line in the host self-profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentReport {
-    /// Component name (`"cpu.step"`, `"memory.tick"`).
+    /// Component name (`"cpu.step"`, `"memory.tick"`, `"loop.jump"`).
     pub name: String,
     /// Timed samples taken.
     pub samples: u64,

@@ -80,10 +80,13 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// read/write latency means, which no run read, and keeps the SD
 /// verifier's bucket versions and owners only when a read can be checked.
 ///
-/// Version 9 (this build) dropped the state no report read: each core's
-/// statistics but its retired count, the per-app NS read-latency means,
-/// each link's delayed-frame count, and the secure-memory engine's count
-/// of expanded accesses. Older files are rejected with
+/// Version 9 dropped the state no report read: each core's statistics
+/// but its retired count, the per-app NS read-latency means, each link's
+/// delayed-frame count, and the secure-memory engine's count of expanded
+/// accesses.
+///
+/// Version 10 (this build) stores each core's non-memory instructions as
+/// runs, one ROB entry per stretch. Older files are rejected with
 /// [`SnapshotErrorKind::BadVersion`] — re-run from the start rather than
 /// resuming across the format change.
 ///
@@ -92,7 +95,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DORAMCKP";
 /// [`impl_codec!`](crate::impl_codec) list, or a hand-written layout —
 /// changes the payload: bump this version and re-bless the golden
 /// checkpoint table (`tests/golden_checkpoints.rs`).
-pub const CHECKPOINT_VERSION: u32 = 9;
+pub const CHECKPOINT_VERSION: u32 = 10;
 
 /// Width of the checkpoint authentication tag (a CMAC computed by the
 /// layer that owns the key; all-zero when the run is unkeyed).
