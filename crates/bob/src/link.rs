@@ -473,11 +473,6 @@ impl<M> Link<M> {
         self.to_mem.tx.len() < self.to_mem.cfg.tx_queue
     }
 
-    /// Whether the CPU-bound TX queue can accept another packet.
-    pub fn can_send_to_cpu(&self) -> bool {
-        self.to_cpu.tx.len() < self.to_cpu.cfg.tx_queue
-    }
-
     /// Advances both directions, delivering arrived messages.
     pub fn tick(
         &mut self,
@@ -522,11 +517,6 @@ impl<M> Link<M> {
     /// Per-direction health states (to-mem, to-cpu).
     pub fn health(&self) -> (HealthState, HealthState) {
         (self.to_mem.health.state(), self.to_cpu.health.state())
-    }
-
-    /// Quarantine entries across both directions (degraded-episode count).
-    pub fn quarantine_entries(&self) -> u32 {
-        self.to_mem.health.quarantine_entries() + self.to_cpu.health.quarantine_entries()
     }
 }
 
@@ -606,7 +596,6 @@ mod tests {
         assert!(link.send_to_mem(72, 2u32).is_ok());
         assert!(!link.can_send_to_mem());
         assert_eq!(link.send_to_mem(72, 3u32), Err(3));
-        assert!(link.can_send_to_cpu());
     }
 
     #[test]
@@ -810,7 +799,6 @@ mod tests {
         assert_eq!(got.len(), 2, "quarantine does not stop delivery");
         assert_eq!(link.health().0, HealthState::Quarantined);
         assert_eq!(link.health().1, HealthState::Healthy);
-        assert_eq!(link.quarantine_entries(), 1);
         let transitions: Vec<u64> = rec
             .borrow()
             .events()

@@ -44,11 +44,6 @@ impl SubtreeLayout {
         self.subtree_levels
     }
 
-    /// Number of level-strata.
-    fn strata(&self) -> u32 {
-        self.geometry.levels().div_ceil(self.subtree_levels)
-    }
-
     /// Levels contained in stratum `s`.
     fn levels_in_stratum(&self, s: u32) -> u32 {
         let start = s * self.subtree_levels;
@@ -82,18 +77,6 @@ impl SubtreeLayout {
         let local_serial = ((1u64 << local_level) - 1) + local_pos;
         self.stratum_base(stratum) + subtree_idx * self.subtree_buckets(stratum) + local_serial
     }
-
-    /// Distinct contiguous regions a path touches (one per stratum).
-    pub fn regions_per_path(&self) -> u32 {
-        self.strata()
-    }
-
-    /// Byte address of `(bucket, slot)` within one sub-channel, when each
-    /// bucket contributes exactly one block (its `slot`-th) to that
-    /// sub-channel — the secure channel's 4-sub-channel distribution.
-    pub fn block_addr_in_subchannel(&self, bucket: u64) -> u64 {
-        self.serial(bucket) * 64
-    }
 }
 
 /// Tree-top cache: the top `levels` of buckets live in SD SRAM and produce
@@ -118,13 +101,6 @@ impl TreeTopCache {
     pub fn covers(&self, level: u32) -> bool {
         level < self.levels
     }
-
-    /// SRAM the cache needs for geometry `g`, in bytes (Z blocks of 64 B
-    /// per bucket).
-    pub fn sram_bytes(&self, g: &TreeGeometry) -> u64 {
-        let buckets: u64 = (0..self.levels.min(g.levels())).map(|l| 1u64 << l).sum();
-        buckets * g.z as u64 * 64
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +109,11 @@ mod tests {
 
     fn layout(l_max: u32, s: u32) -> SubtreeLayout {
         SubtreeLayout::new(TreeGeometry::new(l_max, 4), s)
+    }
+
+    /// Number of level-strata: the regions a path touches.
+    fn strata(lay: &SubtreeLayout) -> u32 {
+        lay.geometry.levels().div_ceil(lay.subtree_levels)
     }
 
     #[test]
@@ -173,7 +154,7 @@ mod tests {
     #[test]
     fn path_touches_one_region_per_stratum() {
         let lay = layout(20, 7);
-        assert_eq!(lay.regions_per_path(), 3);
+        assert_eq!(strata(&lay), 3);
         let g = *lay.geometry();
         // Max spread of path serials within each stratum ≤ subtree size.
         for leaf in [0u64, 12345, g.num_leaves() - 1] {
@@ -215,32 +196,11 @@ mod tests {
         // 24 levels, 3 cached + 21 = 3 × 7-level sections (§IV).
         let g = TreeGeometry::paper_default();
         let lay = SubtreeLayout::new(g, 7);
-        assert_eq!(lay.regions_per_path(), 4); // 24 levels / 7 = 4 strata
-                                               // With the top 3 levels cached, the cached levels all live in
-                                               // stratum 0, so DRAM sees at most 4 regions per path.
+        // 24 levels / 7 = 4 strata. With the top 3 levels cached, the
+        // cached levels all live in stratum 0, so DRAM sees at most 4
+        // regions per path.
+        assert_eq!(strata(&lay), 4);
         let cache = TreeTopCache::new(3);
         assert!(cache.covers(0) && cache.covers(2) && !cache.covers(3));
-    }
-
-    #[test]
-    fn tree_top_cache_sram_budget() {
-        let g = TreeGeometry::paper_default();
-        // Top 3 levels: 1+2+4 = 7 buckets × 4 × 64 B = 1792 B.
-        assert_eq!(TreeTopCache::new(3).sram_bytes(&g), 1792);
-        assert_eq!(TreeTopCache::new(0).sram_bytes(&g), 0);
-    }
-
-    #[test]
-    fn block_addresses_are_line_aligned_and_unique() {
-        let lay = layout(6, 3);
-        let mut addrs: Vec<u64> = (0..lay.geometry().total_buckets())
-            .map(|b| lay.block_addr_in_subchannel(b))
-            .collect();
-        for &a in &addrs {
-            assert_eq!(a % 64, 0);
-        }
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len() as u64, lay.geometry().total_buckets());
     }
 }

@@ -49,19 +49,6 @@ impl OccupancyProfile {
             utilization: tree_blocks as f64 / g.total_blocks() as f64,
         }
     }
-
-    /// Whether occupancy increases toward the leaves (the healthy Path
-    /// ORAM shape), comparing the top and bottom halves of the tree.
-    pub fn bottom_heavy(&self) -> bool {
-        let n = self.mean_per_level.len();
-        if n < 2 {
-            return true;
-        }
-        let half = n / 2;
-        let top: f64 = self.mean_per_level[..half].iter().sum::<f64>() / half as f64;
-        let bottom: f64 = self.mean_per_level[half..].iter().sum::<f64>() / (n - half) as f64;
-        bottom >= top
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +96,6 @@ mod tests {
             oram.write(rng.gen_below(universe), i);
         }
         let p = OccupancyProfile::measure(&oram);
-        assert!(p.bottom_heavy(), "profile {:?}", p.mean_per_level);
         assert!(p.utilization > 0.1);
         // Leaf level denser than the root level in steady state.
         let root = p.mean_per_level[0];

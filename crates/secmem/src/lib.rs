@@ -78,11 +78,6 @@ impl SecureMemoryEngine {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SecMemConfig {
-        &self.cfg
-    }
-
     /// Expands one S-App access at `addr` (line-aligned, channel-local)
     /// homed on `home_channel` into one request per channel: the real one
     /// plus `channels − 1` dummies at random addresses.
@@ -151,7 +146,7 @@ mod tests {
             for r in e.expand(0, 0, MemOp::Read) {
                 assert_eq!(r.op, MemOp::Read);
                 assert_eq!(r.addr % 64, 0);
-                assert!(r.addr / 64 < e.config().region_lines);
+                assert!(r.addr / 64 < SecMemConfig::default().region_lines);
             }
         }
     }
