@@ -2285,6 +2285,85 @@ mod tests {
         );
     }
 
+    /// The watchdog's text for a 300-access co-run of `bench` under
+    /// `scheme`.
+    fn corun_stall(scheme: Scheme, bench: Benchmark, seed: u64, budget: u64) -> String {
+        let cfg = SystemConfig::builder(bench)
+            .scheme(scheme)
+            .ns_accesses(300)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let opts = RunOptions {
+            watchdog_budget: Some(budget),
+            ..RunOptions::default()
+        };
+        match Simulation::new(cfg).unwrap().run_with(&opts) {
+            Err(err @ SimError::Stalled { .. }) => err.to_string(),
+            other => panic!("expected a stall, got {other:?}"),
+        }
+    }
+
+    /// Co-runs stall where stepping every core in every cycle stalls,
+    /// with every core's retirement count as stepping leaves it: the
+    /// Baseline while its channels drain writes, D-ORAM in the first
+    /// refresh.
+    #[test]
+    fn watchdog_pins_corun_stalls_exactly() {
+        let cores = |retired: [u32; 8]| {
+            let mut text = String::new();
+            for (i, r) in retired.into_iter().enumerate() {
+                let sapp = if i == 0 { " (S-App)" } else { "" };
+                text += &format!("\ncore{i}{sapp}: retired={r} finished=false restarts=0");
+            }
+            text
+        };
+        let sub = |rq, wq, drain, refreshing, rd, wr| {
+            format!(
+                "rq={rq} wq={wq} fly=0 drain={drain} refresh_pending=false \
+                 refreshing={refreshing} rd={rd} wr={wr}"
+            )
+        };
+        assert_eq!(
+            corun_stall(Scheme::Baseline, Benchmark::Libq, 1, 40),
+            format!(
+                "no forward progress for 40 memory cycles (stalled at cycle 1711){}\n\
+                 blocked reads: 17\n\
+                 oram-fsm[queue=4 phase=[write 84/84 out=57] overlap=[-]] outstanding=57\n\
+                 ch0[{}]\nch1[{}]\nch2[{}]\nch3[{}]",
+                cores([352, 3827, 3243, 5098, 3738, 4536, 3972, 4977]),
+                sub(1, 17, true, false, 107, 57),
+                sub(8, 21, true, false, 111, 51),
+                sub(3, 16, true, false, 111, 48),
+                sub(1, 19, true, false, 111, 50),
+            )
+        );
+        let bob = |s: String| format!("link_pending=0 mc_pending=0 resp_pending=0 subs=[{s}]");
+        assert_eq!(
+            corun_stall(Scheme::DOram { k: 0, c: 7 }, Benchmark::Libq, 1, 40),
+            format!(
+                "no forward progress for 40 memory cycles (stalled at cycle 6320){}\n\
+                 blocked reads: 14\n\
+                 secure[fsm=[queue=1 phase=[write 84/84 out=7] overlap=[-]] mc_pending=0 \
+                 resp_pending=0 out_pending=0 verify=0 refetch=0 rebuild=0 \
+                 health=[healthy,healthy,healthy,healthy] subs=[{}]]\n\
+                 engine[sent=17/1 resp=17] split_fwd=0 pending_split=0 pending_deliver=0\n\
+                 ch1[{}]\nch2[{}]\nch3[{}]",
+                cores([1416, 16678, 15173, 18892, 17660, 15997, 17635, 17409]),
+                [
+                    sub(1, 4, true, true, 421, 378),
+                    sub(0, 8, true, true, 421, 379),
+                    sub(2, 0, false, true, 419, 386),
+                    sub(0, 0, false, true, 428, 383),
+                ]
+                .join(" | "),
+                bob(sub(3, 3, true, true, 268, 106)),
+                bob(sub(4, 3, false, true, 243, 115)),
+                bob(sub(3, 1, false, true, 247, 118)),
+            )
+        );
+    }
+
     /// The watchdog dump's component lines, mid-run: restored from the
     /// checkpoint a small run of `scheme` takes at memory cycle 1,000.
     fn components_at_cycle_1000(scheme: Scheme, name: &str) -> Vec<String> {

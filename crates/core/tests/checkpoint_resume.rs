@@ -1,7 +1,11 @@
 //! Property tests for the crash-safe run harness: checkpointing at an
 //! arbitrary interval must not perturb the simulation, and resuming from
 //! any checkpoint taken mid-run must reproduce the uninterrupted
-//! [`RunReport`] bit for bit — with and without an active fault plan.
+//! [`RunReport`] bit for bit — with and without an active fault plan, and
+//! for an S-App path of each kind the loop treats differently: D-ORAM's
+//! secure channel, the Baseline's on-chip ORAM and an NS-only fabric.
+//! Most checkpoints of these co-runs fall in cycles where some cores are
+//! parked inside their quiet horizon.
 //!
 //! Bit-identity is checked two ways: on the `Debug` rendering (Rust prints
 //! `f64` with round-trip precision, so any drift in a derived statistic
@@ -14,12 +18,19 @@ use doram_sim::fault::{FaultPlan, FaultRates};
 use doram_trace::Benchmark;
 use proptest::prelude::*;
 
-/// A small D-ORAM run (~10k memory cycles) that still exercises the secure
-/// channel, the ORAM engine, and split traffic — the hardest state to
-/// checkpoint. `faulty` layers a sub-threshold fault plan on top so the
-/// recovery machinery (retries, quarantine counters, latched faults) is
-/// part of the snapshot too.
-fn config(faulty: bool) -> SystemConfig {
+/// The schemes the fault-free property runs.
+const SCHEMES: [Scheme; 3] = [
+    Scheme::DOram { k: 0, c: 7 },
+    Scheme::Baseline,
+    Scheme::Ns7on4,
+];
+
+/// A small run of `scheme` (~10k memory cycles for D-ORAM, which still
+/// exercises the secure channel, the ORAM engine, and split traffic — the
+/// hardest state to checkpoint). `faulty` layers a sub-threshold fault
+/// plan on top so the recovery machinery (retries, quarantine counters,
+/// latched faults) is part of the snapshot too.
+fn config(scheme: Scheme, faulty: bool) -> SystemConfig {
     let plan = if faulty {
         FaultPlan::with_rates(
             42,
@@ -35,7 +46,7 @@ fn config(faulty: bool) -> SystemConfig {
         FaultPlan::none()
     };
     SystemConfig::builder(Benchmark::Libq)
-        .scheme(Scheme::DOram { k: 0, c: 7 })
+        .scheme(scheme)
         .ns_accesses(300)
         .tree_l_max(12)
         .max_mem_cycles(50_000_000)
@@ -79,8 +90,9 @@ fn assert_reports_identical(what: &str, got: &RunReport, want: &RunReport) {
 /// Core property: run to completion with periodic checkpoints, then pick
 /// one of the checkpoints and resume from it; both the checkpointed run
 /// and the resumed run must match the uninterrupted baseline exactly.
-fn check_resume_identity(tag: &str, faulty: bool, every: u64, pick: usize) {
-    let baseline = Simulation::new(config(faulty)).unwrap().run().unwrap();
+fn check_resume_identity(tag: &str, scheme: Scheme, faulty: bool, every: u64, pick: usize) {
+    let config = || config(scheme, faulty);
+    let baseline = Simulation::new(config()).unwrap().run().unwrap();
 
     let dir = fresh_dir(tag);
     let opts = RunOptions {
@@ -88,23 +100,21 @@ fn check_resume_identity(tag: &str, faulty: bool, every: u64, pick: usize) {
         checkpoint_dir: Some(dir.clone()),
         ..RunOptions::default()
     };
-    let checkpointed = Simulation::new(config(faulty))
-        .unwrap()
-        .run_with(&opts)
-        .unwrap();
-    assert_reports_identical("checkpointed run", &checkpointed, &baseline);
+    let checkpointed = Simulation::new(config()).unwrap().run_with(&opts).unwrap();
+    assert_reports_identical(
+        &format!("{scheme:?} checkpointed run"),
+        &checkpointed,
+        &baseline,
+    );
 
     let files = checkpoints(&dir);
     assert!(
         !files.is_empty(),
-        "interval {every} produced no checkpoints in a ~10k-cycle run"
+        "interval {every} produced no checkpoints in a {scheme:?} run"
     );
     let chosen = &files[pick % files.len()];
-    let resumed = Simulation::resume(config(faulty), chosen)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_reports_identical("resumed run", &resumed, &baseline);
+    let resumed = Simulation::resume(config(), chosen).unwrap().run().unwrap();
+    assert_reports_identical(&format!("{scheme:?} resumed run"), &resumed, &baseline);
 
     // Fault accounting must survive the round trip too, not just latency.
     if faulty {
@@ -121,11 +131,14 @@ proptest! {
 
     #[test]
     fn resume_is_bit_identical_without_faults(every in 500u64..4_000, pick in 0usize..64) {
-        check_resume_identity(&format!("clean-{every}-{pick}"), false, every, pick);
+        for (i, scheme) in SCHEMES.into_iter().enumerate() {
+            check_resume_identity(&format!("clean-{i}-{every}-{pick}"), scheme, false, every, pick);
+        }
     }
 
     #[test]
     fn resume_is_bit_identical_under_faults(every in 500u64..4_000, pick in 0usize..64) {
-        check_resume_identity(&format!("faulty-{every}-{pick}"), true, every, pick);
+        let scheme = Scheme::DOram { k: 0, c: 7 };
+        check_resume_identity(&format!("faulty-{every}-{pick}"), scheme, true, every, pick);
     }
 }
