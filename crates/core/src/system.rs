@@ -283,11 +283,66 @@ struct CoreSlot {
     is_sapp: bool,
     first_finish_cpu: Option<u64>,
     restarts: u64,
+    /// The memory cycle at whose start `core`'s state stands: behind the
+    /// loop's cycle while the core is parked.
+    at: u64,
+    /// The first memory cycle the core must be stepped in, unless a read
+    /// completes for it first: `at` plus the whole memory cycles of its
+    /// quiet horizon (never, for a core that can only wait).
+    wake: u64,
 }
 
 // The restart count picks the trace segment the core runs; restoring
 // re-opens that segment and fast-forwards it (`TraceCore::resume_trace`).
-doram_sim::impl_snapshot!(CoreSlot { restarts, first_finish_cpu, core: state } skip { is_sapp });
+// `at` and `wake` are derived: a restored core steps in the first cycle.
+doram_sim::impl_snapshot!(CoreSlot {
+    restarts,
+    first_finish_cpu,
+    core: state,
+} skip { is_sapp, at, wake });
+
+impl CoreSlot {
+    /// Parks the core, whose state stands at the start of memory cycle
+    /// `at`, until the memory cycle in which its quiet horizon ends.
+    fn park(&mut self, at: u64) {
+        self.at = at;
+        let quiet = self.core.quiet_horizon() / CPU_CYCLES_PER_MEM_CYCLE;
+        self.wake = at.saturating_add(quiet);
+    }
+
+    /// Takes a parked core through its quiet cycles up to the start of
+    /// memory cycle `to`, no later than its wake cycle. Returns the cycle
+    /// after the last one in which it retired, if any did.
+    fn catch_up(&mut self, to: u64) -> Option<u64> {
+        let from = std::mem::replace(&mut self.at, to);
+        if from == to {
+            return None;
+        }
+        let last = self
+            .core
+            .advance_quiet((to - from) * CPU_CYCLES_PER_MEM_CYCLE);
+        (last > 0).then(|| from + (last - 1) / CPU_CYCLES_PER_MEM_CYCLE + 1)
+    }
+}
+
+/// The liveness watchdog's view of forward progress. A parked core's
+/// retirements become known only when it is caught up.
+struct Watchdog {
+    budget: u64,
+    /// The progress stamp at the last check, plus the retirements that
+    /// catch-ups revealed since: a catch-up's retirements belong to the
+    /// cycles it skipped, not to the cycle it happens in.
+    stamp: u64,
+    /// The memory cycle after the last one known to make progress.
+    since: u64,
+}
+
+impl Watchdog {
+    /// Whether no progress is known for a whole budget before cycle `m`.
+    fn expired(&self, m: u64) -> bool {
+        m - self.since >= self.budget
+    }
+}
 
 /// The trace segment core `core_idx` runs after `restart` restarts: the
 /// S-App's benchmark (core 0 when the scheme has one) or its NS-App
@@ -829,6 +884,8 @@ impl Simulation {
                 is_sapp: sapp && core_idx == 0,
                 first_finish_cpu: None,
                 restarts: 0,
+                at: 0,
+                wake: 0,
             });
         }
 
@@ -1124,6 +1181,7 @@ impl Simulation {
         for (core_idx, slot) in cores.iter_mut().enumerate() {
             slot.core
                 .resume_trace(trace_segment(cfg, core_idx, slot.restarts))?;
+            (slot.at, slot.wake) = (*cycle, *cycle);
         }
         mem.load_state(&mut r)?;
         if r.get_bool()? {
@@ -1173,6 +1231,27 @@ impl Simulation {
     fn progress_stamp(&self) -> u64 {
         let retired: u64 = self.cores.iter().map(|c| c.core.retired()).sum();
         retired + self.mem.backend.column_ops()
+    }
+
+    /// Takes core `idx` to the start of memory cycle `to` (see
+    /// [`CoreSlot::catch_up`]) and tells the watchdog what it retired on
+    /// the way.
+    fn catch_up(&mut self, idx: usize, to: u64, watchdog: Option<&mut Watchdog>) {
+        let slot = &mut self.cores[idx];
+        let before = slot.core.retired();
+        let after_last = slot.catch_up(to);
+        if let Some(wd) = watchdog {
+            wd.stamp = wd.stamp.wrapping_add(slot.core.retired() - before);
+            wd.since = wd.since.max(after_last.unwrap_or(0));
+        }
+    }
+
+    /// Takes every core to the start of memory cycle `to`, before a
+    /// checkpoint, the watchdog's verdict or the stall dump reads them.
+    fn catch_up_all(&mut self, to: u64, mut watchdog: Option<&mut Watchdog>) {
+        for idx in 0..self.cores.len() {
+            self.catch_up(idx, to, watchdog.as_deref_mut());
+        }
     }
 
     /// Structured diagnostic dump of every component's dynamic state for
@@ -1338,8 +1417,11 @@ impl Simulation {
         if opts.handle_signals {
             install_signal_handlers();
         }
-        let mut last_progress = self.progress_stamp();
-        let mut last_progress_cycle = self.cycle;
+        let mut watchdog = opts.watchdog_budget.map(|budget| Watchdog {
+            budget,
+            stamp: self.progress_stamp(),
+            since: self.cycle,
+        });
         // Host self-profiler: wall-clock throughput plus a strided sample
         // of where host time goes. Never checkpointed; purely diagnostic.
         let prof_ids = self.obs.as_ref().map(|obs| {
@@ -1361,12 +1443,15 @@ impl Simulation {
             if opts.handle_signals && SHUTDOWN.load(Ordering::SeqCst) {
                 SHUTDOWN.store(false, Ordering::SeqCst);
                 let checkpoint = match &opts.checkpoint_dir {
-                    Some(dir) => Some(self.write_checkpoint_file(
-                        dir,
-                        ckpt_hash,
-                        ckpt_epoch,
-                        opts.ckpt_key,
-                    )?),
+                    Some(dir) => {
+                        self.catch_up_all(m, watchdog.as_mut());
+                        Some(self.write_checkpoint_file(
+                            dir,
+                            ckpt_hash,
+                            ckpt_epoch,
+                            opts.ckpt_key,
+                        )?)
+                    }
                     None => None,
                 };
                 return Err(SimError::Interrupted { at: m, checkpoint });
@@ -1376,31 +1461,37 @@ impl Simulation {
                 // trivial cycle-0 file and the cycle a resume started at
                 // (its checkpoint already exists).
                 if m > 0 && m != start_cycle && m.is_multiple_of(every) {
+                    self.catch_up_all(m, watchdog.as_mut());
                     self.write_checkpoint_file(dir, ckpt_hash, ckpt_epoch, opts.ckpt_key)?;
                 }
             }
-            if let Some(budget) = opts.watchdog_budget {
+            if let Some(wd) = &mut watchdog {
                 let p = self.progress_stamp();
-                if p != last_progress {
-                    last_progress = p;
-                    last_progress_cycle = m;
-                } else if m - last_progress_cycle >= budget {
+                if p != wd.stamp {
+                    wd.stamp = p;
+                    wd.since = m;
+                }
+            }
+            if watchdog.as_ref().is_some_and(|wd| wd.expired(m)) {
+                // Parked cores may have retired since: learn when.
+                self.catch_up_all(m, watchdog.as_mut());
+                if let Some(wd) = watchdog.as_ref().filter(|wd| wd.expired(m)) {
                     return Err(SimError::Stalled {
                         at: m,
-                        budget,
+                        budget: wd.budget,
                         dump: self.stall_dump(),
                     });
                 }
             }
-            // No core calls the port and no channel can act: take the
+            // Every core is parked and no channel can act: take the
             // cycles up to the next event that must be stepped at once.
             if let Some(end) = self.quiet_until(m) {
                 let mut end = end.min(cap);
                 if let (Some(every), Some(_)) = (opts.checkpoint_every, &opts.checkpoint_dir) {
                     end = end.min((m / every + 1) * every);
                 }
-                if let Some(budget) = opts.watchdog_budget {
-                    end = end.min(last_progress_cycle + budget);
+                if let Some(wd) = &watchdog {
+                    end = end.min(wd.since + wd.budget);
                 }
                 if let Some(obs) = &self.obs {
                     end = end.min(m.next_multiple_of(obs.borrow().metrics.every()));
@@ -1413,18 +1504,6 @@ impl Simulation {
                         })
                         .map(|(_, _, jump_id)| (jump_id, std::time::Instant::now()));
                     self.mem.backend.fabric.skip(MemCycle(m), MemCycle(end));
-                    let cpu_cycles = (end - m) * CPU_CYCLES_PER_MEM_CYCLE;
-                    // CPU cycles of the jump up to its last retirement.
-                    let mut last_retire = 0;
-                    for slot in &mut self.cores {
-                        last_retire = last_retire.max(slot.core.advance_quiet(cpu_cycles));
-                    }
-                    // Stepping would stamp progress in the memory cycle
-                    // after the last one that retired.
-                    if last_retire > 0 && opts.watchdog_budget.is_some() {
-                        last_progress = self.progress_stamp();
-                        last_progress_cycle = m + (last_retire - 1) / CPU_CYCLES_PER_MEM_CYCLE + 1;
-                    }
                     self.cycle = end;
                     if let (Some((jump_id, t0)), Some(obs)) = (prof_t0, &self.obs) {
                         obs.borrow_mut().prof.charge(jump_id, t0.elapsed());
@@ -1437,9 +1516,19 @@ impl Simulation {
                 .filter(|_| doram_obs::SelfProfiler::sample_due(m))
                 .map(|(cpu_id, mem_id, _)| ((cpu_id, mem_id), std::time::Instant::now()));
 
-            // CPU: 4 cycles per memory cycle.
+            // CPU: 4 cycles per memory cycle, for the cores awake in it.
+            // A parked core calls no port method, so skipping it leaves
+            // the others' port calls as they were.
+            for core_idx in 0..self.cores.len() {
+                if self.cores[core_idx].wake <= m {
+                    self.catch_up(core_idx, m, watchdog.as_mut());
+                }
+            }
             for _ in 0..CPU_CYCLES_PER_MEM_CYCLE {
                 for core_idx in 0..self.cores.len() {
+                    if self.cores[core_idx].wake > m {
+                        continue;
+                    }
                     let is_sapp = self.cores[core_idx].is_sapp;
                     let mut port = CorePort {
                         mem: &mut self.mem,
@@ -1448,6 +1537,11 @@ impl Simulation {
                         now,
                     };
                     self.cores[core_idx].core.step(&mut port);
+                }
+            }
+            for slot in &mut self.cores {
+                if slot.wake <= m {
+                    slot.park(m + 1);
                 }
             }
             let prof_cpu_done =
@@ -1465,14 +1559,24 @@ impl Simulation {
             }
             self.sample_metrics(m);
 
-            // Deliver read completions to cores.
+            // Deliver read completions to cores, each brought to the end of
+            // this cycle first.
             for (core_idx, id) in std::mem::take(&mut self.mem.ledger.ready_reads) {
-                self.cores[core_idx].core.complete_read(id);
+                self.catch_up(core_idx, m + 1, watchdog.as_mut());
+                let slot = &mut self.cores[core_idx];
+                slot.core.complete_read(id);
+                slot.park(m + 1);
             }
 
             // Finish / restart bookkeeping.
             let mut all_ns_done = true;
             for (core_idx, slot) in self.cores.iter_mut().enumerate() {
+                // Finishing pulls from the trace, which ends a quiet
+                // horizon: only a core that stepped this cycle can finish.
+                debug_assert!(
+                    slot.at == m + 1 || !slot.core.finished(),
+                    "core {core_idx} finished while parked"
+                );
                 if slot.core.finished() {
                     if slot.first_finish_cpu.is_none() {
                         slot.first_finish_cpu = Some((m + 1) * CPU_CYCLES_PER_MEM_CYCLE);
@@ -1481,12 +1585,14 @@ impl Simulation {
                     slot.restarts += 1;
                     let trace = trace_segment(&self.cfg, core_idx, slot.restarts);
                     slot.core = TraceCore::new(CoreConfig::default(), trace);
+                    slot.wake = m + 1;
                 }
                 if !slot.is_sapp && slot.first_finish_cpu.is_none() {
                     all_ns_done = false;
                 }
             }
             if all_ns_done {
+                self.catch_up_all(m + 1, None);
                 break;
             }
             self.cycle += 1;
@@ -1514,18 +1620,13 @@ impl Simulation {
     }
 
     /// The end of a stretch from cycle `m` in which every cycle only
-    /// counts and every core only retires and fetches non-memory
-    /// instructions: the earlier of the backend's wake cycle, before
-    /// which no channel acts and so no read completes, and the first
-    /// cycle in which some core's quiet horizon ends. `None` when cycle
-    /// `m` must be stepped.
+    /// counts and every core is parked: the earlier of the backend's wake
+    /// cycle, before which no channel acts and so no read completes, and
+    /// the earliest core wake. `None` when cycle `m` must be stepped.
     fn quiet_until(&self, m: u64) -> Option<u64> {
-        let after_m = |end: u64| (end > m).then_some(end);
-        let wake = after_m(self.mem.backend.wake_at()?.0)?;
-        self.cores.iter().try_fold(wake, |end, slot| {
-            let quiet = slot.core.quiet_horizon() / CPU_CYCLES_PER_MEM_CYCLE;
-            after_m(end.min(m.saturating_add(quiet)))
-        })
+        let wake = self.mem.backend.wake_at()?.0;
+        let end = self.cores.iter().map(|slot| slot.wake).fold(wake, u64::min);
+        (end > m).then_some(end)
     }
 
     /// The report of a run [`advance`](Simulation::advance) finished.
