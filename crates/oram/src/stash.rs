@@ -6,13 +6,7 @@
 
 use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_sim::error::SimError;
-use doram_sim::stats::Histogram;
 use std::collections::HashMap;
-
-/// Width × count of the per-insert occupancy histogram: one-block buckets
-/// up to 256, anything beyond lands in the overflow bucket. Stefanov et
-/// al.'s bound keeps realistic stashes far below this.
-const OCCUPANCY_BUCKETS: usize = 256;
 
 /// A stash of blocks keyed by logical id, each tagged with its leaf.
 #[derive(Debug, Clone)]
@@ -20,7 +14,6 @@ pub struct Stash<V> {
     blocks: HashMap<u64, (u64, V)>,
     peak: usize,
     capacity: Option<usize>,
-    occupancy: Histogram,
     /// Trace recorder; `None` (the default) keeps every operation silent.
     obs: Option<SharedRecorder>,
     /// Timestamp stamped onto emitted events. Hosts that track simulated
@@ -43,7 +36,6 @@ impl<V> Stash<V> {
             blocks: HashMap::new(),
             peak: 0,
             capacity: None,
-            occupancy: Histogram::new(1, OCCUPANCY_BUCKETS),
             obs: None,
             obs_now: 0,
         }
@@ -96,30 +88,21 @@ impl<V> Stash<V> {
     pub fn insert(&mut self, block: u64, leaf: u64, value: V) {
         self.blocks.insert(block, (leaf, value));
         self.peak = self.peak.max(self.blocks.len());
-        self.occupancy.record(self.blocks.len() as u64);
         self.emit(EventKind::StashOccupancy, self.blocks.len() as u64);
     }
 
     /// Inserts `block`, failing with [`SimError::StashOverflow`] when a
     /// *new* block would push occupancy past the configured capacity
     /// (replacing a resident block never overflows). On overflow the
-    /// stash is left unchanged; the occupancy histogram records the
-    /// attempted occupancy either way.
+    /// stash is left unchanged.
     pub fn try_insert(&mut self, block: u64, leaf: u64, value: V) -> Result<(), SimError> {
         if let Some(cap) = self.capacity {
             if self.blocks.len() >= cap && !self.blocks.contains_key(&block) {
-                let attempted = self.blocks.len() + 1;
-                self.occupancy.record(attempted as u64);
-                return Err(SimError::stash_overflow(attempted, cap));
+                return Err(SimError::stash_overflow(self.blocks.len() + 1, cap));
             }
         }
         self.insert(block, leaf, value);
         Ok(())
-    }
-
-    /// Per-insert occupancy distribution (one-block-wide buckets).
-    pub fn occupancy_histogram(&self) -> &Histogram {
-        &self.occupancy
     }
 
     /// Removes and returns `block`'s `(leaf, value)`.
@@ -298,20 +281,6 @@ mod tests {
         s.insert(2, 20, ());
         assert_eq!(s.len(), 2);
         assert_eq!(s.peak(), 2);
-    }
-
-    #[test]
-    fn occupancy_histogram_records_every_insert() {
-        let mut s = Stash::new();
-        for i in 0..4 {
-            s.insert(i, i, ());
-        }
-        let h = s.occupancy_histogram();
-        assert_eq!(h.total(), 4);
-        // Occupancies 1..=4 each recorded once.
-        for occ in 1..=4 {
-            assert_eq!(h.buckets()[occ], 1, "occupancy {occ}");
-        }
     }
 
     #[test]

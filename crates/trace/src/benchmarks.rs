@@ -105,7 +105,6 @@ impl Benchmark {
             stream_count: 4,
             hot_frac: 0.05,
             hot_lines: 2048,
-            phase_period: 0,
         };
         let mixed = |name, mpki, footprint_lines| WorkloadSpec {
             name,
@@ -117,7 +116,6 @@ impl Benchmark {
             stream_count: 4,
             hot_frac: 0.25,
             hot_lines: 4096,
-            phase_period: 0,
         };
         let random = |name, mpki, footprint_lines| WorkloadSpec {
             name,
@@ -129,7 +127,6 @@ impl Benchmark {
             stream_count: 2,
             hot_frac: 0.15,
             hot_lines: 8192,
-            phase_period: 0,
         };
 
         use Benchmark::*;

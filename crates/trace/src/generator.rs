@@ -93,16 +93,10 @@ impl TraceGenerator {
         let p = (spec.mpki / 1000.0).min(1.0);
         let gap = self.rng.gen_geometric(p);
 
-        // Phase behaviour: in the alternate phase the streaming mass goes
-        // to the uniform-random component (and vice versa is implicit in
-        // the smaller stream share), flipping the row-buffer profile.
-        let in_alt_phase = spec.phase_period > 0 && (self.generated / spec.phase_period) % 2 == 1;
-        let stream_frac = if in_alt_phase { 0.0 } else { spec.stream_frac };
-
         let roll = self.rng.gen_f64();
-        let line = if roll < stream_frac {
+        let line = if roll < spec.stream_frac {
             self.next_streaming_line()
-        } else if roll < stream_frac + spec.hot_frac {
+        } else if roll < spec.stream_frac + spec.hot_frac {
             self.hot_base + self.rng.gen_below(spec.hot_lines)
         } else {
             self.rng.gen_below(spec.footprint_lines)
@@ -280,45 +274,6 @@ mod tests {
             libq > 2.0 * mummer,
             "libq seq {libq:.3} should dwarf mummer {mummer:.3}"
         );
-    }
-
-    #[test]
-    fn phases_flip_the_locality_profile() {
-        let spec = Benchmark::Libq.spec().with_phases(2_000);
-        let mut g = TraceGenerator::new(spec, 5, 0);
-        // Sequentiality within each phase window.
-        let seq_frac = |recs: &[crate::record::TraceRecord]| {
-            let mut seq = 0;
-            for i in 1..recs.len() {
-                let line = recs[i].addr / LINE_BYTES;
-                if recs[i.saturating_sub(8)..i]
-                    .iter()
-                    .any(|p| (p.addr / LINE_BYTES).abs_diff(line) <= 8)
-                {
-                    seq += 1;
-                }
-            }
-            seq as f64 / recs.len() as f64
-        };
-        let phase_a = g.take_records(2_000);
-        let phase_b = g.take_records(2_000);
-        let a = seq_frac(&phase_a);
-        let b = seq_frac(&phase_b);
-        assert!(
-            a > 3.0 * b,
-            "nominal phase seq {a:.3} must dwarf alternate phase {b:.3}"
-        );
-        // MPKI is phase-independent.
-        let mpki = g.generated() as f64 * 1000.0 / g.instructions() as f64;
-        assert!((mpki - 12.0).abs() / 12.0 < 0.1, "mpki {mpki}");
-    }
-
-    #[test]
-    fn phase_period_zero_means_no_phases() {
-        let a: Vec<_> = TraceGenerator::new(Benchmark::Libq.spec(), 5, 0).take_records(100);
-        let b: Vec<_> =
-            TraceGenerator::new(Benchmark::Libq.spec().with_phases(0), 5, 0).take_records(100);
-        assert_eq!(a, b);
     }
 
     #[test]

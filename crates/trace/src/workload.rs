@@ -26,11 +26,6 @@ pub struct WorkloadSpec {
     pub hot_frac: f64,
     /// Hot-set size in lines.
     pub hot_lines: u64,
-    /// Program-phase period in accesses: every `phase_period` accesses the
-    /// generator toggles between the nominal mixture and its "opposite"
-    /// (streaming mass moved to the random component), imitating the
-    /// phase behaviour of real traces. 0 disables phases.
-    pub phase_period: u64,
 }
 
 impl WorkloadSpec {
@@ -58,12 +53,6 @@ impl WorkloadSpec {
         }
         Ok(())
     }
-
-    /// Returns a copy with phase switching every `period` accesses.
-    pub fn with_phases(mut self, period: u64) -> WorkloadSpec {
-        self.phase_period = period;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +70,6 @@ mod tests {
             stream_count: 4,
             hot_frac: 0.2,
             hot_lines: 1024,
-            phase_period: 0,
         }
     }
 
