@@ -311,17 +311,23 @@ impl CoreSlot {
     }
 
     /// Takes a parked core through its quiet cycles up to the start of
-    /// memory cycle `to`, no later than its wake cycle. Returns the cycle
-    /// after the last one in which it retired, if any did.
-    fn catch_up(&mut self, to: u64) -> Option<u64> {
+    /// memory cycle `to`, no later than its wake cycle, and tells the
+    /// watchdog what it retired on the way.
+    fn catch_up(&mut self, to: u64, watchdog: Option<&mut Watchdog>) {
         let from = std::mem::replace(&mut self.at, to);
         if from == to {
-            return None;
+            return;
         }
+        let retired = self.core.retired();
         let last = self
             .core
             .advance_quiet((to - from) * CPU_CYCLES_PER_MEM_CYCLE);
-        (last > 0).then(|| from + (last - 1) / CPU_CYCLES_PER_MEM_CYCLE + 1)
+        if let (Some(wd), true) = (watchdog, last > 0) {
+            wd.stamp += self.core.retired() - retired;
+            wd.since = wd
+                .since
+                .max(from + (last - 1) / CPU_CYCLES_PER_MEM_CYCLE + 1);
+        }
     }
 }
 
@@ -1233,24 +1239,11 @@ impl Simulation {
         retired + self.mem.backend.column_ops()
     }
 
-    /// Takes core `idx` to the start of memory cycle `to` (see
-    /// [`CoreSlot::catch_up`]) and tells the watchdog what it retired on
-    /// the way.
-    fn catch_up(&mut self, idx: usize, to: u64, watchdog: Option<&mut Watchdog>) {
-        let slot = &mut self.cores[idx];
-        let before = slot.core.retired();
-        let after_last = slot.catch_up(to);
-        if let Some(wd) = watchdog {
-            wd.stamp = wd.stamp.wrapping_add(slot.core.retired() - before);
-            wd.since = wd.since.max(after_last.unwrap_or(0));
-        }
-    }
-
     /// Takes every core to the start of memory cycle `to`, before a
     /// checkpoint, the watchdog's verdict or the stall dump reads them.
     fn catch_up_all(&mut self, to: u64, mut watchdog: Option<&mut Watchdog>) {
-        for idx in 0..self.cores.len() {
-            self.catch_up(idx, to, watchdog.as_deref_mut());
+        for slot in &mut self.cores {
+            slot.catch_up(to, watchdog.as_deref_mut());
         }
     }
 
@@ -1519,9 +1512,9 @@ impl Simulation {
             // CPU: 4 cycles per memory cycle, for the cores awake in it.
             // A parked core calls no port method, so skipping it leaves
             // the others' port calls as they were.
-            for core_idx in 0..self.cores.len() {
-                if self.cores[core_idx].wake <= m {
-                    self.catch_up(core_idx, m, watchdog.as_mut());
+            for slot in &mut self.cores {
+                if slot.wake <= m {
+                    slot.catch_up(m, watchdog.as_mut());
                 }
             }
             for _ in 0..CPU_CYCLES_PER_MEM_CYCLE {
@@ -1562,8 +1555,8 @@ impl Simulation {
             // Deliver read completions to cores, each brought to the end of
             // this cycle first.
             for (core_idx, id) in std::mem::take(&mut self.mem.ledger.ready_reads) {
-                self.catch_up(core_idx, m + 1, watchdog.as_mut());
                 let slot = &mut self.cores[core_idx];
+                slot.catch_up(m + 1, watchdog.as_mut());
                 slot.core.complete_read(id);
                 slot.park(m + 1);
             }
@@ -1592,7 +1585,6 @@ impl Simulation {
                 }
             }
             if all_ns_done {
-                self.catch_up_all(m + 1, None);
                 break;
             }
             self.cycle += 1;
