@@ -16,7 +16,7 @@ use doram_oram::plan::{BlockRef, PlanConfig, Planner};
 use doram_oram::position::PositionMap;
 use doram_sim::rng::Xoshiro256;
 use doram_sim::stats::{Counter, RunningMean};
-use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen};
+use doram_sim::{AppId, IdSet, MemCycle, RequestId, RequestIdGen};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -72,7 +72,7 @@ struct PathOp {
     started: MemCycle,
     blocks: Vec<BlockRef>,
     next: usize,
-    outstanding: HashSet<RequestId>,
+    outstanding: IdSet<RequestId>,
 }
 
 impl PathOp {
@@ -110,7 +110,7 @@ impl PathOp {
     fn write_back(self) -> PathOp {
         PathOp {
             next: 0,
-            outstanding: HashSet::new(),
+            outstanding: IdSet::default(),
             ..self
         }
     }
@@ -300,7 +300,7 @@ impl OramFsm {
             started: now,
             blocks: self.planner.plan(leaf).blocks,
             next: 0,
-            outstanding: HashSet::new(),
+            outstanding: IdSet::default(),
         }
     }
 

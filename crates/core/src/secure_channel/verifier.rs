@@ -8,7 +8,7 @@ use doram_oram::verified::RecoveryPolicy;
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
 use doram_sim::snapshot::SnapshotError;
-use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
+use doram_sim::{AppId, IdMap, MemCycle, RequestId, RequestIdGen, SimError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Depth of the SD's freshness Merkle tree when armed: `2^14` leaves,
@@ -106,7 +106,7 @@ pub(super) struct SdVerifier {
     /// First fail-stop condition (quarantine or exhausted re-fetches).
     fault: Option<SimError>,
     /// Outstanding recovery reads: local id → ticket.
-    inflight: HashMap<RequestId, RefetchTicket>,
+    inflight: IdMap<RequestId, RefetchTicket>,
     /// Parity-rebuild share tracking: share id → group key.
     rebuild_shares: HashMap<u64, u64>,
     /// Group key → (FSM id to complete, shares outstanding).
@@ -175,7 +175,7 @@ impl SdVerifier {
             freshness_ops: 0,
             freshness_cycles: 0,
             fault: None,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             rebuild_shares: HashMap::new(),
             rebuild_groups: HashMap::new(),
             next_group: 0,

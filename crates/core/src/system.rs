@@ -26,9 +26,11 @@ use doram_sim::snapshot::{
     SnapshotWriter,
 };
 use doram_sim::stats::{Histogram, RunningMean};
-use doram_sim::{AppId, ConfigError, MemCycle, RequestId, RequestIdGen, CPU_CYCLES_PER_MEM_CYCLE};
+use doram_sim::{
+    AppId, ConfigError, IdMap, MemCycle, RequestId, RequestIdGen, CPU_CYCLES_PER_MEM_CYCLE,
+};
 use doram_trace::{TraceGenerator, TraceRecord};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -403,7 +405,7 @@ struct Delegated {
     secure: SecureChannel,
     engine: CpuEngine,
     /// Outstanding split reads on normal channels: id → fetch.
-    split_fwd: HashMap<RequestId, SplitFetch>,
+    split_fwd: IdMap<RequestId, SplitFetch>,
     /// Split operations waiting for normal-channel capacity.
     pending_split: VecDeque<(SplitFetch, MemOp)>,
     /// Fetched split blocks waiting for secure-link capacity.
@@ -716,7 +718,7 @@ doram_sim::impl_snapshot!(Delegated {
 /// Who waits on which read, and the NS-Apps' latency record.
 struct Ledger {
     /// Read ids the cores are blocked on → core index.
-    owners: HashMap<RequestId, usize>,
+    owners: IdMap<RequestId, usize>,
     ns_read_latency: RunningMean,
     ns_write_latency: RunningMean,
     ns_read_histogram: Histogram,
@@ -975,7 +977,7 @@ impl Simulation {
                 SAppPath::Delegated(Box::new(Delegated {
                     secure,
                     engine: CpuEngine::new(cfg.dummy_interval_cpu, 4),
-                    split_fwd: HashMap::new(),
+                    split_fwd: IdMap::default(),
                     pending_split: VecDeque::new(),
                     pending_deliver: VecDeque::new(),
                     mux_blame: None,
@@ -997,7 +999,7 @@ impl Simulation {
             routers,
             idgen: RequestIdGen::new(),
             ledger: Ledger {
-                owners: HashMap::new(),
+                owners: IdMap::default(),
                 ns_read_latency: RunningMean::new(),
                 ns_write_latency: RunningMean::new(),
                 ns_read_histogram: Histogram::new(8, 256),

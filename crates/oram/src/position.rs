@@ -7,12 +7,12 @@
 
 use doram_sim::rng::Xoshiro256;
 use doram_sim::snapshot::SnapshotError;
-use std::collections::HashMap;
+use doram_sim::IdMap;
 
 /// Lazy position map.
 #[derive(Debug, Clone)]
 pub struct PositionMap {
-    map: HashMap<u64, u64>,
+    map: IdMap<u64, u64>,
     num_leaves: u64,
     rng: Xoshiro256,
 }
@@ -26,7 +26,7 @@ impl PositionMap {
     pub fn new(num_leaves: u64, seed: u64) -> PositionMap {
         assert!(num_leaves > 0, "need at least one leaf");
         PositionMap {
-            map: HashMap::new(),
+            map: IdMap::default(),
             num_leaves,
             rng: Xoshiro256::stream(seed, 0x705_1710),
         }

@@ -38,7 +38,7 @@ pub use fault::{
     FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultWindow, SiteWindow,
 };
 pub use health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
-pub use id::{AppId, RequestId, RequestIdGen};
+pub use id::{AppId, IdHasher, IdMap, IdSet, RequestId, RequestIdGen};
 pub use rng::Xoshiro256;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{Counter, Histogram, RunningMean};

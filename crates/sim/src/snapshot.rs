@@ -45,7 +45,7 @@ use crate::clock::MemCycle;
 use crate::id::{AppId, RequestId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::io::Write;
 use std::path::Path;
 
@@ -345,21 +345,23 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     }
 }
 
-/// Written sorted, so the payload never depends on hash order.
-impl<T: Codec + Ord + Hash> Codec for HashSet<T> {
+/// Written sorted, so the payload depends neither on hash order nor on
+/// the hasher.
+impl<T: Codec + Ord + Hash, S: BuildHasher + Default> Codec for HashSet<T, S> {
     fn put(&self, w: &mut SnapshotWriter) {
         let mut items: Vec<&T> = self.iter().collect();
         items.sort_unstable();
         put_seq(w, items.len(), items.into_iter());
     }
 
-    fn get(r: &mut SnapshotReader<'_>) -> Result<HashSet<T>, SnapshotError> {
+    fn get(r: &mut SnapshotReader<'_>) -> Result<HashSet<T, S>, SnapshotError> {
         get_seq(r)
     }
 }
 
-/// Written sorted by key, so the payload never depends on hash order.
-impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+/// Written sorted by key, so the payload depends neither on hash order
+/// nor on the hasher.
+impl<K: Codec + Ord + Hash, V: Codec, S: BuildHasher + Default> Codec for HashMap<K, V, S> {
     fn put(&self, w: &mut SnapshotWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -370,7 +372,7 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
         }
     }
 
-    fn get(r: &mut SnapshotReader<'_>) -> Result<HashMap<K, V>, SnapshotError> {
+    fn get(r: &mut SnapshotReader<'_>) -> Result<HashMap<K, V, S>, SnapshotError> {
         get_seq::<(K, V), _>(r)
     }
 }
@@ -1181,6 +1183,33 @@ mod tests {
         let x: HashSet<u64> = (0..100).collect();
         let y: HashSet<u64> = (0..100).rev().collect();
         assert_eq!(round_trip(&x), round_trip(&y));
+    }
+
+    #[test]
+    fn id_collections_encode_like_std_ones() {
+        use crate::id::{IdMap, IdSet};
+        fn decode<T: Codec>(bytes: &[u8]) -> T {
+            let mut r = SnapshotReader::new(bytes);
+            let v = T::get(&mut r).unwrap();
+            r.finish().unwrap();
+            v
+        }
+        let entries = (0..300u64).map(|k| (RequestId(k * 64), (k, k % 3 == 0)));
+        let std_map: HashMap<RequestId, (u64, bool)> = entries.clone().collect();
+        let id_map: IdMap<RequestId, (u64, bool)> = entries.collect();
+        let bytes = round_trip(&std_map);
+        assert_eq!(round_trip(&id_map), bytes, "same entries, same payload");
+        assert_eq!(decode::<IdMap<_, _>>(&bytes), id_map);
+        let back: HashMap<RequestId, (u64, bool)> = decode(&round_trip(&id_map));
+        assert_eq!(back, std_map);
+
+        let std_set: HashSet<u64> = (0..300).map(|k| k << 12).collect();
+        let id_set: IdSet<u64> = std_set.iter().copied().collect();
+        let bytes = round_trip(&std_set);
+        assert_eq!(round_trip(&id_set), bytes, "same items, same payload");
+        assert_eq!(decode::<IdSet<u64>>(&bytes), id_set);
+        let back: HashSet<u64> = decode(&round_trip(&id_set));
+        assert_eq!(back, std_set);
     }
 
     #[test]
