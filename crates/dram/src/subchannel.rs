@@ -141,9 +141,19 @@ pub struct SubChannel {
     /// Blame class tag of the burst currently owning the data bus.
     last_burst_blame: u8,
     /// The first cycle whose tick may do more than count (see
-    /// [`SubChannel::wake_at`]). Derived state: not checkpointed, and
-    /// reset by every enqueue and by a restore.
+    /// [`SubChannel::wake_at`]): the earlier of `issue_at` and the
+    /// earliest burst end.
     wake_at: MemCycle,
+    /// The first cycle whose tick may do more than count and retire
+    /// bursts: a tick before it runs no refresh, drain or scheduling step.
+    issue_at: MemCycle,
+    /// ORAM-class requests in the read and the write queue (indexed by
+    /// [`MemOp`]), so a scheduling decision learns which classes wait
+    /// without scanning.
+    oram_queued: [usize; 2],
+    // `wake_at`, `issue_at` and `oram_queued` are derived state: not
+    // checkpointed, and rebuilt by a restore. Every enqueue resets both
+    // wake cycles.
 }
 
 impl SubChannel {
@@ -188,6 +198,8 @@ impl SubChannel {
             blame_res: None,
             last_burst_blame: doram_obs::BlameClass::NsApp as u8,
             wake_at: MemCycle::ZERO,
+            issue_at: MemCycle::ZERO,
+            oram_queued: [0; 2],
         }
     }
 
@@ -334,7 +346,9 @@ impl SubChannel {
             MemOp::Write => self.write_q.push_back(p),
         }
         self.wake_at = MemCycle::ZERO;
+        self.issue_at = MemCycle::ZERO;
         if req.class == RequestClass::Oram {
+            self.oram_queued[req.op as usize] += 1;
             if let Some((rec, sub_idx)) = &self.obs {
                 rec.borrow_mut().dram_issue(req.arrival.0, *sub_idx);
             }
@@ -345,16 +359,26 @@ impl SubChannel {
     /// Advances the sub-channel by one memory cycle, appending any requests
     /// whose data burst finished this cycle to `completed`.
     ///
-    /// A tick before [`wake_at`](SubChannel::wake_at) only counts; any
-    /// other tick acts, then sets the next wake cycle.
+    /// A tick before [`wake_at`](SubChannel::wake_at) only counts. A tick
+    /// from then until the issue cycle only counts and retires bursts:
+    /// retiring changes nothing the scheduling step reads. Any other tick
+    /// acts and sets the next issue cycle. Both kinds then set the next
+    /// wake cycle.
     pub fn tick(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
         if now < self.wake_at {
             self.skip(now, now + MemCycle(1));
             return;
         }
-        self.count(now, 1);
-        self.act(now, completed);
-        self.wake_at = self.next_wake(now);
+        if now < self.issue_at {
+            self.idle(now, 1);
+            self.retire(now, completed);
+        } else {
+            self.count(now, 1);
+            self.act(now, completed);
+            self.issue_at = self.issue_bound(now);
+        }
+        let finish = self.in_flight.iter().map(|f| f.finish).min();
+        self.wake_at = finish.map_or(self.issue_at, |f| f.min(self.issue_at));
     }
 
     /// A lower bound on the first cycle whose tick can do more than count:
@@ -364,9 +388,17 @@ impl SubChannel {
         self.wake_at
     }
 
-    /// Makes the next tick act: a restored state carries no wake cycle.
-    fn wake_now(&mut self) -> Result<(), doram_sim::snapshot::SnapshotError> {
+    /// Rebuilds the derived state a checkpoint does not carry: the class
+    /// census, and wake cycles that make the next tick act.
+    fn after_restore(&mut self) -> Result<(), doram_sim::snapshot::SnapshotError> {
         self.wake_at = MemCycle::ZERO;
+        self.issue_at = MemCycle::ZERO;
+        let oram = |q: &VecDeque<Pending>| {
+            q.iter()
+                .filter(|p| p.req.class == RequestClass::Oram)
+                .count()
+        };
+        self.oram_queued = [oram(&self.read_q), oram(&self.write_q)];
         Ok(())
     }
 
@@ -375,10 +407,14 @@ impl SubChannel {
     /// counts.
     pub fn skip(&mut self, from: MemCycle, to: MemCycle) {
         debug_assert!(to <= self.wake_at, "skipping past the wake cycle");
-        let n = to.0 - from.0;
+        self.idle(from, to.0 - from.0);
+    }
+
+    /// The counters of `n` ticks from `from` that issue nothing: those
+    /// every tick advances, and the stall count of an acting tick that
+    /// issues nothing (a tick inside tRFC returns before it).
+    fn idle(&mut self, from: MemCycle, n: u64) {
         self.count(from, n);
-        // The stall count of an acting tick that issues nothing; a tick
-        // inside tRFC returns before it.
         if self.refreshing_until.is_none() {
             self.stall_cycles = if self.read_q.is_empty() && self.write_q.is_empty() {
                 0
@@ -410,10 +446,8 @@ impl SubChannel {
         }
     }
 
-    /// Everything a tick does after counting: retire bursts, refresh,
-    /// auto-precharge, pick the drain mode and schedule.
-    fn act(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
-        // Retire finished bursts.
+    /// Retires the bursts that finished by `now`, in `in_flight` order.
+    fn retire(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].finish <= now {
@@ -438,6 +472,12 @@ impl SubChannel {
                 i += 1;
             }
         }
+    }
+
+    /// Everything a tick does after counting: retire bursts, refresh,
+    /// auto-precharge, pick the drain mode and schedule.
+    fn act(&mut self, now: MemCycle, completed: &mut Vec<Completion>) {
+        self.retire(now, completed);
 
         // Refresh state machine.
         if let Some(until) = self.refreshing_until {
@@ -518,17 +558,16 @@ impl SubChannel {
         (self.draining || enter) && !leave
     }
 
-    /// The wake cycle after an acting tick at `now`: the earliest cycle at
-    /// which a burst retires, a refresh starts or ends, the drain mode
-    /// flips or [`next_issue`](Self::next_issue) allows a command. No
-    /// tick changes the queues, the banks or the bus state before then,
-    /// so each term is the exact cycle its condition comes true.
-    fn next_wake(&self, now: MemCycle) -> MemCycle {
+    /// The issue cycle after an acting tick at `now`: the earliest cycle at
+    /// which a refresh starts or ends, the drain mode flips or
+    /// [`next_issue`](Self::next_issue) allows a command. No tick changes
+    /// the queues, the banks or the bus state before then, and retiring a
+    /// burst changes none of them, so each term is the exact cycle its
+    /// condition comes true.
+    fn issue_bound(&self, now: MemCycle) -> MemCycle {
         let soon = now + MemCycle(1);
-        let retire = self.in_flight.iter().map(|f| f.finish).min();
-        let retire = retire.unwrap_or(MemCycle(u64::MAX));
         if let Some(until) = self.refreshing_until {
-            return retire.min(until); // tRFC: no commands before `until`
+            return until; // tRFC: no commands before `until`
         }
         if self.refresh_pending
             || !self.auto_precharge.is_empty()
@@ -536,7 +575,7 @@ impl SubChannel {
         {
             return soon;
         }
-        let mut wake = retire.min(self.next_refresh_due).min(self.next_issue(soon));
+        let mut wake = self.next_refresh_due.min(self.next_issue(soon));
         if let Some(p) = self.write_q.front().filter(|_| !self.draining) {
             // The cycle the oldest write ages into forcing a drain.
             let aged = MemCycle(p.req.arrival.0.saturating_add(self.cfg.max_write_age + 1));
@@ -556,35 +595,28 @@ impl SubChannel {
     /// closed bank waits on its ACTIVATE and on tRRD and tFAW.
     fn next_issue(&self, soon: MemCycle) -> MemCycle {
         let never = MemCycle(u64::MAX);
-        let (queue, op) = if self.draining {
-            (&self.write_q, MemOp::Write)
-        } else {
-            (&self.read_q, MemOp::Read)
-        };
+        let (queue, op) = self.active_queue();
         let (mut oram_hit, mut normal_hit, mut activate) = (never, never, never);
-        let (mut oram_waiting, mut normal_waiting) = (false, false);
         // Banks whose open row a queued request hits, and banks a queued
         // request finds open on another row.
         let (mut wanted, mut conflicts) = (0u64, 0u64);
         for p in queue {
-            let oram = p.req.class == RequestClass::Oram;
-            oram_waiting |= oram;
-            normal_waiting |= !oram;
             let bank = &self.banks[p.bank];
             match bank.open_row() {
                 Some(open) if open == p.row => {
                     wanted |= 1 << p.bank;
-                    let hit = if oram { &mut oram_hit } else { &mut normal_hit };
+                    let hit = if p.req.class == RequestClass::Oram {
+                        &mut oram_hit
+                    } else {
+                        &mut normal_hit
+                    };
                     *hit = (*hit).min(bank.ready_col());
                 }
                 Some(_) => conflicts |= 1 << p.bank,
                 None => activate = activate.min(bank.ready_act()),
             }
         }
-        let preferred = self
-            .cfg
-            .arbiter
-            .preferred_at(soon, oram_waiting, normal_waiting);
+        let preferred = self.preferred_at(soon, op);
         let (hit, other_hit) = match preferred {
             Some(RequestClass::Oram) => (oram_hit, normal_hit),
             Some(RequestClass::Normal) => (normal_hit, oram_hit),
@@ -610,14 +642,30 @@ impl SubChannel {
         wake
     }
 
+    /// The queue the drain mode serves, and its direction.
+    fn active_queue(&self) -> (&VecDeque<Pending>, MemOp) {
+        if self.draining {
+            (&self.write_q, MemOp::Write)
+        } else {
+            (&self.read_q, MemOp::Read)
+        }
+    }
+
+    /// The class the arbiter prefers at `now` in the queue of direction
+    /// `op`, from the class census of that queue.
+    fn preferred_at(&self, now: MemCycle, op: MemOp) -> Option<RequestClass> {
+        let queued = match op {
+            MemOp::Read => self.read_q.len(),
+            MemOp::Write => self.write_q.len(),
+        };
+        let oram = self.oram_queued[op as usize];
+        self.cfg.arbiter.preferred_at(now, oram > 0, oram < queued)
+    }
+
     /// Issues at most one DRAM command for this cycle.
     fn schedule(&mut self, now: MemCycle) {
         let serve_writes = self.draining;
-        let queue = if serve_writes {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
+        let (queue, op) = self.active_queue();
         if queue.is_empty() {
             return;
         }
@@ -626,13 +674,7 @@ impl SubChannel {
         // present in the active queue. It must stay work-conserving: a
         // hard veto can deadlock against row-buffer state (a starved
         // request pinning a row everyone else needs).
-        let preferred = {
-            let oram_waiting = queue.iter().any(|p| p.req.class == RequestClass::Oram);
-            let normal_waiting = queue.iter().any(|p| p.req.class == RequestClass::Normal);
-            self.cfg
-                .arbiter
-                .preferred_at(now, oram_waiting, normal_waiting)
-        };
+        let preferred = self.preferred_at(now, op);
 
         // Pass 1: first ready row hit in the active queue (FR part). The
         // epoch owner's requests are served; the other class only issues
@@ -640,11 +682,6 @@ impl SubChannel {
         // (work-conserving valve — a strict veto can deadlock against
         // row-buffer state). Every request in a queue has the queue's
         // direction, so the buses allow a column command to all or none.
-        let op = if serve_writes {
-            MemOp::Write
-        } else {
-            MemOp::Read
-        };
         let starved = self.stall_cycles > 2 * self.cfg.timing.t_rc;
         let hit_idx = if now >= self.column_ready_at(op) {
             let ready = |p: &Pending| self.banks[p.bank].can_column(p.row, now);
@@ -698,14 +735,17 @@ impl SubChannel {
 
     /// Pass 2's choice: the index in `queue` and the row command
     /// (PRECHARGE or ACTIVATE) of the first request, `preferred` class
-    /// first and each class in queue order, whose bank can act now.
+    /// first and each class in queue order, whose bank can act now. One
+    /// walk finds it: it returns the first preferred candidate and keeps
+    /// the first other one for the end.
     fn row_command(
         &self,
         queue: &VecDeque<Pending>,
         preferred: Option<RequestClass>,
         now: MemCycle,
     ) -> Option<(usize, DeviceCommand)> {
-        let act = |(i, p): (usize, &Pending)| {
+        let activate_ready = now >= self.activate_ready_at();
+        let command = |p: &Pending| {
             let bank = &self.banks[p.bank];
             match bank.open_row() {
                 Some(open) if open == p.row => None, // waits on tRCD/tCCD/bus
@@ -716,19 +756,23 @@ impl SubChannel {
                 // row that read service never releases).
                 Some(open) => (bank.can_precharge(now)
                     && !queue.iter().any(|q| q.bank == p.bank && q.row == open))
-                .then_some((i, DeviceCommand::Precharge)),
-                None => (bank.can_activate(now) && now >= self.activate_ready_at())
-                    .then_some((i, DeviceCommand::Activate)),
+                .then_some(DeviceCommand::Precharge),
+                None => {
+                    (activate_ready && bank.can_activate(now)).then_some(DeviceCommand::Activate)
+                }
             }
         };
-        let requests = || queue.iter().enumerate();
-        match preferred {
-            Some(class) => requests()
-                .filter(|(_, p)| p.req.class == class)
-                .chain(requests().filter(|(_, p)| p.req.class != class))
-                .find_map(act),
-            None => requests().find_map(act),
+        let mut other = None;
+        for (i, p) in queue.iter().enumerate() {
+            if preferred.is_none_or(|class| p.req.class == class) {
+                if let Some(c) = command(p) {
+                    return Some((i, c));
+                }
+            } else if other.is_none() {
+                other = command(p).map(|c| (i, c));
+            }
         }
+        other
     }
 
     /// The first cycle at which the channel allows a column command of
@@ -780,6 +824,9 @@ impl SubChannel {
 
     /// Issues a READ or WRITE column command for `p` at `now`.
     fn issue_column(&mut self, p: Pending, now: MemCycle) {
+        if p.req.class == RequestClass::Oram {
+            self.oram_queued[p.req.op as usize] -= 1;
+        }
         // Settle the request's queueing wait: busy cycles observed since
         // its enqueue snapshot are blamed on the occupying classes, the
         // idle remainder (bank timing, refresh) on its own class.
@@ -850,8 +897,9 @@ doram_sim::impl_codec!(struct InFlight { req, finish, blame });
 // `in_flight` retires via swap_remove, so its element order is part of the
 // schedule and is kept as is. The configuration never changes during a run.
 // The command trace is an opt-in debugging aid excluded from checkpoints;
-// the recorder wiring is redone by the host after restore. The wake cycle
-// is derived: a restored sub-channel acts on its next tick.
+// the recorder wiring is redone by the host after restore. The wake cycles
+// and the class census are derived: a restored sub-channel recounts the
+// census and acts on its next tick.
 doram_sim::impl_snapshot!(SubChannel {
     banks: state,
     read_q,
@@ -872,7 +920,8 @@ doram_sim::impl_snapshot!(SubChannel {
     auto_precharge,
     stall_cycles,
     last_burst_blame,
-} skip { cfg, command_trace, obs, blame_res, wake_at } after_load SubChannel::wake_now);
+} skip { cfg, command_trace, obs, blame_res, wake_at, issue_at, oram_queued }
+    after_load SubChannel::after_restore);
 
 #[cfg(test)]
 mod tests {
@@ -1305,11 +1354,15 @@ mod tests {
     /// every tick through the same seeded stream, and after every tick
     /// compares their checkpoint bytes, completions and blame rows. Each
     /// has its own recorder: a shared one would count busy cycles twice.
-    /// Returns (ticks that only counted, refreshes, drains the write aging
-    /// started).
-    fn drive_gated_and_acting(cfg: SubChannelConfig, seed: u64) -> (u64, u64, u64) {
+    /// Half way, with requests queued and bursts in flight, the gated one
+    /// is restored from its own checkpoint into a sub-channel whose
+    /// derived state is garbage, which must rebuild it. Returns (ticks
+    /// that only counted, ticks that only counted and retired, refreshes,
+    /// drains the write aging started).
+    fn drive_gated_and_acting(cfg: SubChannelConfig, seed: u64) -> (u64, u64, u64, u64) {
         use doram_obs::{Recorder, FILTER_ALL};
-        let mut gated = SubChannel::new(cfg);
+        use doram_sim::snapshot::{Snapshot, SnapshotReader};
+        let mut gated = SubChannel::new(cfg.clone());
         let mut acting = gated.clone();
         let (rec_gated, rec_acting) = (
             Recorder::shared(16, FILTER_ALL, 1_000),
@@ -1319,17 +1372,36 @@ mod tests {
         acting.set_obs(Some(rec_acting.clone()), 0, "sub");
         let mut rng = doram_sim::rng::Xoshiro256::seed_from(seed);
         let (mut done_gated, mut done_acting) = (Vec::new(), Vec::new());
-        let (mut counted, mut aged_drains, mut id) = (0, 0, 0);
+        let (mut counted, mut retired, mut aged_drains, mut id) = (0, 0, 0, 0);
+        let mut restored = false;
         for now in 0..20_000u64 {
             if let Some(r) = arrival(&mut rng, now, id) {
                 id += 1;
                 assert_eq!(gated.enqueue(r).is_ok(), acting.enqueue(r).is_ok());
             }
+            if !restored && now >= 10_000 && gated.queued() > 0 && !gated.in_flight.is_empty() {
+                let mut fresh = SubChannel::new(cfg.clone());
+                (fresh.wake_at, fresh.issue_at) = (MemCycle(u64::MAX), MemCycle(u64::MAX));
+                fresh.oram_queued = [usize::MAX / 2; 2];
+                fresh
+                    .load_state(&mut SnapshotReader::new(&saved(&gated)))
+                    .expect("own checkpoint loads");
+                assert_eq!(fresh.oram_queued, gated.oram_queued, "census recounted");
+                assert_eq!(
+                    (fresh.wake_at, fresh.issue_at),
+                    (MemCycle::ZERO, MemCycle::ZERO)
+                );
+                fresh.set_obs(Some(rec_gated.clone()), 0, "sub");
+                gated = fresh;
+                restored = true;
+            }
             let (rq, wq, was_draining) = (gated.read_q.len(), gated.write_q.len(), gated.draining);
-            counted += u64::from(MemCycle(now) < gated.wake_at);
-            gated.tick(MemCycle(now), &mut done_gated);
-            acting.wake_at = MemCycle::ZERO;
-            acting.tick(MemCycle(now), &mut done_acting);
+            let at = MemCycle(now);
+            counted += u64::from(at < gated.wake_at);
+            retired += u64::from(gated.wake_at <= at && at < gated.issue_at);
+            gated.tick(at, &mut done_gated);
+            (acting.wake_at, acting.issue_at) = (MemCycle::ZERO, MemCycle::ZERO);
+            acting.tick(at, &mut done_acting);
             assert_eq!(done_gated, done_acting, "completions differ at {now}");
             assert!(
                 saved(&gated) == saved(&acting),
@@ -1345,7 +1417,11 @@ mod tests {
             aged_drains +=
                 u64::from(!was_draining && gated.draining && wq < gated.cfg.drain_high && rq > 0);
         }
-        (counted, gated.stats().refreshes.get(), aged_drains)
+        assert!(
+            restored,
+            "no tick with requests queued and bursts in flight"
+        );
+        (counted, retired, gated.stats().refreshes.get(), aged_drains)
     }
 
     #[test]
@@ -1363,9 +1439,10 @@ mod tests {
                     ..SubChannelConfig::default()
                 };
                 let seed = 0x5eed + i as u64;
-                let (counted, refreshes, aged_drains) = drive_gated_and_acting(cfg, seed);
+                let (counted, retired, refreshes, aged_drains) = drive_gated_and_acting(cfg, seed);
                 let case = format!("{arbiter:?} {page_policy:?}");
                 assert!(counted > 2_000, "{case}: only {counted} ticks only counted");
+                assert!(retired > 200, "{case}: only {retired} ticks only retired");
                 assert!(refreshes >= 3, "{case}: {refreshes} refreshes");
                 assert!(aged_drains > 0, "{case}: no write aged into a drain");
             }
