@@ -5,18 +5,22 @@
 //! for an S-App path of each kind the loop treats differently: D-ORAM's
 //! secure channel, the Baseline's on-chip ORAM and an NS-only fabric.
 //! Most checkpoints of these co-runs fall in cycles where some cores are
-//! parked inside their quiet horizon.
+//! parked inside their quiet horizon. An attacked run, whose plan carries
+//! site windows, resumes from checkpoints inside and between its bursts.
 //!
 //! Bit-identity is checked two ways: on the `Debug` rendering (Rust prints
 //! `f64` with round-trip precision, so any drift in a derived statistic
 //! shows up) and on the serialized JSON the CLI emits.
 
 use doram_core::report::report_json;
+use doram_core::secure_channel::{adversary_sub_plan, SD_SUB_SITE_BASE};
 use doram_core::system::{RunOptions, Simulation};
 use doram_core::{RunReport, Scheme, SystemConfig};
-use doram_sim::fault::{FaultPlan, FaultRates};
+use doram_sim::fault::{FaultKind, FaultPlan, FaultRates, FAULT_KINDS};
+use doram_sim::MemCycle;
 use doram_trace::Benchmark;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The schemes the fault-free property runs.
 const SCHEMES: [Scheme; 3] = [
@@ -51,6 +55,32 @@ fn config(scheme: Scheme, faulty: bool) -> SystemConfig {
         .tree_l_max(12)
         .max_mem_cycles(50_000_000)
         .fault_plan(plan)
+        .build()
+        .unwrap()
+}
+
+/// The attacks of [`attacked_config`]: replay, relocation and rollback
+/// bursts on secure sub-channel 0, one after another from cycle 300.
+fn attack_plan() -> FaultPlan {
+    let kinds = [
+        FaultKind::ReplayStale,
+        FaultKind::RelocateBucket,
+        FaultKind::RollbackBurst,
+    ];
+    adversary_sub_plan(42, &kinds, 0, 300, 4, 100_000).unwrap()
+}
+
+/// A D-ORAM run under [`attack_plan`], with parity and scrub on: about
+/// 14,700 memory cycles, long enough for every burst kind to fire.
+fn attacked_config() -> SystemConfig {
+    SystemConfig::builder(Benchmark::Libq)
+        .scheme(Scheme::DOram { k: 0, c: 7 })
+        .ns_accesses(500)
+        .tree_l_max(12)
+        .max_mem_cycles(50_000_000)
+        .parity(true)
+        .scrub_every(500)
+        .fault_plan(attack_plan())
         .build()
         .unwrap()
 }
@@ -141,4 +171,58 @@ proptest! {
         let scheme = Scheme::DOram { k: 0, c: 7 };
         check_resume_identity(&format!("faulty-{every}-{pick}"), scheme, true, every, pick);
     }
+}
+
+/// An attacked run resumes bit-identically from every checkpoint of a
+/// 997-cycle interval: inside each kind's burst, where the injectors roll
+/// against a site window, and between bursts. The rebuilt rate timelines
+/// and the verifier's relocation source must carry the run on exactly.
+#[test]
+fn resume_is_bit_identical_inside_and_between_attack_bursts() {
+    let baseline = Simulation::new(attacked_config()).unwrap().run().unwrap();
+    let f = baseline.faults.as_ref().expect("fault block present");
+    assert!(
+        f.replay_detected > 0 && f.relocation_detected > 0 && f.rollback_rejected > 0,
+        "every attack kind must fire and be caught: {f:?}"
+    );
+
+    let dir = fresh_dir("attacked");
+    let opts = RunOptions {
+        checkpoint_every: Some(997),
+        checkpoint_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let checkpointed = Simulation::new(attacked_config())
+        .unwrap()
+        .run_with(&opts)
+        .unwrap();
+    assert_reports_identical("attacked checkpointed run", &checkpointed, &baseline);
+
+    let plan = attack_plan();
+    let mut phases = BTreeSet::new();
+    for file in checkpoints(&dir) {
+        let stem = file.file_stem().unwrap().to_str().unwrap();
+        let cycle: u64 = stem.trim_start_matches("ckpt-").parse().unwrap();
+        let rates = plan.rates_at_site(SD_SUB_SITE_BASE, MemCycle(cycle));
+        let phase = FAULT_KINDS
+            .into_iter()
+            .find(|&k| rates.rate(k) > 0)
+            .map_or("between bursts", |k| k.label());
+        phases.insert(phase);
+        let resumed = Simulation::resume(attacked_config(), &file)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_reports_identical(
+            &format!("attacked run resumed at cycle {cycle} ({phase})"),
+            &resumed,
+            &baseline,
+        );
+    }
+    assert_eq!(
+        phases.len(),
+        4,
+        "checkpoints must fall inside every burst kind and between bursts: {phases:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
