@@ -9,6 +9,7 @@ use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
 use doram_sim::snapshot::SnapshotError;
 use doram_sim::{AppId, IdMap, MemCycle, RequestId, RequestIdGen, SimError};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Depth of the SD's freshness Merkle tree when armed: `2^14` leaves,
@@ -38,6 +39,34 @@ struct RefetchTicket {
     attempts: u32,
 }
 
+/// The two highest bucket addresses ever written, highest first. A
+/// relocation adversary splices in the highest-addressed bucket other than
+/// the one read, so these two answer every read.
+#[derive(Debug, Clone, Copy, Default)]
+struct RelocationSource([Option<u64>; 2]);
+
+impl RelocationSource {
+    /// Notes a bucket written for the first time.
+    fn insert(&mut self, addr: u64) {
+        let [top, second] = &mut self.0;
+        if Some(addr) > *top {
+            *second = top.replace(addr);
+        } else if Some(addr) > *second {
+            *second = Some(addr);
+        }
+    }
+
+    /// The highest written address other than `addr`, if any.
+    fn other_than(&self, addr: u64) -> Option<u64> {
+        let [top, second] = self.0;
+        if top == Some(addr) {
+            second
+        } else {
+            top
+        }
+    }
+}
+
 /// The SD's verifier. It models the two §III-B integrity checks by their
 /// verdicts: the per-bucket CMAC tag, and the freshness Merkle tree whose
 /// root stays on chip (armed only under an adversarial fault plan). Both
@@ -55,6 +84,10 @@ pub(super) struct SdVerifier {
     /// the bucket contents: every write bumps it, every checked read is
     /// compared against it. Empty unless reads are `checked`.
     versions: HashMap<u64, u64>,
+    /// Where a relocated read's splice comes from: the top two addresses
+    /// of `versions`, kept as each is first written and rebuilt after a
+    /// restore.
+    relocation_source: RelocationSource,
     /// Previous version per bucket: the stale-but-once-authentic image a
     /// replay or rollback adversary re-supplies. Tracked only while the
     /// freshness tree is armed.
@@ -148,6 +181,7 @@ impl SdVerifier {
         };
         SdVerifier {
             versions: HashMap::new(),
+            relocation_source: RelocationSource::default(),
             prev_versions: HashMap::new(),
             armed: plan.has_adversary(),
             checked: !plan.is_zero(),
@@ -422,10 +456,19 @@ impl SdVerifier {
         let addr = req.addr;
         if req.op == MemOp::Write {
             if self.checked {
-                let v = self.versions.entry(addr).or_insert(0);
-                *v += 1;
+                let v = match self.versions.entry(addr) {
+                    Entry::Occupied(e) => {
+                        let v = e.into_mut();
+                        *v += 1;
+                        *v
+                    }
+                    Entry::Vacant(e) => {
+                        self.relocation_source.insert(addr);
+                        *e.insert(1)
+                    }
+                };
                 if self.armed {
-                    self.prev_versions.insert(addr, *v - 1);
+                    self.prev_versions.insert(addr, v - 1);
                 }
             }
             // A leafed bucket's write re-hashes its tree path.
@@ -464,13 +507,8 @@ impl SdVerifier {
         if relocated {
             // A once-authentic copy of *another* bucket, chosen
             // deterministically so same-seed runs see the same splice.
-            match self
-                .versions
-                .iter()
-                .filter(|&(&a, _)| a != addr)
-                .max_by_key(|&(&a, _)| a)
-            {
-                Some((&oa, &ov)) => wire = Self::payload_bytes(oa, ov),
+            match self.relocation_source.other_than(addr) {
+                Some(oa) => wire = Self::payload_bytes(oa, self.versions[&oa]),
                 // No other bucket exists yet: nothing to splice from.
                 None => relocated = false,
             }
@@ -690,10 +728,15 @@ impl SdVerifier {
         }
     }
 
-    /// Checks restored state against the config: only an armed tree has
+    /// Rebuilds the relocation source from the restored versions, then
+    /// checks restored state against the config: only an armed tree has
     /// leaves, never more than [`FRESHNESS_LEAVES`], and only a checked
     /// run keeps versions and owners.
-    fn check_restored(&self) -> Result<(), SnapshotError> {
+    fn after_restore(&mut self) -> Result<(), SnapshotError> {
+        self.relocation_source = RelocationSource::default();
+        for &addr in self.versions.keys() {
+            self.relocation_source.insert(addr);
+        }
         if !self.armed && !self.leaves.is_empty() {
             return Err(SnapshotError::new(
                 "checkpoint carries freshness leaves but the config arms no tree",
@@ -748,6 +791,7 @@ doram_sim::impl_snapshot!(SdVerifier {
     pending_refetch,
     pending_rebuild,
 } skip {
+    relocation_source,
     armed,
     checked,
     policy,
@@ -756,7 +800,7 @@ doram_sim::impl_snapshot!(SdVerifier {
     transitions,
     obs,
     blame_res,
-} after_load SdVerifier::check_restored);
+} after_load SdVerifier::after_restore);
 
 #[cfg(test)]
 mod tests {
@@ -764,6 +808,7 @@ mod tests {
     use super::*;
     use doram_sim::fault::{FaultPlan, FaultRates, FaultWindow};
     use doram_sim::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+    use doram_sim::Xoshiro256;
 
     /// An armed verifier whose sub-channel 0 replays every bucket read
     /// over cycles [0, 1,000) and flips a bit in every read over
@@ -929,5 +974,66 @@ mod tests {
             .unwrap_err();
         let want = "checkpoint carries 16385 freshness leaves but the tree has 16384";
         assert!(err.to_string().contains(want), "{err}");
+    }
+
+    /// The relocation source as it was chosen before it was kept: a scan
+    /// of every written bucket for the highest address other than `addr`.
+    fn scanned_source(v: &SdVerifier, addr: u64) -> Option<u64> {
+        v.versions.keys().copied().filter(|&a| a != addr).max()
+    }
+
+    /// Over a seeded stream of bucket writes and relocated reads (reads of
+    /// the highest and second-highest buckets, of other written buckets
+    /// and of never-written ones), the kept source names the bucket the
+    /// full scan would splice in at every read, before and after a
+    /// checkpoint round trip.
+    #[test]
+    fn relocation_source_matches_the_full_scan() {
+        let config = || SecureChannelConfig {
+            fault_plan: FaultPlan::with_rates(
+                4,
+                FaultRates::only(FaultKind::RelocateBucket, 200_000),
+            ),
+            ..cfg(0)
+        };
+        let mut v = SdVerifier::new(&config());
+        let mut ids = RequestIdGen::new();
+        let mut rng = Xoshiro256::seed_from(17);
+        let mut reads = 0;
+        for step in 0..4_000u64 {
+            if step == 2_000 {
+                let mut w = SnapshotWriter::new();
+                v.save_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut restored = SdVerifier::new(&config());
+                restored
+                    .load_state(&mut SnapshotReader::new(&bytes))
+                    .unwrap();
+                assert_eq!(restored.versions, v.versions);
+                v = restored;
+            }
+            let addr = rng.gen_below(1_024);
+            if rng.gen_below(3) == 0 {
+                op(&mut v, &mut ids, MemOp::Write, addr, step);
+                continue;
+            }
+            let mut written: Vec<u64> = v.versions.keys().copied().collect();
+            written.sort_unstable();
+            let addr = match rng.gen_below(4) {
+                0 => written.last().copied().unwrap_or(addr),
+                1 => written.iter().rev().nth(1).copied().unwrap_or(addr),
+                _ => addr,
+            };
+            assert_eq!(
+                v.relocation_source.other_than(addr),
+                scanned_source(&v, addr),
+                "read of bucket {addr} at step {step}"
+            );
+            op(&mut v, &mut ids, MemOp::Read, addr, step);
+            reads += 1;
+        }
+        assert!(reads > 2_000);
+        let caught = v.stats().relocation_detected;
+        assert!(caught > 300, "{caught} relocated reads were caught");
     }
 }

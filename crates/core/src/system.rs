@@ -1400,13 +1400,14 @@ impl Simulation {
     fn advance(&mut self, opts: &RunOptions) -> Result<(), SimError> {
         opts.validate(&self.cfg)?;
         let cap = self.cfg.max_mem_cycles;
-        let ckpt_hash = config_hash(&self.cfg);
-        // Claim this run's epoch up front: the marker is durably bumped
-        // before any checkpoint carries it, so even a crash mid-run leaves
-        // older-epoch files detectable as rolled back.
-        let ckpt_epoch = match &opts.checkpoint_dir {
-            Some(dir) => allocate_epoch(dir)?,
-            None => 0,
+        // Checkpoint files carry the config hash and this run's epoch; a run
+        // that writes none computes neither. Claim the epoch up front: the
+        // marker is durably bumped before any checkpoint carries it, so
+        // even a crash mid-run leaves older-epoch files detectable as
+        // rolled back.
+        let ckpt = match &opts.checkpoint_dir {
+            Some(dir) => Some((dir, config_hash(&self.cfg), allocate_epoch(dir)?)),
+            None => None,
         };
         let start_cycle = self.cycle;
         if opts.handle_signals {
@@ -1437,27 +1438,22 @@ impl Simulation {
             }
             if opts.handle_signals && SHUTDOWN.load(Ordering::SeqCst) {
                 SHUTDOWN.store(false, Ordering::SeqCst);
-                let checkpoint = match &opts.checkpoint_dir {
-                    Some(dir) => {
+                let checkpoint = match ckpt {
+                    Some((dir, hash, epoch)) => {
                         self.catch_up_all(m, watchdog.as_mut());
-                        Some(self.write_checkpoint_file(
-                            dir,
-                            ckpt_hash,
-                            ckpt_epoch,
-                            opts.ckpt_key,
-                        )?)
+                        Some(self.write_checkpoint_file(dir, hash, epoch, opts.ckpt_key)?)
                     }
                     None => None,
                 };
                 return Err(SimError::Interrupted { at: m, checkpoint });
             }
-            if let (Some(every), Some(dir)) = (opts.checkpoint_every, &opts.checkpoint_dir) {
+            if let (Some(every), Some((dir, hash, epoch))) = (opts.checkpoint_every, ckpt) {
                 // State here reflects cycles 0..m completed; skip the
                 // trivial cycle-0 file and the cycle a resume started at
                 // (its checkpoint already exists).
                 if m > 0 && m != start_cycle && m.is_multiple_of(every) {
                     self.catch_up_all(m, watchdog.as_mut());
-                    self.write_checkpoint_file(dir, ckpt_hash, ckpt_epoch, opts.ckpt_key)?;
+                    self.write_checkpoint_file(dir, hash, epoch, opts.ckpt_key)?;
                 }
             }
             if let Some(wd) = &mut watchdog {
@@ -1482,7 +1478,7 @@ impl Simulation {
             // cycles up to the next event that must be stepped at once.
             if let Some(end) = self.quiet_until(m) {
                 let mut end = end.min(cap);
-                if let (Some(every), Some(_)) = (opts.checkpoint_every, &opts.checkpoint_dir) {
+                if let (Some(every), Some(_)) = (opts.checkpoint_every, ckpt) {
                     end = end.min((m / every + 1) * every);
                 }
                 if let Some(wd) = &watchdog {

@@ -15,6 +15,8 @@
 //! * [`FaultInjector`] — a per-site roller with an independent RNG stream
 //!   derived from the plan seed, so the same seed always produces the same
 //!   fault schedule regardless of how other subsystems consume randomness.
+//!   It resolves its site's windows once into a rate timeline, so a roll
+//!   costs a binary search, not a scan of every window.
 //!
 //! Determinism contract: an injector's decisions depend only on
 //! `(plan.seed, site, sequence of rolls)`. Zero-rate rolls consume no
@@ -24,6 +26,8 @@
 use crate::clock::MemCycle;
 use crate::error::SimError;
 use crate::rng::Xoshiro256;
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 
 /// Salt mixed into the plan seed so injector streams never collide with the
 /// trace/ORAM RNG streams derived from the same experiment seed.
@@ -261,7 +265,9 @@ impl FaultPlan {
     }
 
     /// The rates the injector at `site` sees at `now`: the last containing
-    /// site-scoped window for that site, else the base rates.
+    /// site-scoped window for that site, else the base rates. This scan is
+    /// the reference semantics: an injector answers the same question from
+    /// its rate timeline, by binary search.
     pub fn rates_at_site(&self, site: u64, now: MemCycle) -> FaultRates {
         self.site_windows
             .iter()
@@ -335,8 +341,8 @@ impl FaultPlan {
     pub fn injector(&self, site: u64) -> FaultInjector {
         FaultInjector {
             plan: self.at_site(site),
+            timeline: OnceCell::new(),
             armed: !self.is_zero(),
-            site,
             rng: Xoshiro256::stream(self.seed ^ FAULT_STREAM_SALT, site),
             counts: FaultCounts::default(),
         }
@@ -403,16 +409,73 @@ impl FaultCounts {
     }
 }
 
+/// A site's rates as a step function of time: `(cycle, rates)` entries
+/// sorted by cycle, the first at cycle 0, each holding until the next.
+#[derive(Debug, Clone)]
+struct Timeline(Vec<(u64, FaultRates)>);
+
+impl Timeline {
+    /// Resolves `plan`'s windows, which must all target one site, into a
+    /// timeline. "The last containing window wins" is decided here, once:
+    /// a sweep over the window starts and ends keeps the begun windows in
+    /// a set by their place in the list, and the latest-listed one sets
+    /// the rates until the next start or end. Empty windows never contain
+    /// a cycle, so they are left out.
+    fn build(plan: &FaultPlan) -> Timeline {
+        let mut edges: Vec<(u64, usize)> = Vec::new();
+        for (i, w) in plan.site_windows.iter().map(|s| &s.window).enumerate() {
+            if w.start.0 < w.end.0 {
+                edges.push((w.start.0, i));
+                edges.push((w.end.0, i));
+            }
+        }
+        edges.sort_unstable();
+        let mut begun = BTreeSet::new();
+        let mut steps = vec![(0, plan.base)];
+        let mut at = 0;
+        while at < edges.len() {
+            let cycle = edges[at].0;
+            while at < edges.len() && edges[at].0 == cycle {
+                // A window's start is its first edge, its end the second.
+                let i = edges[at].1;
+                if !begun.remove(&i) {
+                    begun.insert(i);
+                }
+                at += 1;
+            }
+            let rates = begun
+                .last()
+                .map_or(plan.base, |&i| plan.site_windows[i].window.rates);
+            match steps.last_mut() {
+                Some(last) if last.0 == cycle => last.1 = rates,
+                Some(last) if last.1 == rates => {}
+                _ => steps.push((cycle, rates)),
+            }
+        }
+        Timeline(steps)
+    }
+
+    /// The rates in effect at `now`.
+    fn at(&self, now: MemCycle) -> &FaultRates {
+        // The first entry is at cycle 0, so at least one entry precedes.
+        let next = self.0.partition_point(|&(cycle, _)| cycle <= now.0);
+        &self.0[next - 1].1
+    }
+}
+
 /// A per-site fault roller with its own RNG stream and counters.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    /// The plan restricted to `site` ([`FaultPlan::at_site`]).
+    /// The plan restricted to the injector's site ([`FaultPlan::at_site`]).
     plan: FaultPlan,
+    /// `plan` as a [`Timeline`], built on the first lookup: a plan may
+    /// list hundreds of windows that start after the run ends, and the
+    /// build should not weigh on setting a simulation up.
+    timeline: OnceCell<Timeline>,
     /// Whether the whole plan can fire, at this site or any other:
     /// [`FaultInjector::is_disabled`] answers for the plan, so a consumer's
     /// clean fast path does not depend on which sites the windows target.
     armed: bool,
-    site: u64,
     rng: Xoshiro256,
     counts: FaultCounts,
 }
@@ -426,7 +489,7 @@ impl FaultInjector {
     /// Rolls whether a fault of `kind` fires at `now`, bumping counters on a
     /// hit. A zero rate consumes no randomness.
     pub fn roll(&mut self, kind: FaultKind, now: MemCycle) -> bool {
-        let ppm = self.plan.rates_at_site(self.site, now).rate(kind);
+        let ppm = self.rates(now).rate(kind);
         if ppm == 0 {
             return false;
         }
@@ -439,7 +502,15 @@ impl FaultInjector {
 
     /// The configured delay depth at `now` (memory cycles).
     pub fn delay_cycles(&self, now: MemCycle) -> u64 {
-        self.plan.rates_at_site(self.site, now).delay_cycles
+        self.rates(now).delay_cycles
+    }
+
+    /// The rates this site sees at `now`, as
+    /// [`FaultPlan::rates_at_site`] gives them.
+    fn rates(&self, now: MemCycle) -> &FaultRates {
+        self.timeline
+            .get_or_init(|| Timeline::build(&self.plan))
+            .at(now)
     }
 
     /// Flips one uniformly chosen bit of `payload` (no-op when empty).
@@ -598,13 +669,14 @@ crate::impl_codec!(struct FaultCounts {
     rollback_bursts,
 });
 
-// The plan and site are configuration; only the roll cursor and tallies
-// move.
-crate::impl_snapshot!(FaultInjector { rng, counts } skip { plan, armed, site });
+// The plan is configuration and the timeline is derived from it; only the
+// roll cursor and tallies move.
+crate::impl_snapshot!(FaultInjector { rng, counts } skip { plan, timeline, armed });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn link_rates(ppm: u32) -> FaultRates {
         FaultRates {
@@ -942,5 +1014,216 @@ mod tests {
         });
         assert!(ok.validate().is_ok());
         assert!(ok.compile().validate().is_ok());
+    }
+
+    /// The sites the random plans target; lookups also ask an untargeted
+    /// one.
+    const SITES: [u64; 3] = [0, 7, 0x5D10];
+
+    /// One random window: (site index, start mode, start), (length mode,
+    /// length) and (kind index, ppm, delay). Start mode 0 starts the
+    /// window at cycle 0, mode 1 near the end of time; length mode 0
+    /// saturates the end at `u64::MAX` as [`AdversaryPlan::compile`] does,
+    /// mode 1 makes the window empty.
+    type WindowSpec = ((usize, u64, u64), (u64, u64), (usize, u32, u64));
+
+    fn random_plan(seed: u64, base_kind: usize, specs: &[WindowSpec]) -> FaultPlan {
+        let mut plan = FaultPlan::with_rates(
+            seed,
+            FaultRates {
+                delay_cycles: 3,
+                ..FaultRates::only(FAULT_KINDS[base_kind], 1_000)
+            },
+        );
+        for &((site, start_mode, start), (len_mode, len), (kind, ppm, delay)) in specs {
+            let start = match start_mode {
+                0 => 0,
+                1 => u64::MAX - start,
+                _ => start,
+            };
+            let len = match len_mode {
+                0 => u64::MAX,
+                1 => 0,
+                _ => len,
+            };
+            let window = FaultWindow {
+                start: MemCycle(start),
+                end: MemCycle(start.saturating_add(len)),
+                rates: FaultRates {
+                    delay_cycles: delay,
+                    ..FaultRates::only(FAULT_KINDS[kind], ppm)
+                },
+            };
+            plan = plan.site_window(SITES[site], window);
+        }
+        plan
+    }
+
+    /// Every window edge and its neighbours, the ends of time, and `extra`.
+    fn probe_cycles(plan: &FaultPlan, extra: &[u64]) -> Vec<u64> {
+        let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for w in plan.site_windows.iter().map(|s| s.window) {
+            for edge in [w.start.0, w.end.0] {
+                probes.extend([edge.saturating_sub(1), edge, edge.saturating_add(1)]);
+            }
+        }
+        probes.extend_from_slice(extra);
+        probes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// An injector's timeline gives every site the rates the window
+        /// scan gives, at every window edge and at random cycles, asked in
+        /// time order and in random order; `delay_cycles` included.
+        #[test]
+        fn timeline_matches_the_window_scan(
+            seed in 0u64..1_000,
+            base_kind in 0usize..8,
+            specs in prop::collection::vec(
+                (
+                    (0usize..3, 0u64..5, 0u64..3_000),
+                    (0u64..6, 1u64..1_500),
+                    (0usize..8, 0u32..1_000_001, 0u64..40),
+                ),
+                0..24,
+            ),
+            extra in prop::collection::vec(0u64..6_000, 0..64),
+        ) {
+            let plan = random_plan(seed, base_kind, &specs);
+            let random_order = probe_cycles(&plan, &extra);
+            let mut time_order = random_order.clone();
+            time_order.sort_unstable();
+            for site in SITES.into_iter().chain([99]) {
+                for order in [&time_order, &random_order] {
+                    let inj = plan.injector(site);
+                    for &now in order.iter() {
+                        let want = plan.rates_at_site(site, MemCycle(now));
+                        prop_assert_eq!(*inj.rates(MemCycle(now)), want, "site {} at {}", site, now);
+                        prop_assert_eq!(inj.delay_cycles(MemCycle(now)), want.delay_cycles);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The timeline keeps only the steps where the rates change, and the
+    /// latest-listed begun window wins where windows overlap.
+    #[test]
+    fn timeline_steps_where_the_top_window_changes() {
+        let window = |start: u64, end: u64, ppm: u32| FaultWindow {
+            start: MemCycle(start),
+            end: MemCycle(end),
+            rates: link_rates(ppm),
+        };
+        let plan = FaultPlan::with_rates(1, link_rates(1))
+            .site_window(4, window(0, 100, 2))
+            .site_window(4, window(50, 80, 3))
+            .site_window(4, window(60, u64::MAX, 2))
+            .site_window(4, window(70, 70, 9));
+        let steps: Vec<(u64, u32)> = Timeline::build(&plan.at_site(4))
+            .0
+            .iter()
+            .map(|&(cycle, rates)| (cycle, rates.corrupt_ppm))
+            .collect();
+        assert_eq!(steps, [(0, 2), (50, 3), (60, 2), (u64::MAX, 1)]);
+    }
+
+    /// The injector as it rolled before the timeline: rates from the
+    /// plan's window scan, then the same draw from the same stream.
+    struct ScanRoller {
+        plan: FaultPlan,
+        site: u64,
+        rng: Xoshiro256,
+        hits: [u64; 8],
+    }
+
+    impl ScanRoller {
+        fn roll(&mut self, kind: FaultKind, now: MemCycle) -> bool {
+            let ppm = self.plan.rates_at_site(self.site, now).rate(kind);
+            let hit = ppm > 0 && self.rng.gen_below(1_000_000) < ppm as u64;
+            if hit {
+                let k = FAULT_KINDS.iter().position(|&k| k == kind).unwrap();
+                self.hits[k] += 1;
+            }
+            hit
+        }
+    }
+
+    /// Over a long stream of rolls of every kind against a plan shaped
+    /// like an attacked run's (three kinds of repeating burst on one site,
+    /// overlapping windows, ambient base rates), the injector hits, and
+    /// draws from its stream, exactly where the window scan does.
+    #[test]
+    fn injector_rolls_like_the_window_scan() {
+        let site = 0x5D10;
+        let mut attacks = AdversaryPlan::new(11).jitter(100);
+        for (i, kind) in [
+            FaultKind::ReplayStale,
+            FaultKind::RelocateBucket,
+            FaultKind::RollbackBurst,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            attacks = attacks.burst(AdversaryBurst {
+                site,
+                kind,
+                start: MemCycle(800 + i as u64 * 800),
+                len: 1_000,
+                period: 2_400,
+                repeats: 200,
+                ppm: 150_000,
+            });
+        }
+        let plan = FaultPlan {
+            base: FaultRates {
+                corrupt_ppm: 20_000,
+                bitflip_ppm: 50_000,
+                ..FaultRates::none()
+            },
+            ..attacks.compile()
+        }
+        .site_window(
+            site,
+            FaultWindow {
+                start: MemCycle(9_000),
+                end: MemCycle(12_000),
+                rates: FaultRates::only(FaultKind::ForgeMac, 1_000_000),
+            },
+        );
+        let mut inj = plan.injector(site);
+        let mut scan = ScanRoller {
+            plan: plan.clone(),
+            site,
+            rng: Xoshiro256::stream(plan.seed ^ FAULT_STREAM_SALT, site),
+            hits: [0; 8],
+        };
+        let mut steps = Xoshiro256::seed_from(5);
+        let mut now = 0;
+        for _ in 0..60_000 {
+            now += steps.gen_below(4);
+            for kind in FAULT_KINDS {
+                let at = MemCycle(now);
+                assert_eq!(inj.roll(kind, at), scan.roll(kind, at), "{kind:?} at {now}");
+            }
+        }
+        assert_eq!(inj.rng, scan.rng, "the two streams drew alike");
+        let c = inj.counts();
+        let counted = [
+            c.corrupt_frames,
+            c.drop_frames,
+            c.delay_frames,
+            c.bit_flips,
+            c.forged_macs,
+            c.replays,
+            c.relocations,
+            c.rollback_bursts,
+        ];
+        assert_eq!(counted, scan.hits);
+        for k in [0, 3, 4, 5, 6, 7] {
+            assert!(counted[k] > 0, "{:?} never fired", FAULT_KINDS[k]);
+        }
     }
 }
