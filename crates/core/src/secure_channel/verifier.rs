@@ -189,10 +189,7 @@ impl SdVerifier {
             // Site 0x5D00: the SD's DRAM bus, distinct from link sites.
             injector: plan.injector(0x5D00),
             sub_injectors: (0..n_subs)
-                .map(|i| {
-                    let site = SD_SUB_SITE_BASE + i as u64;
-                    plan.site_plan(site).injector(site)
-                })
+                .map(|i| FaultInjector::overlay(plan, SD_SUB_SITE_BASE + i as u64))
                 .collect(),
             policy: cfg.recovery,
             health: vec![HealthMonitor::new(sub_policy); n_subs],

@@ -175,8 +175,9 @@ proptest! {
 
 /// An attacked run resumes bit-identically from every checkpoint of a
 /// 997-cycle interval: inside each kind's burst, where the injectors roll
-/// against a site window, and between bursts. The rebuilt rate timelines
-/// and the verifier's relocation source must carry the run on exactly.
+/// against a site window, and between bursts. Whatever the injectors and
+/// the SD verifier derive from their configuration or state instead of
+/// checkpointing it must come back as it was.
 #[test]
 fn resume_is_bit_identical_inside_and_between_attack_bursts() {
     let baseline = Simulation::new(attacked_config()).unwrap().run().unwrap();

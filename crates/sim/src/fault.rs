@@ -294,7 +294,8 @@ impl FaultPlan {
     /// rates of zero and only the windows scoped to `site`. An injector
     /// built from this derived plan fires only during those bursts — the
     /// overlay roller layered on top of a shared injector so plans without
-    /// site windows stay bit-identical.
+    /// site windows stay bit-identical. [`FaultInjector::overlay`] builds
+    /// that injector from the plan directly.
     pub fn site_plan(&self, site: u64) -> FaultPlan {
         FaultPlan {
             base: FaultRates::none(),
@@ -305,15 +306,15 @@ impl FaultPlan {
     /// The plan as `site` sees it: the base rates and only the windows
     /// scoped to `site`.
     fn at_site(&self, site: u64) -> FaultPlan {
+        // Sized up front: a targeted site may hold hundreds of windows,
+        // and growing the copy by doubling touches twice the memory.
+        let here = |s: &&SiteWindow| s.site == site;
+        let mut site_windows = Vec::with_capacity(self.site_windows.iter().filter(here).count());
+        site_windows.extend(self.site_windows.iter().filter(here).copied());
         FaultPlan {
             seed: self.seed,
             base: self.base,
-            site_windows: self
-                .site_windows
-                .iter()
-                .filter(|s| s.site == site)
-                .copied()
-                .collect(),
+            site_windows,
         }
     }
 
@@ -419,10 +420,11 @@ impl Timeline {
     /// timeline. "The last containing window wins" is decided here, once:
     /// a sweep over the window starts and ends keeps the begun windows in
     /// a set by their place in the list, and the latest-listed one sets
-    /// the rates until the next start or end. Empty windows never contain
-    /// a cycle, so they are left out.
+    /// the rates until the next start or end. A window that ends where or
+    /// before it starts contains no cycle, so it is left out (an inverted
+    /// window's edges would come in the wrong order).
     fn build(plan: &FaultPlan) -> Timeline {
-        let mut edges: Vec<(u64, usize)> = Vec::new();
+        let mut edges: Vec<(u64, usize)> = Vec::with_capacity(2 * plan.site_windows.len());
         for (i, w) in plan.site_windows.iter().map(|s| &s.window).enumerate() {
             if w.start.0 < w.end.0 {
                 edges.push((w.start.0, i));
@@ -431,7 +433,8 @@ impl Timeline {
         }
         edges.sort_unstable();
         let mut begun = BTreeSet::new();
-        let mut steps = vec![(0, plan.base)];
+        let mut steps = Vec::with_capacity(edges.len() + 1);
+        steps.push((0, plan.base));
         let mut at = 0;
         while at < edges.len() {
             let cycle = edges[at].0;
@@ -484,6 +487,17 @@ impl FaultInjector {
     /// An injector that never fires (for sites with no plan).
     pub fn disabled() -> FaultInjector {
         FaultPlan::none().injector(0)
+    }
+
+    /// The overlay roller for `site`: it rolls only the windows scoped to
+    /// `site`, never the base rates, and is disabled unless one of them can
+    /// fire. It is the injector `plan.site_plan(site).injector(site)`
+    /// builds, made with one copy of the site's windows instead of two.
+    pub fn overlay(plan: &FaultPlan, site: u64) -> FaultInjector {
+        let mut inj = plan.injector(site);
+        inj.plan.base = FaultRates::none();
+        inj.armed = !inj.plan.is_zero();
+        inj
     }
 
     /// Rolls whether a fault of `kind` fires at `now`, bumping counters on a
@@ -1024,7 +1038,8 @@ mod tests {
     /// length) and (kind index, ppm, delay). Start mode 0 starts the
     /// window at cycle 0, mode 1 near the end of time; length mode 0
     /// saturates the end at `u64::MAX` as [`AdversaryPlan::compile`] does,
-    /// mode 1 makes the window empty.
+    /// mode 1 ends the window where it starts and mode 2 before it starts,
+    /// so that it never contains a cycle.
     type WindowSpec = ((usize, u64, u64), (u64, u64), (usize, u32, u64));
 
     fn random_plan(seed: u64, base_kind: usize, specs: &[WindowSpec]) -> FaultPlan {
@@ -1041,14 +1056,15 @@ mod tests {
                 1 => u64::MAX - start,
                 _ => start,
             };
-            let len = match len_mode {
-                0 => u64::MAX,
-                1 => 0,
-                _ => len,
+            let end = match len_mode {
+                0 => start.saturating_add(u64::MAX),
+                1 => start,
+                2 => start.saturating_sub(len),
+                _ => start.saturating_add(len),
             };
             let window = FaultWindow {
                 start: MemCycle(start),
-                end: MemCycle(start.saturating_add(len)),
+                end: MemCycle(end),
                 rates: FaultRates {
                     delay_cycles: delay,
                     ..FaultRates::only(FAULT_KINDS[kind], ppm)
@@ -1076,7 +1092,8 @@ mod tests {
 
         /// An injector's timeline gives every site the rates the window
         /// scan gives, at every window edge and at random cycles, asked in
-        /// time order and in random order; `delay_cycles` included.
+        /// time order and in random order; `delay_cycles` included. Each
+        /// site's overlay is the injector of its site plan.
         #[test]
         fn timeline_matches_the_window_scan(
             seed in 0u64..1_000,
@@ -1084,7 +1101,7 @@ mod tests {
             specs in prop::collection::vec(
                 (
                     (0usize..3, 0u64..5, 0u64..3_000),
-                    (0u64..6, 1u64..1_500),
+                    (0u64..7, 1u64..1_500),
                     (0usize..8, 0u32..1_000_001, 0u64..40),
                 ),
                 0..24,
@@ -1096,6 +1113,11 @@ mod tests {
             let mut time_order = random_order.clone();
             time_order.sort_unstable();
             for site in SITES.into_iter().chain([99]) {
+                let overlay = FaultInjector::overlay(&plan, site);
+                let reference = plan.site_plan(site).injector(site);
+                prop_assert_eq!(&overlay.plan, &reference.plan);
+                prop_assert_eq!(overlay.armed, reference.armed);
+                prop_assert_eq!(&overlay.rng, &reference.rng);
                 for order in [&time_order, &random_order] {
                     let inj = plan.injector(site);
                     for &now in order.iter() {
